@@ -1,30 +1,11 @@
 """QoS-aware reinforcement-learning path finding on simulated networks."""
 
-from .dataplane import DataPlane, ExecutionResult, LossModel, execute_path, snapshot_qos
-from .engine import (
-    DEFAULT_HYPERPARAMETERS,
-    AbsentLinkError,
-    EpisodeTrace,
-    Hyperparameters,
-    QTable,
-    RouteResult,
-    UnroutableDemandError,
-    detect_convergence,
-    find_final_path,
-    find_route,
-    find_temp_path,
-    init_local_table,
-    sarsa_update,
-    update_table,
-)
+from .dataplane import DataPlane
+from .engine import Hyperparameters, QTable, RouteResult, find_route
 from .harness import (
-    DEFAULT_SEED,
     ComparisonReport,
-    DemandOutcome,
     ExperimentConfig,
-    ExperimentReport,
     GammaStudyReport,
-    baseline_min_hop,
     compare_baseline,
     emit_comparison_reports,
     emit_gamma_reports,
@@ -32,43 +13,29 @@ from .harness import (
     run_gamma_study,
     run_sequence,
 )
-from .network import (
-    LinkState,
-    NetworkGraph,
-    NodeState,
-    RoutePath,
-    TopologyError,
-    TrafficDemand,
-    build_graph,
-    check_path,
-    graph_from_dict,
-    graph_to_dict,
-    load_topology,
-    place_traffic,
-    save_topology,
-)
-from .rewards import (
-    DEFAULT_WEIGHTS,
-    HopQoSRecord,
-    QoSWeights,
-    RewardRecord,
-    global_reward,
-    global_rewards_for_path,
-    local_reward,
-    local_rewards_for_path,
-    make_weights,
-    reward_hop,
-    reward_intensity,
-    reward_reliability,
-    reward_transmission,
-    reward_utilization,
-)
-from .topologies import (
-    BUILTIN_TOPOLOGIES,
-    builtin_demands,
-    load_builtin,
-    load_demands,
-    resolve_topology,
-)
+from .network import NetworkGraph, RoutePath, TrafficDemand, graph_from_dict
+from .rewards import make_weights
+
+__all__ = [
+    "ComparisonReport",
+    "DataPlane",
+    "ExperimentConfig",
+    "GammaStudyReport",
+    "Hyperparameters",
+    "NetworkGraph",
+    "QTable",
+    "RoutePath",
+    "RouteResult",
+    "TrafficDemand",
+    "compare_baseline",
+    "emit_comparison_reports",
+    "emit_gamma_reports",
+    "emit_reports",
+    "find_route",
+    "graph_from_dict",
+    "make_weights",
+    "run_gamma_study",
+    "run_sequence",
+]
 
 __version__ = "0.1.0"

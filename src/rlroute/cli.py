@@ -34,6 +34,7 @@ from .rewards import DEFAULT_WEIGHTS, QoSWeights, make_weights
 from .topologies import BUILTIN_DEMAND_SETS, builtin_demands, is_builtin, load_demands, resolve_topology
 
 DEFAULT_GAMMAS = (0.3, 0.5, 0.7, 0.9)
+TOPOLOGY_HELP = "topology JSON file, or a builtin id (T1,T2,T3,T4,T7,T8)"
 
 
 def _parse_weights(text: str) -> QoSWeights:
@@ -63,11 +64,7 @@ def _parse_gammas(text: str) -> tuple[float, ...]:
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--topology",
-        required=True,
-        help="topology JSON file, or a builtin id (T1,T2,T3,T4,T7,T8)",
-    )
+    parser.add_argument("--topology", required=True, help=TOPOLOGY_HELP)
     parser.add_argument(
         "--demands",
         help='demand JSON file: [{"src":0,"dst":26,"traffic_bps":1.0e5}, ...]; '
@@ -95,7 +92,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--use-global", action="store_true",
                         help="seed each demand's local table from the shared global table")
     parser.add_argument("--global-gamma", type=float, default=None,
-                        help="discount factor for global-table updates (default: same as --gamma)")
+                        help="discount factor for global-table updates "
+                        f"(default {h.gamma}, the framework default, independent of --gamma)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"RNG seed (default {DEFAULT_SEED})")
     parser.add_argument("--out", metavar="DIR", help="directory for report files")
@@ -166,29 +164,35 @@ def _print_comparison_summary(comparison: ComparisonReport) -> None:
     print(f"baseline max link utilization: {comparison.baseline_max_link_utilization:.4f}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    report = run_sequence(_config_from(args))
-    _print_run_summary(report)
+# Study subcommand -> (help, study of (config, args), summary printer, emitter).
+_STUDIES = {
+    "run": (
+        "route a demand sequence and report paths and link loads",
+        lambda config, args: run_sequence(config),
+        _print_run_summary,
+        emit_reports,
+    ),
+    "gamma-study": (
+        "convergence speed with global-table reuse across a set of gamma values",
+        lambda config, args: run_gamma_study(config, args.gammas),
+        _print_gamma_summary,
+        emit_gamma_reports,
+    ),
+    "compare-baseline": (
+        "route the same sequence with the learner and a min-hop baseline",
+        lambda config, args: compare_baseline(config),
+        _print_comparison_summary,
+        emit_comparison_reports,
+    ),
+}
+
+
+def _cmd_study(args: argparse.Namespace) -> int:
+    _, study, print_summary, emit = _STUDIES[args.command]
+    result = study(_config_from(args), args)
+    print_summary(result)
     if args.out:
-        for path in emit_reports(report, args.out):
-            print(f"wrote {path}")
-    return 0
-
-
-def _cmd_gamma_study(args: argparse.Namespace) -> int:
-    study = run_gamma_study(_config_from(args), args.gammas)
-    _print_gamma_summary(study)
-    if args.out:
-        for path in emit_gamma_reports(study, args.out):
-            print(f"wrote {path}")
-    return 0
-
-
-def _cmd_compare_baseline(args: argparse.Namespace) -> int:
-    comparison = compare_baseline(_config_from(args))
-    _print_comparison_summary(comparison)
-    if args.out:
-        for path in emit_comparison_reports(comparison, args.out):
+        for path in emit(result, args.out):
             print(f"wrote {path}")
     return 0
 
@@ -212,37 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="route a demand sequence and report paths and link loads")
-    _add_common_arguments(run)
-    run.set_defaults(func=_cmd_run)
-
-    gamma = sub.add_parser(
-        "gamma-study",
-        help="convergence speed with global-table reuse across a set of gamma values",
-    )
-    _add_common_arguments(gamma)
-    gamma.add_argument(
+    studies = {name: sub.add_parser(name, help=entry[0]) for name, entry in _STUDIES.items()}
+    for study in studies.values():
+        _add_common_arguments(study)
+        study.set_defaults(func=_cmd_study)
+    studies["gamma-study"].add_argument(
         "--gammas",
         type=_parse_gammas,
         default=DEFAULT_GAMMAS,
         metavar="G1,G2,...",
         help="gamma values for the test groups (default 0.3,0.5,0.7,0.9)",
     )
-    gamma.set_defaults(func=_cmd_gamma_study)
-
-    compare = sub.add_parser(
-        "compare-baseline",
-        help="route the same sequence with the learner and a min-hop baseline",
-    )
-    _add_common_arguments(compare)
-    compare.set_defaults(func=_cmd_compare_baseline)
 
     validate = sub.add_parser("validate-topology", help="parse and sanity-check a topology")
-    validate.add_argument(
-        "--topology",
-        required=True,
-        help="topology JSON file, or a builtin id (T1,T2,T3,T4,T7,T8)",
-    )
+    validate.add_argument("--topology", required=True, help=TOPOLOGY_HELP)
     validate.set_defaults(func=_cmd_validate_topology)
 
     return parser

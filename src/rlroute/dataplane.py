@@ -39,15 +39,25 @@ class LossModel:
         return self._rng.random() >= reliability
 
 
+class ControlMessages:
+    """Message accounting (see the module docstring) for a record that has
+    attempted_hops and episodes_run: n + 1 and 2n for one n-hop episode."""
+
+    @property
+    def messages_with_aggregation(self) -> int:
+        return self.attempted_hops + self.episodes_run
+
+    @property
+    def messages_without_aggregation(self) -> int:
+        return 2 * self.attempted_hops
+
+
 @dataclass(frozen=True)
 class ExecutionResult:
     """What one episode's path attempt produced. records holds one QoS
     snapshot per attempted hop; only the last may be loss-flagged."""
 
     records: tuple[HopQoSRecord, ...]
-    delivered: bool
-    messages_with_aggregation: int
-    messages_without_aggregation: int
 
 
 def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> HopQoSRecord:
@@ -78,21 +88,13 @@ def execute_path(
     reached. Stops early if the loss model drops the packet; the record of
     the losing hop is kept, flagged, and is the last one."""
     records: list[HopQoSRecord] = []
-    lost = False
     for hop_index, (src, dst) in enumerate(path.links(), start=1):
         record = snapshot_qos(graph, src, dst, hop_index)
         if loss is not None and loss.packet_lost(record.link_reliability):
             records.append(replace(record, has_lost=True))
-            lost = True
             break
         records.append(record)
-    n = len(records)
-    return ExecutionResult(
-        records=tuple(records),
-        delivered=not lost and path.reached_destination,
-        messages_with_aggregation=n + 1,
-        messages_without_aggregation=2 * n,
-    )
+    return ExecutionResult(records=tuple(records))
 
 
 class DataPlane:

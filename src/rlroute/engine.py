@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
+from .dataplane import ControlMessages
 from .network import NetworkGraph, RoutePath, TrafficDemand
 from .rewards import (
     DEFAULT_WEIGHTS,
@@ -84,39 +85,38 @@ DEFAULT_HYPERPARAMETERS = Hyperparameters()
 class QTable:
     """Dense N x N table of Q-values indexed [state node][next-hop node].
 
-    Cells without an underlying link hold a distinguished absent marker that
-    is never read, written, or compared by learning code; it is NaN in the
-    value array, paired with a boolean exists-mask. Guarded accessors keep
-    the marker out of all arithmetic.
+    Cells without an underlying link hold NaN, the absent marker, which is
+    never read, written, or compared by learning code. set() refuses
+    non-finite values, so NaN can mean nothing else, and the guarded
+    accessors keep it out of all arithmetic.
     """
 
-    def __init__(self, values: np.ndarray, exists: np.ndarray):
+    def __init__(self, values: np.ndarray):
         self.values = values
-        self.exists = exists
 
     @classmethod
     def for_graph(cls, graph: NetworkGraph, fill: float = 0.0) -> "QTable":
         n = graph.num_nodes
-        exists = np.zeros((n, n), dtype=bool)
+        values = np.full((n, n), np.nan)
         for link in graph.iter_links():
-            exists[link.src, link.dst] = True
-        values = np.where(exists, fill, np.nan)
-        return cls(values, exists)
+            values[link.src, link.dst] = fill
+        return cls(values)
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
 
     def has_entry(self, state: int, action: int) -> bool:
-        return bool(self.exists[state, action])
+        return not math.isnan(self.values[state, action])
 
     def get(self, state: int, action: int) -> float:
-        if not self.exists[state, action]:
+        value = self.values[state, action]
+        if math.isnan(value):
             raise AbsentLinkError(f"no link ({state},{action}); Q-value is absent")
-        return float(self.values[state, action])
+        return float(value)
 
     def set(self, state: int, action: int, value: float) -> None:
-        if not self.exists[state, action]:
+        if math.isnan(self.values[state, action]):
             raise AbsentLinkError(f"no link ({state},{action}); refusing to write")
         if not math.isfinite(value):
             raise ValueError(f"Q-value for ({state},{action}) must be finite, got {value}")
@@ -126,34 +126,26 @@ class QTable:
         self.set(state, action, self.get(state, action) + delta)
 
     def copy(self) -> "QTable":
-        return QTable(self.values.copy(), self.exists.copy())
+        return QTable(self.values.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QTable):
             return NotImplemented
-        return (
-            self.values.shape == other.values.shape
-            and np.array_equal(self.exists, other.exists)
-            and np.array_equal(self.values[self.exists], other.values[other.exists])
-        )
+        return np.array_equal(self.values, other.values, equal_nan=True)
 
     def __repr__(self) -> str:
-        return f"QTable(size={self.size}, entries={int(self.exists.sum())})"
+        return f"QTable(size={self.size}, entries={int(np.count_nonzero(~np.isnan(self.values)))})"
 
 
 @dataclass(frozen=True)
-class EpisodeTrace:
-    """One learning episode's evidence: the temp path, its outcome, the local
-    rewards applied, and the controller message accounting."""
+class EpisodeTrace(ControlMessages):
+    """One learning episode's evidence: the temp path and how many of its
+    hops the data plane attempted, which set the controller message counts."""
 
     episode_index: int
     temp_path: RoutePath
-    path_length: int
-    reached: bool
-    rewards: tuple[RewardRecord, ...]
-    delivered: bool
-    messages_with_aggregation: int
-    messages_without_aggregation: int
+    attempted_hops: int
+    episodes_run: ClassVar[int] = 1
 
 
 @dataclass
@@ -204,7 +196,6 @@ def find_temp_path(
     visited = {demand.src}
     nodes = [demand.src]
     current = demand.src
-    reached = False
     for _ in range(hyper.ttl):
         candidates = [v for v in graph.out_neighbors(current) if v not in visited]
         if not candidates:
@@ -223,9 +214,8 @@ def find_temp_path(
         visited.add(nxt)
         current = nxt
         if current == demand.dst:
-            reached = True
             break
-    return RoutePath(tuple(nodes), reached)
+    return RoutePath(tuple(nodes), current == demand.dst)
 
 
 def find_final_path(
@@ -320,18 +310,7 @@ def find_route(
         global_rewards = global_rewards_for_path(result.records, DEFAULT_WEIGHTS)
         update_table(local_table, local_rewards, hyper)
         update_table(global_table, global_rewards, global_hyper)
-        traces.append(
-            EpisodeTrace(
-                episode_index=episode,
-                temp_path=temp_path,
-                path_length=temp_path.hop_count,
-                reached=temp_path.reached_destination,
-                rewards=tuple(local_rewards),
-                delivered=result.delivered,
-                messages_with_aggregation=result.messages_with_aggregation,
-                messages_without_aggregation=result.messages_without_aggregation,
-            )
-        )
+        traces.append(EpisodeTrace(episode, temp_path, len(result.records)))
     final_path = find_final_path(demand, local_table, hyper, graph)
     return RouteResult(final_path=final_path, traces=traces)
 
@@ -346,13 +325,12 @@ def detect_convergence(traces: Sequence[EpisodeTrace]) -> Optional[int]:
     """
     if not traces:
         return None
-    last = traces[-1]
-    if not last.reached:
+    last = traces[-1].temp_path
+    if not last.reached_destination:
         return None
     start_pos = len(traces) - 1
     for pos in range(len(traces) - 2, -1, -1):
-        trace = traces[pos]
-        if trace.temp_path != last.temp_path or not trace.reached:
+        if traces[pos].temp_path != last:
             break
         start_pos = pos
     if len(traces) - start_pos < 2 and start_pos != 0:

@@ -20,11 +20,11 @@ import csv
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataplane import DataPlane, LossModel
+from .dataplane import ControlMessages, DataPlane, LossModel
 from .engine import (
     DEFAULT_HYPERPARAMETERS,
     Hyperparameters,
@@ -56,9 +56,10 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class DemandOutcome:
+class DemandOutcome(ControlMessages):
     """One demand's results: whether it was routed, on which path, when the
-    learner converged (None if it never settled), and the episode series."""
+    learner converged (None if it never settled), the episode series, and the
+    hops the data plane attempted over all episodes."""
 
     demand_index: int
     demand: TrafficDemand
@@ -67,8 +68,7 @@ class DemandOutcome:
     converged_episode: Optional[int]
     episodes_run: int
     temp_path_lengths: tuple[int, ...]
-    messages_with_aggregation: int
-    messages_without_aggregation: int
+    attempted_hops: int
 
     # Unconverged demands cost their whole episode budget, so totals charge
     # episodes_run when converged_episode is absent.
@@ -99,10 +99,6 @@ class ExperimentReport:
     graph: NetworkGraph
 
     @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    @property
     def max_link_utilization(self) -> float:
         return self.graph.max_link_utilization()
 
@@ -130,21 +126,8 @@ class ExperimentReport:
             "loss_mode": cfg.loss_mode,
             "use_global": cfg.use_global,
             "global_gamma": cfg.global_gamma,
-            "weights": {
-                "hop_count": cfg.weights.hop_count,
-                "transmission": cfg.weights.transmission,
-                "reliability": cfg.weights.reliability,
-                "intensity": cfg.weights.intensity,
-                "utilization": cfg.weights.utilization,
-            },
-            "hyperparameters": {
-                "epsilon": cfg.hyper.epsilon,
-                "alpha": cfg.hyper.alpha,
-                "gamma": cfg.hyper.gamma,
-                "ttl": cfg.hyper.ttl,
-                "episodes": cfg.hyper.episodes,
-                "terminal_q": cfg.hyper.terminal_q,
-            },
+            "weights": asdict(cfg.weights),
+            "hyperparameters": asdict(cfg.hyper),
             "demands": [o.to_dict() for o in self.outcomes],
             "totals": {
                 "routed_demands": sum(1 for o in self.outcomes if o.routed),
@@ -153,22 +136,25 @@ class ExperimentReport:
                 "messages_with_aggregation": self.total_messages_with_aggregation,
                 "messages_without_aggregation": self.total_messages_without_aggregation,
             },
-            "links": _links_dict(self.graph),
+            "links": _links_json(self.graph),
             "max_link_utilization": self.max_link_utilization,
         }
 
 
-def _links_dict(graph: NetworkGraph) -> list[dict]:
+# The per-link columns of every report: the JSON "links" blocks and the
+# links CSVs. Topology files have their own schema (network.graph_to_dict).
+_LINK_COLUMNS = ("src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "utilization")
+
+
+def _link_rows(graph: NetworkGraph) -> list[list]:
     return [
-        {
-            "src": link.src,
-            "dst": link.dst,
-            "max_bandwidth_bps": link.max_bandwidth,
-            "used_bandwidth_bps": link.used_bandwidth,
-            "utilization": link.utilization,
-        }
+        [link.src, link.dst, link.max_bandwidth, link.used_bandwidth, link.utilization]
         for link in graph.iter_links()
     ]
+
+
+def _links_json(graph: NetworkGraph) -> list[dict]:
+    return [dict(zip(_LINK_COLUMNS, row)) for row in _link_rows(graph)]
 
 
 def run_sequence(config: ExperimentConfig) -> ExperimentReport:
@@ -202,36 +188,22 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
                 global_hyper=global_hyper,
             )
         except UnroutableDemandError:
-            outcomes.append(
-                DemandOutcome(
-                    demand_index=index,
-                    demand=demand,
-                    routed=False,
-                    final_path=None,
-                    converged_episode=None,
-                    episodes_run=0,
-                    temp_path_lengths=(),
-                    messages_with_aggregation=0,
-                    messages_without_aggregation=0,
-                )
-            )
-            continue
-        routed = result.final_path.reached_destination
+            final_path, traces = None, []
+        else:
+            final_path, traces = result.final_path, result.traces
+        routed = final_path is not None and final_path.reached_destination
         if routed:
-            place_traffic(graph, result.final_path, demand)
+            place_traffic(graph, final_path, demand)
         outcomes.append(
             DemandOutcome(
                 demand_index=index,
                 demand=demand,
                 routed=routed,
-                final_path=result.final_path,
-                converged_episode=detect_convergence(result.traces),
-                episodes_run=len(result.traces),
-                temp_path_lengths=tuple(t.path_length for t in result.traces),
-                messages_with_aggregation=sum(t.messages_with_aggregation for t in result.traces),
-                messages_without_aggregation=sum(
-                    t.messages_without_aggregation for t in result.traces
-                ),
+                final_path=final_path,
+                converged_episode=detect_convergence(traces),
+                episodes_run=len(traces),
+                temp_path_lengths=tuple(t.temp_path.hop_count for t in traces),
+                attempted_hops=sum(t.attempted_hops for t in traces),
             )
         )
     return ExperimentReport(config=config, outcomes=outcomes, graph=graph)
@@ -328,7 +300,7 @@ class ComparisonReport:
                     }
                     for demand, path in self.baseline_paths
                 ],
-                "links": _links_dict(self.baseline_graph),
+                "links": _links_json(self.baseline_graph),
                 "max_link_utilization": self.baseline_max_link_utilization,
             },
             "max_link_utilization": {
@@ -350,18 +322,33 @@ def compare_baseline(config: ExperimentConfig) -> ComparisonReport:
     return ComparisonReport(learned=learned, baseline_graph=graph, baseline_paths=paths)
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _emit(out_dir: str | Path, payload: dict, tables: dict[str, tuple]) -> list[Path]:
+    """Write payload as report.json, then each table as a CSV named by its
+    key from a (header, rows) pair, in order. Returns the written paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    report_path = out / "report.json"
+    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    paths = [report_path]
+    for name, (header, rows) in tables.items():
+        path = out / name
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        paths.append(path)
+    return paths
 
 
-def _write_links_csv(graph: NetworkGraph, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "utilization"])
-        for link in graph.iter_links():
-            writer.writerow(
-                [link.src, link.dst, link.max_bandwidth, link.used_bandwidth, link.utilization]
-            )
+_DEMAND_COLUMNS = ["demand_index", "src", "dst"]
+
+
+def _demand_cells(outcome: DemandOutcome) -> list:
+    return [outcome.demand_index, outcome.demand.src, outcome.demand.dst]
+
+
+def _episode_cell(episode: Optional[int]):
+    return "" if episode is None else episode
 
 
 def emit_reports(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
@@ -370,79 +357,51 @@ def emit_reports(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     An empty run still produces all four files, CSVs as header rows only.
     Returns the written paths.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.json"
-    _write_json(report.to_dict(), report_path)
-
-    links_path = out / "links.csv"
-    _write_links_csv(report.graph, links_path)
-
-    lengths_path = out / "temp_path_lengths.csv"
-    with open(lengths_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["demand_index", "src", "dst", "episode", "length"])
-        for outcome in report.outcomes:
-            for episode, length in enumerate(outcome.temp_path_lengths, start=1):
-                writer.writerow(
-                    [outcome.demand_index, outcome.demand.src, outcome.demand.dst, episode, length]
-                )
-
-    convergence_path = out / "convergence.csv"
-    with open(convergence_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["demand_index", "src", "dst", "converged_episode", "episodes_run"])
-        for outcome in report.outcomes:
-            converged = "" if outcome.converged_episode is None else outcome.converged_episode
-            writer.writerow(
-                [
-                    outcome.demand_index,
-                    outcome.demand.src,
-                    outcome.demand.dst,
-                    converged,
-                    outcome.episodes_run,
-                ]
-            )
-    return [report_path, links_path, lengths_path, convergence_path]
+    lengths = (
+        _demand_cells(outcome) + [episode, length]
+        for outcome in report.outcomes
+        for episode, length in enumerate(outcome.temp_path_lengths, start=1)
+    )
+    convergence = (
+        _demand_cells(outcome) + [_episode_cell(outcome.converged_episode), outcome.episodes_run]
+        for outcome in report.outcomes
+    )
+    return _emit(
+        out_dir,
+        report.to_dict(),
+        {
+            "links.csv": (_LINK_COLUMNS, _link_rows(report.graph)),
+            "temp_path_lengths.csv": (_DEMAND_COLUMNS + ["episode", "length"], lengths),
+            "convergence.csv": (
+                _DEMAND_COLUMNS + ["converged_episode", "episodes_run"],
+                convergence,
+            ),
+        },
+    )
 
 
 def emit_gamma_reports(study: GammaStudyReport, out_dir: str | Path) -> list[Path]:
     """Write report.json plus a wide convergence.csv: one column per group,
     one row per demand, and a Total row where an unconverged demand is
     charged its full episode budget."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.json"
-    _write_json(study.to_dict(), report_path)
-
-    convergence_path = out / "convergence.csv"
-    labels = study.group_labels()
     reports = study.group_reports()
-    with open(convergence_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["demand_index", "src", "dst"] + labels)
-        for i, outcome in enumerate(study.control.outcomes):
-            cells = []
-            for report in reports:
-                episode = report.outcomes[i].converged_episode
-                cells.append("" if episode is None else episode)
-            writer.writerow(
-                [outcome.demand_index, outcome.demand.src, outcome.demand.dst] + cells
-            )
-        writer.writerow(
-            ["total", "", ""] + [report.total_convergence_episodes for report in reports]
-        )
-    return [report_path, convergence_path]
+    rows = [
+        _demand_cells(outcome)
+        + [_episode_cell(report.outcomes[i].converged_episode) for report in reports]
+        for i, outcome in enumerate(study.control.outcomes)
+    ]
+    rows.append(["total", "", ""] + [report.total_convergence_episodes for report in reports])
+    header = _DEMAND_COLUMNS + study.group_labels()
+    return _emit(out_dir, study.to_dict(), {"convergence.csv": (header, rows)})
 
 
 def emit_comparison_reports(comparison: ComparisonReport, out_dir: str | Path) -> list[Path]:
     """Write report.json plus per-link load tables for both routers."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.json"
-    _write_json(comparison.to_dict(), report_path)
-    learned_path = out / "links.csv"
-    _write_links_csv(comparison.learned.graph, learned_path)
-    baseline_path = out / "links_baseline.csv"
-    _write_links_csv(comparison.baseline_graph, baseline_path)
-    return [report_path, learned_path, baseline_path]
+    return _emit(
+        out_dir,
+        comparison.to_dict(),
+        {
+            "links.csv": (_LINK_COLUMNS, _link_rows(comparison.learned.graph)),
+            "links_baseline.csv": (_LINK_COLUMNS, _link_rows(comparison.baseline_graph)),
+        },
+    )

@@ -7,6 +7,7 @@ reads. All data rates are bits per second unless a name says otherwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
@@ -272,6 +273,7 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
 #    "links": [{"src": 0, "dst": 1, "max_bandwidth_bps": 1.0e7,
 #               "used_bandwidth_bps": 1.0e6, "reliability": 0.95}]}
 # used_bandwidth_bps defaults to 0.0 and reliability to 1.0 when omitted.
+# Demand lists: [{"src": 0, "dst": 26, "traffic_bps": 1.0e5}, ...]
 # ---------------------------------------------------------------------------
 
 def _want_number(obj: dict, where: str, key: str, *, default=None):
@@ -282,6 +284,8 @@ def _want_number(obj: dict, where: str, key: str, *, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TopologyError(f"{where}.{key}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise TopologyError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
 
 
@@ -331,6 +335,26 @@ def graph_from_dict(document: dict) -> NetworkGraph:
         return build_graph(nodes, links)
     except TopologyError as exc:
         raise TopologyError(str(exc)) from None
+
+
+def demands_from_list(document, source: str) -> list[TrafficDemand]:
+    """Parse and validate one demand list (already JSON-decoded). Errors
+    name the source and the offending entry, as in "demands.json[3].src"."""
+    if not isinstance(document, list):
+        raise TopologyError(f"demand file {source} must hold a JSON list")
+    demands = []
+    for i, item in enumerate(document):
+        where = f"{source}[{i}]"
+        if not isinstance(item, dict):
+            raise TopologyError(f"{where}: expected an object")
+        src = _want_int(item, where, "src")
+        dst = _want_int(item, where, "dst")
+        traffic = _want_number(item, where, "traffic_bps")
+        try:
+            demands.append(TrafficDemand(src=src, dst=dst, traffic=float(traffic)))
+        except ValueError as exc:
+            raise TopologyError(f"{where}: {exc}") from None
+    return demands
 
 
 def graph_to_dict(graph: NetworkGraph) -> dict:

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .network import NetworkGraph, TrafficDemand, graph_from_dict, load_topology
+from .network import NetworkGraph, TrafficDemand, demands_from_list, graph_from_dict, load_topology
 
 BUILTIN_TOPOLOGIES = ("t1", "t2", "t3", "t4", "t7", "t8")
 BUILTIN_DEMAND_SETS = ("t7", "t8")
@@ -58,11 +58,8 @@ def builtin_demands(name: str) -> list[TrafficDemand]:
             f"no bundled demand set for {name!r}; available: "
             f"{', '.join(t.upper() for t in BUILTIN_DEMAND_SETS)}"
         )
-    raw = json.loads(_data_text(f"demands_{key}.json"))
-    return [
-        TrafficDemand(src=item["src"], dst=item["dst"], traffic=float(item["traffic_bps"]))
-        for item in raw
-    ]
+    filename = f"demands_{key}.json"
+    return demands_from_list(json.loads(_data_text(filename)), filename)
 
 
 def load_demands(path: str | Path) -> list[TrafficDemand]:
@@ -70,18 +67,4 @@ def load_demands(path: str | Path) -> list[TrafficDemand]:
     [{"src": 0, "dst": 26, "traffic_bps": 1.0e5}, ...]."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValueError(f"demand file {path} must hold a JSON list")
-    demands = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ValueError(f"demand entry {i} must be an object")
-        for key in ("src", "dst", "traffic_bps"):
-            if key not in item:
-                raise ValueError(f"demand entry {i} is missing {key!r}")
-        demands.append(
-            TrafficDemand(
-                src=int(item["src"]), dst=int(item["dst"]), traffic=float(item["traffic_bps"])
-            )
-        )
-    return demands
+    return demands_from_list(raw, str(path))

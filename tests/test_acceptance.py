@@ -189,16 +189,19 @@ def test_criterion_05_temp_paths_loop_free_within_ttl():
 
 
 def test_criterion_06_message_accounting(t8_run, t8_traces):
+    # Loss is off, so every hop of every temp path is attempted and an n-hop
+    # episode costs n + 1 messages with aggregation and 2n without, n read
+    # from the path itself.
     for result in t8_traces:
         for trace in result.traces:
-            n = len(trace.rewards)
+            n = trace.temp_path.hop_count
+            assert trace.attempted_hops == n
             assert trace.messages_with_aggregation == n + 1
             assert trace.messages_without_aggregation == 2 * n
-            if trace.delivered:
-                assert n == trace.temp_path.hop_count
     # The harness report totals must agree with the per-episode trace sums.
     report, _ = t8_run
     for outcome, result in zip(report.outcomes, t8_traces):
+        assert outcome.attempted_hops == sum(outcome.temp_path_lengths)
         assert outcome.messages_with_aggregation == sum(
             t.messages_with_aggregation for t in result.traces
         )

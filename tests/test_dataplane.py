@@ -3,8 +3,16 @@
 import pytest
 
 from rlroute.dataplane import DataPlane, LossModel, execute_path, snapshot_qos
+from rlroute.engine import EpisodeTrace
 from rlroute.network import RoutePath, TrafficDemand, build_graph
 from rlroute.topologies import load_builtin
+
+
+def messages(path, result):
+    """Controller messages (with, without aggregation) of one episode that
+    attempted the hops in result."""
+    trace = EpisodeTrace(episode_index=1, temp_path=path, attempted_hops=len(result.records))
+    return trace.messages_with_aggregation, trace.messages_without_aggregation
 
 
 def chain_graph():
@@ -37,17 +45,21 @@ class TestSnapshot:
 class TestExecutePath:
     def test_full_delivery(self):
         graph = chain_graph()
-        result = execute_path(graph, RoutePath((0, 1, 2, 3), True), TrafficDemand(0, 3, 1e5))
-        assert result.delivered
+        path = RoutePath((0, 1, 2, 3), True)
+        result = execute_path(graph, path, TrafficDemand(0, 3, 1e5))
+        assert not any(r.has_lost for r in result.records)
         assert [r.hop_index for r in result.records] == [1, 2, 3]
         assert [(r.src_id, r.dst_id) for r in result.records] == [(0, 1), (1, 2), (2, 3)]
-        assert result.messages_with_aggregation == 4
-        assert result.messages_without_aggregation == 6
+        assert messages(path, result) == (4, 6)
 
     def test_unreached_path_not_delivered(self):
-        result = execute_path(chain_graph(), RoutePath((0, 1, 2)), TrafficDemand(0, 3, 1e5))
-        assert not result.delivered
-        assert len(result.records) == 2
+        # Every hop is attempted and none is lost, yet nothing is delivered:
+        # the path itself stops short of the destination.
+        path = RoutePath((0, 1, 2))
+        result = execute_path(chain_graph(), path, TrafficDemand(0, 3, 1e5))
+        assert not path.reached_destination
+        assert [(r.src_id, r.dst_id) for r in result.records] == path.links()
+        assert not any(r.has_lost for r in result.records)
 
     def test_execution_never_mutates_graph(self):
         graph = chain_graph()
@@ -56,11 +68,10 @@ class TestExecutePath:
         assert graph == before
 
     def test_zero_hop_path(self):
-        result = execute_path(chain_graph(), RoutePath((0,)), TrafficDemand(0, 3, 1e5))
+        path = RoutePath((0,))
+        result = execute_path(chain_graph(), path, TrafficDemand(0, 3, 1e5))
         assert result.records == ()
-        assert not result.delivered
-        assert result.messages_with_aggregation == 1
-        assert result.messages_without_aggregation == 0
+        assert messages(path, result) == (1, 0)
 
 
 class TestLoss:
@@ -80,16 +91,15 @@ class TestLoss:
     def test_loss_truncates_and_flags_last_record(self):
         # Reliability 0 on the second link forces the drop at hop 2.
         graph = build_graph(4, [(0, 1, 1e7, 0, 1.0), (1, 2, 1e7, 0, 0.0), (2, 3, 1e7, 0, 1.0)])
+        path = RoutePath((0, 1, 2, 3), True)
         result = execute_path(
-            graph, RoutePath((0, 1, 2, 3), True), TrafficDemand(0, 3, 1e5),
-            loss=LossModel("bernoulli", seed=7),
+            graph, path, TrafficDemand(0, 3, 1e5), loss=LossModel("bernoulli", seed=7)
         )
-        assert not result.delivered
         assert len(result.records) == 2
         assert result.records[-1].has_lost
         assert not result.records[0].has_lost
-        assert result.messages_with_aggregation == 3
-        assert result.messages_without_aggregation == 4
+        # Counts follow the two attempted hops, not the path's three.
+        assert messages(path, result) == (3, 4)
 
     def test_at_most_one_lost_record(self):
         graph = build_graph(3, [(0, 1, 1e7, 0, 0.5), (1, 2, 1e7, 0, 0.5)])
@@ -101,8 +111,11 @@ class TestLoss:
             flagged = [r for r in result.records if r.has_lost]
             assert len(flagged) <= 1
             if flagged:
+                # Delivery stops at the lost hop: nothing is attempted after it.
                 assert result.records[-1].has_lost
-                assert not result.delivered
+                assert len(result.records) == flagged[0].hop_index
+            else:
+                assert len(result.records) == 2
 
 
 class TestDataPlane:
@@ -110,5 +123,7 @@ class TestDataPlane:
         graph = chain_graph()
         env = DataPlane(graph)
         result = env.execute(RoutePath((0, 1, 2, 3), True), TrafficDemand(0, 3, 1e5))
-        assert result.delivered
+        assert len(result.records) == 3
+        assert not any(r.has_lost for r in result.records)
         assert env.graph is graph
+        assert env.loss.mode == "off"

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from rlroute import engine
 from rlroute.dataplane import DataPlane
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
@@ -365,20 +366,31 @@ class TestFindRoute:
                    hyper=Hyperparameters(episodes=3))
         assert global_table.get(0, 1) != 0.0
 
-    def test_traces_are_complete_and_consistent(self):
+    def test_traces_are_complete_and_consistent(self, monkeypatch):
+        # Traces do not keep the reward records, so capture the local rewards
+        # each episode applies where the learner computes them.
+        applied = []
+        original = engine.local_rewards_for_path
+
+        def capture(*args, **kwargs):
+            rewards = original(*args, **kwargs)
+            applied.append(rewards)
+            return rewards
+
+        monkeypatch.setattr(engine, "local_rewards_for_path", capture)
         graph = load_builtin("t2")
         hyper = Hyperparameters(episodes=10)
         result = find_route(
             TrafficDemand(0, 3, 1e5), DataPlane(graph), QTable.for_graph(graph), hyper=hyper
         )
         assert [t.episode_index for t in result.traces] == list(range(1, 11))
-        for trace in result.traces:
-            assert trace.path_length == trace.temp_path.hop_count <= hyper.ttl
-            assert trace.reached == trace.temp_path.reached_destination
-            n = len(trace.rewards)
+        assert len(applied) == len(result.traces)
+        for trace, rewards in zip(result.traces, applied):
+            n = len(rewards)
+            assert trace.attempted_hops == n == trace.temp_path.hop_count <= hyper.ttl
             assert trace.messages_with_aggregation == n + 1
             assert trace.messages_without_aggregation == 2 * n
-            assert [(r.src_id, r.dst_id) for r in trace.rewards] == trace.temp_path.links()
+            assert [(r.src_id, r.dst_id) for r in rewards] == trace.temp_path.links()
 
     def test_greedy_runs_are_deterministic(self):
         graph = load_builtin("t2")
@@ -425,16 +437,7 @@ class TestFindFinalPath:
 
 def trace(i, nodes, reached):
     path = RoutePath(tuple(nodes), reached)
-    return EpisodeTrace(
-        episode_index=i,
-        temp_path=path,
-        path_length=path.hop_count,
-        reached=reached,
-        rewards=(),
-        delivered=reached,
-        messages_with_aggregation=path.hop_count + 1,
-        messages_without_aggregation=2 * path.hop_count,
-    )
+    return EpisodeTrace(episode_index=i, temp_path=path, attempted_hops=path.hop_count)
 
 
 class TestDetectConvergence:

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from rlroute.cli import main
+from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
 from rlroute.harness import (
     ComparisonReport,
     ExperimentConfig,
@@ -20,7 +22,7 @@ from rlroute.harness import (
 )
 from rlroute.network import TrafficDemand, build_graph
 from rlroute.rewards import make_weights
-from rlroute.topologies import load_builtin, resolve_topology
+from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
 
 UTIL_ONLY = make_weights(0, 0, 0, 0, 1)
 
@@ -93,6 +95,39 @@ class TestRunSequence:
         outcome = report.outcomes[0]
         assert outcome.converged_episode is not None
         assert report.total_convergence_episodes == outcome.converged_episode
+
+    def test_lossy_run_counts_messages_over_attempted_hops(self):
+        # Every t2 link has reliability 0.95, so bernoulli loss cuts some
+        # temp paths short; the message counts follow the hops attempted,
+        # not the hops the temp paths planned.
+        demands = [TrafficDemand(0, 3, 2e5), TrafficDemand(0, 4, 3e5), TrafficDemand(1, 4, 5e5)]
+        config = ExperimentConfig(topology="t2", demands=demands, loss_mode="bernoulli")
+        cut_short = 0
+        for outcome in run_sequence(config).outcomes:
+            planned = 2 * sum(outcome.temp_path_lengths)
+            without = outcome.messages_without_aggregation
+            assert without <= planned
+            assert outcome.messages_with_aggregation == without / 2 + outcome.episodes_run
+            cut_short += without < planned
+        assert cut_short > 0
+
+    def test_global_gamma_defaults_to_framework_gamma(self):
+        # Leaving global_gamma unset discounts global updates with the
+        # framework default 0.9, not with the local gamma.
+        base = ExperimentConfig(
+            topology="t8",
+            demands=builtin_demands("t8"),
+            weights=make_weights(0, 0, 0, 1, 1),
+            hyper=Hyperparameters(gamma=0.5),
+            use_global=True,
+        )
+        assert DEFAULT_HYPERPARAMETERS.gamma == 0.9
+        unset = run_sequence(base).to_dict()
+        default = run_sequence(replace(base, global_gamma=0.9)).to_dict()
+        local = run_sequence(replace(base, global_gamma=0.5)).to_dict()
+        assert unset["demands"] == default["demands"]
+        assert unset["totals"] == default["totals"]
+        assert unset["totals"] != local["totals"]
 
 
 class TestGammaStudy:

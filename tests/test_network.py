@@ -20,7 +20,7 @@ from rlroute.network import (
     place_traffic,
     save_topology,
 )
-from rlroute.topologies import load_builtin
+from rlroute.topologies import builtin_demands, load_builtin, load_demands
 
 T1_LINKS = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0)]
 
@@ -192,5 +192,71 @@ class TestTopologyDocuments:
         with pytest.raises(TopologyError, match=r"nodes\[0\].processing_rate_bps"):
             graph_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("used_bandwidth_bps", float("nan")),
+            ("max_bandwidth_bps", float("inf")),
+            ("max_bandwidth_bps", float("-inf")),
+            ("reliability", float("nan")),
+        ],
+    )
+    def test_error_on_non_finite(self, field, value):
+        # JSON files may spell NaN and Infinity; the loader must refuse them
+        # where they appear rather than let a run fail later.
+        doc = graph_to_dict(t1())
+        doc["links"][0][field] = value
+        text = json.dumps(doc)
+        assert "NaN" in text or "Infinity" in text
+        with pytest.raises(TopologyError, match=rf"links\[0\]\.{field}: expected a finite number"):
+            load_topology(io.StringIO(text))
+
+    def test_error_on_non_finite_node_rate(self):
+        text = '{"nodes": [{"id": 0, "processing_rate_bps": Infinity}], "links": []}'
+        with pytest.raises(TopologyError, match=r"nodes\[0\]\.processing_rate_bps"):
+            load_topology(io.StringIO(text))
+
     def test_builtin_t1_matches_construction(self):
         assert load_builtin("t1") == t1()
+
+
+class TestDemandFiles:
+    def write(self, tmp_path, text):
+        path = tmp_path / "demands.json"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_loads_valid_entries(self, tmp_path):
+        path = self.write(tmp_path, '[{"src": 0, "dst": 26, "traffic_bps": 100000}]')
+        assert load_demands(path) == [TrafficDemand(0, 26, 1e5)]
+
+    def test_bundled_sets_parse(self):
+        assert len(builtin_demands("t7")) > 0
+        assert all(isinstance(d.src, int) for d in builtin_demands("t8"))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"src": 0.9, "dst": 1, "traffic_bps": 1e5}', r"\[1\]\.src: expected an integer"),
+            ('{"src": "1", "dst": 2, "traffic_bps": 1e5}', r"\[1\]\.src: expected a number"),
+            ('{"src": true, "dst": 2, "traffic_bps": 1e5}', r"\[1\]\.src: expected a number"),
+            ('{"src": 0, "dst": 2.0, "traffic_bps": 1e5}', r"\[1\]\.dst: expected an integer"),
+            ('{"src": 0, "dst": 2, "traffic_bps": "1e5"}', r"\[1\]\.traffic_bps: expected a number"),
+            ('{"src": 0, "dst": 2, "traffic_bps": NaN}', r"\[1\]\.traffic_bps: expected a finite"),
+            ('{"src": 0, "dst": 2, "traffic_bps": Infinity}', r"\[1\]\.traffic_bps: expected a finite"),
+            ('{"src": 0, "dst": 2}', r"\[1\]\.traffic_bps: required field missing"),
+            ('{"src": 2, "dst": 2, "traffic_bps": 1e5}', r"\[1\]: demand src and dst must differ"),
+            ('{"src": 0, "dst": 2, "traffic_bps": 0}', r"\[1\]: demand traffic must be > 0"),
+            ('[0, 2, 1e5]', r"\[1\]: expected an object"),
+        ],
+    )
+    def test_rejects_bad_entry_naming_file_and_index(self, tmp_path, entry, message):
+        path = self.write(tmp_path, '[{"src": 0, "dst": 1, "traffic_bps": 1e5}, %s]' % entry)
+        with pytest.raises(TopologyError, match=message) as info:
+            load_demands(path)
+        assert str(info.value).startswith(f"{path}[1]")
+
+    def test_rejects_non_list_document(self, tmp_path):
+        path = self.write(tmp_path, '{"src": 0, "dst": 1, "traffic_bps": 1e5}')
+        with pytest.raises(TopologyError, match="must hold a JSON list"):
+            load_demands(path)

@@ -4,12 +4,14 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlroute.dataplane import execute_path
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
+    EpisodeTrace,
     Hyperparameters,
     QTable,
     find_temp_path,
@@ -149,9 +151,9 @@ class TestUpdateAggregation:
     def test_updates_preserve_mask_and_finiteness(self, seq, alpha):
         rewards, initial = seq
         table = chain_table(len(rewards), initial)
-        before = table.exists.copy()
+        before = np.isnan(table.values)
         update_table(table, rewards, Hyperparameters(alpha=alpha))
-        assert (table.exists == before).all()
+        assert (np.isnan(table.values) == before).all()
         for i in range(len(rewards)):
             assert math.isfinite(table.get(i, i + 1))
 
@@ -232,9 +234,10 @@ class TestMessageAccounting:
         result = execute_path(graph, path, demand)
         n = len(result.records)
         assert n == path.hop_count
-        assert result.messages_with_aggregation == n + 1
-        assert result.messages_without_aggregation == 2 * n
-        assert result.delivered == path.reached_destination
+        trace = EpisodeTrace(episode_index=1, temp_path=path, attempted_hops=n)
+        assert trace.messages_with_aggregation == n + 1
+        assert trace.messages_without_aggregation == 2 * n
+        assert not any(r.has_lost for r in result.records)
         assert [r.hop_index for r in result.records] == list(range(1, n + 1))
 
 
