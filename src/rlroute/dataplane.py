@@ -1,9 +1,10 @@
 """Simulated data plane.
 
-Executing a path walks its links in order and snapshots the QoS state each
-hop saw BEFORE any traffic from the demand is placed; the graph is never
-mutated here. An optional Bernoulli loss model can drop the packet mid-path,
-in which case the losing hop's record is flagged and later hops never happen.
+Executing a path walks its links in order and records the id of each link
+attempted (see NetworkGraph.link_index); the graph is never mutated here,
+so the QoS state every hop sees is the one its demand started with. An
+optional Bernoulli loss model can drop the packet mid-path, in which case
+the losing hop is the last one recorded and later hops never happen.
 
 Message accounting models the control traffic of two reporting schemes over
 n attempted hops: one report per hop plus a single path-level request when
@@ -14,11 +15,10 @@ aggregation (2n).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .network import NetworkGraph, RoutePath, TrafficDemand
-from .rewards import HopQoSRecord
 
 
 class LossModel:
@@ -54,28 +54,11 @@ class ControlMessages:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """What one episode's path attempt produced. records holds one QoS
-    snapshot per attempted hop; only the last may be loss-flagged."""
+    """What one episode's path attempt produced: the link ids of the
+    attempted hops, in order, and whether the packet was lost on the last."""
 
-    records: tuple[HopQoSRecord, ...]
-
-
-def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> HopQoSRecord:
-    """Read one hop's QoS state without touching it."""
-    link = graph.link(src, dst)
-    sender = graph.node(src)
-    receiver = graph.node(dst)
-    return HopQoSRecord(
-        hop_index=hop_index,
-        src_id=src,
-        dst_id=dst,
-        sender_processing_rate=sender.processing_rate,
-        receiver_processing_rate=receiver.processing_rate,
-        receiver_incoming_traffic=receiver.incoming_traffic,
-        link_max_bandwidth=link.max_bandwidth,
-        link_used_bandwidth=link.used_bandwidth,
-        link_reliability=link.reliability,
-    )
+    records: tuple[int, ...]
+    lost: bool = False
 
 
 def execute_path(
@@ -84,17 +67,20 @@ def execute_path(
     demand: TrafficDemand,
     loss: Optional[LossModel] = None,
 ) -> ExecutionResult:
-    """Attempt a path hop by hop, snapshotting QoS state as each hop is
-    reached. Stops early if the loss model drops the packet; the record of
-    the losing hop is kept, flagged, and is the last one."""
-    records: list[HopQoSRecord] = []
-    for hop_index, (src, dst) in enumerate(path.links(), start=1):
-        record = snapshot_qos(graph, src, dst, hop_index)
-        if loss is not None and loss.packet_lost(record.link_reliability):
-            records.append(replace(record, has_lost=True))
-            break
-        records.append(record)
-    return ExecutionResult(records=tuple(records))
+    """Attempt a path hop by hop, consulting the loss model at each hop.
+    Stops early if it drops the packet; the losing hop is kept as the last
+    record and the result is flagged lost."""
+    index = graph.link_index()
+    records = []
+    nodes = path.nodes
+    for pair in zip(nodes, nodes[1:]):
+        k = index.ids.get(pair)
+        if k is None:
+            raise KeyError(f"no link ({pair[0]},{pair[1]}) in graph")
+        records.append(k)
+        if loss is not None and loss.packet_lost(index.links[k].reliability):
+            return ExecutionResult(tuple(records), lost=True)
+    return ExecutionResult(tuple(records))
 
 
 class DataPlane:

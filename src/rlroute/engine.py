@@ -30,15 +30,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Sequence
 
-import numpy as np
-
 from .dataplane import ControlMessages
-from .network import NetworkGraph, RoutePath, TrafficDemand
+from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand
 from .rewards import (
     DEFAULT_WEIGHTS,
     QoSWeights,
     RewardRecord,
     global_rewards_for_path,
+    link_scores,
     local_rewards_for_path,
 )
 
@@ -83,58 +82,66 @@ DEFAULT_HYPERPARAMETERS = Hyperparameters()
 
 
 class QTable:
-    """Dense N x N table of Q-values indexed [state node][next-hop node].
+    """Q-values of one graph's links: q[k] belongs to link k of index, the
+    state being the link's source node and the action its target.
 
-    Cells without an underlying link hold NaN, the absent marker, which is
-    never read, written, or compared by learning code. set() refuses
-    non-finite values, so NaN can mean nothing else, and the guarded
-    accessors keep it out of all arithmetic.
+    Only links have cells, so a (state, action) pair without a link is
+    absent: the accessors raise AbsentLinkError for it. set() refuses
+    non-finite values.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, index: LinkIndex, q: list[float]):
+        self.index = index
+        self.q = q
 
     @classmethod
     def for_graph(cls, graph: NetworkGraph, fill: float = 0.0) -> "QTable":
-        n = graph.num_nodes
-        values = np.full((n, n), np.nan)
-        for link in graph.iter_links():
-            values[link.src, link.dst] = fill
-        return cls(values)
+        index = graph.link_index()
+        return cls(index, [fill] * len(index.targets))
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
+    def link_id(self, state: int, action: int) -> int:
+        try:
+            return self.index.ids[(state, action)]
+        except KeyError:
+            raise AbsentLinkError(f"no link ({state},{action}); Q-value is absent") from None
 
     def has_entry(self, state: int, action: int) -> bool:
-        return not math.isnan(self.values[state, action])
+        return (state, action) in self.index.ids
 
     def get(self, state: int, action: int) -> float:
-        value = self.values[state, action]
-        if math.isnan(value):
-            raise AbsentLinkError(f"no link ({state},{action}); Q-value is absent")
-        return float(value)
+        return self.q[self.link_id(state, action)]
 
     def set(self, state: int, action: int, value: float) -> None:
-        if math.isnan(self.values[state, action]):
-            raise AbsentLinkError(f"no link ({state},{action}); refusing to write")
+        self.store(self.link_id(state, action), value)
+
+    def store(self, k: int, value: float) -> None:
+        """Write the Q-value of link id k, refusing non-finite values."""
         if not math.isfinite(value):
+            state, action = self.index.sources[k], self.index.targets[k]
             raise ValueError(f"Q-value for ({state},{action}) must be finite, got {value}")
-        self.values[state, action] = value
+        self.q[k] = value
 
     def add(self, state: int, action: int, delta: float) -> None:
         self.set(state, action, self.get(state, action) + delta)
 
     def copy(self) -> "QTable":
-        return QTable(self.values.copy())
+        return QTable(self.index, self.q.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QTable):
             return NotImplemented
-        return np.array_equal(self.values, other.values, equal_nan=True)
+        return self.index == other.index and self.q == other.q
 
     def __repr__(self) -> str:
-        return f"QTable(size={self.size}, entries={int(np.count_nonzero(~np.isnan(self.values)))})"
+        return f"QTable(nodes={len(self.index.offsets) - 1}, entries={len(self.q)})"
+
+
+def _same_links(table: QTable, graph: NetworkGraph) -> LinkIndex:
+    """graph's link index, once table is known to number the same links."""
+    index = graph.link_index()
+    if table.index is not index and table.index != index:
+        raise ValueError(f"Q-table does not match the links of {graph!r}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -162,15 +169,11 @@ def init_local_table(
     use_global: bool = False,
 ) -> QTable:
     """Fresh local table: a deep copy of the global table when use_global,
-    otherwise 0 for every existing link and the absent marker elsewhere."""
+    otherwise 0 for every link of the graph."""
     if use_global:
         if global_table is None:
             raise ValueError("use_global requires a global table")
-        if global_table.size != graph.num_nodes:
-            raise ValueError(
-                f"global table size {global_table.size} does not match "
-                f"graph with {graph.num_nodes} nodes"
-            )
+        _same_links(global_table, graph)
         return global_table.copy()
     return QTable.for_graph(graph)
 
@@ -193,26 +196,34 @@ def find_temp_path(
     """
     if hyper.epsilon > 0 and rng is None:
         raise ValueError("epsilon > 0 requires a random source")
+    index = _same_links(table, graph)
+    offsets, targets, q = index.offsets, index.targets, table.q
     visited = {demand.src}
     nodes = [demand.src]
     current = demand.src
     for _ in range(hyper.ttl):
-        candidates = [v for v in graph.out_neighbors(current) if v not in visited]
-        if not candidates:
-            break
-        if hyper.epsilon > 0 and rng.random() < hyper.epsilon:
-            nxt = candidates[rng.randrange(len(candidates))]
+        # Link ids leaving current, in ascending target order.
+        out = range(offsets[current], offsets[current + 1])
+        chosen = -1
+        if hyper.epsilon > 0:
+            candidates = [k for k in out if targets[k] not in visited]
+            if not candidates:
+                break
+            if rng.random() < hyper.epsilon:
+                chosen = candidates[rng.randrange(len(candidates))]
+            else:
+                # max keeps the first of equal values: ties go to the lowest id.
+                chosen = max(candidates, key=q.__getitem__)
         else:
-            nxt = candidates[0]
-            best = table.get(current, nxt)
-            for v in candidates[1:]:
-                q = table.get(current, v)
-                if q > best:
-                    best = q
-                    nxt = v
-        nodes.append(nxt)
-        visited.add(nxt)
-        current = nxt
+            # The same greedy choice without building the candidate list.
+            for k in out:
+                if targets[k] not in visited and (chosen < 0 or q[k] > best):
+                    chosen, best = k, q[k]
+            if chosen < 0:
+                break
+        current = targets[chosen]
+        nodes.append(current)
+        visited.add(current)
         if current == demand.dst:
             break
     return RoutePath(tuple(nodes), current == demand.dst)
@@ -246,27 +257,22 @@ def update_table(table: QTable, rewards: Sequence[RewardRecord], hyper: Hyperpar
     """
     if not rewards:
         raise ValueError("cannot update a table with an empty reward list")
-    for i, record in enumerate(rewards[:-1]):
+    ids, q = table.index.ids, table.q
+    try:
+        links = [ids[record.src_id, record.dst_id] for record in rewards]
+    except KeyError:
+        # Resolve again through the accessor that names the absent pair.
+        links = [table.link_id(record.src_id, record.dst_id) for record in rewards]
+    alpha, gamma = hyper.alpha, hyper.gamma
+    for k, k_next, record in zip(links, links[1:], rewards):
         if not record.action_success:
             raise ValueError("only the last action of an episode may be failed")
-        succ = rewards[i + 1]
-        q_sa = table.get(record.src_id, record.dst_id)
-        q_next = table.get(succ.src_id, succ.dst_id)
-        table.set(
-            record.src_id,
-            record.dst_id,
-            sarsa_update(q_sa, record.value, q_next, hyper.alpha, hyper.gamma),
-        )
-    last = rewards[-1]
+        table.store(k, sarsa_update(q[k], record.value, q[k_next], alpha, gamma))
+    k, last = links[-1], rewards[-1]
     if last.action_success:
-        q_sa = table.get(last.src_id, last.dst_id)
-        table.set(
-            last.src_id,
-            last.dst_id,
-            sarsa_update(q_sa, last.value, hyper.terminal_q, hyper.alpha, hyper.gamma),
-        )
+        table.store(k, sarsa_update(q[k], last.value, hyper.terminal_q, alpha, gamma))
     else:
-        table.add(last.src_id, last.dst_id, last.value)
+        table.store(k, q[k] + last.value)
     return table
 
 
@@ -302,12 +308,15 @@ def find_route(
     global_hyper = DEFAULT_HYPERPARAMETERS if global_hyper is None else global_hyper
 
     local_table = init_local_table(graph, global_table, use_global)
+    # Executing paths never changes the graph, so one demand's reward terms
+    # are fixed for all of its episodes.
+    scores = link_scores(graph, weights, demand)
     traces: list[EpisodeTrace] = []
     for episode in range(1, hyper.episodes + 1):
         temp_path = find_temp_path(demand, local_table, hyper, graph, rng)
         result = env.execute(temp_path, demand)
-        local_rewards = local_rewards_for_path(result.records, weights, demand)
-        global_rewards = global_rewards_for_path(result.records, DEFAULT_WEIGHTS)
+        local_rewards = local_rewards_for_path(result, scores)
+        global_rewards = global_rewards_for_path(result, scores)
         update_table(local_table, local_rewards, hyper)
         update_table(global_table, global_rewards, global_hyper)
         traces.append(EpisodeTrace(episode, temp_path, len(result.records)))

@@ -57,18 +57,25 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DemandOutcome(ControlMessages):
-    """One demand's results: whether it was routed, on which path, when the
-    learner converged (None if it never settled), the episode series, and the
-    hops the data plane attempted over all episodes."""
+    """One demand's results: the final path (None if the demand was
+    unroutable), when the learner converged (None if it never settled), the
+    per-episode temp-path lengths, and the hops the data plane attempted
+    over all episodes."""
 
     demand_index: int
     demand: TrafficDemand
-    routed: bool
     final_path: Optional[RoutePath]
     converged_episode: Optional[int]
-    episodes_run: int
     temp_path_lengths: tuple[int, ...]
     attempted_hops: int
+
+    @property
+    def routed(self) -> bool:
+        return self.final_path is not None and self.final_path.reached_destination
+
+    @property
+    def episodes_run(self) -> int:
+        return len(self.temp_path_lengths)
 
     # Unconverged demands cost their whole episode budget, so totals charge
     # episodes_run when converged_episode is absent.
@@ -163,9 +170,16 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
     One data plane, one RNG, and one global table live for the whole
     sequence; each demand gets its own local table (seeded from the global
     one when config.use_global). A demand whose source has no outgoing links
-    is recorded as unrouted and the run continues.
+    is recorded as unrouted and the run continues. A demand naming a node
+    the graph lacks fails the run before the first demand is routed.
     """
     graph = resolve_topology(config.topology)
+    for index, demand in enumerate(config.demands, start=1):
+        for node in (demand.src, demand.dst):
+            if not graph.has_node(node):
+                raise ValueError(
+                    f"demand {index} ({demand.src}->{demand.dst}) references unknown node {node}"
+                )
     env = DataPlane(graph, LossModel(config.loss_mode, seed=config.seed))
     global_table = QTable.for_graph(graph)
     rng = random.Random(config.seed)
@@ -191,43 +205,40 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
             final_path, traces = None, []
         else:
             final_path, traces = result.final_path, result.traces
-        routed = final_path is not None and final_path.reached_destination
-        if routed:
-            place_traffic(graph, final_path, demand)
-        outcomes.append(
-            DemandOutcome(
-                demand_index=index,
-                demand=demand,
-                routed=routed,
-                final_path=final_path,
-                converged_episode=detect_convergence(traces),
-                episodes_run=len(traces),
-                temp_path_lengths=tuple(t.temp_path.hop_count for t in traces),
-                attempted_hops=sum(t.attempted_hops for t in traces),
-            )
+        outcome = DemandOutcome(
+            demand_index=index,
+            demand=demand,
+            final_path=final_path,
+            converged_episode=detect_convergence(traces),
+            temp_path_lengths=tuple(t.temp_path.hop_count for t in traces),
+            attempted_hops=sum(t.attempted_hops for t in traces),
         )
+        if outcome.routed:
+            place_traffic(graph, final_path, demand)
+        outcomes.append(outcome)
     return ExperimentReport(config=config, outcomes=outcomes, graph=graph)
 
 
 @dataclass
 class GammaStudyReport:
-    """Control run (no global-table reuse) beside one run per gamma value."""
+    """Control run (no global-table reuse) beside one run per gamma value;
+    each run's gamma is its config.global_gamma."""
 
     control: ExperimentReport
-    runs: list[tuple[float, ExperimentReport]]
+    runs: list[ExperimentReport]
 
     def group_labels(self) -> list[str]:
-        return ["control"] + [f"gamma={g}" for g, _ in self.runs]
+        return ["control"] + [f"gamma={r.config.global_gamma}" for r in self.runs]
 
     def group_reports(self) -> list[ExperimentReport]:
-        return [self.control] + [r for _, r in self.runs]
+        return [self.control] + self.runs
 
     def to_dict(self) -> dict:
         return {
             "topology": self.control.config.topology,
             "seed": self.control.config.seed,
             "control": self.control.to_dict(),
-            "runs": [{"gamma": g, "report": r.to_dict()} for g, r in self.runs],
+            "runs": [{"gamma": r.config.global_gamma, "report": r.to_dict()} for r in self.runs],
             "totals": [
                 {"group": label, "convergence_episodes": report.total_convergence_episodes}
                 for label, report in zip(self.group_labels(), self.group_reports())
@@ -239,10 +250,7 @@ def run_gamma_study(base: ExperimentConfig, gammas: Sequence[float]) -> GammaStu
     """Same topology, demands, and seed for every group; test groups turn on
     global-table reuse and apply their gamma to global updates only."""
     control = run_sequence(replace(base, use_global=False, global_gamma=None))
-    runs = [
-        (gamma, run_sequence(replace(base, use_global=True, global_gamma=gamma)))
-        for gamma in gammas
-    ]
+    runs = [run_sequence(replace(base, use_global=True, global_gamma=gamma)) for gamma in gammas]
     return GammaStudyReport(control=control, runs=runs)
 
 

@@ -7,13 +7,15 @@ reads. All data rates are bits per second unless a name says otherwise.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class TopologyError(ValueError):
@@ -120,6 +122,23 @@ class RoutePath:
         return list(zip(self.nodes[:-1], self.nodes[1:]))
 
 
+@dataclass(frozen=True)
+class LinkIndex:
+    """Dense link ids in compressed-sparse-row form.
+
+    Link k is the k-th link in (src, dst) order, the iter_links order, so the
+    links leaving node u are k in offsets[u]..offsets[u+1], their targets
+    ascending. Two indexes are equal when they number the same link set.
+    """
+
+    offsets: list[int]
+    targets: list[int]
+    sources: list[int] = field(compare=False)
+    ids: dict[tuple[int, int], int] = field(compare=False)
+    # The graph's LinkState objects by id; their loads are read, not copied.
+    links: list[LinkState] = field(compare=False)
+
+
 class NetworkGraph:
     """Directed graph of NodeState / LinkState with ascending-id adjacency.
 
@@ -133,6 +152,7 @@ class NetworkGraph:
         self._out: list[list[int]] = [[] for _ in nodes]
         for src, dst in sorted(links):
             self._out[src].append(dst)
+        self._index: Optional[LinkIndex] = None
 
     @property
     def num_nodes(self) -> int:
@@ -160,6 +180,27 @@ class NetworkGraph:
     def out_neighbors(self, node_id: int) -> list[int]:
         """Next-hop candidates from node_id, in ascending id order."""
         return self._out[node_id]
+
+    def link_index(self) -> LinkIndex:
+        """The link numbering that Q-tables and reward scores share.
+
+        Built on first use rather than at construction, so loading a
+        topology does not pay for it, and cached: the link set of a graph
+        never changes after construction, only the links' loads do.
+        """
+        if self._index is None:
+            keys = sorted(self._links)
+            offsets = [0]
+            for dsts in self._out:
+                offsets.append(offsets[-1] + len(dsts))
+            self._index = LinkIndex(
+                offsets=offsets,
+                targets=[dst for _, dst in keys],
+                sources=[src for src, _ in keys],
+                ids={key: k for k, key in enumerate(keys)},
+                links=[self._links[key] for key in keys],
+            )
+        return self._index
 
     def iter_links(self) -> Iterator[LinkState]:
         """All links in (src, dst) order; the canonical iteration order."""
@@ -284,7 +325,11 @@ def _want_number(obj: dict, where: str, key: str, *, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TopologyError(f"{where}.{key}: expected a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    # One comparison rejects NaN, the infinities and integers too large to
+    # convert to a float.
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if isinstance(value, int):
+            raise TopologyError(f"{where}.{key}: integer too large for a float")
         raise TopologyError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
 

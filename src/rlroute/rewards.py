@@ -20,17 +20,27 @@ successfully performed action scores negative:
 
 Local rewards drive per-demand action selection with user weights and the
 estimated forms; global rewards describe network status with the framework
-default weights and the current forms. Rates in records are bits/s; only the
+default weights and the current forms. Rates are bits/s; only the
 transmission reward reads its argument numerically in Mb/s.
+
+Every term but the hop reward depends on one link and on loads that change
+only between demands, when a routed demand's traffic is placed. LinkScores
+evaluates those terms for all links once per demand, so an episode's
+rewards only index lists by link id.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
-from .network import TrafficDemand
+import numpy as np
+
+from .network import LinkIndex, NetworkGraph, TrafficDemand
+
+if TYPE_CHECKING:
+    from .dataplane import ExecutionResult
 
 # One megabit per second, in bits/s; the transmission reward's unit scale.
 MBPS = 1.0e6
@@ -84,44 +94,7 @@ def make_weights(
 DEFAULT_WEIGHTS = make_weights(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class HopQoSRecord:
-    """Per-hop observation returned by the data plane for action src->dst.
-
-    hop_index is the 1-based position of the hop in the performed sequence.
-    Rates are bits/s. has_lost marks the hop where the packet was lost; only
-    the last record of an execution may carry it.
-    """
-
-    hop_index: int
-    src_id: int
-    dst_id: int
-    sender_processing_rate: float
-    receiver_processing_rate: float
-    receiver_incoming_traffic: float
-    link_max_bandwidth: float
-    link_used_bandwidth: float
-    link_reliability: float
-    has_lost: bool = False
-
-    def __post_init__(self) -> None:
-        if self.hop_index < 1:
-            raise ValueError(f"hop_index must be >= 1, got {self.hop_index}")
-        for name in (
-            "sender_processing_rate",
-            "receiver_processing_rate",
-            "receiver_incoming_traffic",
-            "link_max_bandwidth",
-            "link_used_bandwidth",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.link_reliability <= 1.0:
-            raise ValueError(f"link_reliability {self.link_reliability} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class RewardRecord:
+class RewardRecord(NamedTuple):
     """One action's reward: the (state, action) node pair, whether the action
     counts as successfully performed, and the reward value."""
 
@@ -129,6 +102,20 @@ class RewardRecord:
     dst_id: int
     action_success: bool
     value: float
+
+
+def _check(ok, values, message: str) -> None:
+    """Raise ValueError(message) with the first of values where ok fails.
+    ok and values are numbers, or arrays of one shape."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise ValueError(f"{message}, got {np.asarray(values)[~ok].flat[0]}")
+
+
+# The term functions below take numbers or, all but reward_hop and
+# reward_transmission, numpy arrays: elementwise + - * / round exactly as on
+# Python floats, so a term evaluated over all links at once equals the same
+# term evaluated per hop.
 
 
 def reward_hop(hop_index: int) -> float:
@@ -140,125 +127,141 @@ def reward_hop(hop_index: int) -> float:
 
 def reward_transmission(sender_rate_mbps: float) -> float:
     """Transmission-delay reward, (2/pi)*atan(rate); the argument is the
-    sending node's processing rate expressed numerically in Mb/s."""
+    sending node's processing rate expressed numerically in Mb/s. A number
+    only: np.arctan may differ from math.atan in the last bit."""
     if sender_rate_mbps < 0:
         raise ValueError(f"sender rate must be >= 0, got {sender_rate_mbps}")
     return (2.0 / math.pi) * math.atan(sender_rate_mbps)
 
 
-def reward_reliability(reliability: float) -> float:
+def reward_reliability(reliability):
     """Link-reliability reward; the identity on [0, 1]."""
-    if not 0.0 <= reliability <= 1.0:
-        raise ValueError(f"reliability {reliability} outside [0, 1]")
+    _check((0.0 <= reliability) & (reliability <= 1.0), reliability,
+           "reliability outside [0, 1]")
     return reliability
 
 
-def reward_intensity(receiver_incoming: float, receiver_rate: float, extra: float = 0.0) -> float:
+def reward_intensity(receiver_incoming, receiver_rate, extra: float = 0.0):
     """Traffic-intensity reward at the receiving node, 1 - (incoming+extra)/rate.
 
     extra = 0 gives the current form; extra = the demand's traffic gives the
     estimated form. May go negative when the node is overloaded.
     """
-    if receiver_rate <= 0:
-        raise ValueError("receiver processing rate must be > 0")
-    if extra < 0:
-        raise ValueError(f"extra traffic must be >= 0, got {extra}")
+    _check(receiver_rate > 0, receiver_rate, "receiver processing rate must be > 0")
+    _check(receiver_incoming >= 0, receiver_incoming, "receiver incoming traffic must be >= 0")
+    _check(extra >= 0, extra, "extra traffic must be >= 0")
     return 1.0 - (receiver_incoming + extra) / receiver_rate
 
 
-def reward_utilization(used: float, max_bandwidth: float, extra: float = 0.0) -> float:
+def reward_utilization(used, max_bandwidth, extra: float = 0.0):
     """Link-utilization reward, 1 - (used+extra)/max; negative when the link
     is over-subscribed (deliberately unclamped)."""
-    if max_bandwidth <= 0:
-        raise ValueError("link max bandwidth must be > 0")
-    if extra < 0:
-        raise ValueError(f"extra traffic must be >= 0, got {extra}")
+    _check(max_bandwidth > 0, max_bandwidth, "link max bandwidth must be > 0")
+    _check(used >= 0, used, "link used bandwidth must be >= 0")
+    _check(extra >= 0, extra, "extra traffic must be >= 0")
     return 1.0 - (used + extra) / max_bandwidth
 
 
-def local_reward(record: HopQoSRecord, weights: QoSWeights, demand_traffic: float) -> float:
-    """Composite local reward of one successfully performed hop.
+@dataclass(frozen=True)
+class LinkScores:
+    """One demand's weighted reward terms, each a list indexed by link id.
 
-    Uses the estimated intensity/utilization forms (extra = demand_traffic)
-    and subtracts the local normalizer, so the result is <= -0.1 whenever the
-    per-factor rewards are <= 1.
+    transmission, reliability, intensity and utilization are the local
+    terms, the last two in their estimated form; hop[i] is the weighted hop
+    reward of hop i + 1. global_reward is each link's whole global reward.
     """
-    return (
-        weights.hop_count * reward_hop(record.hop_index)
-        + weights.transmission * reward_transmission(record.sender_processing_rate / MBPS)
-        + weights.reliability * reward_reliability(record.link_reliability)
-        + weights.intensity
-        * reward_intensity(
-            record.receiver_incoming_traffic, record.receiver_processing_rate, demand_traffic
-        )
-        + weights.utilization
-        * reward_utilization(record.link_used_bandwidth, record.link_max_bandwidth, demand_traffic)
-        - weights.local_constant
+
+    index: LinkIndex
+    destination: int
+    hop: list[float]
+    transmission: list[float]
+    reliability: list[float]
+    intensity: list[float]
+    utilization: list[float]
+    local_constant: float
+    global_reward: list[float]
+    global_constant: float
+
+
+def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
+    """Evaluate every link's reward terms on the graph's current state.
+
+    Local terms use weights and the demand's traffic; the global reward uses
+    the framework default weights and the current forms. Raises ValueError,
+    as the term functions do, if any node or link holds an inadmissible value.
+    """
+    index = graph.link_index()
+    sources = np.array(index.sources, dtype=np.intp)
+    targets = np.array(index.targets, dtype=np.intp)
+    rate = np.array([n.processing_rate for n in graph.nodes])
+    incoming = np.array([n.incoming_traffic for n in graph.nodes])
+    transmission = np.array([reward_transmission(n.processing_rate / MBPS) for n in graph.nodes])
+    max_bandwidth = np.array([l.max_bandwidth for l in index.links])
+    used = np.array([l.used_bandwidth for l in index.links])
+    reliability = reward_reliability(np.array([l.reliability for l in index.links]))
+    w, g = weights, DEFAULT_WEIGHTS
+    return LinkScores(
+        index=index,
+        destination=demand.dst,
+        # A simple path has at most num_nodes - 1 hops.
+        hop=[w.hop_count * reward_hop(i) for i in range(1, graph.num_nodes)],
+        transmission=(w.transmission * transmission)[sources].tolist(),
+        reliability=(w.reliability * reliability).tolist(),
+        intensity=(w.intensity * reward_intensity(incoming, rate, demand.traffic))[targets].tolist(),
+        utilization=(w.utilization * reward_utilization(used, max_bandwidth, demand.traffic)).tolist(),
+        local_constant=w.local_constant,
+        global_reward=(
+            g.reliability * reliability
+            + (g.intensity * reward_intensity(incoming, rate))[targets]
+            + g.utilization * reward_utilization(used, max_bandwidth)
+            - g.global_constant
+        ).tolist(),
+        global_constant=g.global_constant,
     )
 
 
-def global_reward(record: HopQoSRecord, weights: QoSWeights) -> float:
-    """Composite global reward of one hop: network status only (reliability,
-    current intensity, current utilization), <= 0 for admissible inputs."""
-    return (
-        weights.reliability * reward_reliability(record.link_reliability)
-        + weights.intensity
-        * reward_intensity(record.receiver_incoming_traffic, record.receiver_processing_rate)
-        + weights.utilization
-        * reward_utilization(record.link_used_bandwidth, record.link_max_bandwidth)
-        - weights.global_constant
-    )
-
-
-def _check_records(records: Sequence[HopQoSRecord]) -> None:
-    if not records:
+def _links_of(result: "ExecutionResult") -> tuple[int, ...]:
+    if not result.records:
         raise ValueError("cannot compute rewards for an empty record list")
-    for record in records[:-1]:
-        if record.has_lost:
-            raise ValueError("only the last record of an execution may carry has_lost")
+    return result.records
 
 
-def local_rewards_for_path(
-    records: Sequence[HopQoSRecord], weights: QoSWeights, demand: TrafficDemand
-) -> list[RewardRecord]:
+def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> list[RewardRecord]:
     """Local rewards for an executed hop sequence, in hop order.
 
-    Every hop but the last is successful. The last hop fails if the packet
-    was lost OR its receiver is not the demand's destination (a dead end or
-    truncation); a failed hop is valued at -local_constant, the penalty that
-    update rules accumulate.
+    A successful hop scores Wc*hop + Wt*trans + Wr*rel + Wi*inten_est +
+    Wu*util_est - local_constant, added in that order, which is <= -0.1
+    whenever the per-factor rewards are <= 1. Every hop but the last is
+    successful. The last hop fails if the packet was lost OR its receiver is
+    not the demand's destination (a dead end or truncation); a failed hop is
+    valued at -local_constant, the penalty that update rules accumulate.
     """
-    _check_records(records)
+    links = _links_of(result)
+    src, dst = scores.index.sources, scores.index.targets
+    hop, t, r, ie, ue = (
+        scores.hop, scores.transmission, scores.reliability, scores.intensity, scores.utilization
+    )
+    constant = scores.local_constant
     rewards = [
-        RewardRecord(r.src_id, r.dst_id, True, local_reward(r, weights, demand.traffic))
-        for r in records[:-1]
+        RewardRecord(src[k], dst[k], True, hop[i] + t[k] + r[k] + ie[k] + ue[k] - constant)
+        for i, k in enumerate(links)
     ]
-    last = records[-1]
-    if last.has_lost or last.dst_id != demand.dst:
-        rewards.append(RewardRecord(last.src_id, last.dst_id, False, -weights.local_constant))
-    else:
-        rewards.append(
-            RewardRecord(last.src_id, last.dst_id, True, local_reward(last, weights, demand.traffic))
-        )
+    last = links[-1]
+    if result.lost or dst[last] != scores.destination:
+        rewards[-1] = RewardRecord(src[last], dst[last], False, -constant)
     return rewards
 
 
-def global_rewards_for_path(
-    records: Sequence[HopQoSRecord], weights: QoSWeights
-) -> list[RewardRecord]:
+def global_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> list[RewardRecord]:
     """Global rewards for an executed hop sequence, in hop order.
 
     The last hop fails only on packet loss; reaching a dead end still yields
     a normal network-status reward. A failed hop is valued at -global_constant.
     """
-    _check_records(records)
-    rewards = [
-        RewardRecord(r.src_id, r.dst_id, True, global_reward(r, weights))
-        for r in records[:-1]
-    ]
-    last = records[-1]
-    if last.has_lost:
-        rewards.append(RewardRecord(last.src_id, last.dst_id, False, -weights.global_constant))
-    else:
-        rewards.append(RewardRecord(last.src_id, last.dst_id, True, global_reward(last, weights)))
+    links = _links_of(result)
+    src, dst, value = scores.index.sources, scores.index.targets, scores.global_reward
+    rewards = [RewardRecord(src[k], dst[k], True, value[k]) for k in links]
+    if result.lost:
+        last = links[-1]
+        rewards[-1] = RewardRecord(src[last], dst[last], False, -scores.global_constant)
     return rewards

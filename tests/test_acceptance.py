@@ -237,9 +237,9 @@ def test_criterion_08_global_table_reuse_speeds_convergence():
         study = run_gamma_study(t8_config(seed=seed), gammas)
         assert study.control.all_converged
         totals = {"control": study.control.total_convergence_episodes}
-        for gamma, run in study.runs:
+        for run in study.runs:
             assert run.all_converged
-            totals[gamma] = run.total_convergence_episodes
+            totals[run.config.global_gamma] = run.total_convergence_episodes
         assert totals[0.9] < totals["control"]
         assert totals[0.9] <= 1.05 * min(totals.values())
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from rlroute.dataplane import DataPlane, LossModel, execute_path, snapshot_qos
+from reference import execute_path as reference_execute_path
+from reference import snapshot_qos
+from rlroute.dataplane import DataPlane, LossModel, execute_path
 from rlroute.engine import EpisodeTrace
 from rlroute.network import RoutePath, TrafficDemand, build_graph
 from rlroute.topologies import load_builtin
@@ -13,6 +15,12 @@ def messages(path, result):
     attempted the hops in result."""
     trace = EpisodeTrace(episode_index=1, temp_path=path, attempted_hops=len(result.records))
     return trace.messages_with_aggregation, trace.messages_without_aggregation
+
+
+def attempted(graph, result):
+    """The (src, dst) links of the hops in result, in order."""
+    index = graph.link_index()
+    return [(index.sources[k], index.targets[k]) for k in result.records]
 
 
 def chain_graph():
@@ -47,19 +55,19 @@ class TestExecutePath:
         graph = chain_graph()
         path = RoutePath((0, 1, 2, 3), True)
         result = execute_path(graph, path, TrafficDemand(0, 3, 1e5))
-        assert not any(r.has_lost for r in result.records)
-        assert [r.hop_index for r in result.records] == [1, 2, 3]
-        assert [(r.src_id, r.dst_id) for r in result.records] == [(0, 1), (1, 2), (2, 3)]
+        assert not result.lost
+        assert attempted(graph, result) == [(0, 1), (1, 2), (2, 3)]
         assert messages(path, result) == (4, 6)
 
     def test_unreached_path_not_delivered(self):
         # Every hop is attempted and none is lost, yet nothing is delivered:
         # the path itself stops short of the destination.
+        graph = chain_graph()
         path = RoutePath((0, 1, 2))
-        result = execute_path(chain_graph(), path, TrafficDemand(0, 3, 1e5))
+        result = execute_path(graph, path, TrafficDemand(0, 3, 1e5))
         assert not path.reached_destination
-        assert [(r.src_id, r.dst_id) for r in result.records] == path.links()
-        assert not any(r.has_lost for r in result.records)
+        assert attempted(graph, result) == path.links()
+        assert not result.lost
 
     def test_execution_never_mutates_graph(self):
         graph = chain_graph()
@@ -71,6 +79,7 @@ class TestExecutePath:
         path = RoutePath((0,))
         result = execute_path(chain_graph(), path, TrafficDemand(0, 3, 1e5))
         assert result.records == ()
+        assert not result.lost
         assert messages(path, result) == (1, 0)
 
 
@@ -95,27 +104,31 @@ class TestLoss:
         result = execute_path(
             graph, path, TrafficDemand(0, 3, 1e5), loss=LossModel("bernoulli", seed=7)
         )
-        assert len(result.records) == 2
-        assert result.records[-1].has_lost
-        assert not result.records[0].has_lost
+        assert attempted(graph, result) == [(0, 1), (1, 2)]
+        assert result.lost
         # Counts follow the two attempted hops, not the path's three.
         assert messages(path, result) == (3, 4)
 
     def test_at_most_one_lost_record(self):
         graph = build_graph(3, [(0, 1, 1e7, 0, 0.5), (1, 2, 1e7, 0, 0.5)])
+        path = RoutePath((0, 1, 2), True)
+        outcomes = set()
         for seed in range(50):
             result = execute_path(
-                graph, RoutePath((0, 1, 2), True), TrafficDemand(0, 2, 1e5),
-                loss=LossModel("bernoulli", seed=seed),
+                graph, path, TrafficDemand(0, 2, 1e5), loss=LossModel("bernoulli", seed=seed)
             )
-            flagged = [r for r in result.records if r.has_lost]
-            assert len(flagged) <= 1
-            if flagged:
-                # Delivery stops at the lost hop: nothing is attempted after it.
-                assert result.records[-1].has_lost
-                assert len(result.records) == flagged[0].hop_index
-            else:
-                assert len(result.records) == 2
+            # The attempted hops are a prefix of the path; delivery stops at
+            # the lost hop, so only a lost execution may end early.
+            hops = attempted(graph, result)
+            assert hops == path.links()[: len(hops)]
+            assert result.lost or len(hops) == 2
+            # The loss model is consulted per hop exactly as the per-hop
+            # snapshot walk consults it, so the same seed loses the same hop.
+            records = reference_execute_path(graph, path, LossModel("bernoulli", seed=seed))
+            assert hops == [(r.src_id, r.dst_id) for r in records]
+            assert result.lost == records[-1].has_lost
+            outcomes.add((len(hops), result.lost))
+        assert outcomes == {(1, True), (2, True), (2, False)}
 
 
 class TestDataPlane:
@@ -123,7 +136,7 @@ class TestDataPlane:
         graph = chain_graph()
         env = DataPlane(graph)
         result = env.execute(RoutePath((0, 1, 2, 3), True), TrafficDemand(0, 3, 1e5))
-        assert len(result.records) == 3
-        assert not any(r.has_lost for r in result.records)
+        assert attempted(graph, result) == [(0, 1), (1, 2), (2, 3)]
+        assert not result.lost
         assert env.graph is graph
         assert env.loss.mode == "off"

@@ -1,12 +1,10 @@
 """Q-table lifecycle, temp-path selection, SARSA updates, run orchestration."""
 
-import math
 import random
 
-import numpy as np
 import pytest
 
-from rlroute import engine
+from rlroute import dataplane, engine
 from rlroute.dataplane import DataPlane
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
@@ -25,7 +23,7 @@ from rlroute.engine import (
 )
 from rlroute.network import RoutePath, TrafficDemand, build_graph
 from rlroute.rewards import RewardRecord, make_weights
-from rlroute.topologies import load_builtin
+from rlroute.topologies import builtin_demands, load_builtin
 
 # Hypothesized trained tables for the five-node, seven-pair network (t2):
 # a local table preferring 0-1-2-3 and a global table preferring 0-2.
@@ -73,13 +71,16 @@ class TestQTable:
         table = QTable.for_graph(graph)
         link_pairs = {(l.src, l.dst) for l in graph.iter_links()}
         assert len(link_pairs) == 5
+        # One cell per link, and none for any other pair.
+        assert table.q == [0.0] * 5
         for i in range(5):
             for j in range(5):
                 if (i, j) in link_pairs:
                     assert table.get(i, j) == 0.0
                 else:
                     assert not table.has_entry(i, j)
-                    assert math.isnan(table.values[i, j])
+                    with pytest.raises(AbsentLinkError):
+                        table.get(i, j)
 
     def test_absent_cells_refuse_access(self):
         table = QTable.for_graph(load_builtin("t1"))
@@ -391,6 +392,57 @@ class TestFindRoute:
             assert trace.messages_with_aggregation == n + 1
             assert trace.messages_without_aggregation == 2 * n
             assert [(r.src_id, r.dst_id) for r in rewards] == trace.temp_path.links()
+
+    def test_layers_are_called_once_per_episode_and_demand(self, monkeypatch):
+        # The benchmark's tracer times the learner by replacing these module
+        # globals, so find_route must keep calling each of them by name at
+        # call time: per episode one select, execute, local and global score
+        # and two updates (rewards passed positionally), per demand one init
+        # and one final. The final walk's own selection is not an episode's.
+        calls = []
+        in_final = []
+
+        def wrap(layer, fn):
+            def traced(*args, **kwargs):
+                if layer == "select" and in_final:
+                    return fn(*args, **kwargs)
+                if layer == "final":
+                    in_final.append(layer)
+                try:
+                    result = fn(*args, **kwargs)
+                finally:
+                    if layer == "final":
+                        in_final.pop()
+                calls.append((layer, args, result))
+                return result
+
+            return traced
+
+        for module, name, layer in (
+            (engine, "init_local_table", "init"),
+            (engine, "find_temp_path", "select"),
+            (dataplane, "execute_path", "execute"),
+            (engine, "local_rewards_for_path", "local"),
+            (engine, "global_rewards_for_path", "global"),
+            (engine, "update_table", "update"),
+            (engine, "find_final_path", "final"),
+        ):
+            monkeypatch.setattr(module, name, wrap(layer, getattr(module, name)))
+        graph = load_builtin("t8")
+        episodes = DEFAULT_HYPERPARAMETERS.episodes
+        find_route(builtin_demands("t8")[0], DataPlane(graph), QTable.for_graph(graph),
+                   weights=make_weights(0, 0, 0, 1, 1))
+
+        episode = ["select", "execute", "local", "global", "update", "update"]
+        assert [layer for layer, _, _ in calls] == ["init"] + episode * episodes + ["final"]
+        # What the tracer's counters read at each boundary.
+        for start in range(1, 1 + 6 * episodes, 6):
+            select, execute, local, glob, update_local, update_global = calls[start:start + 6]
+            assert isinstance(select[2].reached_destination, bool)
+            assert len(execute[2].records) == select[2].hop_count
+            assert len(local[2]) == len(glob[2]) == len(execute[2].records)
+            assert update_local[1][1] is local[2]
+            assert update_global[1][1] is glob[2]
 
     def test_greedy_runs_are_deterministic(self):
         graph = load_builtin("t2")

@@ -85,6 +85,28 @@ class TestRunSequence:
         assert report.outcomes[0].episodes_run == 0
         assert report.outcomes[1].routed
 
+    def test_unknown_demand_node_fails_before_any_routing(self, monkeypatch):
+        # The second demand names node 99 of the 30-node t8: the run must
+        # stop before learning the first demand, naming the bad demand.
+        from rlroute import harness
+
+        routed = []
+        original = harness.find_route
+
+        def counting(*args, **kwargs):
+            routed.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "find_route", counting)
+        config = ExperimentConfig(
+            topology="t8", demands=[TrafficDemand(0, 5, 1e5), TrafficDemand(0, 99, 1e5)]
+        )
+        with pytest.raises(ValueError, match=r"demand 2 \(0->99\) references unknown node 99"):
+            run_sequence(config)
+        with pytest.raises(ValueError, match="demand 2"):
+            compare_baseline(config)
+        assert routed == []
+
     def test_identical_configs_identical_reports(self):
         a = run_sequence(t3_config())
         b = run_sequence(t3_config())
@@ -135,8 +157,8 @@ class TestGammaStudy:
         study = run_gamma_study(t3_config(), [0.3, 0.9])
         assert study.group_labels() == ["control", "gamma=0.3", "gamma=0.9"]
         assert not study.control.config.use_global
-        assert all(r.config.use_global for _, r in study.runs)
-        assert [g for g, _ in study.runs] == [0.3, 0.9]
+        assert all(r.config.use_global for r in study.runs)
+        assert [r.config.global_gamma for r in study.runs] == [0.3, 0.9]
 
     def test_single_gamma_gives_two_groups(self):
         study = run_gamma_study(t3_config(), [0.9])

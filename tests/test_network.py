@@ -120,6 +120,23 @@ class TestBuildGraph:
         with pytest.raises(KeyError):
             t1().link(0, 4)
 
+    def test_link_index_numbers_links_in_iteration_order(self):
+        graph = build_graph(4, [(2, 0, 1e6), (0, 3, 1e6), (0, 1, 1e6), (3, 2, 1e6)])
+        index = graph.link_index()
+        links = list(graph.iter_links())
+        assert list(zip(index.sources, index.targets)) == [(l.src, l.dst) for l in links]
+        assert all(a is b for a, b in zip(index.links, links))
+        assert index.offsets == [0, 2, 2, 3, 4]
+        assert index.ids == {(0, 1): 0, (0, 3): 1, (2, 0): 2, (3, 2): 3}
+        # Cached: links never change after construction.
+        assert graph.link_index() is index
+        # A copy numbers the same links; loads do not enter the comparison.
+        clone = graph.copy()
+        clone.link(0, 1).used_bandwidth = 5e5
+        assert clone.link_index() == index
+        assert clone.link_index() is not index
+        assert build_graph(3, [(0, 1, 1e6)]).link_index() != index
+
 
 class TestPaths:
     def test_hop_count_and_links(self):
@@ -211,6 +228,14 @@ class TestTopologyDocuments:
         with pytest.raises(TopologyError, match=rf"links\[0\]\.{field}: expected a finite number"):
             load_topology(io.StringIO(text))
 
+    def test_error_on_huge_integer(self):
+        # 10**400 is a valid JSON number that no float can hold.
+        doc = graph_to_dict(t1())
+        doc["links"][0]["max_bandwidth_bps"] = 10**400
+        text = json.dumps(doc)
+        with pytest.raises(TopologyError, match=r"links\[0\]\.max_bandwidth_bps: integer too large"):
+            load_topology(io.StringIO(text))
+
     def test_error_on_non_finite_node_rate(self):
         text = '{"nodes": [{"id": 0, "processing_rate_bps": Infinity}], "links": []}'
         with pytest.raises(TopologyError, match=r"nodes\[0\]\.processing_rate_bps"):
@@ -255,6 +280,11 @@ class TestDemandFiles:
         with pytest.raises(TopologyError, match=message) as info:
             load_demands(path)
         assert str(info.value).startswith(f"{path}[1]")
+
+    def test_rejects_huge_integer_traffic(self, tmp_path):
+        path = self.write(tmp_path, '[{"src": 0, "dst": 2, "traffic_bps": 1%s}]' % ("0" * 400))
+        with pytest.raises(TopologyError, match=r"\[0\]\.traffic_bps: integer too large"):
+            load_demands(path)
 
     def test_rejects_non_list_document(self, tmp_path):
         path = self.write(tmp_path, '{"src": 0, "dst": 1, "traffic_bps": 1e5}')

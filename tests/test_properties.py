@@ -4,7 +4,6 @@ import math
 import random
 from collections import deque
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,13 +25,8 @@ from rlroute.network import (
     graph_from_dict,
     graph_to_dict,
 )
-from rlroute.rewards import (
-    HopQoSRecord,
-    RewardRecord,
-    global_reward,
-    local_reward,
-    make_weights,
-)
+from rlroute.rewards import RewardRecord, make_weights
+from scenarios import chain_rewards
 
 finite = st.floats(min_value=-10.0, max_value=10.0)
 
@@ -151,9 +145,12 @@ class TestUpdateAggregation:
     def test_updates_preserve_mask_and_finiteness(self, seq, alpha):
         rewards, initial = seq
         table = chain_table(len(rewards), initial)
-        before = np.isnan(table.values)
+        index = table.index
         update_table(table, rewards, Hyperparameters(alpha=alpha))
-        assert (np.isnan(table.values) == before).all()
+        # Cells exist for the graph's links only, before and after.
+        assert table.index is index
+        assert len(table.q) == len(index.targets) == len(rewards)
+        assert all(math.isfinite(q) for q in table.q)
         for i in range(len(rewards)):
             assert math.isfinite(table.get(i, i + 1))
 
@@ -178,32 +175,31 @@ class TestUpdateAggregation:
 
 
 class TestRewardBounds:
-    qos_records = st.builds(
-        HopQoSRecord,
-        hop_index=st.integers(min_value=1, max_value=32),
-        src_id=st.just(0),
-        dst_id=st.just(1),
-        sender_processing_rate=st.floats(min_value=1.0, max_value=1e9),
-        receiver_processing_rate=st.floats(min_value=1.0, max_value=1e9),
-        receiver_incoming_traffic=st.floats(min_value=0.0, max_value=1e9),
-        link_max_bandwidth=st.floats(min_value=1.0, max_value=1e9),
-        link_used_bandwidth=st.floats(min_value=0.0, max_value=1e9),
-        link_reliability=st.floats(min_value=0.0, max_value=1.0),
-    )
+    rate = st.floats(min_value=1.0, max_value=1e9)
+    load = st.floats(min_value=0.0, max_value=1e9)
     weight_values = st.floats(min_value=0.0, max_value=5.0)
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(
-        qos_records,
+        st.integers(min_value=1, max_value=32),
+        rate, rate, load, rate, load,
+        st.floats(min_value=0.0, max_value=1.0),
         st.tuples(weight_values, weight_values, weight_values, weight_values, weight_values),
-        st.floats(min_value=0.0, max_value=1e8),
+        st.floats(min_value=0.0, max_value=1e8, exclude_min=True),
     )
-    def test_successful_rewards_never_exceed_their_caps(self, record, raw_weights, extra):
+    def test_successful_rewards_never_exceed_their_caps(
+        self, hops, sender, receiver, incoming, max_bw, used, rel, raw_weights, extra
+    ):
         # Each term is at most 1, so the weighted sum stays below the
         # normalizing constant: local tops out at -0.1, global at 0.
+        # (A demand's traffic is always positive, hence extra > 0.)
         weights = make_weights(*raw_weights)
-        assert local_reward(record, weights, extra) <= -0.1 + 1e-9
-        assert global_reward(record, weights) <= 1e-9
+        local, glob = chain_rewards(
+            hops, sender, receiver, incoming, max_bw, used, rel, weights, extra
+        )
+        assert local[-1].action_success and glob[-1].action_success
+        assert local[-1].value <= -0.1 + 1e-9
+        assert glob[-1].value <= 1e-9
 
 
 class TestBaselineOptimality:
@@ -237,8 +233,9 @@ class TestMessageAccounting:
         trace = EpisodeTrace(episode_index=1, temp_path=path, attempted_hops=n)
         assert trace.messages_with_aggregation == n + 1
         assert trace.messages_without_aggregation == 2 * n
-        assert not any(r.has_lost for r in result.records)
-        assert [r.hop_index for r in result.records] == list(range(1, n + 1))
+        assert not result.lost
+        index = graph.link_index()
+        assert [(index.sources[k], index.targets[k]) for k in result.records] == path.links()
 
 
 class TestSerialization:

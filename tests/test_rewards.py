@@ -5,17 +5,17 @@ compared against the implementation; tolerances cover only IEEE rounding.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from rlroute.network import TrafficDemand
+from rlroute.dataplane import ExecutionResult, execute_path
+from rlroute.network import RoutePath, TrafficDemand, build_graph
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
-    HopQoSRecord,
-    QoSWeights,
-    global_reward,
     global_rewards_for_path,
-    local_reward,
+    link_scores,
     local_rewards_for_path,
     make_weights,
     reward_hop,
@@ -24,22 +24,7 @@ from rlroute.rewards import (
     reward_transmission,
     reward_utilization,
 )
-
-
-def record(hop_index=1, src=0, dst=1, sender=50e6, receiver=50e6, incoming=0.0,
-           max_bw=10e6, used=0.0, rel=1.0, lost=False):
-    return HopQoSRecord(
-        hop_index=hop_index,
-        src_id=src,
-        dst_id=dst,
-        sender_processing_rate=sender,
-        receiver_processing_rate=receiver,
-        receiver_incoming_traffic=incoming,
-        link_max_bandwidth=max_bw,
-        link_used_bandwidth=used,
-        link_reliability=rel,
-        has_lost=lost,
-    )
+from scenarios import chain_rewards
 
 
 class TestTermFormulas:
@@ -74,6 +59,27 @@ class TestTermFormulas:
         assert reward_intensity(60, 50) < 0
         assert reward_utilization(12, 10) < 0
 
+    def test_array_terms_equal_scalar_terms(self):
+        # The per-demand scores evaluate terms over arrays; elementwise
+        # arithmetic must round exactly as the scalar form does.
+        incoming = np.array([0.0, 5e6, 3.3e7, 1.7e6])
+        rate = np.array([50e6, 1e8, 3e7, 7.77e6])
+        for extra in (0.0, 1e5, 3.1e6):
+            assert reward_intensity(incoming, rate, extra).tolist() == [
+                reward_intensity(i, r, extra) for i, r in zip(incoming.tolist(), rate.tolist())
+            ]
+            assert reward_utilization(incoming, rate, extra).tolist() == [
+                reward_utilization(u, m, extra) for u, m in zip(incoming.tolist(), rate.tolist())
+            ]
+
+    def test_array_terms_reject_any_bad_element(self):
+        with pytest.raises(ValueError, match="1.2"):
+            reward_reliability(np.array([0.5, 1.2, 1.0]))
+        with pytest.raises(ValueError):
+            reward_intensity(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            reward_utilization(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
 
 class TestWeights:
     def test_default_constants(self):
@@ -98,92 +104,115 @@ class TestWeights:
 class TestCompositeRewards:
     # Shared scenario: hop 4, 50 Mb/s sender, reliability 0.95, receiver at
     # 5 of 50 Mb/s incoming, link at 5 of 10 Mb/s, demand adds 0.5 Mb/s.
-    def scenario(self):
-        return record(hop_index=4, incoming=5e6, used=5e6, rel=0.95)
+    def scenario(self, weights=DEFAULT_WEIGHTS):
+        local, glob = chain_rewards(
+            hops=4, used=5e6, incoming=5e6, rel=0.95, weights=weights, traffic=0.5e6
+        )
+        return local[-1], glob[-1]
 
     def test_local_uses_estimated_forms(self):
         # 0.25 + 0.98727 + 0.95 + 0.89 + 0.45 - 5.1
-        value = local_reward(self.scenario(), DEFAULT_WEIGHTS, 0.5e6)
+        value = self.scenario()[0].value
         assert value == pytest.approx(-1.57273, abs=1e-4)
 
     def test_global_uses_current_forms(self):
         # 0.95 + 0.9 + 0.5 - 3.0
-        value = global_reward(self.scenario(), DEFAULT_WEIGHTS)
+        value = self.scenario()[1].value
         assert value == pytest.approx(-0.65, abs=1e-12)
 
     def test_local_success_never_beats_negative_margin(self):
         # Perfect hop: every term at its maximum still lands 0.1 below zero.
-        perfect = record(hop_index=1, sender=1e12)
-        assert local_reward(perfect, DEFAULT_WEIGHTS, 1.0) <= -0.1
+        local, _ = chain_rewards(hops=1, sender=1e12, traffic=1.0)
+        assert local[-1].action_success
+        assert local[-1].value <= -0.1
 
     def test_global_reward_of_perfect_hop_is_zero(self):
-        perfect = record(rel=1.0, incoming=0.0, used=0.0)
-        assert global_reward(perfect, DEFAULT_WEIGHTS) == 0.0
+        _, glob = chain_rewards(rel=1.0, incoming=0.0, used=0.0)
+        assert glob[-1].value == 0.0
 
     def test_weights_scale_terms(self):
         only_util = make_weights(0, 0, 0, 0, 1)
-        value = local_reward(record(used=5e6, max_bw=10e6), only_util, 0.5e6)
-        assert value == pytest.approx(0.45 - 1.1, abs=1e-12)
+        local, _ = chain_rewards(used=5e6, max_bw=10e6, weights=only_util, traffic=0.5e6)
+        assert local[-1].value == pytest.approx(0.45 - 1.1, abs=1e-12)
 
 
 class TestRewardLists:
     def demand(self):
         return TrafficDemand(0, 2, 0.5e6)
 
-    def reaching_records(self):
-        return [
-            record(hop_index=1, src=0, dst=1),
-            record(hop_index=2, src=1, dst=2),
-        ]
+    def executed(self, nodes, lost=False):
+        """Rewards of walking nodes on a graph where 1 branches to the
+        destination 2 and to the dead end 3."""
+        graph = build_graph(4, [(0, 1, 10e6), (1, 2, 10e6), (1, 3, 10e6)])
+        result = execute_path(graph, RoutePath(tuple(nodes), nodes[-1] == 2), self.demand())
+        if lost:
+            result = replace(result, lost=True)
+        scores = link_scores(graph, DEFAULT_WEIGHTS, self.demand())
+        return local_rewards_for_path(result, scores), global_rewards_for_path(result, scores)
 
     def test_successful_path_all_actions_succeed(self):
-        rewards = local_rewards_for_path(self.reaching_records(), DEFAULT_WEIGHTS, self.demand())
+        rewards, _ = self.executed((0, 1, 2))
         assert [r.action_success for r in rewards] == [True, True]
         assert [(r.src_id, r.dst_id) for r in rewards] == [(0, 1), (1, 2)]
         assert all(r.value <= -0.1 for r in rewards)
 
     def test_dead_end_fails_locally_but_not_globally(self):
         # Ends at node 3, demand destination is 2, nothing lost.
-        records = [record(hop_index=1, src=0, dst=1), record(hop_index=2, src=1, dst=3)]
-        local = local_rewards_for_path(records, DEFAULT_WEIGHTS, self.demand())
-        glob = global_rewards_for_path(records, DEFAULT_WEIGHTS)
+        local, glob = self.executed((0, 1, 3))
         assert local[-1].action_success is False
         assert local[-1].value == -DEFAULT_WEIGHTS.local_constant
         assert glob[-1].action_success is True
 
     def test_lost_packet_fails_both(self):
-        records = [record(hop_index=1, src=0, dst=1), record(hop_index=2, src=1, dst=2, lost=True)]
-        local = local_rewards_for_path(records, DEFAULT_WEIGHTS, self.demand())
-        glob = global_rewards_for_path(records, DEFAULT_WEIGHTS)
+        local, glob = self.executed((0, 1, 2), lost=True)
         assert local[-1].value == -DEFAULT_WEIGHTS.local_constant
         assert glob[-1].action_success is False
         assert glob[-1].value == -DEFAULT_WEIGHTS.global_constant
 
     def test_global_success_values_nonpositive(self):
-        glob = global_rewards_for_path(self.reaching_records(), DEFAULT_WEIGHTS)
+        _, glob = self.executed((0, 1, 2))
         assert all(r.value <= 0 for r in glob)
 
     def test_loss_only_allowed_on_last_record(self):
-        records = [record(hop_index=1, src=0, dst=1, lost=True), record(hop_index=2, src=1, dst=2)]
-        with pytest.raises(ValueError):
-            local_rewards_for_path(records, DEFAULT_WEIGHTS, self.demand())
+        # A lost execution flags its last hop only: every earlier hop keeps
+        # its normal, successful reward.
+        local, glob = self.executed((0, 1, 2), lost=True)
+        clean_local, clean_glob = self.executed((0, 1, 2))
+        assert [r.action_success for r in local] == [True, False]
+        assert [r.action_success for r in glob] == [True, False]
+        assert local[0] == clean_local[0]
+        assert glob[0] == clean_glob[0]
 
     def test_empty_records_rejected(self):
+        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
+        scores = link_scores(graph, DEFAULT_WEIGHTS, self.demand())
         with pytest.raises(ValueError):
-            local_rewards_for_path([], DEFAULT_WEIGHTS, self.demand())
+            local_rewards_for_path(ExecutionResult(()), scores)
+        with pytest.raises(ValueError):
+            global_rewards_for_path(ExecutionResult(()), scores)
 
     def test_transmission_term_reads_rate_in_mbps(self):
         # Sender at 50 Mb/s must score like atan(50), not atan(5e7).
         w = make_weights(0, 1, 0, 0, 0)
-        value = local_reward(record(sender=50e6), w, 1.0)
-        assert value == pytest.approx(math.atan(50) * 2 / math.pi - 1.1, abs=1e-12)
+        local, _ = chain_rewards(sender=50e6, weights=w, traffic=1.0)
+        assert local[-1].value == pytest.approx(math.atan(50) * 2 / math.pi - 1.1, abs=1e-12)
 
 
 class TestRecordValidation:
     def test_hop_index_must_be_positive(self):
         with pytest.raises(ValueError):
-            record(hop_index=0)
+            reward_hop(0)
 
     def test_reliability_bounds(self):
-        with pytest.raises(ValueError):
-            record(rel=1.2)
+        # Scores check every link's state once per demand, so a bad value
+        # anywhere in the graph is refused before any episode runs.
+        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
+        graph.link(1, 2).reliability = 1.2
+        with pytest.raises(ValueError, match="reliability"):
+            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
+
+    def test_negative_load_rejected(self):
+        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
+        graph.link(0, 1).used_bandwidth = -1.0
+        with pytest.raises(ValueError, match="used bandwidth"):
+            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
