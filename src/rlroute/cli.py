@@ -15,6 +15,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .dataplane import LossModel
 from .engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
 from .harness import (
     DEFAULT_SEED,
@@ -96,6 +97,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         f"(default {h.gamma}, the framework default, independent of --gamma)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"RNG seed (default {DEFAULT_SEED})")
+    parser.add_argument("--loss-mode", choices=LossModel.MODES, default="off",
+                        help="per-hop packet loss: off, or bernoulli with probability "
+                        "1 - link reliability (default off)")
     parser.add_argument("--out", metavar="DIR", help="directory for report files")
 
 
@@ -126,6 +130,7 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         use_global=args.use_global,
         global_gamma=args.global_gamma,
         seed=args.seed,
+        loss_mode=args.loss_mode,
     )
 
 

@@ -69,18 +69,21 @@ def execute_path(
 ) -> ExecutionResult:
     """Attempt a path hop by hop, consulting the loss model at each hop.
     Stops early if it drops the packet; the losing hop is kept as the last
-    record and the result is flagged lost."""
+    record and the result is flagged lost. A path using a link the graph
+    lacks raises KeyError before any hop is attempted."""
     index = graph.link_index()
-    records = []
     nodes = path.nodes
-    for pair in zip(nodes, nodes[1:]):
-        k = index.ids.get(pair)
-        if k is None:
-            raise KeyError(f"no link ({pair[0]},{pair[1]}) in graph")
-        records.append(k)
-        if loss is not None and loss.packet_lost(index.links[k].reliability):
-            return ExecutionResult(tuple(records), lost=True)
-    return ExecutionResult(tuple(records))
+    try:
+        records = tuple(map(index.ids.__getitem__, zip(nodes, nodes[1:])))
+    except KeyError as exc:
+        src, dst = exc.args[0]
+        raise KeyError(f"no link ({src},{dst}) in graph") from None
+    if loss is not None and loss.mode != "off":
+        links = index.links
+        for hop, k in enumerate(records, start=1):
+            if loss.packet_lost(links[k].reliability):
+                return ExecutionResult(records[:hop], lost=True)
+    return ExecutionResult(records)
 
 
 class DataPlane:

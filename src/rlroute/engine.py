@@ -8,8 +8,9 @@ The learner differs from textbook SARSA in three ways:
    updating after every step, because no later update can touch an earlier
    pair's q_next read.
 2. Dual tables: action selection uses a per-demand local table (user
-   weights); a persistent global table is updated alongside with framework
-   default weights and can seed future local tables.
+   weights); a persistent global table, where the caller keeps one, is
+   updated alongside with framework default weights and can seed future
+   local tables.
 3. Failure penalties accumulate: the last action of an episode that failed
    (packet lost, or never reached the destination) gets its raw penalty
    ADDED to the entry instead of a SARSA update, so repeated failures sink
@@ -25,9 +26,10 @@ action bootstrapping from Hyperparameters.terminal_q (default 0).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
+from math import isfinite
+from operator import itemgetter
 from typing import ClassVar, Optional, Sequence
 
 from .dataplane import ControlMessages
@@ -40,6 +42,10 @@ from .rewards import (
     link_scores,
     local_rewards_for_path,
 )
+
+
+# A RewardRecord's (src_id, dst_id): the state and action it rewards.
+_STATE_ACTION = itemgetter(0, 1)
 
 
 class AbsentLinkError(KeyError):
@@ -116,7 +122,7 @@ class QTable:
 
     def store(self, k: int, value: float) -> None:
         """Write the Q-value of link id k, refusing non-finite values."""
-        if not math.isfinite(value):
+        if not isfinite(value):
             state, action = self.index.sources[k], self.index.targets[k]
             raise ValueError(f"Q-value for ({state},{action}) must be finite, got {value}")
         self.q[k] = value
@@ -194,7 +200,9 @@ def find_temp_path(
     Stops on reaching the destination, on a dead end, or after ttl hops.
     A source with no out-neighbors yields a zero-hop, not-reached path.
     """
-    if hyper.epsilon > 0 and rng is None:
+    epsilon, destination = hyper.epsilon, demand.dst
+    explore = epsilon > 0
+    if explore and rng is None:
         raise ValueError("epsilon > 0 requires a random source")
     index = _same_links(table, graph)
     offsets, targets, q = index.offsets, index.targets, table.q
@@ -205,11 +213,11 @@ def find_temp_path(
         # Link ids leaving current, in ascending target order.
         out = range(offsets[current], offsets[current + 1])
         chosen = -1
-        if hyper.epsilon > 0:
+        if explore:
             candidates = [k for k in out if targets[k] not in visited]
             if not candidates:
                 break
-            if rng.random() < hyper.epsilon:
+            if rng.random() < epsilon:
                 chosen = candidates[rng.randrange(len(candidates))]
             else:
                 # max keeps the first of equal values: ties go to the lowest id.
@@ -224,9 +232,9 @@ def find_temp_path(
         current = targets[chosen]
         nodes.append(current)
         visited.add(current)
-        if current == demand.dst:
+        if current == destination:
             break
-    return RoutePath(tuple(nodes), current == demand.dst)
+    return RoutePath(tuple(nodes), current == destination)
 
 
 def find_final_path(
@@ -257,9 +265,9 @@ def update_table(table: QTable, rewards: Sequence[RewardRecord], hyper: Hyperpar
     """
     if not rewards:
         raise ValueError("cannot update a table with an empty reward list")
-    ids, q = table.index.ids, table.q
+    q = table.q
     try:
-        links = [ids[record.src_id, record.dst_id] for record in rewards]
+        links = list(map(table.index.ids.__getitem__, map(_STATE_ACTION, rewards)))
     except KeyError:
         # Resolve again through the accessor that names the absent pair.
         links = [table.link_id(record.src_id, record.dst_id) for record in rewards]
@@ -267,7 +275,10 @@ def update_table(table: QTable, rewards: Sequence[RewardRecord], hyper: Hyperpar
     for k, k_next, record in zip(links, links[1:], rewards):
         if not record.action_success:
             raise ValueError("only the last action of an episode may be failed")
-        table.store(k, sarsa_update(q[k], record.value, q[k_next], alpha, gamma))
+        value = sarsa_update(q[k], record.value, q[k_next], alpha, gamma)
+        if not isfinite(value):
+            table.store(k, value)  # raises, naming the pair
+        q[k] = value
     k, last = links[-1], rewards[-1]
     if last.action_success:
         table.store(k, sarsa_update(q[k], last.value, hyper.terminal_q, alpha, gamma))
@@ -279,7 +290,7 @@ def update_table(table: QTable, rewards: Sequence[RewardRecord], hyper: Hyperpar
 def find_route(
     demand: TrafficDemand,
     env,
-    global_table: QTable,
+    global_table: Optional[QTable],
     weights: Optional[QoSWeights] = None,
     hyper: Optional[Hyperparameters] = None,
     use_global: bool = False,
@@ -289,13 +300,15 @@ def find_route(
     """Learn a path for one demand over env's graph.
 
     Runs hyper.episodes episodes of: select temp path -> execute on the data
-    plane -> score local rewards (caller weights) and global rewards
-    (framework default weights) -> update both tables. The local table starts
-    fresh or as a deep copy of global_table (use_global); global_table is
-    mutated in place throughout and is the knowledge reused by later runs.
-    Global updates use the framework default hyperparameters unless
-    global_hyper overrides them; per-demand customization (weights, hyper)
-    touches only the local table. Returns the greedy final path plus
+    plane -> score local rewards (caller weights) -> update the local table.
+    The local table starts fresh or as a deep copy of global_table
+    (use_global). With a global table, each episode also scores global
+    rewards (framework default weights) right after the local ones and
+    updates global_table in place after the local table; global_table is the
+    knowledge reused by later runs. Without one (None), nothing global is
+    scored or kept. Global updates use the framework default hyperparameters
+    unless global_hyper overrides them; per-demand customization (weights,
+    hyper) touches only the local table. Returns the greedy final path plus
     per-episode traces.
     """
     graph = env.graph
@@ -316,9 +329,12 @@ def find_route(
         temp_path = find_temp_path(demand, local_table, hyper, graph, rng)
         result = env.execute(temp_path, demand)
         local_rewards = local_rewards_for_path(result, scores)
-        global_rewards = global_rewards_for_path(result, scores)
-        update_table(local_table, local_rewards, hyper)
-        update_table(global_table, global_rewards, global_hyper)
+        if global_table is None:
+            update_table(local_table, local_rewards, hyper)
+        else:
+            global_rewards = global_rewards_for_path(result, scores)
+            update_table(local_table, local_rewards, hyper)
+            update_table(global_table, global_rewards, global_hyper)
         traces.append(EpisodeTrace(episode, temp_path, len(result.records)))
     final_path = find_final_path(demand, local_table, hyper, graph)
     return RouteResult(final_path=final_path, traces=traces)

@@ -167,11 +167,12 @@ def _links_json(graph: NetworkGraph) -> list[dict]:
 def run_sequence(config: ExperimentConfig) -> ExperimentReport:
     """Route every demand in order, placing traffic after each success.
 
-    One data plane, one RNG, and one global table live for the whole
-    sequence; each demand gets its own local table (seeded from the global
-    one when config.use_global). A demand whose source has no outgoing links
-    is recorded as unrouted and the run continues. A demand naming a node
-    the graph lacks fails the run before the first demand is routed.
+    One data plane and one RNG live for the whole sequence, and with
+    config.use_global one global table; each demand gets its own local
+    table, seeded from the global one when there is one. A demand whose
+    source has no outgoing links is recorded as unrouted and the run
+    continues. A demand naming a node the graph lacks fails the run before
+    the first demand is routed.
     """
     graph = resolve_topology(config.topology)
     for index, demand in enumerate(config.demands, start=1):
@@ -181,7 +182,8 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
                     f"demand {index} ({demand.src}->{demand.dst}) references unknown node {node}"
                 )
     env = DataPlane(graph, LossModel(config.loss_mode, seed=config.seed))
-    global_table = QTable.for_graph(graph)
+    # Only a run that seeds local tables from it needs a global table.
+    global_table = QTable.for_graph(graph) if config.use_global else None
     rng = random.Random(config.seed)
     global_hyper = (
         replace(DEFAULT_HYPERPARAMETERS, gamma=config.global_gamma)

@@ -10,12 +10,14 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
 
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
 
 _FLOAT_MAX = sys.float_info.max
+
+_T = TypeVar("_T")
 
 
 class TopologyError(ValueError):
@@ -152,7 +154,7 @@ class NetworkGraph:
         self._out: list[list[int]] = [[] for _ in nodes]
         for src, dst in sorted(links):
             self._out[src].append(dst)
-        self._index: Optional[LinkIndex] = None
+        self._cache: dict = {}
 
     @property
     def num_nodes(self) -> int:
@@ -182,25 +184,27 @@ class NetworkGraph:
         return self._out[node_id]
 
     def link_index(self) -> LinkIndex:
-        """The link numbering that Q-tables and reward scores share.
+        """The link numbering that Q-tables and reward scores share. Built
+        on first use rather than at construction, so loading a topology
+        does not pay for it."""
+        return self.cached(_build_link_index)
 
-        Built on first use rather than at construction, so loading a
-        topology does not pay for it, and cached: the link set of a graph
-        never changes after construction, only the links' loads do.
+    def cached(self, build: Callable[["NetworkGraph"], _T]) -> _T:
+        """build(self), computed on the first call and kept for the graph's
+        lifetime. build itself is the key, so pass a module-level function,
+        not a fresh lambda.
+
+        Only for what depends on nothing but the fixed part of the graph:
+        its link set, link capacities and reliabilities and node processing
+        rates, none of which change after construction. Loads do change
+        (place_traffic writes them), so nothing derived from a load may be
+        cached here.
         """
-        if self._index is None:
-            keys = sorted(self._links)
-            offsets = [0]
-            for dsts in self._out:
-                offsets.append(offsets[-1] + len(dsts))
-            self._index = LinkIndex(
-                offsets=offsets,
-                targets=[dst for _, dst in keys],
-                sources=[src for src, _ in keys],
-                ids={key: k for k, key in enumerate(keys)},
-                links=[self._links[key] for key in keys],
-            )
-        return self._index
+        try:
+            return self._cache[build]
+        except KeyError:
+            value = self._cache[build] = build(self)
+            return value
 
     def iter_links(self) -> Iterator[LinkState]:
         """All links in (src, dst) order; the canonical iteration order."""
@@ -225,6 +229,20 @@ class NetworkGraph:
 
     def __repr__(self) -> str:
         return f"NetworkGraph(nodes={len(self._nodes)}, links={len(self._links)})"
+
+
+def _build_link_index(graph: NetworkGraph) -> LinkIndex:
+    keys = sorted(graph._links)
+    offsets = [0]
+    for dsts in graph._out:
+        offsets.append(offsets[-1] + len(dsts))
+    return LinkIndex(
+        offsets=offsets,
+        targets=[dst for _, dst in keys],
+        sources=[src for src, _ in keys],
+        ids={key: k for k, key in enumerate(keys)},
+        links=[graph._links[key] for key in keys],
+    )
 
 
 LinkSpec = Union[LinkState, tuple]

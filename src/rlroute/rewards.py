@@ -26,13 +26,15 @@ transmission reward reads its argument numerically in Mb/s.
 Every term but the hop reward depends on one link and on loads that change
 only between demands, when a routed demand's traffic is placed. LinkScores
 evaluates those terms for all links once per demand, so an episode's
-rewards only index lists by link id.
+rewards only index lists by link id, and an episode that repeats an earlier
+one's hops and loss flag gets the rewards already computed. The inputs no
+load enters (FixedTerms) are evaluated once per graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -108,7 +110,7 @@ def _check(ok, values, message: str) -> None:
     """Raise ValueError(message) with the first of values where ok fails.
     ok and values are numbers, or arrays of one shape."""
     ok = np.asarray(ok)
-    if not ok.all():
+    if np.count_nonzero(ok) != ok.size:
         raise ValueError(f"{message}, got {np.asarray(values)[~ok].flat[0]}")
 
 
@@ -163,12 +165,54 @@ def reward_utilization(used, max_bandwidth, extra: float = 0.0):
 
 
 @dataclass(frozen=True)
+class FixedTerms:
+    """A graph's reward inputs that no load enters, as numpy arrays: each
+    link's target, each node's processing rate, and per link the sender's
+    transmission reward, the reliability reward and the capacity.
+    Capacities, reliabilities and processing rates are fixed after
+    construction (only place_traffic writes to a graph, and it writes
+    loads), so a graph evaluates and checks these once."""
+
+    targets: np.ndarray
+    rate: np.ndarray
+    transmission: np.ndarray
+    reliability: np.ndarray
+    max_bandwidth: np.ndarray
+    # hop[i] is the reward of hop i + 1; a simple path has at most
+    # num_nodes - 1 hops.
+    hop: np.ndarray
+
+
+def _fixed_terms(graph: NetworkGraph) -> FixedTerms:
+    index = graph.link_index()
+    rates = [n.processing_rate for n in graph.nodes]
+    transmission = np.array([reward_transmission(r / MBPS) for r in rates])
+    reliability = reward_reliability(np.array([l.reliability for l in index.links]))
+    rate = np.array(rates)
+    _check(rate > 0, rate, "receiver processing rate must be > 0")
+    max_bandwidth = np.array([l.max_bandwidth for l in index.links])
+    _check(max_bandwidth > 0, max_bandwidth, "link max bandwidth must be > 0")
+    return FixedTerms(
+        targets=np.array(index.targets, dtype=np.intp),
+        rate=rate,
+        transmission=transmission[np.array(index.sources, dtype=np.intp)],
+        reliability=reliability,
+        max_bandwidth=max_bandwidth,
+        hop=np.array([reward_hop(i) for i in range(1, graph.num_nodes)]),
+    )
+
+
+@dataclass(frozen=True)
 class LinkScores:
     """One demand's weighted reward terms, each a list indexed by link id.
 
     transmission, reliability, intensity and utilization are the local
     terms, the last two in their estimated form; hop[i] is the weighted hop
     reward of hop i + 1. global_reward is each link's whole global reward.
+
+    The terms are fixed for the demand, so an episode's rewards depend only
+    on its executed hops and loss flag: the reward functions keep what they
+    computed for each such pair and hand a repeat the same tuple.
     """
 
     index: LinkIndex
@@ -181,6 +225,8 @@ class LinkScores:
     local_constant: float
     global_reward: list[float]
     global_constant: float
+    local_memo: dict = field(default_factory=dict, compare=False, repr=False)
+    global_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
@@ -189,31 +235,32 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     Local terms use weights and the demand's traffic; the global reward uses
     the framework default weights and the current forms. Raises ValueError,
     as the term functions do, if any node or link holds an inadmissible value.
+    Only the loads are read per call; the rest comes from the graph's
+    FixedTerms, built on its first call.
     """
+    fixed = graph.cached(_fixed_terms)
     index = graph.link_index()
-    sources = np.array(index.sources, dtype=np.intp)
-    targets = np.array(index.targets, dtype=np.intp)
-    rate = np.array([n.processing_rate for n in graph.nodes])
+    targets = fixed.targets
     incoming = np.array([n.incoming_traffic for n in graph.nodes])
-    transmission = np.array([reward_transmission(n.processing_rate / MBPS) for n in graph.nodes])
-    max_bandwidth = np.array([l.max_bandwidth for l in index.links])
     used = np.array([l.used_bandwidth for l in index.links])
-    reliability = reward_reliability(np.array([l.reliability for l in index.links]))
     w, g = weights, DEFAULT_WEIGHTS
     return LinkScores(
         index=index,
         destination=demand.dst,
-        # A simple path has at most num_nodes - 1 hops.
-        hop=[w.hop_count * reward_hop(i) for i in range(1, graph.num_nodes)],
-        transmission=(w.transmission * transmission)[sources].tolist(),
-        reliability=(w.reliability * reliability).tolist(),
-        intensity=(w.intensity * reward_intensity(incoming, rate, demand.traffic))[targets].tolist(),
-        utilization=(w.utilization * reward_utilization(used, max_bandwidth, demand.traffic)).tolist(),
+        hop=(w.hop_count * fixed.hop).tolist(),
+        transmission=(w.transmission * fixed.transmission).tolist(),
+        reliability=(w.reliability * fixed.reliability).tolist(),
+        intensity=(
+            w.intensity * reward_intensity(incoming, fixed.rate, demand.traffic)
+        )[targets].tolist(),
+        utilization=(
+            w.utilization * reward_utilization(used, fixed.max_bandwidth, demand.traffic)
+        ).tolist(),
         local_constant=w.local_constant,
         global_reward=(
-            g.reliability * reliability
-            + (g.intensity * reward_intensity(incoming, rate))[targets]
-            + g.utilization * reward_utilization(used, max_bandwidth)
+            g.reliability * fixed.reliability
+            + (g.intensity * reward_intensity(incoming, fixed.rate))[targets]
+            + g.utilization * reward_utilization(used, fixed.max_bandwidth)
             - g.global_constant
         ).tolist(),
         global_constant=g.global_constant,
@@ -226,7 +273,9 @@ def _links_of(result: "ExecutionResult") -> tuple[int, ...]:
     return result.records
 
 
-def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> list[RewardRecord]:
+def local_rewards_for_path(
+    result: "ExecutionResult", scores: LinkScores
+) -> tuple[RewardRecord, ...]:
     """Local rewards for an executed hop sequence, in hop order.
 
     A successful hop scores Wc*hop + Wt*trans + Wr*rel + Wi*inten_est +
@@ -236,32 +285,44 @@ def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> lis
     not the demand's destination (a dead end or truncation); a failed hop is
     valued at -local_constant, the penalty that update rules accumulate.
     """
-    links = _links_of(result)
-    src, dst = scores.index.sources, scores.index.targets
-    hop, t, r, ie, ue = (
-        scores.hop, scores.transmission, scores.reliability, scores.intensity, scores.utilization
-    )
-    constant = scores.local_constant
-    rewards = [
-        RewardRecord(src[k], dst[k], True, hop[i] + t[k] + r[k] + ie[k] + ue[k] - constant)
-        for i, k in enumerate(links)
-    ]
-    last = links[-1]
-    if result.lost or dst[last] != scores.destination:
-        rewards[-1] = RewardRecord(src[last], dst[last], False, -constant)
+    key = (result.records, result.lost)
+    rewards = scores.local_memo.get(key)
+    if rewards is None:
+        links = _links_of(result)
+        src, dst = scores.index.sources, scores.index.targets
+        hop, t, r, ie, ue = (
+            scores.hop, scores.transmission, scores.reliability, scores.intensity,
+            scores.utilization,
+        )
+        constant = scores.local_constant
+        rewards = [
+            RewardRecord(src[k], dst[k], True, hop[i] + t[k] + r[k] + ie[k] + ue[k] - constant)
+            for i, k in enumerate(links)
+        ]
+        last = links[-1]
+        if result.lost or dst[last] != scores.destination:
+            rewards[-1] = RewardRecord(src[last], dst[last], False, -constant)
+        rewards = scores.local_memo[key] = tuple(rewards)
     return rewards
 
 
-def global_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> list[RewardRecord]:
+def global_rewards_for_path(
+    result: "ExecutionResult", scores: LinkScores
+) -> tuple[RewardRecord, ...]:
     """Global rewards for an executed hop sequence, in hop order.
 
     The last hop fails only on packet loss; reaching a dead end still yields
     a normal network-status reward. A failed hop is valued at -global_constant.
     """
-    links = _links_of(result)
-    src, dst, value = scores.index.sources, scores.index.targets, scores.global_reward
-    rewards = [RewardRecord(src[k], dst[k], True, value[k]) for k in links]
-    if result.lost:
-        last = links[-1]
-        rewards[-1] = RewardRecord(src[last], dst[last], False, -scores.global_constant)
+    key = (result.records, result.lost)
+    rewards = scores.global_memo.get(key)
+    if rewards is None:
+        links = _links_of(result)
+        src, dst, value = scores.index.sources, scores.index.targets, scores.global_reward
+        rewards = [RewardRecord(src[k], dst[k], True, value[k]) for k in links]
+        if result.lost:
+            last = links[-1]
+            rewards[-1] = RewardRecord(src[last], dst[last], False, -scores.global_constant)
+        rewards = scores.global_memo[key] = tuple(rewards)
     return rewards
+

@@ -82,6 +82,16 @@ class TestExecutePath:
         assert not result.lost
         assert messages(path, result) == (1, 0)
 
+    @pytest.mark.parametrize("mode", ["off", "bernoulli"])
+    def test_missing_link_raises_before_any_hop(self, mode):
+        # Link ids are resolved for the whole path before the loss model is
+        # consulted, so a bad path never draws from it.
+        loss, untouched = LossModel(mode, seed=0), LossModel(mode, seed=0)
+        with pytest.raises(KeyError, match=r"no link \(2,0\) in graph"):
+            execute_path(chain_graph(), RoutePath((1, 2, 0)), TrafficDemand(1, 0, 1e5), loss)
+        draws = [loss.packet_lost(0.5) for _ in range(32)]
+        assert draws == [untouched.packet_lost(0.5) for _ in range(32)]
+
 
 class TestLoss:
     def test_off_never_drops(self):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rlroute import dataplane, engine
-from rlroute.dataplane import DataPlane
+from rlroute.dataplane import DataPlane, LossModel
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
     AbsentLinkError,
@@ -443,6 +443,30 @@ class TestFindRoute:
             assert len(local[2]) == len(glob[2]) == len(execute[2].records)
             assert update_local[1][1] is local[2]
             assert update_global[1][1] is glob[2]
+
+    def test_without_global_table_learns_the_same(self):
+        # A global table that nothing reads changes nothing the learner
+        # does: the same traces and final path, and the same random draws,
+        # both for exploration and for packet loss (t2 links drop 5%).
+        def run(global_table):
+            graph = load_builtin("t2")
+            env = DataPlane(graph, LossModel("bernoulli", seed=3))
+            rng = random.Random(5)
+            result = find_route(
+                TrafficDemand(0, 4, 1e5), env, global_table,
+                hyper=Hyperparameters(epsilon=0.3), rng=rng,
+            )
+            return result, rng.getstate(), [env.loss.packet_lost(0.5) for _ in range(64)]
+
+        result, rng_state, loss_draws = run(None)
+        expected, expected_rng_state, expected_loss_draws = run(
+            QTable.for_graph(load_builtin("t2"))
+        )
+        assert result.traces == expected.traces
+        assert result.final_path == expected.final_path
+        assert rng_state == expected_rng_state
+        assert loss_draws == expected_loss_draws
+        assert any(t.attempted_hops < t.temp_path.hop_count for t in result.traces)
 
     def test_greedy_runs_are_deterministic(self):
         graph = load_builtin("t2")

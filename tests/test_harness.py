@@ -5,7 +5,10 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rlroute import engine
 from rlroute.cli import main
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
 from rlroute.harness import (
@@ -20,7 +23,7 @@ from rlroute.harness import (
     run_gamma_study,
     run_sequence,
 )
-from rlroute.network import TrafficDemand, build_graph
+from rlroute.network import TrafficDemand, build_graph, check_path
 from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
 
@@ -151,6 +154,27 @@ class TestRunSequence:
         assert unset["totals"] == default["totals"]
         assert unset["totals"] != local["totals"]
 
+    def test_run_without_reuse_keeps_no_global_table(self, monkeypatch):
+        # Nothing reads a global table unless local tables are seeded from
+        # it, so a run without reuse neither scores nor updates one.
+        calls = {"global": 0, "update": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            engine, "global_rewards_for_path", counted("global", engine.global_rewards_for_path)
+        )
+        monkeypatch.setattr(engine, "update_table", counted("update", engine.update_table))
+        report = run_sequence(ExperimentConfig(topology="t8", demands=builtin_demands("t8")))
+        episodes = sum(o.episodes_run for o in report.outcomes)
+        assert episodes == 9 * DEFAULT_HYPERPARAMETERS.episodes
+        assert calls == {"global": 0, "update": episodes}
+
 
 class TestGammaStudy:
     def test_control_plus_one_run_per_gamma(self):
@@ -185,6 +209,47 @@ class TestBaselineMinHop:
         path = baseline_min_hop(graph, TrafficDemand(0, 2, 1e5))
         assert path.nodes == (0,)
         assert not path.reached_destination
+
+    @pytest.mark.parametrize("topology", ["t1", "t2", "t3", "t4", "t7", "t8"])
+    def test_hop_counts_match_networkx_on_bundled_networks(self, topology):
+        assert_min_hop_matches_networkx(load_builtin(topology))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+        )
+    ))
+    def test_hop_counts_match_networkx_on_random_duplex_graphs(self, case):
+        # Sparse random duplex graphs fall apart into components often, so
+        # unreachable destinations are checked as well.
+        n, pairs = case
+        duplex = {(a, b) for a, b in pairs if a != b} | {(b, a) for a, b in pairs if a != b}
+        assert_min_hop_matches_networkx(build_graph(n, [(a, b, 1e7) for a, b in duplex]))
+
+
+def assert_min_hop_matches_networkx(graph):
+    """Every ordered node pair: the baseline's path is a shortest path by
+    networkx's count when the destination is reachable, and the zero-hop
+    unreached path when it is not."""
+    nx = pytest.importorskip("networkx")
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(graph.num_nodes))
+    digraph.add_edges_from((link.src, link.dst) for link in graph.iter_links())
+    for src in range(graph.num_nodes):
+        for dst in range(graph.num_nodes):
+            if src == dst:
+                continue
+            path = baseline_min_hop(graph, TrafficDemand(src, dst, 1e5))
+            if nx.has_path(digraph, src, dst):
+                assert path.reached_destination
+                assert (path.nodes[0], path.nodes[-1]) == (src, dst)
+                check_path(graph, path)
+                assert path.hop_count == nx.shortest_path_length(digraph, src, dst)
+            else:
+                assert path.nodes == (src,)
+                assert not path.reached_destination
 
 
 class TestCompareBaseline:
@@ -280,6 +345,34 @@ class TestCli:
         path = tmp_path / "demands.json"
         path.write_text(json.dumps([{"src": 0, "dst": 2, "traffic_bps": 1e5}]))
         return str(path)
+
+    def test_lossy_run_writes_the_library_report(self, tmp_path, capsys):
+        # --loss-mode sets ExperimentConfig.loss_mode; messages without
+        # aggregation then count the hops attempted, fewer than planned
+        # where the packet was lost.
+        demands = [TrafficDemand(0, 3, 2e5), TrafficDemand(0, 4, 3e5), TrafficDemand(1, 4, 5e5)]
+        demand_file = tmp_path / "demands.json"
+        demand_file.write_text(json.dumps(
+            [{"src": d.src, "dst": d.dst, "traffic_bps": d.traffic} for d in demands]
+        ))
+        code = main([
+            "run", "--topology", "t2", "--demands", str(demand_file),
+            "--loss-mode", "bernoulli", "--out", str(tmp_path / "cli"),
+        ])
+        assert code == 0
+        report = run_sequence(ExperimentConfig(topology="t2", demands=demands, loss_mode="bernoulli"))
+        emit_reports(report, tmp_path / "library")
+        written = (tmp_path / "cli" / "report.json").read_bytes()
+        assert written == (tmp_path / "library" / "report.json").read_bytes()
+        entries = json.loads(written)["demands"]
+        for entry, outcome in zip(entries, report.outcomes, strict=True):
+            assert entry["messages_without_aggregation"] == 2 * outcome.attempted_hops
+        attempted = sum(o.attempted_hops for o in report.outcomes)
+        assert attempted < sum(sum(o.temp_path_lengths) for o in report.outcomes)
+
+    def test_unknown_loss_mode_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["run", "--topology", "t8", "--loss-mode", "sometimes"])
 
     def test_run_uses_bundled_demands_for_t8(self, capsys):
         code = main(["run", "--topology", "t8", "--weights", "0,0,0,1,1", "--episodes", "75"])

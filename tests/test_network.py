@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlroute.network import (
     LinkState,
@@ -14,6 +16,7 @@ from rlroute.network import (
     TrafficDemand,
     build_graph,
     check_path,
+    demands_from_list,
     graph_from_dict,
     graph_to_dict,
     load_topology,
@@ -27,6 +30,67 @@ T1_LINKS = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0)]
 
 def t1():
     return build_graph(5, [(s, d, 10e6, 0.0, 0.95) for s, d in T1_LINKS])
+
+
+# What json.load can return: nested lists and objects over every JSON scalar,
+# with NaN, the infinities and integers of any size. Small integers and the
+# schema's own keys make documents that get past the first checks common.
+SCHEMA_KEYS = [
+    "nodes", "links", "id", "processing_rate_bps", "src", "dst",
+    "max_bandwidth_bps", "used_bandwidth_bps", "reliability", "traffic_bps",
+]
+edge_numbers = st.sampled_from(
+    [2**1024, -(10**400), float("nan"), float("inf"), float("-inf"), -1, 0, -0.0, 1.5, True]
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-1, max_value=3),
+    st.integers(),
+    edge_numbers,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3), children, max_size=6),
+    max_leaves=40,
+)
+entries = st.dictionaries(st.sampled_from(SCHEMA_KEYS), json_scalars, max_size=6)
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A valid topology document or demand list, with one to three fields
+    of its entries overwritten by arbitrary JSON scalars."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    node_ids = st.integers(min_value=0, max_value=n - 1)
+    nodes = [{"id": i, "processing_rate_bps": draw(st.floats(1e3, 1e9))} for i in range(n)]
+    pairs = draw(st.lists(
+        st.tuples(node_ids, node_ids).filter(lambda p: p[0] != p[1]), unique=True, max_size=6
+    ))
+    links = [
+        {
+            "src": a,
+            "dst": b,
+            "max_bandwidth_bps": draw(st.floats(1.0, 1e9)),
+            "used_bandwidth_bps": draw(st.floats(0.0, 1e9)),
+            "reliability": draw(st.floats(0.0, 1.0)),
+        }
+        for a, b in pairs
+    ]
+    demands = [
+        {"src": a, "dst": b, "traffic_bps": draw(st.floats(1.0, 1e9))} for a, b in pairs[:3]
+    ]
+    if draw(st.booleans()):
+        document, rows = {"nodes": nodes, "links": links}, nodes + links
+    else:
+        document, rows = demands, demands
+    for _ in range(draw(st.integers(min_value=1, max_value=3)) if rows else 0):
+        entry = draw(st.sampled_from(rows))
+        entry[draw(st.sampled_from(list(entry)))] = draw(edge_numbers | json_scalars)
+    return document
 
 
 class TestValidation:
@@ -243,6 +307,29 @@ class TestTopologyDocuments:
 
     def test_builtin_t1_matches_construction(self):
         assert load_builtin("t1") == t1()
+
+
+class TestLoaderFuzz:
+    # Anything json.load returns is either accepted or refused with a
+    # TopologyError that names the field; no other exception escapes.
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values | st.lists(entries, max_size=4))
+    def test_arbitrary_json_is_accepted_or_refused(self, document):
+        accepted_or_refused(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_documents())
+    def test_corrupted_documents_are_accepted_or_refused(self, document):
+        accepted_or_refused(document)
+
+
+def accepted_or_refused(document):
+    for load in (graph_from_dict, lambda doc: demands_from_list(doc, "demands.json")):
+        try:
+            load(document)
+        except TopologyError:
+            pass
 
 
 class TestDemandFiles:

@@ -1,11 +1,13 @@
 """The learner's hot path against the per-hop reference forms in reference.py.
 
-Per-demand link scores, link-indexed Q-tables and CSR selection must give
-exactly what per-hop QoS snapshots, record-based composite rewards and a
-dense NaN-masked table give: equal bits, not approximately equal values.
+Per-demand link scores (repeated episodes served from their memo),
+link-indexed Q-tables and CSR selection must give exactly what per-hop QoS
+snapshots, record-based composite rewards and a dense NaN-masked table
+give: equal bits, not approximately equal values.
 """
 
 import random
+from dataclasses import replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import reference
 from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import Hyperparameters, QTable, find_temp_path, update_table
-from rlroute.network import NodeState, TrafficDemand, build_graph
+from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
     RewardRecord,
@@ -22,6 +24,7 @@ from rlroute.rewards import (
     local_rewards_for_path,
     make_weights,
 )
+from rlroute.topologies import load_builtin
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 weight_sets = st.builds(make_weights, *[st.floats(min_value=0.0, max_value=5.0)] * 5)
@@ -98,12 +101,57 @@ class TestLinkScores:
         assert result.lost == records[-1].has_lost
 
         scores = link_scores(graph, weights, demand)
-        assert exact(local_rewards_for_path(result, scores)) == exact(
-            reference.local_rewards_for_path(records, weights, demand)
+        expected_local = exact(reference.local_rewards_for_path(records, weights, demand))
+        expected_global = exact(reference.global_rewards_for_path(records, DEFAULT_WEIGHTS))
+        # A repeated episode, scored from the demand's memo, gets the same
+        # bits as the first; an equal result is a repeat too.
+        for again in (result, replace(result)):
+            assert exact(local_rewards_for_path(again, scores)) == expected_local
+            assert exact(global_rewards_for_path(again, scores)) == expected_global
+
+    @settings(max_examples=100, deadline=None)
+    @given(networks(), weight_sets, seeds, st.booleans())
+    def test_lost_and_clean_runs_of_one_path_score_apart(self, network, weights, seed, lost_first):
+        # Same hops, different loss flag: each result gets its own rewards,
+        # whichever the demand's scores saw first.
+        graph, demand = network
+        path = find_temp_path(
+            demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6), graph,
+            random.Random(seed),
         )
-        assert exact(global_rewards_for_path(result, scores)) == exact(
+        assume(path.hop_count > 0)
+        clean = execute_path(graph, path, demand)
+        lost = replace(clean, lost=True)
+        clean_records = reference.execute_path(graph, path)
+        lost_records = clean_records[:-1] + (replace(clean_records[-1], has_lost=True),)
+        scores = link_scores(graph, weights, demand)
+        cases = [(clean, clean_records), (lost, lost_records)]
+        for result, records in cases[::-1] if lost_first else cases:
+            assert exact(local_rewards_for_path(result, scores)) == exact(
+                reference.local_rewards_for_path(records, weights, demand)
+            )
+            assert exact(global_rewards_for_path(result, scores)) == exact(
+                reference.global_rewards_for_path(records, DEFAULT_WEIGHTS)
+            )
+
+    def test_scores_read_loads_placed_after_the_graph_was_first_scored(self):
+        # The graph keeps its load-free terms from the first scoring; the
+        # loads placed after it must still reach the next demand's scores.
+        graph = load_builtin("t2")
+        demand = TrafficDemand(0, 3, 2e6)
+        path = RoutePath((0, 1, 3), True)
+        before = link_scores(graph, DEFAULT_WEIGHTS, demand)
+        place_traffic(graph, path, demand)
+        after = link_scores(graph, DEFAULT_WEIGHTS, demand)
+        result = execute_path(graph, path, demand)
+        records = reference.execute_path(graph, path)
+        assert exact(local_rewards_for_path(result, after)) == exact(
+            reference.local_rewards_for_path(records, DEFAULT_WEIGHTS, demand)
+        )
+        assert exact(global_rewards_for_path(result, after)) == exact(
             reference.global_rewards_for_path(records, DEFAULT_WEIGHTS)
         )
+        assert local_rewards_for_path(result, before) != local_rewards_for_path(result, after)
 
 
 class TestSelection:
