@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .network import NetworkGraph, RoutePath, TrafficDemand
+from .network import NetworkGraph, RoutePath
 
 
 class LossModel:
@@ -64,22 +64,15 @@ class ExecutionResult:
 def execute_path(
     graph: NetworkGraph,
     path: RoutePath,
-    demand: TrafficDemand,
     loss: Optional[LossModel] = None,
 ) -> ExecutionResult:
     """Attempt a path hop by hop, consulting the loss model at each hop.
     Stops early if it drops the packet; the losing hop is kept as the last
     record and the result is flagged lost. A path using a link the graph
     lacks raises KeyError before any hop is attempted."""
-    index = graph.link_index()
-    nodes = path.nodes
-    try:
-        records = tuple(map(index.ids.__getitem__, zip(nodes, nodes[1:])))
-    except KeyError as exc:
-        src, dst = exc.args[0]
-        raise KeyError(f"no link ({src},{dst}) in graph") from None
+    records = graph.link_ids(path.nodes)
     if loss is not None and loss.mode != "off":
-        links = index.links
+        links = graph.link_index().links
         for hop, k in enumerate(records, start=1):
             if loss.packet_lost(links[k].reliability):
                 return ExecutionResult(records[:hop], lost=True)
@@ -94,5 +87,5 @@ class DataPlane:
         self.graph = graph
         self.loss = loss if loss is not None else LossModel("off")
 
-    def execute(self, path: RoutePath, demand: TrafficDemand) -> ExecutionResult:
-        return execute_path(self.graph, path, demand, self.loss)
+    def execute(self, path: RoutePath) -> ExecutionResult:
+        return execute_path(self.graph, path, self.loss)

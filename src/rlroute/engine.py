@@ -8,9 +8,9 @@ The learner differs from textbook SARSA in three ways:
    updating after every step, because no later update can touch an earlier
    pair's q_next read.
 2. Dual tables: action selection uses a per-demand local table (user
-   weights); a persistent global table, where the caller keeps one, is
-   updated alongside with framework default weights and can seed future
-   local tables.
+   weights); a persistent global table, where the caller keeps one, seeds
+   each demand's local table and is updated alongside with framework
+   default weights.
 3. Failure penalties accumulate: the last action of an episode that failed
    (packet lost, or never reached the destination) gets its raw penalty
    ADDED to the entry instead of a SARSA update, so repeated failures sink
@@ -101,9 +101,10 @@ class QTable:
         self.q = q
 
     @classmethod
-    def for_graph(cls, graph: NetworkGraph, fill: float = 0.0) -> "QTable":
+    def for_graph(cls, graph: NetworkGraph) -> "QTable":
+        """A table holding 0 for every link of graph."""
         index = graph.link_index()
-        return cls(index, [fill] * len(index.targets))
+        return cls(index, [0.0] * len(index.targets))
 
     def link_id(self, state: int, action: int) -> int:
         try:
@@ -169,19 +170,13 @@ class RouteResult:
     traces: list[EpisodeTrace]
 
 
-def init_local_table(
-    graph: NetworkGraph,
-    global_table: Optional[QTable] = None,
-    use_global: bool = False,
-) -> QTable:
-    """Fresh local table: a deep copy of the global table when use_global,
+def init_local_table(graph: NetworkGraph, global_table: Optional[QTable] = None) -> QTable:
+    """Fresh local table: a deep copy of global_table when one is given,
     otherwise 0 for every link of the graph."""
-    if use_global:
-        if global_table is None:
-            raise ValueError("use_global requires a global table")
-        _same_links(global_table, graph)
-        return global_table.copy()
-    return QTable.for_graph(graph)
+    if global_table is None:
+        return QTable.for_graph(graph)
+    _same_links(global_table, graph)
+    return global_table.copy()
 
 
 def find_temp_path(
@@ -214,16 +209,12 @@ def find_temp_path(
         out = range(offsets[current], offsets[current + 1])
         chosen = -1
         if explore:
-            candidates = [k for k in out if targets[k] not in visited]
-            if not candidates:
-                break
-            if rng.random() < epsilon:
-                chosen = candidates[rng.randrange(len(candidates))]
-            else:
-                # max keeps the first of equal values: ties go to the lowest id.
-                chosen = max(candidates, key=q.__getitem__)
-        else:
-            # The same greedy choice without building the candidate list.
+            out = [k for k in out if targets[k] not in visited]
+            if out and rng.random() < epsilon:
+                chosen = out[rng.randrange(len(out))]
+        if chosen < 0:
+            # Greedy: strict > keeps the first of equal values, so ties go
+            # to the lowest id.
             for k in out:
                 if targets[k] not in visited and (chosen < 0 or q[k] > best):
                     chosen, best = k, q[k]
@@ -293,7 +284,6 @@ def find_route(
     global_table: Optional[QTable],
     weights: Optional[QoSWeights] = None,
     hyper: Optional[Hyperparameters] = None,
-    use_global: bool = False,
     rng: Optional[random.Random] = None,
     global_hyper: Optional[Hyperparameters] = None,
 ) -> RouteResult:
@@ -301,15 +291,14 @@ def find_route(
 
     Runs hyper.episodes episodes of: select temp path -> execute on the data
     plane -> score local rewards (caller weights) -> update the local table.
-    The local table starts fresh or as a deep copy of global_table
-    (use_global). With a global table, each episode also scores global
+    A given global_table is the knowledge reused across demands: the local
+    table starts as a deep copy of it, and each episode also scores global
     rewards (framework default weights) right after the local ones and
-    updates global_table in place after the local table; global_table is the
-    knowledge reused by later runs. Without one (None), nothing global is
-    scored or kept. Global updates use the framework default hyperparameters
-    unless global_hyper overrides them; per-demand customization (weights,
-    hyper) touches only the local table. Returns the greedy final path plus
-    per-episode traces.
+    updates global_table in place after the local table. With None the local
+    table starts at 0 and nothing global is scored or kept. Global updates
+    use the framework default hyperparameters unless global_hyper overrides
+    them; per-demand customization (weights, hyper) touches only the local
+    table. Returns the greedy final path plus per-episode traces.
     """
     graph = env.graph
     if not (graph.has_node(demand.src) and graph.has_node(demand.dst)):
@@ -320,14 +309,14 @@ def find_route(
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
     global_hyper = DEFAULT_HYPERPARAMETERS if global_hyper is None else global_hyper
 
-    local_table = init_local_table(graph, global_table, use_global)
+    local_table = init_local_table(graph, global_table)
     # Executing paths never changes the graph, so one demand's reward terms
     # are fixed for all of its episodes.
     scores = link_scores(graph, weights, demand)
     traces: list[EpisodeTrace] = []
     for episode in range(1, hyper.episodes + 1):
         temp_path = find_temp_path(demand, local_table, hyper, graph, rng)
-        result = env.execute(temp_path, demand)
+        result = env.execute(temp_path)
         local_rewards = local_rewards_for_path(result, scores)
         if global_table is None:
             update_table(local_table, local_rewards, hyper)

@@ -199,7 +199,6 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
                 global_table,
                 weights=config.weights,
                 hyper=config.hyper,
-                use_global=config.use_global,
                 rng=rng,
                 global_hyper=global_hyper,
             )

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from math import isfinite
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
@@ -141,19 +143,33 @@ class LinkIndex:
     links: list[LinkState] = field(compare=False)
 
 
+class MissingLinkError(KeyError):
+    """A node pair that is not a link of the graph."""
+
+    def __init__(self, src: int, dst: int):
+        super().__init__(f"no link ({src},{dst}) in graph")
+        self.src, self.dst = src, dst
+
+
 class NetworkGraph:
-    """Directed graph of NodeState / LinkState with ascending-id adjacency.
+    """Directed graph of NodeState / LinkState.
 
     Node ids are dense 0..N-1. At most one link exists per ordered (src, dst)
-    pair. Construct through build_graph or load_topology.
+    pair. The links are held once, in the graph's LinkIndex, numbered at
+    construction. Construct through build_graph or load_topology.
     """
 
     def __init__(self, nodes: list[NodeState], links: dict[tuple[int, int], LinkState]):
         self._nodes = nodes
-        self._links = links
-        self._out: list[list[int]] = [[] for _ in nodes]
-        for src, dst in sorted(links):
-            self._out[src].append(dst)
+        keys = sorted(links)
+        sources = [src for src, _ in keys]
+        self._index = LinkIndex(
+            offsets=[bisect_left(sources, u) for u in range(len(nodes) + 1)],
+            targets=[dst for _, dst in keys],
+            sources=sources,
+            ids={key: k for k, key in enumerate(keys)},
+            links=[links[key] for key in keys],
+        )
         self._cache: dict = {}
 
     @property
@@ -171,28 +187,34 @@ class NetworkGraph:
         return 0 <= node_id < len(self._nodes)
 
     def has_link(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._links
+        return (src, dst) in self._index.ids
 
     def link(self, src: int, dst: int) -> LinkState:
+        return self._index.links[self.link_ids((src, dst))[0]]
+
+    def link_ids(self, nodes: Sequence[int]) -> tuple[int, ...]:
+        """The ids of the links joining consecutive nodes, in order. Raises
+        MissingLinkError, a KeyError, naming the first pair with no link."""
+        ids = self._index.ids
         try:
-            return self._links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link ({src},{dst}) in graph") from None
+            return tuple(map(ids.__getitem__, zip(nodes, nodes[1:])))
+        except KeyError as exc:
+            raise MissingLinkError(*exc.args[0]) from None
 
     def out_neighbors(self, node_id: int) -> list[int]:
         """Next-hop candidates from node_id, in ascending id order."""
-        return self._out[node_id]
+        offsets = self._index.offsets
+        return self._index.targets[offsets[node_id]:offsets[node_id + 1]]
 
     def link_index(self) -> LinkIndex:
-        """The link numbering that Q-tables and reward scores share. Built
-        on first use rather than at construction, so loading a topology
-        does not pay for it."""
-        return self.cached(_build_link_index)
+        """The graph's links and their numbering, which Q-tables and reward
+        scores share. Built with the graph: its link set never changes."""
+        return self._index
 
     def cached(self, build: Callable[["NetworkGraph"], _T]) -> _T:
         """build(self), computed on the first call and kept for the graph's
         lifetime. build itself is the key, so pass a module-level function,
-        not a fresh lambda.
+        not a fresh lambda; rewards.FixedTerms is built this way.
 
         Only for what depends on nothing but the fixed part of the graph:
         its link set, link capacities and reliabilities and node processing
@@ -207,42 +229,23 @@ class NetworkGraph:
             return value
 
     def iter_links(self) -> Iterator[LinkState]:
-        """All links in (src, dst) order; the canonical iteration order."""
-        for key in sorted(self._links):
-            yield self._links[key]
+        """All links in id order, which is (src, dst) order."""
+        return iter(self._index.links)
 
     def copy(self) -> "NetworkGraph":
-        nodes = [NodeState(n.node_id, n.processing_rate, n.incoming_traffic) for n in self._nodes]
-        links = {
-            key: LinkState(l.src, l.dst, l.max_bandwidth, l.used_bandwidth, l.reliability)
-            for key, l in self._links.items()
-        }
-        return NetworkGraph(nodes, links)
+        links = {(l.src, l.dst): replace(l) for l in self._index.links}
+        return NetworkGraph([replace(n) for n in self._nodes], links)
 
     def max_link_utilization(self) -> float:
-        return max((l.utilization for l in self._links.values()), default=0.0)
+        return max((l.utilization for l in self._index.links), default=0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkGraph):
             return NotImplemented
-        return self._nodes == other._nodes and self._links == other._links
+        return self._nodes == other._nodes and self._index.links == other._index.links
 
     def __repr__(self) -> str:
-        return f"NetworkGraph(nodes={len(self._nodes)}, links={len(self._links)})"
-
-
-def _build_link_index(graph: NetworkGraph) -> LinkIndex:
-    keys = sorted(graph._links)
-    offsets = [0]
-    for dsts in graph._out:
-        offsets.append(offsets[-1] + len(dsts))
-    return LinkIndex(
-        offsets=offsets,
-        targets=[dst for _, dst in keys],
-        sources=[src for src, _ in keys],
-        ids={key: k for k, key in enumerate(keys)},
-        links=[graph._links[key] for key in keys],
-    )
+        return f"NetworkGraph(nodes={len(self._nodes)}, links={len(self._index.links)})"
 
 
 LinkSpec = Union[LinkState, tuple]
@@ -251,20 +254,20 @@ LinkSpec = Union[LinkState, tuple]
 def build_graph(
     nodes: Union[int, Iterable[NodeState]],
     links: Iterable[LinkSpec] = (),
-    default_processing_rate: float = DEFAULT_PROCESSING_RATE,
 ) -> NetworkGraph:
     """Build a validated NetworkGraph.
 
-    nodes: either a node count (every node gets default_processing_rate) or
+    nodes: either a node count (every node gets DEFAULT_PROCESSING_RATE) or
     an iterable of NodeState with dense ids 0..N-1.
     links: LinkState instances or tuples (src, dst, max_bw[, used_bw[, reliability]]).
 
     Each node's incoming_traffic is initialized as the sum of used bandwidth
     over its inbound links; any incoming_traffic on the given NodeStates is
-    overwritten (it is a derived quantity).
+    overwritten (it is a derived quantity). Finite loads can still overflow:
+    TopologyError when incoming / processing rate or used / max is not finite.
     """
     if isinstance(nodes, int):
-        node_list = [NodeState(i, default_processing_rate) for i in range(nodes)]
+        node_list = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(nodes)]
     else:
         node_list = sorted(list(nodes), key=lambda n: n.node_id)
         ids = [n.node_id for n in node_list]
@@ -285,22 +288,28 @@ def build_graph(
         link_map[key] = link
 
     graph = NetworkGraph(node_list, link_map)
-    _recompute_incoming(graph)
+    for node in node_list:
+        node.incoming_traffic = 0.0
+    for link in graph.iter_links():
+        node_list[link.dst].incoming_traffic += link.used_bandwidth
+        if not isfinite(link.utilization):
+            raise TopologyError(f"link ({link.src},{link.dst}): used / max bandwidth overflows")
+    for node in node_list:
+        if not isfinite(node.incoming_traffic / node.processing_rate):
+            raise TopologyError(
+                f"node {node.node_id}: incoming traffic {node.incoming_traffic} / rate overflows"
+            )
     return graph
 
 
-def _recompute_incoming(graph: NetworkGraph) -> None:
-    for node in graph.nodes:
-        node.incoming_traffic = 0.0
-    for link in graph.iter_links():
-        graph.node(link.dst).incoming_traffic += link.used_bandwidth
-
-
-def check_path(graph: NetworkGraph, path: RoutePath) -> None:
-    """Raise ValueError unless every consecutive pair of path is a graph link."""
-    for src, dst in path.links():
-        if not graph.has_link(src, dst):
-            raise ValueError(f"path {list(path.nodes)} uses missing link ({src},{dst})")
+def check_path(graph: NetworkGraph, path: RoutePath) -> tuple[int, ...]:
+    """The ids of path's links; ValueError unless every consecutive pair of
+    path is a graph link."""
+    try:
+        return graph.link_ids(path.nodes)
+    except MissingLinkError as exc:
+        missing = f"({exc.src},{exc.dst})"
+        raise ValueError(f"path {list(path.nodes)} uses missing link {missing}") from None
 
 
 def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -> NetworkGraph:
@@ -309,7 +318,7 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
     demand's rate. The path must be valid in graph, must have reached its
     destination, and must connect the demand's endpoints.
     """
-    check_path(graph, path)
+    link_ids = check_path(graph, path)
     if not path.reached_destination:
         raise ValueError("refusing to place traffic on a path that did not reach its destination")
     if path.nodes[0] != demand.src or path.nodes[-1] != demand.dst:
@@ -317,8 +326,9 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
             f"path {list(path.nodes)} does not connect demand "
             f"{demand.src}->{demand.dst}"
         )
-    for src, dst in path.links():
-        graph.link(src, dst).used_bandwidth += demand.traffic
+    links = graph.link_index().links
+    for k in link_ids:
+        links[k].used_bandwidth += demand.traffic
     for node_id in path.nodes[1:]:
         graph.node(node_id).incoming_traffic += demand.traffic
     return graph

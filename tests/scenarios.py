@@ -1,4 +1,5 @@
-"""Small graphs that put one hop in a chosen QoS state, for reward tests."""
+"""Small graphs that put one hop in a chosen QoS state, for reward tests,
+and topology documents whose finite loads overflow once derived."""
 
 from dataclasses import replace
 
@@ -39,8 +40,43 @@ def chain_rewards(
     if incoming is not None:
         graph.node(hops).incoming_traffic = incoming
     demand = TrafficDemand(0, hops, traffic)
-    result = execute_path(graph, RoutePath(tuple(range(hops + 1)), True), demand)
+    result = execute_path(graph, RoutePath(tuple(range(hops + 1)), True))
     if lost:
         result = replace(result, lost=True)
     scores = link_scores(graph, weights, demand)
     return local_rewards_for_path(result, scores), global_rewards_for_path(result, scores)
+
+
+def _nodes(*rates):
+    return [{"id": i, "processing_rate_bps": rate} for i, rate in enumerate(rates)]
+
+
+def _link(src, dst, max_bw, used):
+    return {"src": src, "dst": dst, "max_bandwidth_bps": max_bw, "used_bandwidth_bps": used}
+
+
+# Each entry: a document of finite numbers, a demand it can route, and the
+# error build_graph must raise for the derived value that overflows.
+OVERFLOWING_TOPOLOGIES = {
+    # Two inbound links at 1e308 sum to inf incoming traffic at node 2.
+    "incoming": (
+        {"nodes": _nodes(1e8, 1e8, 1e8),
+         "links": [_link(0, 1, 1e7, 0.0), _link(0, 2, 1e7, 1e308), _link(1, 2, 1e7, 1e308)]},
+        (0, 2),
+        r"node 2: incoming traffic inf / rate overflows",
+    ),
+    # Finite incoming traffic over a tiny processing rate.
+    "intensity": (
+        {"nodes": _nodes(1e8, 1e-300, 1e8),
+         "links": [_link(0, 1, 1e11, 1e10), _link(1, 2, 1e7, 0.0), _link(0, 2, 1e7, 0.0)]},
+        (0, 2),
+        r"node 1: incoming traffic 10000000000.0 / rate overflows",
+    ),
+    # A load over a tiny capacity.
+    "utilization": (
+        {"nodes": _nodes(1e8, 1e8, 1e8),
+         "links": [_link(0, 1, 1e-300, 1e10), _link(1, 2, 1e7, 0.0), _link(0, 2, 1e7, 0.0)]},
+        (0, 2),
+        r"link \(0,1\): used / max bandwidth overflows",
+    ),
+}

@@ -67,10 +67,9 @@ def t8_traces():
     """The same sequential run driven at engine level, keeping every episode."""
     graph = resolve_topology("t8")
     plane = DataPlane(graph)
-    global_table = QTable.for_graph(graph)
     results = []
     for demand in builtin_demands("t8"):
-        result = find_route(demand, plane, global_table, weights=T8_WEIGHTS)
+        result = find_route(demand, plane, None, weights=T8_WEIGHTS)
         results.append(result)
         if result.final_path.reached_destination:
             place_traffic(graph, result.final_path, demand)

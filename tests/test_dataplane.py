@@ -6,7 +6,7 @@ from reference import execute_path as reference_execute_path
 from reference import snapshot_qos
 from rlroute.dataplane import DataPlane, LossModel, execute_path
 from rlroute.engine import EpisodeTrace
-from rlroute.network import RoutePath, TrafficDemand, build_graph
+from rlroute.network import RoutePath, build_graph
 from rlroute.topologies import load_builtin
 
 
@@ -54,7 +54,7 @@ class TestExecutePath:
     def test_full_delivery(self):
         graph = chain_graph()
         path = RoutePath((0, 1, 2, 3), True)
-        result = execute_path(graph, path, TrafficDemand(0, 3, 1e5))
+        result = execute_path(graph, path)
         assert not result.lost
         assert attempted(graph, result) == [(0, 1), (1, 2), (2, 3)]
         assert messages(path, result) == (4, 6)
@@ -64,7 +64,7 @@ class TestExecutePath:
         # the path itself stops short of the destination.
         graph = chain_graph()
         path = RoutePath((0, 1, 2))
-        result = execute_path(graph, path, TrafficDemand(0, 3, 1e5))
+        result = execute_path(graph, path)
         assert not path.reached_destination
         assert attempted(graph, result) == path.links()
         assert not result.lost
@@ -72,12 +72,12 @@ class TestExecutePath:
     def test_execution_never_mutates_graph(self):
         graph = chain_graph()
         before = graph.copy()
-        execute_path(graph, RoutePath((0, 1, 2, 3), True), TrafficDemand(0, 3, 1e5))
+        execute_path(graph, RoutePath((0, 1, 2, 3), True))
         assert graph == before
 
     def test_zero_hop_path(self):
         path = RoutePath((0,))
-        result = execute_path(chain_graph(), path, TrafficDemand(0, 3, 1e5))
+        result = execute_path(chain_graph(), path)
         assert result.records == ()
         assert not result.lost
         assert messages(path, result) == (1, 0)
@@ -88,7 +88,7 @@ class TestExecutePath:
         # consulted, so a bad path never draws from it.
         loss, untouched = LossModel(mode, seed=0), LossModel(mode, seed=0)
         with pytest.raises(KeyError, match=r"no link \(2,0\) in graph"):
-            execute_path(chain_graph(), RoutePath((1, 2, 0)), TrafficDemand(1, 0, 1e5), loss)
+            execute_path(chain_graph(), RoutePath((1, 2, 0)), loss)
         draws = [loss.packet_lost(0.5) for _ in range(32)]
         assert draws == [untouched.packet_lost(0.5) for _ in range(32)]
 
@@ -111,9 +111,7 @@ class TestLoss:
         # Reliability 0 on the second link forces the drop at hop 2.
         graph = build_graph(4, [(0, 1, 1e7, 0, 1.0), (1, 2, 1e7, 0, 0.0), (2, 3, 1e7, 0, 1.0)])
         path = RoutePath((0, 1, 2, 3), True)
-        result = execute_path(
-            graph, path, TrafficDemand(0, 3, 1e5), loss=LossModel("bernoulli", seed=7)
-        )
+        result = execute_path(graph, path, loss=LossModel("bernoulli", seed=7))
         assert attempted(graph, result) == [(0, 1), (1, 2)]
         assert result.lost
         # Counts follow the two attempted hops, not the path's three.
@@ -124,9 +122,7 @@ class TestLoss:
         path = RoutePath((0, 1, 2), True)
         outcomes = set()
         for seed in range(50):
-            result = execute_path(
-                graph, path, TrafficDemand(0, 2, 1e5), loss=LossModel("bernoulli", seed=seed)
-            )
+            result = execute_path(graph, path, loss=LossModel("bernoulli", seed=seed))
             # The attempted hops are a prefix of the path; delivery stops at
             # the lost hop, so only a lost execution may end early.
             hops = attempted(graph, result)
@@ -145,7 +141,7 @@ class TestDataPlane:
     def test_wraps_graph_and_loss(self):
         graph = chain_graph()
         env = DataPlane(graph)
-        result = env.execute(RoutePath((0, 1, 2, 3), True), TrafficDemand(0, 3, 1e5))
+        result = env.execute(RoutePath((0, 1, 2, 3), True))
         assert attempted(graph, result) == [(0, 1), (1, 2), (2, 3)]
         assert not result.lost
         assert env.graph is graph

@@ -143,23 +143,21 @@ class TestInitLocalTable:
     def test_global_copy_is_entry_for_entry_equal(self):
         graph = load_builtin("t2")
         global_table = table_from(graph, GLOBAL_T2)
-        local = init_local_table(graph, global_table, use_global=True)
+        local = init_local_table(graph, global_table)
         for (s, a), v in GLOBAL_T2.items():
             assert local.get(s, a) == v
 
     def test_global_copy_is_independent(self):
         graph = load_builtin("t2")
         global_table = table_from(graph, GLOBAL_T2)
-        local = init_local_table(graph, global_table, use_global=True)
+        local = init_local_table(graph, global_table)
         local.set(0, 1, 123.0)
         assert global_table.get(0, 1) == GLOBAL_T2[(0, 1)]
 
     def test_use_global_requires_matching_table(self):
         graph = load_builtin("t1")
         with pytest.raises(ValueError):
-            init_local_table(graph, None, use_global=True)
-        with pytest.raises(ValueError):
-            init_local_table(graph, QTable.for_graph(load_builtin("t4")), use_global=True)
+            init_local_table(graph, QTable.for_graph(load_builtin("t4")))
 
 
 class TestFindTempPath:
@@ -492,7 +490,7 @@ class TestFindFinalPath:
         # from it must make the same greedy first move.
         graph = load_builtin("t2")
         global_table = table_from(graph, GLOBAL_T2)
-        local = init_local_table(graph, global_table, use_global=True)
+        local = init_local_table(graph, global_table)
         path = find_final_path(TrafficDemand(0, 3, 1e5), local, DEFAULT_HYPERPARAMETERS, graph)
         assert path.nodes[1] == 2
 

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlroute import engine
+from rlroute import engine, harness
 from rlroute.cli import main
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
 from rlroute.harness import (
@@ -26,6 +27,7 @@ from rlroute.harness import (
 from rlroute.network import TrafficDemand, build_graph, check_path
 from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
+from scenarios import OVERFLOWING_TOPOLOGIES
 
 UTIL_ONLY = make_weights(0, 0, 0, 0, 1)
 
@@ -263,6 +265,42 @@ class TestCompareBaseline:
         summary = comparison.to_dict()["max_link_utilization"]
         assert summary["learned"] <= summary["baseline"]
 
+    def test_harness_layers_are_called_once_per_demand(self, monkeypatch):
+        # The benchmark's tracer times the harness by replacing these module
+        # globals, so compare_baseline must keep calling each of them by
+        # name: one topology load per router, per demand one learned route,
+        # one convergence check and one baseline route, and one placement
+        # per routed path of either router.
+        calls = {}
+
+        def wrap(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in (
+            "resolve_topology", "find_route", "place_traffic", "detect_convergence",
+            "baseline_min_hop",
+        ):
+            monkeypatch.setattr(harness, name, wrap(name, getattr(harness, name)))
+        demands = builtin_demands("t7")
+        comparison = compare_baseline(
+            ExperimentConfig(topology="t7", demands=demands, weights=UTIL_ONLY)
+        )
+        routed = sum(o.routed for o in comparison.learned.outcomes) + sum(
+            path.reached_destination for _, path in comparison.baseline_paths
+        )
+        assert routed > 0
+        assert calls == {
+            "resolve_topology": 2,
+            "find_route": len(demands),
+            "detect_convergence": len(demands),
+            "baseline_min_hop": len(demands),
+            "place_traffic": routed,
+        }
+
 
 class TestEmitReports:
     def run_t3(self):
@@ -416,6 +454,25 @@ class TestCli:
         bad.write_text('{"nodes": [], "links": [{"src": 0, "dst": 1}]}')
         assert main(["validate-topology", "--topology", str(bad)]) == 1
         assert "invalid topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TOPOLOGIES))
+    def test_overflowing_loads_rejected_before_routing(self, name, tmp_path, capsys, monkeypatch):
+        document, (src, dst), message = OVERFLOWING_TOPOLOGIES[name]
+        topology = tmp_path / "net.json"
+        topology.write_text(json.dumps(document))
+        assert main(["validate-topology", "--topology", str(topology)]) == 1
+        captured = capsys.readouterr()
+        assert "topology ok" not in captured.out
+        assert re.search(message, captured.err)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a demand was routed")
+
+        monkeypatch.setattr(harness, "find_route", refuse)
+        demands = tmp_path / "demands.json"
+        demands.write_text(json.dumps([{"src": src, "dst": dst, "traffic_bps": 1e5}]))
+        assert main(["run", "--topology", str(topology), "--demands", str(demands)]) == 1
+        assert re.search(message, capsys.readouterr().err)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(SystemExit):

@@ -24,6 +24,7 @@ from rlroute.network import (
     save_topology,
 )
 from rlroute.topologies import builtin_demands, load_builtin, load_demands
+from scenarios import OVERFLOWING_TOPOLOGIES
 
 T1_LINKS = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0)]
 
@@ -304,6 +305,15 @@ class TestTopologyDocuments:
         text = '{"nodes": [{"id": 0, "processing_rate_bps": Infinity}], "links": []}'
         with pytest.raises(TopologyError, match=r"nodes\[0\]\.processing_rate_bps"):
             load_topology(io.StringIO(text))
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TOPOLOGIES))
+    def test_error_on_loads_that_overflow_once_derived(self, name):
+        # Every number is finite, but a node's incoming traffic, its ratio
+        # to the processing rate or a link's utilization is not; a run
+        # would fail deep in the learner on a non-finite Q-value.
+        document, _, message = OVERFLOWING_TOPOLOGIES[name]
+        with pytest.raises(TopologyError, match=message):
+            graph_from_dict(document)
 
     def test_builtin_t1_matches_construction(self):
         assert load_builtin("t1") == t1()

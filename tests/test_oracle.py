@@ -92,7 +92,7 @@ class TestLinkScores:
         )
         assume(path.hop_count > 0)
         mode = "bernoulli" if lossy else "off"
-        result = execute_path(graph, path, demand, LossModel(mode, seed))
+        result = execute_path(graph, path, LossModel(mode, seed))
         records = reference.execute_path(graph, path, LossModel(mode, seed))
         index = graph.link_index()
         assert [(index.sources[k], index.targets[k]) for k in result.records] == [
@@ -120,7 +120,7 @@ class TestLinkScores:
             random.Random(seed),
         )
         assume(path.hop_count > 0)
-        clean = execute_path(graph, path, demand)
+        clean = execute_path(graph, path)
         lost = replace(clean, lost=True)
         clean_records = reference.execute_path(graph, path)
         lost_records = clean_records[:-1] + (replace(clean_records[-1], has_lost=True),)
@@ -143,7 +143,7 @@ class TestLinkScores:
         before = link_scores(graph, DEFAULT_WEIGHTS, demand)
         place_traffic(graph, path, demand)
         after = link_scores(graph, DEFAULT_WEIGHTS, demand)
-        result = execute_path(graph, path, demand)
+        result = execute_path(graph, path)
         records = reference.execute_path(graph, path)
         assert exact(local_rewards_for_path(result, after)) == exact(
             reference.local_rewards_for_path(records, DEFAULT_WEIGHTS, demand)
@@ -224,7 +224,7 @@ class TestEpisodes:
         for _ in range(8):
             path = find_temp_path(demand, table, hyper, graph, rng)
             assert path == reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
-            result = execute_path(graph, path, demand, loss)
+            result = execute_path(graph, path, loss)
             records = reference.execute_path(graph, path, reference_loss)
             update_table(table, local_rewards_for_path(result, scores), hyper)
             update_table(global_table, global_rewards_for_path(result, scores), hyper)

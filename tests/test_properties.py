@@ -227,7 +227,7 @@ class TestMessageAccounting:
         path = find_temp_path(
             demand, table, DEFAULT_HYPERPARAMETERS, graph, rng=random.Random(seed)
         )
-        result = execute_path(graph, path, demand)
+        result = execute_path(graph, path)
         n = len(result.records)
         assert n == path.hop_count
         trace = EpisodeTrace(episode_index=1, temp_path=path, attempted_hops=n)

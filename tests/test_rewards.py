@@ -144,7 +144,7 @@ class TestRewardLists:
         """Rewards of walking nodes on a graph where 1 branches to the
         destination 2 and to the dead end 3."""
         graph = build_graph(4, [(0, 1, 10e6), (1, 2, 10e6), (1, 3, 10e6)])
-        result = execute_path(graph, RoutePath(tuple(nodes), nodes[-1] == 2), self.demand())
+        result = execute_path(graph, RoutePath(tuple(nodes), nodes[-1] == 2))
         if lost:
             result = replace(result, lost=True)
         scores = link_scores(graph, DEFAULT_WEIGHTS, self.demand())
