@@ -45,8 +45,7 @@ def _parse_weights(text: str) -> QoSWeights:
             f"--weights needs five comma-separated values wc,wt,wr,wi,wu, got {text!r}"
         )
     try:
-        wc, wt, wr, wi, wu = (float(p) for p in parts)
-        return make_weights(wc, wt, wr, wi, wu)
+        return make_weights(*map(float, parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

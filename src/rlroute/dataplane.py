@@ -27,7 +27,7 @@ class LossModel:
 
     MODES = ("off", "bernoulli")
 
-    def __init__(self, mode: str = "off", seed: Optional[int] = None):
+    def __init__(self, mode: str = "off", seed: int | str | None = None):
         if mode not in self.MODES:
             raise ValueError(f"loss mode must be one of {self.MODES}, got {mode!r}")
         self.mode = mode

@@ -29,23 +29,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from math import isfinite
-from operator import itemgetter
+from numbers import Integral
 from typing import ClassVar, Optional, Sequence
 
 from .dataplane import ControlMessages
 from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand
 from .rewards import (
     DEFAULT_WEIGHTS,
+    EpisodeRewards,
     QoSWeights,
-    RewardRecord,
     global_rewards_for_path,
     link_scores,
     local_rewards_for_path,
 )
-
-
-# A RewardRecord's (src_id, dst_id): the state and action it rewards.
-_STATE_ACTION = itemgetter(0, 1)
 
 
 class AbsentLinkError(KeyError):
@@ -78,10 +74,12 @@ class Hyperparameters:
             raise ValueError(f"alpha {self.alpha} outside (0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma} outside [0, 1]")
-        if self.ttl < 1:
-            raise ValueError(f"ttl must be >= 1, got {self.ttl}")
-        if self.episodes < 1:
-            raise ValueError(f"episodes must be >= 1, got {self.episodes}")
+        for name in ("ttl", "episodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isfinite(self.terminal_q):
+            raise ValueError(f"terminal_q must be finite, got {self.terminal_q}")
 
 
 DEFAULT_HYPERPARAMETERS = Hyperparameters()
@@ -112,9 +110,6 @@ class QTable:
         except KeyError:
             raise AbsentLinkError(f"no link ({state},{action}); Q-value is absent") from None
 
-    def has_entry(self, state: int, action: int) -> bool:
-        return (state, action) in self.index.ids
-
     def get(self, state: int, action: int) -> float:
         return self.q[self.link_id(state, action)]
 
@@ -127,9 +122,6 @@ class QTable:
             state, action = self.index.sources[k], self.index.targets[k]
             raise ValueError(f"Q-value for ({state},{action}) must be finite, got {value}")
         self.q[k] = value
-
-    def add(self, state: int, action: int, delta: float) -> None:
-        self.set(state, action, self.get(state, action) + delta)
 
     def copy(self) -> "QTable":
         return QTable(self.index, self.q.copy())
@@ -245,36 +237,30 @@ def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma:
     return (1.0 - alpha) * q_sa + alpha * (reward + gamma * q_next)
 
 
-def update_table(table: QTable, rewards: Sequence[RewardRecord], hyper: Hyperparameters) -> QTable:
+def update_table(table: QTable, rewards: EpisodeRewards, hyper: Hyperparameters) -> QTable:
     """Apply one episode's rewards to a table, in performed-action order.
 
-    Entries up to the second-to-last get the standard update, each reading
-    the CURRENT stored value of the next pair as q_next; processing in order
-    over a simple path means that read always sees the pre-episode value.
-    The last entry either bootstraps from hyper.terminal_q (success) or has
-    its penalty value added outright (failure), so failures accumulate.
+    rewards.values[i] updates q[rewards.links[i]]. Entries up to the
+    second-to-last get the standard update, each reading the CURRENT stored
+    value of the next link as q_next; processing in order over a simple path
+    means that read always sees the pre-episode value. The last entry either
+    bootstraps from hyper.terminal_q (success) or has its penalty value added
+    outright (failure), so failures accumulate.
     """
     if not rewards:
         raise ValueError("cannot update a table with an empty reward list")
-    q = table.q
-    try:
-        links = list(map(table.index.ids.__getitem__, map(_STATE_ACTION, rewards)))
-    except KeyError:
-        # Resolve again through the accessor that names the absent pair.
-        links = [table.link_id(record.src_id, record.dst_id) for record in rewards]
+    q, links, values = table.q, rewards.links, rewards.values
     alpha, gamma = hyper.alpha, hyper.gamma
-    for k, k_next, record in zip(links, links[1:], rewards):
-        if not record.action_success:
-            raise ValueError("only the last action of an episode may be failed")
-        value = sarsa_update(q[k], record.value, q[k_next], alpha, gamma)
+    for k, k_next, reward in zip(links, links[1:], values):
+        value = sarsa_update(q[k], reward, q[k_next], alpha, gamma)
         if not isfinite(value):
             table.store(k, value)  # raises, naming the pair
         q[k] = value
-    k, last = links[-1], rewards[-1]
-    if last.action_success:
-        table.store(k, sarsa_update(q[k], last.value, hyper.terminal_q, alpha, gamma))
+    k, last = links[-1], values[-1]
+    if rewards.last_ok:
+        table.store(k, sarsa_update(q[k], last, hyper.terminal_q, alpha, gamma))
     else:
-        table.store(k, q[k] + last.value)
+        table.store(k, q[k] + last)
     return table
 
 

@@ -181,7 +181,9 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
                 raise ValueError(
                     f"demand {index} ({demand.src}->{demand.dst}) references unknown node {node}"
                 )
-    env = DataPlane(graph, LossModel(config.loss_mode, seed=config.seed))
+    # Packet loss draws from a stream of its own: seeded with config.seed
+    # itself, it would repeat the exploration stream's draws.
+    env = DataPlane(graph, LossModel(config.loss_mode, seed=f"loss {config.seed}"))
     # Only a run that seeds local tables from it needs a global table.
     global_table = QTable.for_graph(graph) if config.use_global else None
     rng = random.Random(config.seed)

@@ -101,8 +101,8 @@ class TrafficDemand:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"demand src and dst must differ, got {self.src}")
-        if not self.traffic > 0:
-            raise ValueError(f"demand traffic must be > 0, got {self.traffic}")
+        if not 0 < self.traffic <= _FLOAT_MAX:
+            raise ValueError(f"demand traffic must be > 0 and finite, got {self.traffic}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,8 @@ def build_graph(
     Each node's incoming_traffic is initialized as the sum of used bandwidth
     over its inbound links; any incoming_traffic on the given NodeStates is
     overwritten (it is a derived quantity). Finite loads can still overflow:
-    TopologyError when incoming / processing rate or used / max is not finite.
+    TopologyError when incoming / processing rate or used / max is not
+    finite, or when a link's global reward at these loads is not.
     """
     if isinstance(nodes, int):
         node_list = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(nodes)]
@@ -292,13 +293,20 @@ def build_graph(
         node.incoming_traffic = 0.0
     for link in graph.iter_links():
         node_list[link.dst].incoming_traffic += link.used_bandwidth
-        if not isfinite(link.utilization):
-            raise TopologyError(f"link ({link.src},{link.dst}): used / max bandwidth overflows")
-    for node in node_list:
-        if not isfinite(node.incoming_traffic / node.processing_rate):
+    intensity = [node.incoming_traffic / node.processing_rate for node in node_list]
+    for node, ratio in zip(node_list, intensity):
+        if not isfinite(ratio):
             raise TopologyError(
                 f"node {node.node_id}: incoming traffic {node.incoming_traffic} / rate overflows"
             )
+    for link in graph.iter_links():
+        utilization = link.utilization
+        if not isfinite(utilization):
+            raise TopologyError(f"link ({link.src},{link.dst}): used / max bandwidth overflows")
+        # The link's global reward adds 1 - intensity at its receiver and
+        # 1 - utilization, so it is finite exactly when their sum is.
+        if not isfinite(intensity[link.dst] + utilization):
+            raise TopologyError(f"link ({link.src},{link.dst}): global reward overflows")
     return graph
 
 
@@ -404,10 +412,7 @@ def graph_from_dict(document: dict) -> NetworkGraph:
         except TopologyError as exc:
             raise TopologyError(f"{where}: {exc}") from None
 
-    try:
-        return build_graph(nodes, links)
-    except TopologyError as exc:
-        raise TopologyError(str(exc)) from None
+    return build_graph(nodes, links)
 
 
 def demands_from_list(document, source: str) -> list[TrafficDemand]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,7 +53,8 @@ LOCAL_MARGIN = 0.1
 
 @dataclass(frozen=True)
 class QoSWeights:
-    """Nonnegative weights for the five QoS factors, plus derived constants."""
+    """Finite nonnegative weights for the five QoS factors, plus derived
+    constants."""
 
     hop_count: float
     transmission: float
@@ -62,9 +63,9 @@ class QoSWeights:
     utilization: float
 
     def __post_init__(self) -> None:
-        for name in ("hop_count", "transmission", "reliability", "intensity", "utilization"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"weight {name} must be >= 0, got {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"weight {name} must be a finite number >= 0, got {value}")
 
     @property
     def local_constant(self) -> float:
@@ -96,14 +97,18 @@ def make_weights(
 DEFAULT_WEIGHTS = make_weights(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
-class RewardRecord(NamedTuple):
-    """One action's reward: the (state, action) node pair, whether the action
-    counts as successfully performed, and the reward value."""
+@dataclass(frozen=True)
+class EpisodeRewards:
+    """One episode's rewards, aligned with the links it attempted: values[i]
+    rewards link id links[i]. Every action but the last counts as
+    successfully performed; last_ok tells whether the last one does."""
 
-    src_id: int
-    dst_id: int
-    action_success: bool
-    value: float
+    links: tuple[int, ...]
+    values: tuple[float, ...]
+    last_ok: bool
+
+    def __len__(self) -> int:
+        return len(self.links)
 
 
 def _check(ok, values, message: str) -> None:
@@ -211,8 +216,8 @@ class LinkScores:
     reward of hop i + 1. global_reward is each link's whole global reward.
 
     The terms are fixed for the demand, so an episode's rewards depend only
-    on its executed hops and loss flag: the reward functions keep what they
-    computed for each such pair and hand a repeat the same tuple.
+    on its executed hops and loss flag: the reward functions keep the
+    EpisodeRewards computed for each such pair and hand a repeat the same one.
     """
 
     index: LinkIndex
@@ -234,9 +239,10 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
 
     Local terms use weights and the demand's traffic; the global reward uses
     the framework default weights and the current forms. Raises ValueError,
-    as the term functions do, if any node or link holds an inadmissible value.
-    Only the loads are read per call; the rest comes from the graph's
-    FixedTerms, built on its first call.
+    as the term functions do, if any node or link holds an inadmissible value,
+    and names the first link whose local or global reward sums to a
+    non-finite value. Only the loads are read per call; the rest comes from
+    the graph's FixedTerms, built on its first call.
     """
     fixed = graph.cached(_fixed_terms)
     index = graph.link_index()
@@ -244,25 +250,40 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     incoming = np.array([n.incoming_traffic for n in graph.nodes])
     used = np.array([l.used_bandwidth for l in index.links])
     w, g = weights, DEFAULT_WEIGHTS
-    return LinkScores(
-        index=index,
-        destination=demand.dst,
-        hop=(w.hop_count * fixed.hop).tolist(),
-        transmission=(w.transmission * fixed.transmission).tolist(),
-        reliability=(w.reliability * fixed.reliability).tolist(),
-        intensity=(
-            w.intensity * reward_intensity(incoming, fixed.rate, demand.traffic)
-        )[targets].tolist(),
-        utilization=(
-            w.utilization * reward_utilization(used, fixed.max_bandwidth, demand.traffic)
-        ).tolist(),
-        local_constant=w.local_constant,
-        global_reward=(
+    # Overflow is checked below, naming the link, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hop = w.hop_count * fixed.hop
+        transmission = w.transmission * fixed.transmission
+        reliability = w.reliability * fixed.reliability
+        intensity = (w.intensity * reward_intensity(incoming, fixed.rate, demand.traffic))[targets]
+        utilization = w.utilization * reward_utilization(used, fixed.max_bandwidth, demand.traffic)
+        global_reward = (
             g.reliability * fixed.reliability
             + (g.intensity * reward_intensity(incoming, fixed.rate))[targets]
             + g.utilization * reward_utilization(used, fixed.max_bandwidth)
             - g.global_constant
-        ).tolist(),
+        )
+        # A hop's local reward adds hop + t + r + ie + ue - K in this order. Each
+        # partial sum is monotone in the hop term, so summing with the first and
+        # the last hop's terms bounds the sums at every position.
+        ends = hop[[0, -1], None] if len(hop) else hop[:, None]
+        local = ends + transmission + reliability + intensity + utilization - w.local_constant
+    finite = np.isfinite(local).all(axis=0) & np.isfinite(global_reward)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        which = "global" if np.isfinite(local[:, k]).all() else "local"
+        link = f"({index.sources[k]},{index.targets[k]})"
+        raise ValueError(f"link {link}: {which} reward terms sum to a non-finite value")
+    return LinkScores(
+        index=index,
+        destination=demand.dst,
+        hop=hop.tolist(),
+        transmission=transmission.tolist(),
+        reliability=reliability.tolist(),
+        intensity=intensity.tolist(),
+        utilization=utilization.tolist(),
+        local_constant=w.local_constant,
+        global_reward=global_reward.tolist(),
         global_constant=g.global_constant,
     )
 
@@ -273,10 +294,8 @@ def _links_of(result: "ExecutionResult") -> tuple[int, ...]:
     return result.records
 
 
-def local_rewards_for_path(
-    result: "ExecutionResult", scores: LinkScores
-) -> tuple[RewardRecord, ...]:
-    """Local rewards for an executed hop sequence, in hop order.
+def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> EpisodeRewards:
+    """Local rewards for an executed hop sequence, aligned with its links.
 
     A successful hop scores Wc*hop + Wt*trans + Wr*rel + Wi*inten_est +
     Wu*util_est - local_constant, added in that order, which is <= -0.1
@@ -289,27 +308,18 @@ def local_rewards_for_path(
     rewards = scores.local_memo.get(key)
     if rewards is None:
         links = _links_of(result)
-        src, dst = scores.index.sources, scores.index.targets
-        hop, t, r, ie, ue = (
-            scores.hop, scores.transmission, scores.reliability, scores.intensity,
-            scores.utilization,
-        )
-        constant = scores.local_constant
-        rewards = [
-            RewardRecord(src[k], dst[k], True, hop[i] + t[k] + r[k] + ie[k] + ue[k] - constant)
-            for i, k in enumerate(links)
-        ]
-        last = links[-1]
-        if result.lost or dst[last] != scores.destination:
-            rewards[-1] = RewardRecord(src[last], dst[last], False, -constant)
-        rewards = scores.local_memo[key] = tuple(rewards)
+        hop, t, r = scores.hop, scores.transmission, scores.reliability
+        ie, ue, constant = scores.intensity, scores.utilization, scores.local_constant
+        values = [hop[i] + t[k] + r[k] + ie[k] + ue[k] - constant for i, k in enumerate(links)]
+        last_ok = not result.lost and scores.index.targets[links[-1]] == scores.destination
+        if not last_ok:
+            values[-1] = -constant
+        rewards = scores.local_memo[key] = EpisodeRewards(links, tuple(values), last_ok)
     return rewards
 
 
-def global_rewards_for_path(
-    result: "ExecutionResult", scores: LinkScores
-) -> tuple[RewardRecord, ...]:
-    """Global rewards for an executed hop sequence, in hop order.
+def global_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> EpisodeRewards:
+    """Global rewards for an executed hop sequence, aligned with its links.
 
     The last hop fails only on packet loss; reaching a dead end still yields
     a normal network-status reward. A failed hop is valued at -global_constant.
@@ -318,11 +328,8 @@ def global_rewards_for_path(
     rewards = scores.global_memo.get(key)
     if rewards is None:
         links = _links_of(result)
-        src, dst, value = scores.index.sources, scores.index.targets, scores.global_reward
-        rewards = [RewardRecord(src[k], dst[k], True, value[k]) for k in links]
+        values = list(map(scores.global_reward.__getitem__, links))
         if result.lost:
-            last = links[-1]
-            rewards[-1] = RewardRecord(src[last], dst[last], False, -scores.global_constant)
-        rewards = scores.global_memo[key] = tuple(rewards)
+            values[-1] = -scores.global_constant
+        rewards = scores.global_memo[key] = EpisodeRewards(links, tuple(values), not result.lost)
     return rewards
-

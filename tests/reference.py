@@ -4,31 +4,66 @@ These are the straightforward per-hop forms of the learner's hot path: a QoS
 snapshot record per attempted hop, composite rewards computed from each
 record, a dense N x N Q-table with NaN marking cells that have no link, and
 selection and updates through guarded per-cell reads. rlroute instead
-evaluates reward terms once per demand over all links (rewards.LinkScores)
-and keeps Q-values in a list indexed by link id; tests require its results
-to equal these exactly, not approximately.
+evaluates reward terms once per demand over all links (rewards.LinkScores),
+aligns an episode's rewards with its link ids (rewards.EpisodeRewards) and
+keeps Q-values in a list indexed by link id; tests require its results to
+equal these exactly, not approximately. RewardRecord is the (src, dst) view
+of one action's reward, and records_of / rewards_of convert between it and
+EpisodeRewards.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from rlroute.engine import AbsentLinkError, sarsa_update
-from rlroute.network import NetworkGraph, RoutePath, TrafficDemand
+from rlroute.network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand
 from rlroute.rewards import (
     MBPS,
+    EpisodeRewards,
     QoSWeights,
-    RewardRecord,
     reward_hop,
     reward_intensity,
     reward_reliability,
     reward_transmission,
     reward_utilization,
 )
+
+
+class RewardRecord(NamedTuple):
+    """One action's reward: the (state, action) node pair, whether the action
+    counts as successfully performed, and the reward value."""
+
+    src_id: int
+    dst_id: int
+    action_success: bool
+    value: float
+
+
+def records_of(index: LinkIndex, rewards: EpisodeRewards) -> list[RewardRecord]:
+    """The per-action records of an EpisodeRewards: each link id becomes its
+    node pair, and only the last action may be failed."""
+    last = len(rewards) - 1
+    return [
+        RewardRecord(index.sources[k], index.targets[k], i < last or rewards.last_ok, value)
+        for i, (k, value) in enumerate(zip(rewards.links, rewards.values))
+    ]
+
+
+def rewards_of(index: LinkIndex, records: Sequence[RewardRecord]) -> EpisodeRewards:
+    """The EpisodeRewards of a record list whose pairs are links of index
+    and whose actions all succeed but possibly the last."""
+    if any(not r.action_success for r in records[:-1]):
+        raise ValueError("only the last action of an episode may be failed")
+    return EpisodeRewards(
+        tuple(index.ids[(r.src_id, r.dst_id)] for r in records),
+        tuple(r.value for r in records),
+        records[-1].action_success,
+    )
 
 
 @dataclass(frozen=True)

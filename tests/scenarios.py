@@ -11,6 +11,7 @@ from rlroute.rewards import (
     link_scores,
     local_rewards_for_path,
 )
+from reference import records_of
 
 
 def chain_rewards(
@@ -25,8 +26,8 @@ def chain_rewards(
     traffic=1e5,
     lost=False,
 ):
-    """Local and global rewards for walking the chain 0 -> 1 -> ... -> hops
-    to its end, the demand's destination.
+    """Local and global reward records for walking the chain 0 -> 1 -> ...
+    -> hops to its end, the demand's destination.
 
     The last hop's sender and receiver process at the given rates and its
     link has the given bandwidth, load and reliability. The receiver's
@@ -44,7 +45,10 @@ def chain_rewards(
     if lost:
         result = replace(result, lost=True)
     scores = link_scores(graph, weights, demand)
-    return local_rewards_for_path(result, scores), global_rewards_for_path(result, scores)
+    return (
+        records_of(scores.index, local_rewards_for_path(result, scores)),
+        records_of(scores.index, global_rewards_for_path(result, scores)),
+    )
 
 
 def _nodes(*rates):
@@ -55,9 +59,20 @@ def _link(src, dst, max_bw, used):
     return {"src": src, "dst": dst, "max_bandwidth_bps": max_bw, "used_bandwidth_bps": used}
 
 
+def pair_document(used):
+    """Two nodes processing 1 b/s, joined by one 1 b/s link carrying used."""
+    return {"nodes": _nodes(1, 1), "links": [_link(0, 1, 1, used)]}
+
+
 # Each entry: a document of finite numbers, a demand it can route, and the
 # error build_graph must raise for the derived value that overflows.
 OVERFLOWING_TOPOLOGIES = {
+    # Both ratios are 1e308, but the global reward adds their terms: -2e308.
+    "global": (
+        pair_document(1e308),
+        (0, 1),
+        r"link \(0,1\): global reward overflows",
+    ),
     # Two inbound links at 1e308 sum to inf incoming traffic at node 2.
     "incoming": (
         {"nodes": _nodes(1e8, 1e8, 1e8),

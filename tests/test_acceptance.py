@@ -31,7 +31,6 @@ from rlroute.harness import (
 )
 from rlroute.network import TrafficDemand, build_graph, check_path, place_traffic
 from rlroute.rewards import (
-    RewardRecord,
     make_weights,
     reward_hop,
     reward_intensity,
@@ -40,6 +39,7 @@ from rlroute.rewards import (
     reward_utilization,
 )
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
+from reference import RewardRecord, rewards_of
 
 T8_WEIGHTS = make_weights(0, 0, 0, 1, 1)
 T8_CHAIN = (4, 7, 6, 10, 14, 18, 19, 23)
@@ -98,7 +98,7 @@ def test_criterion_03_accumulative_penalty_steers_off_dead_end():
     start = time.perf_counter()
     graph = load_builtin("t4")
     table = QTable.for_graph(graph)
-    failure = (RewardRecord(0, 5, False, -3.0),)
+    failure = rewards_of(table.index, (RewardRecord(0, 5, False, -3.0),))
     for expected in (-3.0, -6.0, -9.0):
         update_table(table, failure, DEFAULT_HYPERPARAMETERS)
         assert table.get(0, 5) == expected
@@ -133,7 +133,7 @@ def test_criterion_04_batched_update_equals_interleaved_sarsa():
         )
 
         batched = table.copy()
-        update_table(batched, rewards, hyper)
+        update_table(batched, rewards_of(table.index, rewards), hyper)
 
         # On-line oracle: each pair is rewritten as soon as its successor is
         # chosen, reading the successor's still-unmodified value.
@@ -151,7 +151,7 @@ def test_criterion_04_batched_update_equals_interleaved_sarsa():
                     hyper.terminal_q, hyper.alpha, hyper.gamma,
                 ))
             else:
-                oracle.add(rec.src_id, rec.dst_id, rec.value)
+                oracle.set(rec.src_id, rec.dst_id, oracle.get(rec.src_id, rec.dst_id) + rec.value)
         assert batched == oracle
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 import re
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from rlroute import engine, harness
 from rlroute.cli import main
+from rlroute.dataplane import LossModel
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
 from rlroute.harness import (
     ComparisonReport,
@@ -137,6 +139,30 @@ class TestRunSequence:
             assert outcome.messages_with_aggregation == without / 2 + outcome.episodes_run
             cut_short += without < planned
         assert cut_short > 0
+
+    def test_loss_and_exploration_draw_independent_streams(self, monkeypatch):
+        # Seeded with the run seed itself, the loss model would draw the
+        # exploration stream's numbers; a lossy run must still reproduce.
+        states = []
+
+        class Recording(LossModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self._rng.getstate())
+
+        monkeypatch.setattr(harness, "LossModel", Recording)
+        demands = [TrafficDemand(0, 3, 2e5), TrafficDemand(0, 4, 3e5), TrafficDemand(1, 4, 5e5)]
+        config = ExperimentConfig(
+            topology="t2", demands=demands, hyper=Hyperparameters(epsilon=0.2),
+            loss_mode="bernoulli", seed=7,
+        )
+        first = run_sequence(config).to_dict()
+        assert run_sequence(config).to_dict() == first
+        assert states[0] == states[1]
+        loss = random.Random()
+        loss.setstate(states[0])
+        exploration = random.Random(config.seed)
+        assert [loss.random() for _ in range(16)] != [exploration.random() for _ in range(16)]
 
     def test_global_gamma_defaults_to_framework_gamma(self):
         # Leaving global_gamma unset discounts global updates with the
@@ -407,6 +433,15 @@ class TestCli:
             assert entry["messages_without_aggregation"] == 2 * outcome.attempted_hops
         attempted = sum(o.attempted_hops for o in report.outcomes)
         assert attempted < sum(sum(o.temp_path_lengths) for o in report.outcomes)
+
+    @pytest.mark.parametrize("weights", ["inf,0,0,0,0", "nan,0,0,0,0"])
+    def test_non_finite_weights_rejected(self, weights, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--topology", "t1", "--weights", weights])
+        assert info.value.code != 0
+        assert "argument --weights: weight hop_count must be a finite number" in (
+            capsys.readouterr().err
+        )
 
     def test_unknown_loss_mode_rejected(self):
         with pytest.raises(SystemExit):

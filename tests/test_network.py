@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,10 @@ class TestValidation:
     def test_demand_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):
             TrafficDemand(2, 2, 1e5)
+
+    def test_demand_rejects_infinite_traffic(self):
+        with pytest.raises(ValueError, match="demand traffic must be > 0 and finite, got inf"):
+            TrafficDemand(0, 4, math.inf)
 
     def test_demand_rejects_nonpositive_traffic(self):
         with pytest.raises(ValueError):

@@ -13,12 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import RewardRecord, records_of, rewards_of
 from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import Hyperparameters, QTable, find_temp_path, update_table
 from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
-    RewardRecord,
     global_rewards_for_path,
     link_scores,
     local_rewards_for_path,
@@ -106,8 +106,8 @@ class TestLinkScores:
         # A repeated episode, scored from the demand's memo, gets the same
         # bits as the first; an equal result is a repeat too.
         for again in (result, replace(result)):
-            assert exact(local_rewards_for_path(again, scores)) == expected_local
-            assert exact(global_rewards_for_path(again, scores)) == expected_global
+            assert exact(records_of(index, local_rewards_for_path(again, scores))) == expected_local
+            assert exact(records_of(index, global_rewards_for_path(again, scores))) == expected_global
 
     @settings(max_examples=100, deadline=None)
     @given(networks(), weight_sets, seeds, st.booleans())
@@ -125,12 +125,13 @@ class TestLinkScores:
         clean_records = reference.execute_path(graph, path)
         lost_records = clean_records[:-1] + (replace(clean_records[-1], has_lost=True),)
         scores = link_scores(graph, weights, demand)
+        index = scores.index
         cases = [(clean, clean_records), (lost, lost_records)]
         for result, records in cases[::-1] if lost_first else cases:
-            assert exact(local_rewards_for_path(result, scores)) == exact(
+            assert exact(records_of(index, local_rewards_for_path(result, scores))) == exact(
                 reference.local_rewards_for_path(records, weights, demand)
             )
-            assert exact(global_rewards_for_path(result, scores)) == exact(
+            assert exact(records_of(index, global_rewards_for_path(result, scores))) == exact(
                 reference.global_rewards_for_path(records, DEFAULT_WEIGHTS)
             )
 
@@ -145,10 +146,11 @@ class TestLinkScores:
         after = link_scores(graph, DEFAULT_WEIGHTS, demand)
         result = execute_path(graph, path)
         records = reference.execute_path(graph, path)
-        assert exact(local_rewards_for_path(result, after)) == exact(
+        index = after.index
+        assert exact(records_of(index, local_rewards_for_path(result, after))) == exact(
             reference.local_rewards_for_path(records, DEFAULT_WEIGHTS, demand)
         )
-        assert exact(global_rewards_for_path(result, after)) == exact(
+        assert exact(records_of(index, global_rewards_for_path(result, after))) == exact(
             reference.global_rewards_for_path(records, DEFAULT_WEIGHTS)
         )
         assert local_rewards_for_path(result, before) != local_rewards_for_path(result, after)
@@ -199,7 +201,7 @@ class TestUpdate:
         ]
         hyper = Hyperparameters(alpha=alpha, gamma=gamma, terminal_q=terminal_q)
         dense = reference.DenseQTable.from_table(graph, table)
-        update_table(table, rewards, hyper)
+        update_table(table, rewards_of(table.index, rewards), hyper)
         reference.update_table(dense, rewards, hyper)
         assert same_values(table, dense, graph)
 

@@ -25,7 +25,8 @@ from rlroute.network import (
     graph_from_dict,
     graph_to_dict,
 )
-from rlroute.rewards import RewardRecord, make_weights
+from rlroute.rewards import make_weights
+from reference import RewardRecord, rewards_of
 from scenarios import chain_rewards
 
 finite = st.floats(min_value=-10.0, max_value=10.0)
@@ -116,7 +117,7 @@ class TestUpdateAggregation:
         rewards, initial = seq
         hyper = Hyperparameters(alpha=alpha, gamma=gamma, terminal_q=terminal_q)
         batched = chain_table(len(rewards), initial)
-        update_table(batched, rewards, hyper)
+        update_table(batched, rewards_of(batched.index, rewards), hyper)
 
         oracle = chain_table(len(rewards), initial)
         snapshot = oracle.copy()
@@ -146,7 +147,7 @@ class TestUpdateAggregation:
         rewards, initial = seq
         table = chain_table(len(rewards), initial)
         index = table.index
-        update_table(table, rewards, Hyperparameters(alpha=alpha))
+        update_table(table, rewards_of(index, rewards), Hyperparameters(alpha=alpha))
         # Cells exist for the graph's links only, before and after.
         assert table.index is index
         assert len(table.q) == len(index.targets) == len(rewards)
@@ -163,8 +164,8 @@ class TestUpdateAggregation:
     def test_failure_penalty_accumulates_independent_of_hyper(self, value, repeats, alpha, gamma):
         # A failed terminal action adds its value directly, so neither the
         # learning rate nor the discount can influence the running total.
-        rewards = (RewardRecord(0, 1, False, value),)
         table = chain_table(1, (0.0,))
+        rewards = rewards_of(table.index, (RewardRecord(0, 1, False, value),))
         expected = 0.0
         for _ in range(repeats):
             previous = table.get(0, 1)

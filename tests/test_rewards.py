@@ -10,8 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlroute.dataplane import ExecutionResult, execute_path
-from rlroute.network import RoutePath, TrafficDemand, build_graph
+from rlroute import engine
+from rlroute.dataplane import DataPlane, ExecutionResult, execute_path
+from rlroute.engine import find_route
+from rlroute.network import RoutePath, TrafficDemand, build_graph, graph_from_dict, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
     global_rewards_for_path,
@@ -24,7 +26,9 @@ from rlroute.rewards import (
     reward_transmission,
     reward_utilization,
 )
-from scenarios import chain_rewards
+from rlroute.topologies import load_builtin
+from reference import records_of
+from scenarios import chain_rewards, pair_document
 
 
 class TestTermFormulas:
@@ -95,6 +99,11 @@ class TestWeights:
         with pytest.raises(ValueError):
             make_weights(1, 1, -0.1, 1, 1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, value):
+        with pytest.raises(ValueError, match="weight reliability must be a finite number >= 0"):
+            make_weights(1, 1, value, 1, 1)
+
     def test_zero_weights_allowed(self):
         w = make_weights(0, 0, 0, 0, 1)
         assert w.local_constant == pytest.approx(1.1)
@@ -141,14 +150,17 @@ class TestRewardLists:
         return TrafficDemand(0, 2, 0.5e6)
 
     def executed(self, nodes, lost=False):
-        """Rewards of walking nodes on a graph where 1 branches to the
-        destination 2 and to the dead end 3."""
+        """Reward records of walking nodes on a graph where 1 branches to
+        the destination 2 and to the dead end 3."""
         graph = build_graph(4, [(0, 1, 10e6), (1, 2, 10e6), (1, 3, 10e6)])
         result = execute_path(graph, RoutePath(tuple(nodes), nodes[-1] == 2))
         if lost:
             result = replace(result, lost=True)
         scores = link_scores(graph, DEFAULT_WEIGHTS, self.demand())
-        return local_rewards_for_path(result, scores), global_rewards_for_path(result, scores)
+        return (
+            records_of(scores.index, local_rewards_for_path(result, scores)),
+            records_of(scores.index, global_rewards_for_path(result, scores)),
+        )
 
     def test_successful_path_all_actions_succeed(self):
         rewards, _ = self.executed((0, 1, 2))
@@ -216,3 +228,39 @@ class TestRecordValidation:
         graph.link(0, 1).used_bandwidth = -1.0
         with pytest.raises(ValueError, match="used bandwidth"):
             link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
+
+
+class TestRewardSums:
+    # Every term is finite, but a link's terms add up past the largest
+    # float; the demand's scores refuse it before any episode, naming the link.
+
+    def saturated_pair(self):
+        # The state of pair_document(1e308), which build_graph refuses,
+        # reached by placing an earlier demand's traffic instead.
+        graph = graph_from_dict(pair_document(0.0))
+        place_traffic(graph, RoutePath((0, 1), True), TrafficDemand(0, 1, 1e308))
+        return graph
+
+    def test_loads_placed_by_earlier_demands(self):
+        with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms sum to a non-"):
+            link_scores(self.saturated_pair(), DEFAULT_WEIGHTS, TrafficDemand(0, 1, 1.0))
+
+    def test_global_reward_is_checked_too(self):
+        # With zero weights the local terms stay finite.
+        weights = make_weights(0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"^link \(0,1\): global reward terms sum to a non-"):
+            link_scores(self.saturated_pair(), weights, TrafficDemand(0, 1, 1.0))
+
+    def test_huge_finite_weights(self):
+        weights = make_weights(0, 0, 0, 1e308, 1e308)
+        with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
+            link_scores(load_builtin("t1"), weights, TrafficDemand(0, 4, 1e5))
+
+    def test_find_route_fails_before_the_first_episode(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an episode was run")
+
+        monkeypatch.setattr(engine, "find_temp_path", refuse)
+        graph = self.saturated_pair()
+        with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
+            find_route(TrafficDemand(0, 1, 1.0), DataPlane(graph), None)
