@@ -1,6 +1,5 @@
 """QoS-aware reinforcement-learning path finding on simulated networks."""
 
-from .dataplane import DataPlane
 from .engine import Hyperparameters, QTable, RouteResult, find_route
 from .harness import (
     ComparisonReport,
@@ -18,7 +17,6 @@ from .rewards import make_weights
 
 __all__ = [
     "ComparisonReport",
-    "DataPlane",
     "ExperimentConfig",
     "GammaStudyReport",
     "Hyperparameters",

@@ -15,10 +15,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .dataplane import LossModel
 from .engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
 from .harness import (
     DEFAULT_SEED,
+    LOSS_MODES,
     ComparisonReport,
     ExperimentConfig,
     ExperimentReport,
@@ -30,12 +30,19 @@ from .harness import (
     run_gamma_study,
     run_sequence,
 )
-from .network import TopologyError, TrafficDemand
+from .network import TrafficDemand
 from .rewards import DEFAULT_WEIGHTS, QoSWeights, make_weights
-from .topologies import BUILTIN_DEMAND_SETS, builtin_demands, is_builtin, load_demands, resolve_topology
+from .topologies import (
+    BUILTIN_DEMAND_SETS,
+    BUILTIN_TOPOLOGIES,
+    builtin_demands,
+    is_builtin,
+    load_demands,
+    resolve_topology,
+)
 
 DEFAULT_GAMMAS = (0.3, 0.5, 0.7, 0.9)
-TOPOLOGY_HELP = "topology JSON file, or a builtin id (T1,T2,T3,T4,T7,T8)"
+TOPOLOGY_HELP = f"topology JSON file, or a builtin id ({','.join(BUILTIN_TOPOLOGIES).upper()})"
 
 
 def _parse_weights(text: str) -> QoSWeights:
@@ -89,14 +96,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"max hops per temp path (default {h.ttl})")
     parser.add_argument("--episodes", type=int, default=h.episodes,
                         help=f"learning episodes per demand (default {h.episodes})")
-    parser.add_argument("--use-global", action="store_true",
-                        help="seed each demand's local table from the shared global table")
-    parser.add_argument("--global-gamma", type=float, default=None,
-                        help="discount factor for global-table updates "
-                        f"(default {h.gamma}, the framework default, independent of --gamma)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"RNG seed (default {DEFAULT_SEED})")
-    parser.add_argument("--loss-mode", choices=LossModel.MODES, default="off",
+    parser.add_argument("--loss-mode", choices=LOSS_MODES, default="off",
                         help="per-hop packet loss: off, or bernoulli with probability "
                         "1 - link reliability (default off)")
     parser.add_argument("--out", metavar="DIR", help="directory for report files")
@@ -204,7 +206,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_validate_topology(args: argparse.Namespace) -> int:
     try:
         graph = resolve_topology(args.topology)
-    except (TopologyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid topology: {exc}", file=sys.stderr)
         return 1
     links = list(graph.iter_links())
@@ -224,6 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
     for study in studies.values():
         _add_common_arguments(study)
         study.set_defaults(func=_cmd_study)
+    for name in ("run", "compare-baseline"):
+        studies[name].add_argument(
+            "--use-global", action="store_true",
+            help="seed each demand's local table from the shared global table")
+        studies[name].add_argument(
+            "--global-gamma", type=float, default=None,
+            help="discount factor for global-table updates, with --use-global "
+            f"(default {DEFAULT_HYPERPARAMETERS.gamma}, the framework default, "
+            "independent of --gamma)")
+    # The study sets use_global and global_gamma per group itself.
+    studies["gamma-study"].set_defaults(use_global=False, global_gamma=None)
     studies["gamma-study"].add_argument(
         "--gammas",
         type=_parse_gammas,
@@ -244,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TopologyError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,20 +22,14 @@ from .network import NetworkGraph, RoutePath
 
 
 class LossModel:
-    """Per-hop packet loss. Mode "off" never drops; "bernoulli" drops each
-    hop independently with probability 1 - link reliability."""
+    """Bernoulli per-hop packet loss: each hop drops the packet
+    independently with probability 1 - link reliability. A run without
+    loss has no model at all (None)."""
 
-    MODES = ("off", "bernoulli")
-
-    def __init__(self, mode: str = "off", seed: int | str | None = None):
-        if mode not in self.MODES:
-            raise ValueError(f"loss mode must be one of {self.MODES}, got {mode!r}")
-        self.mode = mode
+    def __init__(self, seed: int | str | None = None):
         self._rng = random.Random(seed)
 
     def packet_lost(self, reliability: float) -> bool:
-        if self.mode == "off":
-            return False
         return self._rng.random() >= reliability
 
 
@@ -66,26 +60,15 @@ def execute_path(
     path: RoutePath,
     loss: Optional[LossModel] = None,
 ) -> ExecutionResult:
-    """Attempt a path hop by hop, consulting the loss model at each hop.
-    Stops early if it drops the packet; the losing hop is kept as the last
-    record and the result is flagged lost. A path using a link the graph
-    lacks raises KeyError before any hop is attempted."""
+    """Attempt a path hop by hop, consulting the loss model, if any, at
+    each hop. Stops early if it drops the packet; the losing hop is kept as
+    the last record and the result is flagged lost. A path using a link the
+    graph lacks raises KeyError before any hop is attempted."""
     records = graph.link_ids(path.nodes)
-    if loss is not None and loss.mode != "off":
+    if loss is not None:
         links = graph.link_index().links
         for hop, k in enumerate(records, start=1):
             if loss.packet_lost(links[k].reliability):
                 return ExecutionResult(records[:hop], lost=True)
     return ExecutionResult(records)
 
-
-class DataPlane:
-    """A graph plus a loss model, presented as the environment a learner
-    executes paths against."""
-
-    def __init__(self, graph: NetworkGraph, loss: Optional[LossModel] = None):
-        self.graph = graph
-        self.loss = loss if loss is not None else LossModel("off")
-
-    def execute(self, path: RoutePath) -> ExecutionResult:
-        return execute_path(self.graph, path, self.loss)

@@ -32,7 +32,7 @@ from math import isfinite
 from numbers import Integral
 from typing import ClassVar, Optional, Sequence
 
-from .dataplane import ControlMessages
+from . import dataplane
 from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand
 from .rewards import (
     DEFAULT_WEIGHTS,
@@ -135,16 +135,8 @@ class QTable:
         return f"QTable(nodes={len(self.index.offsets) - 1}, entries={len(self.q)})"
 
 
-def _same_links(table: QTable, graph: NetworkGraph) -> LinkIndex:
-    """graph's link index, once table is known to number the same links."""
-    index = graph.link_index()
-    if table.index is not index and table.index != index:
-        raise ValueError(f"Q-table does not match the links of {graph!r}")
-    return index
-
-
 @dataclass(frozen=True)
-class EpisodeTrace(ControlMessages):
+class EpisodeTrace(dataplane.ControlMessages):
     """One learning episode's evidence: the temp path and how many of its
     hops the data plane attempted, which set the controller message counts."""
 
@@ -164,10 +156,13 @@ class RouteResult:
 
 def init_local_table(graph: NetworkGraph, global_table: Optional[QTable] = None) -> QTable:
     """Fresh local table: a deep copy of global_table when one is given,
-    otherwise 0 for every link of the graph."""
+    otherwise 0 for every link of the graph. This is where a caller's table
+    meets the graph, so a global table numbering other links is refused."""
     if global_table is None:
         return QTable.for_graph(graph)
-    _same_links(global_table, graph)
+    index = graph.link_index()
+    if global_table.index is not index and global_table.index != index:
+        raise ValueError(f"Q-table does not match the links of {graph!r}")
     return global_table.copy()
 
 
@@ -175,7 +170,6 @@ def find_temp_path(
     demand: TrafficDemand,
     table: QTable,
     hyper: Hyperparameters,
-    graph: NetworkGraph,
     rng: Optional[random.Random] = None,
 ) -> RoutePath:
     """Select one episode's loop-free action sequence.
@@ -191,7 +185,7 @@ def find_temp_path(
     explore = epsilon > 0
     if explore and rng is None:
         raise ValueError("epsilon > 0 requires a random source")
-    index = _same_links(table, graph)
+    index = table.index
     offsets, targets, q = index.offsets, index.targets, table.q
     visited = {demand.src}
     nodes = [demand.src]
@@ -224,12 +218,11 @@ def find_final_path(
     demand: TrafficDemand,
     table: QTable,
     hyper: Hyperparameters,
-    graph: NetworkGraph,
 ) -> RoutePath:
     """Greedy path extraction: find_temp_path with epsilon forced to 0,
     deterministic under the lowest-id tie-break."""
     greedy = replace(hyper, epsilon=0.0)
-    return find_temp_path(demand, table, greedy, graph)
+    return find_temp_path(demand, table, greedy)
 
 
 def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
@@ -266,14 +259,15 @@ def update_table(table: QTable, rewards: EpisodeRewards, hyper: Hyperparameters)
 
 def find_route(
     demand: TrafficDemand,
-    env,
+    graph: NetworkGraph,
     global_table: Optional[QTable],
     weights: Optional[QoSWeights] = None,
     hyper: Optional[Hyperparameters] = None,
     rng: Optional[random.Random] = None,
     global_hyper: Optional[Hyperparameters] = None,
+    loss: Optional[dataplane.LossModel] = None,
 ) -> RouteResult:
-    """Learn a path for one demand over env's graph.
+    """Learn a path for one demand over graph.
 
     Runs hyper.episodes episodes of: select temp path -> execute on the data
     plane -> score local rewards (caller weights) -> update the local table.
@@ -284,9 +278,9 @@ def find_route(
     table starts at 0 and nothing global is scored or kept. Global updates
     use the framework default hyperparameters unless global_hyper overrides
     them; per-demand customization (weights, hyper) touches only the local
-    table. Returns the greedy final path plus per-episode traces.
+    table. Packets are lost only to a given loss model. Returns the greedy
+    final path plus per-episode traces.
     """
-    graph = env.graph
     if not (graph.has_node(demand.src) and graph.has_node(demand.dst)):
         raise ValueError(f"demand {demand.src}->{demand.dst} references unknown nodes")
     if not graph.out_neighbors(demand.src):
@@ -301,8 +295,9 @@ def find_route(
     scores = link_scores(graph, weights, demand)
     traces: list[EpisodeTrace] = []
     for episode in range(1, hyper.episodes + 1):
-        temp_path = find_temp_path(demand, local_table, hyper, graph, rng)
-        result = env.execute(temp_path)
+        temp_path = find_temp_path(demand, local_table, hyper, rng)
+        # Looked up on the module at call time, so wrapping it there sees every call.
+        result = dataplane.execute_path(graph, temp_path, loss)
         local_rewards = local_rewards_for_path(result, scores)
         if global_table is None:
             update_table(local_table, local_rewards, hyper)
@@ -311,7 +306,7 @@ def find_route(
             update_table(local_table, local_rewards, hyper)
             update_table(global_table, global_rewards, global_hyper)
         traces.append(EpisodeTrace(episode, temp_path, len(result.records)))
-    final_path = find_final_path(demand, local_table, hyper, graph)
+    final_path = find_final_path(demand, local_table, hyper)
     return RouteResult(final_path=final_path, traces=traces)
 
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataplane import ControlMessages, DataPlane, LossModel
+from .dataplane import ControlMessages, LossModel
 from .engine import (
     DEFAULT_HYPERPARAMETERS,
     Hyperparameters,
@@ -38,12 +38,15 @@ from .rewards import DEFAULT_WEIGHTS, QoSWeights
 from .topologies import resolve_topology
 
 DEFAULT_SEED = 1
+# "off" runs with no loss model, "bernoulli" with a dataplane.LossModel.
+LOSS_MODES = ("off", "bernoulli")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run depends on. topology is a builtin id or a file
-    path; demands are handled strictly in the given order."""
+    path; demands are handled strictly in the given order. global_gamma
+    discounts global-table updates, so it needs use_global."""
 
     topology: str
     demands: Sequence[TrafficDemand]
@@ -53,6 +56,14 @@ class ExperimentConfig:
     global_gamma: Optional[float] = None
     seed: int = DEFAULT_SEED
     loss_mode: str = "off"
+
+    def __post_init__(self) -> None:
+        if self.loss_mode not in LOSS_MODES:
+            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
+        if self.global_gamma is not None and not self.use_global:
+            raise ValueError(
+                f"global_gamma {self.global_gamma} needs use_global: no global table reads it"
+            )
 
 
 @dataclass(frozen=True)
@@ -167,10 +178,10 @@ def _links_json(graph: NetworkGraph) -> list[dict]:
 def run_sequence(config: ExperimentConfig) -> ExperimentReport:
     """Route every demand in order, placing traffic after each success.
 
-    One data plane and one RNG live for the whole sequence, and with
-    config.use_global one global table; each demand gets its own local
-    table, seeded from the global one when there is one. A demand whose
-    source has no outgoing links is recorded as unrouted and the run
+    One RNG lives for the whole sequence, with loss_mode "bernoulli" one
+    loss model, and with use_global one global table; each demand gets its
+    own local table, seeded from the global one when there is one. A demand
+    whose source has no outgoing links is recorded as unrouted and the run
     continues. A demand naming a node the graph lacks fails the run before
     the first demand is routed.
     """
@@ -183,7 +194,7 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
                 )
     # Packet loss draws from a stream of its own: seeded with config.seed
     # itself, it would repeat the exploration stream's draws.
-    env = DataPlane(graph, LossModel(config.loss_mode, seed=f"loss {config.seed}"))
+    loss = LossModel(f"loss {config.seed}") if config.loss_mode == "bernoulli" else None
     # Only a run that seeds local tables from it needs a global table.
     global_table = QTable.for_graph(graph) if config.use_global else None
     rng = random.Random(config.seed)
@@ -197,12 +208,13 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
         try:
             result = find_route(
                 demand,
-                env,
+                graph,
                 global_table,
                 weights=config.weights,
                 hyper=config.hyper,
                 rng=rng,
                 global_hyper=global_hyper,
+                loss=loss,
             )
         except UnroutableDemandError:
             final_path, traces = None, []

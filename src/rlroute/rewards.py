@@ -176,7 +176,9 @@ class FixedTerms:
     transmission reward, the reliability reward and the capacity.
     Capacities, reliabilities and processing rates are fixed after
     construction (only place_traffic writes to a graph, and it writes
-    loads), so a graph evaluates and checks these once."""
+    loads), so a graph evaluates these once. Reliabilities are checked
+    here, rates and capacities by the intensity and utilization terms,
+    which divide by them."""
 
     targets: np.ndarray
     rate: np.ndarray
@@ -193,16 +195,12 @@ def _fixed_terms(graph: NetworkGraph) -> FixedTerms:
     rates = [n.processing_rate for n in graph.nodes]
     transmission = np.array([reward_transmission(r / MBPS) for r in rates])
     reliability = reward_reliability(np.array([l.reliability for l in index.links]))
-    rate = np.array(rates)
-    _check(rate > 0, rate, "receiver processing rate must be > 0")
-    max_bandwidth = np.array([l.max_bandwidth for l in index.links])
-    _check(max_bandwidth > 0, max_bandwidth, "link max bandwidth must be > 0")
     return FixedTerms(
         targets=np.array(index.targets, dtype=np.intp),
-        rate=rate,
+        rate=np.array(rates),
         transmission=transmission[np.array(index.sources, dtype=np.intp)],
         reliability=reliability,
-        max_bandwidth=max_bandwidth,
+        max_bandwidth=np.array([l.max_bandwidth for l in index.links]),
         hop=np.array([reward_hop(i) for i in range(1, graph.num_nodes)]),
     )
 

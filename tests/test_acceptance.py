@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from rlroute.dataplane import DataPlane
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
     Hyperparameters,
@@ -66,10 +65,9 @@ def t8_run():
 def t8_traces():
     """The same sequential run driven at engine level, keeping every episode."""
     graph = resolve_topology("t8")
-    plane = DataPlane(graph)
     results = []
     for demand in builtin_demands("t8"):
-        result = find_route(demand, plane, None, weights=T8_WEIGHTS)
+        result = find_route(demand, graph, None, weights=T8_WEIGHTS)
         results.append(result)
         if result.final_path.reached_destination:
             place_traffic(graph, result.final_path, demand)
@@ -102,7 +100,7 @@ def test_criterion_03_accumulative_penalty_steers_off_dead_end():
     for expected in (-3.0, -6.0, -9.0):
         update_table(table, failure, DEFAULT_HYPERPARAMETERS)
         assert table.get(0, 5) == expected
-    final = find_final_path(TrafficDemand(0, 4, 1e5), table, DEFAULT_HYPERPARAMETERS, graph)
+    final = find_final_path(TrafficDemand(0, 4, 1e5), table, DEFAULT_HYPERPARAMETERS)
     assert final.nodes == (0, 1, 2, 3, 4)
     assert 5 not in final.nodes
     assert time.perf_counter() - start < 1.0
@@ -176,7 +174,7 @@ def test_criterion_05_temp_paths_loop_free_within_ttl():
             ttl=rng.choice([rng.randint(1, 6), 32]),
         )
         path = find_temp_path(
-            TrafficDemand(src, dst, 1e5), table, hyper, graph, rng=random.Random(trial)
+            TrafficDemand(src, dst, 1e5), table, hyper, rng=random.Random(trial)
         )
         assert path.nodes[0] == src
         assert len(set(path.nodes)) == len(path.nodes)

@@ -4,7 +4,7 @@ import pytest
 
 from reference import execute_path as reference_execute_path
 from reference import snapshot_qos
-from rlroute.dataplane import DataPlane, LossModel, execute_path
+from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import EpisodeTrace
 from rlroute.network import RoutePath, build_graph
 from rlroute.topologies import load_builtin
@@ -82,36 +82,28 @@ class TestExecutePath:
         assert not result.lost
         assert messages(path, result) == (1, 0)
 
-    @pytest.mark.parametrize("mode", ["off", "bernoulli"])
-    def test_missing_link_raises_before_any_hop(self, mode):
+    def test_missing_link_raises_before_any_hop(self):
         # Link ids are resolved for the whole path before the loss model is
         # consulted, so a bad path never draws from it.
-        loss, untouched = LossModel(mode, seed=0), LossModel(mode, seed=0)
-        with pytest.raises(KeyError, match=r"no link \(2,0\) in graph"):
-            execute_path(chain_graph(), RoutePath((1, 2, 0)), loss)
+        loss, untouched = LossModel(seed=0), LossModel(seed=0)
+        for model in (None, loss):
+            with pytest.raises(KeyError, match=r"no link \(2,0\) in graph"):
+                execute_path(chain_graph(), RoutePath((1, 2, 0)), model)
         draws = [loss.packet_lost(0.5) for _ in range(32)]
         assert draws == [untouched.packet_lost(0.5) for _ in range(32)]
 
 
 class TestLoss:
-    def test_off_never_drops(self):
-        loss = LossModel("off", seed=1)
-        assert not any(loss.packet_lost(0.0) for _ in range(100))
-
     def test_bernoulli_extremes(self):
-        loss = LossModel("bernoulli", seed=1)
+        loss = LossModel(seed=1)
         assert not any(loss.packet_lost(1.0) for _ in range(100))
         assert all(loss.packet_lost(0.0) for _ in range(100))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            LossModel("coinflip")
 
     def test_loss_truncates_and_flags_last_record(self):
         # Reliability 0 on the second link forces the drop at hop 2.
         graph = build_graph(4, [(0, 1, 1e7, 0, 1.0), (1, 2, 1e7, 0, 0.0), (2, 3, 1e7, 0, 1.0)])
         path = RoutePath((0, 1, 2, 3), True)
-        result = execute_path(graph, path, loss=LossModel("bernoulli", seed=7))
+        result = execute_path(graph, path, loss=LossModel(seed=7))
         assert attempted(graph, result) == [(0, 1), (1, 2)]
         assert result.lost
         # Counts follow the two attempted hops, not the path's three.
@@ -122,7 +114,7 @@ class TestLoss:
         path = RoutePath((0, 1, 2), True)
         outcomes = set()
         for seed in range(50):
-            result = execute_path(graph, path, loss=LossModel("bernoulli", seed=seed))
+            result = execute_path(graph, path, loss=LossModel(seed=seed))
             # The attempted hops are a prefix of the path; delivery stops at
             # the lost hop, so only a lost execution may end early.
             hops = attempted(graph, result)
@@ -130,19 +122,8 @@ class TestLoss:
             assert result.lost or len(hops) == 2
             # The loss model is consulted per hop exactly as the per-hop
             # snapshot walk consults it, so the same seed loses the same hop.
-            records = reference_execute_path(graph, path, LossModel("bernoulli", seed=seed))
+            records = reference_execute_path(graph, path, LossModel(seed=seed))
             assert hops == [(r.src_id, r.dst_id) for r in records]
             assert result.lost == records[-1].has_lost
             outcomes.add((len(hops), result.lost))
         assert outcomes == {(1, True), (2, True), (2, False)}
-
-
-class TestDataPlane:
-    def test_wraps_graph_and_loss(self):
-        graph = chain_graph()
-        env = DataPlane(graph)
-        result = env.execute(RoutePath((0, 1, 2, 3), True))
-        assert attempted(graph, result) == [(0, 1), (1, 2), (2, 3)]
-        assert not result.lost
-        assert env.graph is graph
-        assert env.loss.mode == "off"

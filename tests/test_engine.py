@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rlroute import dataplane, engine
-from rlroute.dataplane import DataPlane, LossModel
+from rlroute.dataplane import LossModel
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
     AbsentLinkError,
@@ -179,7 +179,7 @@ class TestFindTempPath:
 
         graph = load_builtin("t1")
         path = find_temp_path(
-            TrafficDemand(0, 4, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS, graph
+            TrafficDemand(0, 4, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS
         )
         assert path.nodes == (0, 1, 2, 3, 4)
         assert path.reached_destination
@@ -187,14 +187,14 @@ class TestFindTempPath:
     def test_ties_break_to_lowest_node_id(self):
         graph = load_builtin("t2")
         path = find_temp_path(
-            TrafficDemand(0, 3, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS, graph
+            TrafficDemand(0, 3, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS
         )
         assert path.nodes[1] == 1
 
     def test_greedy_follows_highest_q(self):
         graph = load_builtin("t2")
         path = find_temp_path(
-            TrafficDemand(0, 3, 1e5), table_from(graph, LOCAL_T2), DEFAULT_HYPERPARAMETERS, graph
+            TrafficDemand(0, 3, 1e5), table_from(graph, LOCAL_T2), DEFAULT_HYPERPARAMETERS
         )
         assert path.nodes == (0, 1, 2, 3)
 
@@ -204,28 +204,28 @@ class TestFindTempPath:
         graph = load_builtin("t4")
         table = QTable.for_graph(graph)
         table.set(0, 5, 1.0)
-        path = find_temp_path(TrafficDemand(0, 4, 1e5), table, DEFAULT_HYPERPARAMETERS, graph)
+        path = find_temp_path(TrafficDemand(0, 4, 1e5), table, DEFAULT_HYPERPARAMETERS)
         assert path.nodes == (0, 5)
         assert not path.reached_destination
 
     def test_source_is_never_revisited(self):
         graph = build_graph(3, [(0, 1, 1e6), (1, 0, 1e6), (1, 2, 1e6)])
         path = find_temp_path(
-            TrafficDemand(0, 2, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS, graph
+            TrafficDemand(0, 2, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS
         )
         assert path.nodes == (0, 1, 2)
 
     def test_ttl_caps_hop_count(self):
         graph = build_graph(6, [(i, i + 1, 1e6) for i in range(5)])
         hyper = Hyperparameters(ttl=2)
-        path = find_temp_path(TrafficDemand(0, 5, 1e5), QTable.for_graph(graph), hyper, graph)
+        path = find_temp_path(TrafficDemand(0, 5, 1e5), QTable.for_graph(graph), hyper)
         assert path.nodes == (0, 1, 2)
         assert not path.reached_destination
 
     def test_source_without_out_links_gives_zero_hop_path(self):
         graph = build_graph(2, [(1, 0, 1e6)])
         path = find_temp_path(
-            TrafficDemand(0, 1, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS, graph
+            TrafficDemand(0, 1, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS
         )
         assert path.nodes == (0,)
         assert not path.reached_destination
@@ -234,14 +234,14 @@ class TestFindTempPath:
         graph = load_builtin("t2")
         hyper = Hyperparameters(epsilon=1.0)
         with pytest.raises(ValueError):
-            find_temp_path(TrafficDemand(0, 3, 1e5), QTable.for_graph(graph), hyper, graph)
+            find_temp_path(TrafficDemand(0, 3, 1e5), QTable.for_graph(graph), hyper)
 
     def test_exploration_is_seed_reproducible(self):
         graph = load_builtin("t2")
         hyper = Hyperparameters(epsilon=1.0)
         demand = TrafficDemand(0, 3, 1e5)
-        a = find_temp_path(demand, QTable.for_graph(graph), hyper, graph, random.Random(42))
-        b = find_temp_path(demand, QTable.for_graph(graph), hyper, graph, random.Random(42))
+        a = find_temp_path(demand, QTable.for_graph(graph), hyper, random.Random(42))
+        b = find_temp_path(demand, QTable.for_graph(graph), hyper, random.Random(42))
         assert a == b
 
     def test_exploring_paths_stay_simple_and_linked(self):
@@ -249,7 +249,7 @@ class TestFindTempPath:
         hyper = Hyperparameters(epsilon=1.0)
         rng = random.Random(3)
         for _ in range(200):
-            path = find_temp_path(TrafficDemand(0, 3, 1e5), QTable.for_graph(graph), hyper, graph, rng)
+            path = find_temp_path(TrafficDemand(0, 3, 1e5), QTable.for_graph(graph), hyper, rng)
             assert len(set(path.nodes)) == len(path.nodes)
             for s, d in path.links():
                 assert graph.has_link(s, d)
@@ -333,7 +333,7 @@ class TestFindRoute:
         graph = load_builtin("t1")
         result = find_route(
             TrafficDemand(0, 4, 1e5),
-            DataPlane(graph),
+            graph,
             QTable.for_graph(graph),
             hyper=Hyperparameters(episodes=1),
         )
@@ -345,7 +345,7 @@ class TestFindRoute:
         graph = load_builtin("t3")
         result = find_route(
             TrafficDemand(0, 2, 1e5),
-            DataPlane(graph),
+            graph,
             QTable.for_graph(graph),
             weights=make_weights(0, 0, 0, 0, 1),
         )
@@ -354,17 +354,17 @@ class TestFindRoute:
     def test_unroutable_source_raises(self):
         graph = build_graph(2, [(1, 0, 1e6)])
         with pytest.raises(UnroutableDemandError):
-            find_route(TrafficDemand(0, 1, 1e5), DataPlane(graph), QTable.for_graph(graph))
+            find_route(TrafficDemand(0, 1, 1e5), graph, QTable.for_graph(graph))
 
     def test_unknown_endpoint_raises(self):
         graph = load_builtin("t1")
         with pytest.raises(ValueError):
-            find_route(TrafficDemand(0, 9, 1e5), DataPlane(graph), QTable.for_graph(graph))
+            find_route(TrafficDemand(0, 9, 1e5), graph, QTable.for_graph(graph))
 
     def test_global_table_learns_as_side_effect(self):
         graph = load_builtin("t1")
         global_table = QTable.for_graph(graph)
-        find_route(TrafficDemand(0, 4, 1e5), DataPlane(graph), global_table,
+        find_route(TrafficDemand(0, 4, 1e5), graph, global_table,
                    hyper=Hyperparameters(episodes=3))
         assert global_table.get(0, 1) != 0.0
 
@@ -383,7 +383,7 @@ class TestFindRoute:
         graph = load_builtin("t2")
         hyper = Hyperparameters(episodes=10)
         result = find_route(
-            TrafficDemand(0, 3, 1e5), DataPlane(graph), QTable.for_graph(graph), hyper=hyper
+            TrafficDemand(0, 3, 1e5), graph, QTable.for_graph(graph), hyper=hyper
         )
         assert [t.episode_index for t in result.traces] == list(range(1, 11))
         assert len(applied) == len(result.traces)
@@ -432,7 +432,7 @@ class TestFindRoute:
             monkeypatch.setattr(module, name, wrap(layer, getattr(module, name)))
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
-        find_route(builtin_demands("t8")[0], DataPlane(graph), QTable.for_graph(graph),
+        find_route(builtin_demands("t8")[0], graph, QTable.for_graph(graph),
                    weights=make_weights(0, 0, 0, 1, 1))
 
         episode = ["select", "execute", "local", "global", "update", "update"]
@@ -452,13 +452,13 @@ class TestFindRoute:
         # both for exploration and for packet loss (t2 links drop 5%).
         def run(global_table):
             graph = load_builtin("t2")
-            env = DataPlane(graph, LossModel("bernoulli", seed=3))
+            loss = LossModel(seed=3)
             rng = random.Random(5)
             result = find_route(
-                TrafficDemand(0, 4, 1e5), env, global_table,
-                hyper=Hyperparameters(epsilon=0.3), rng=rng,
+                TrafficDemand(0, 4, 1e5), graph, global_table,
+                hyper=Hyperparameters(epsilon=0.3), rng=rng, loss=loss,
             )
-            return result, rng.getstate(), [env.loss.packet_lost(0.5) for _ in range(64)]
+            return result, rng.getstate(), [loss.packet_lost(0.5) for _ in range(64)]
 
         result, rng_state, loss_draws = run(None)
         expected, expected_rng_state, expected_loss_draws = run(
@@ -474,7 +474,7 @@ class TestFindRoute:
         graph = load_builtin("t2")
         demand = TrafficDemand(0, 4, 1e5)
         runs = [
-            find_route(demand, DataPlane(graph), QTable.for_graph(graph))
+            find_route(demand, graph, QTable.for_graph(graph))
             for _ in range(2)
         ]
         assert runs[0].final_path == runs[1].final_path
@@ -485,7 +485,7 @@ class TestFindFinalPath:
     def test_hypothesized_local_table_prefers_0123(self):
         graph = load_builtin("t2")
         path = find_final_path(
-            TrafficDemand(0, 3, 1e5), table_from(graph, LOCAL_T2), DEFAULT_HYPERPARAMETERS, graph
+            TrafficDemand(0, 3, 1e5), table_from(graph, LOCAL_T2), DEFAULT_HYPERPARAMETERS
         )
         assert path.nodes == (0, 1, 2, 3)
 
@@ -495,21 +495,21 @@ class TestFindFinalPath:
         graph = load_builtin("t2")
         global_table = table_from(graph, GLOBAL_T2)
         local = init_local_table(graph, global_table)
-        path = find_final_path(TrafficDemand(0, 3, 1e5), local, DEFAULT_HYPERPARAMETERS, graph)
+        path = find_final_path(TrafficDemand(0, 3, 1e5), local, DEFAULT_HYPERPARAMETERS)
         assert path.nodes[1] == 2
 
     def test_ignores_exploration_setting(self):
         graph = load_builtin("t1")
         hyper = Hyperparameters(epsilon=1.0)
-        path = find_final_path(TrafficDemand(0, 4, 1e5), QTable.for_graph(graph), hyper, graph)
+        path = find_final_path(TrafficDemand(0, 4, 1e5), QTable.for_graph(graph), hyper)
         assert path.nodes == (0, 1, 2, 3, 4)
 
     def test_identical_calls_identical_outputs(self):
         graph = load_builtin("t2")
         table = table_from(graph, LOCAL_T2)
         demand = TrafficDemand(0, 4, 1e5)
-        assert find_final_path(demand, table, DEFAULT_HYPERPARAMETERS, graph) == find_final_path(
-            demand, table, DEFAULT_HYPERPARAMETERS, graph
+        assert find_final_path(demand, table, DEFAULT_HYPERPARAMETERS) == find_final_path(
+            demand, table, DEFAULT_HYPERPARAMETERS
         )
 
 

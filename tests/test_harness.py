@@ -44,6 +44,12 @@ def t3_config(**overrides):
     return ExperimentConfig(**settings)
 
 
+class TestExperimentConfig:
+    def test_unknown_loss_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"loss_mode must be one of .*'coinflip'"):
+            ExperimentConfig(topology="t1", demands=[], loss_mode="coinflip")
+
+
 class TestRunSequence:
     def test_empty_demand_list_touches_nothing(self):
         report = run_sequence(t3_config(demands=[]))
@@ -446,6 +452,33 @@ class TestCli:
     def test_unknown_loss_mode_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--topology", "t8", "--loss-mode", "sometimes"])
+
+    @pytest.mark.parametrize("flags", [["--use-global"], ["--global-gamma", "0.1"]])
+    def test_gamma_study_refuses_the_flags_it_sets_per_group(self, flags, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gamma-study", "--topology", "t3", "--demands", self.demand_file(tmp_path)]
+                 + flags)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_global_gamma_needs_use_global(self, tmp_path, capsys):
+        # Without a global table nothing reads global_gamma, so a report
+        # recording one would name a discount that no update applied.
+        with pytest.raises(ValueError, match=r"global_gamma 0\.1 needs use_global"):
+            ExperimentConfig(topology="t3", demands=[], global_gamma=0.1)
+        argv = ["run", "--topology", "t3", "--demands", self.demand_file(tmp_path)]
+        assert main(argv + ["--global-gamma", "0.1"]) == 1
+        assert capsys.readouterr().err.startswith("error: global_gamma 0.1 needs use_global")
+        assert main(argv + ["--global-gamma", "0.1", "--use-global"]) == 0
+
+    def test_directory_as_input_path(self, tmp_path, capsys):
+        demands = self.demand_file(tmp_path)
+        for paths in (["t8", str(tmp_path)], [str(tmp_path), demands]):
+            argv = ["run", "--topology", paths[0], "--demands", paths[1]]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+            assert captured.out == ""
 
     def test_run_uses_bundled_demands_for_t8(self, capsys):
         code = main(["run", "--topology", "t8", "--weights", "0,0,0,1,1", "--episodes", "75"])

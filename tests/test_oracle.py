@@ -87,13 +87,12 @@ class TestLinkScores:
         # TTL; bernoulli loss on random reliabilities drops packets often.
         graph, demand = network
         path = find_temp_path(
-            demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6), graph,
+            demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6),
             random.Random(seed),
         )
         assume(path.hop_count > 0)
-        mode = "bernoulli" if lossy else "off"
-        result = execute_path(graph, path, LossModel(mode, seed))
-        records = reference.execute_path(graph, path, LossModel(mode, seed))
+        result = execute_path(graph, path, LossModel(seed) if lossy else None)
+        records = reference.execute_path(graph, path, LossModel(seed) if lossy else None)
         index = graph.link_index()
         assert [(index.sources[k], index.targets[k]) for k in result.records] == [
             (r.src_id, r.dst_id) for r in records
@@ -116,7 +115,7 @@ class TestLinkScores:
         # whichever the demand's scores saw first.
         graph, demand = network
         path = find_temp_path(
-            demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6), graph,
+            demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6),
             random.Random(seed),
         )
         assume(path.hop_count > 0)
@@ -169,7 +168,7 @@ class TestSelection:
         hyper = Hyperparameters(epsilon=epsilon, ttl=ttl)
         dense = reference.DenseQTable.from_table(graph, table)
         rng, reference_rng = random.Random(seed), random.Random(seed)
-        path = find_temp_path(demand, table, hyper, graph, rng)
+        path = find_temp_path(demand, table, hyper, rng)
         assert path == reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
         # The same random draws, not just the same path.
         assert rng.getstate() == reference_rng.getstate()
@@ -191,7 +190,7 @@ class TestUpdate:
     ):
         (graph, demand), table = case
         path = find_temp_path(
-            demand, table, Hyperparameters(epsilon=1.0), graph, random.Random(seed)
+            demand, table, Hyperparameters(epsilon=1.0), random.Random(seed)
         )
         assume(path.hop_count > 0)
         links = path.links()
@@ -216,15 +215,14 @@ class TestEpisodes:
         graph, demand = network
         assume(graph.out_neighbors(demand.src))
         hyper = Hyperparameters(epsilon=epsilon, ttl=6)
-        mode = "bernoulli" if lossy else "off"
         table, global_table = QTable.for_graph(graph), QTable.for_graph(graph)
         dense = reference.DenseQTable.from_table(graph, table)
         dense_global = reference.DenseQTable.from_table(graph, global_table)
-        rng, loss = random.Random(seed), LossModel(mode, seed + 1)
-        reference_rng, reference_loss = random.Random(seed), LossModel(mode, seed + 1)
+        rng, loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
+        reference_rng, reference_loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
         scores = link_scores(graph, weights, demand)
         for _ in range(8):
-            path = find_temp_path(demand, table, hyper, graph, rng)
+            path = find_temp_path(demand, table, hyper, rng)
             assert path == reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
             result = execute_path(graph, path, loss)
             records = reference.execute_path(graph, path, reference_loss)

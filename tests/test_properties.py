@@ -94,7 +94,7 @@ class TestPathSelection:
     def test_temp_paths_are_loop_free_and_valid(self, scenario, epsilon, seed, ttl):
         graph, table, demand = scenario
         hyper = Hyperparameters(epsilon=epsilon, ttl=ttl)
-        path = find_temp_path(demand, table, hyper, graph, rng=random.Random(seed))
+        path = find_temp_path(demand, table, hyper, rng=random.Random(seed))
         assert path.nodes[0] == demand.src
         assert len(set(path.nodes)) == len(path.nodes)
         assert path.hop_count <= ttl
@@ -226,7 +226,7 @@ class TestMessageAccounting:
     def test_counts_follow_attempted_hops(self, scenario, seed):
         graph, table, demand = scenario
         path = find_temp_path(
-            demand, table, DEFAULT_HYPERPARAMETERS, graph, rng=random.Random(seed)
+            demand, table, DEFAULT_HYPERPARAMETERS, rng=random.Random(seed)
         )
         result = execute_path(graph, path)
         n = len(result.records)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rlroute import engine
-from rlroute.dataplane import DataPlane, ExecutionResult, execute_path
+from rlroute.dataplane import ExecutionResult, execute_path
 from rlroute.engine import find_route
 from rlroute.network import RoutePath, TrafficDemand, build_graph, graph_from_dict, place_traffic
 from rlroute.rewards import (
@@ -229,6 +229,18 @@ class TestRecordValidation:
         with pytest.raises(ValueError, match="used bandwidth"):
             link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
 
+    def test_zero_rate_or_capacity_rejected(self):
+        # The intensity and utilization terms divide by these, and refuse a
+        # zero before dividing, whatever a graph's fixed terms hold.
+        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
+        graph.node(2).processing_rate = 0.0
+        with pytest.raises(ValueError, match="receiver processing rate must be > 0"):
+            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
+        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
+        graph.link(1, 2).max_bandwidth = 0.0
+        with pytest.raises(ValueError, match="link max bandwidth must be > 0"):
+            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
+
 
 class TestRewardSums:
     # Every term is finite, but a link's terms add up past the largest
@@ -263,4 +275,4 @@ class TestRewardSums:
         monkeypatch.setattr(engine, "find_temp_path", refuse)
         graph = self.saturated_pair()
         with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
-            find_route(TrafficDemand(0, 1, 1.0), DataPlane(graph), None)
+            find_route(TrafficDemand(0, 1, 1.0), graph, None)
