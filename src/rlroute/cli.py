@@ -135,14 +135,10 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _format_path(nodes) -> str:
-    return "->".join(str(n) for n in nodes)
-
-
 def _print_run_summary(report: ExperimentReport) -> None:
     for outcome in report.outcomes:
         if outcome.routed:
-            path = _format_path(outcome.final_path.nodes)
+            path = "->".join(map(str, outcome.final_path.nodes))
             converged = (
                 f"converged at episode {outcome.converged_episode}"
                 if outcome.converged_episode is not None

@@ -60,10 +60,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.global_gamma is not None and not self.use_global:
-            raise ValueError(
-                f"global_gamma {self.global_gamma} needs use_global: no global table reads it"
-            )
+        gamma = self.global_gamma
+        if gamma is not None and not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"global_gamma {gamma} outside [0, 1]")
+        if gamma is not None and not self.use_global:
+            raise ValueError(f"global_gamma {gamma} needs use_global: no global table reads it")
 
 
 @dataclass(frozen=True)
@@ -198,11 +199,8 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
     # Only a run that seeds local tables from it needs a global table.
     global_table = QTable.for_graph(graph) if config.use_global else None
     rng = random.Random(config.seed)
-    global_hyper = (
-        replace(DEFAULT_HYPERPARAMETERS, gamma=config.global_gamma)
-        if config.global_gamma is not None
-        else None
-    )
+    gamma = config.global_gamma
+    global_hyper = None if gamma is None else replace(DEFAULT_HYPERPARAMETERS, gamma=gamma)
     outcomes: list[DemandOutcome] = []
     for index, demand in enumerate(config.demands, start=1):
         try:

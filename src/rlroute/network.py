@@ -28,16 +28,14 @@ class TopologyError(ValueError):
 
 @dataclass
 class NodeState:
-    """One network node.
-
-    incoming_traffic is a derived aggregate: the sum of used bandwidth over
-    all inbound links. It is initialized from the link set and maintained
-    incrementally by place_traffic, not recomputed per query.
+    """One network node. Its incoming traffic is not stored: it is the sum
+    of its inbound links' used bandwidth. The processing rate is read once
+    per graph (rewards.FixedTerms); the rewards do not see it reassigned
+    after the graph's first scoring.
     """
 
     node_id: int
     processing_rate: float
-    incoming_traffic: float = 0.0
 
     def __post_init__(self) -> None:
         if self.node_id < 0:
@@ -47,10 +45,6 @@ class NodeState:
                 f"node {self.node_id}: processing_rate must be > 0, "
                 f"got {self.processing_rate}"
             )
-        if self.incoming_traffic < 0:
-            raise TopologyError(
-                f"node {self.node_id}: incoming_traffic must be >= 0"
-            )
 
 
 @dataclass
@@ -58,7 +52,10 @@ class LinkState:
     """One directed link.
 
     used_bandwidth may exceed max_bandwidth: over-subscription is an
-    observable (and penalized) state, not a construction error.
+    observable (and penalized) state, not a construction error. Loads are
+    read per demand. max_bandwidth and reliability are read once per graph
+    (rewards.FixedTerms); the rewards do not see one reassigned after the
+    graph's first scoring.
     """
 
     src: int
@@ -261,11 +258,10 @@ def build_graph(
     an iterable of NodeState with dense ids 0..N-1.
     links: LinkState instances or tuples (src, dst, max_bw[, used_bw[, reliability]]).
 
-    Each node's incoming_traffic is initialized as the sum of used bandwidth
-    over its inbound links; any incoming_traffic on the given NodeStates is
-    overwritten (it is a derived quantity). Finite loads can still overflow:
-    TopologyError when incoming / processing rate or used / max is not
-    finite, or when a link's global reward at these loads is not.
+    Finite loads can still overflow: TopologyError when a node's incoming
+    traffic (its inbound links' used bandwidth summed) / processing rate or
+    a link's used / max is not finite, or when a link's global reward at
+    these loads is not. The given nodes and links are not written to.
     """
     if isinstance(nodes, int):
         node_list = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(nodes)]
@@ -289,16 +285,14 @@ def build_graph(
         link_map[key] = link
 
     graph = NetworkGraph(node_list, link_map)
-    for node in node_list:
-        node.incoming_traffic = 0.0
+    # Summed in link-id order, as rewards.link_scores sums them.
+    incoming = [0.0] * len(node_list)
     for link in graph.iter_links():
-        node_list[link.dst].incoming_traffic += link.used_bandwidth
-    intensity = [node.incoming_traffic / node.processing_rate for node in node_list]
-    for node, ratio in zip(node_list, intensity):
+        incoming[link.dst] += link.used_bandwidth
+    intensity = [total / node.processing_rate for total, node in zip(incoming, node_list)]
+    for node, total, ratio in zip(node_list, incoming, intensity):
         if not isfinite(ratio):
-            raise TopologyError(
-                f"node {node.node_id}: incoming traffic {node.incoming_traffic} / rate overflows"
-            )
+            raise TopologyError(f"node {node.node_id}: incoming traffic {total} / rate overflows")
     for link in graph.iter_links():
         utilization = link.utilization
         if not isfinite(utilization):
@@ -321,10 +315,10 @@ def check_path(graph: NetworkGraph, path: RoutePath) -> tuple[int, ...]:
 
 
 def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -> NetworkGraph:
-    """Place demand.traffic along path: every path link's used_bandwidth and
-    every path node's incoming_traffic (except the source) grow by the
-    demand's rate. The path must be valid in graph, must have reached its
-    destination, and must connect the demand's endpoints.
+    """Place demand.traffic along path: every path link's used_bandwidth
+    grows by the demand's rate, and nothing else changes. The path must be
+    valid in graph, must have reached its destination, and must connect the
+    demand's endpoints.
     """
     link_ids = check_path(graph, path)
     if not path.reached_destination:
@@ -337,8 +331,6 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
     links = graph.link_index().links
     for k in link_ids:
         links[k].used_bandwidth += demand.traffic
-    for node_id in path.nodes[1:]:
-        graph.node(node_id).incoming_traffic += demand.traffic
     return graph
 
 
@@ -455,22 +447,21 @@ def graph_to_dict(graph: NetworkGraph) -> dict:
 
 
 def load_topology(source: Union[str, Path, IO[str]]) -> NetworkGraph:
-    """Load a topology document from a path or open text file."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    else:
-        document = json.load(source)
-    return graph_from_dict(document)
+    """Load a topology document from a path or open text file. From a path,
+    text that is not valid JSON or not a valid topology raises TopologyError
+    prefixed with the path."""
+    if not isinstance(source, (str, Path)):
+        return graph_from_dict(json.load(source))
+    try:
+        return graph_from_dict(json.loads(Path(source).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise TopologyError(f"{source}: {exc}") from None
 
 
 def save_topology(graph: NetworkGraph, dest: Union[str, Path, IO[str]]) -> None:
     """Write the topology document; loading it back reproduces the graph."""
-    document = graph_to_dict(graph)
+    text = json.dumps(graph_to_dict(graph), indent=2) + "\n"
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
+        Path(dest).write_text(text, encoding="utf-8")
     else:
-        json.dump(document, dest, indent=2)
-        dest.write("\n")
+        dest.write(text)

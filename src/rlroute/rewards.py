@@ -8,7 +8,8 @@ Five per-factor rewards, each capped at 1 for admissible inputs:
     intensity reward    1 - (receiver incoming traffic + extra) / receiver rate
     utilization reward  1 - (link used bandwidth + extra) / link max bandwidth
 
-The "extra" term switches intensity/utilization between their current form
+A node's incoming traffic is the sum of its inbound links' loads. The
+"extra" term switches intensity/utilization between their current form
 (extra = 0) and their estimated form (extra = the demand's traffic rate).
 
 Composite rewards subtract a weight-derived normalizer so that every
@@ -176,7 +177,8 @@ class FixedTerms:
     transmission reward, the reliability reward and the capacity.
     Capacities, reliabilities and processing rates are fixed after
     construction (only place_traffic writes to a graph, and it writes
-    loads), so a graph evaluates these once. Reliabilities are checked
+    loads), so a graph evaluates these once; one reassigned on a built
+    graph after its first scoring is not seen. Reliabilities are checked
     here, rates and capacities by the intensity and utilization terms,
     which divide by them."""
 
@@ -245,16 +247,18 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     fixed = graph.cached(_fixed_terms)
     index = graph.link_index()
     targets = fixed.targets
-    incoming = np.array([n.incoming_traffic for n in graph.nodes])
     used = np.array([l.used_bandwidth for l in index.links])
+    # Each node's inbound loads, summed in link-id order.
+    incoming = np.bincount(targets, weights=used, minlength=graph.num_nodes)
     w, g = weights, DEFAULT_WEIGHTS
     # Overflow is checked below, naming the link, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         hop = w.hop_count * fixed.hop
         transmission = w.transmission * fixed.transmission
         reliability = w.reliability * fixed.reliability
-        intensity = (w.intensity * reward_intensity(incoming, fixed.rate, demand.traffic))[targets]
+        # Before intensity, so that a bad load is reported as its link's.
         utilization = w.utilization * reward_utilization(used, fixed.max_bandwidth, demand.traffic)
+        intensity = (w.intensity * reward_intensity(incoming, fixed.rate, demand.traffic))[targets]
         global_reward = (
             g.reliability * fixed.reliability
             + (g.intensity * reward_intensity(incoming, fixed.rate))[targets]

@@ -13,7 +13,14 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .network import NetworkGraph, TrafficDemand, demands_from_list, graph_from_dict, load_topology
+from .network import (
+    NetworkGraph,
+    TopologyError,
+    TrafficDemand,
+    demands_from_list,
+    graph_from_dict,
+    load_topology,
+)
 
 BUILTIN_TOPOLOGIES = ("t1", "t2", "t3", "t4", "t7", "t8")
 BUILTIN_DEMAND_SETS = ("t7", "t8")
@@ -39,7 +46,7 @@ def load_builtin(name: str) -> NetworkGraph:
 
 def resolve_topology(source: str) -> NetworkGraph:
     """Interpret source as a builtin id when it matches one, otherwise as a
-    path to a topology JSON file."""
+    path to a topology JSON file, named in every error it raises."""
     if is_builtin(source):
         return load_builtin(source)
     path = Path(source)
@@ -48,7 +55,7 @@ def resolve_topology(source: str) -> NetworkGraph:
             f"{source!r} is neither a builtin topology id "
             f"({', '.join(t.upper() for t in BUILTIN_TOPOLOGIES)}) nor an existing file"
         )
-    return load_topology(path)
+    return load_topology(source)
 
 
 def builtin_demands(name: str) -> list[TrafficDemand]:
@@ -64,7 +71,9 @@ def builtin_demands(name: str) -> list[TrafficDemand]:
 
 def load_demands(path: str | Path) -> list[TrafficDemand]:
     """Read a demand list from a JSON file shaped like
-    [{"src": 0, "dst": 26, "traffic_bps": 1.0e5}, ...]."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    [{"src": 0, "dst": 26, "traffic_bps": 1.0e5}, ...]; errors name the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise TopologyError(f"{path}: {exc}") from None
     return demands_from_list(raw, str(path))

@@ -102,6 +102,15 @@ class HopQoSRecord:
             raise ValueError(f"link_reliability {self.link_reliability} outside [0, 1]")
 
 
+def incoming_traffic(graph: NetworkGraph, node_id: int) -> float:
+    """The sum of node_id's inbound links' used bandwidth, in link-id order."""
+    total = 0.0
+    for link in graph.iter_links():
+        if link.dst == node_id:
+            total += link.used_bandwidth
+    return total
+
+
 def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> HopQoSRecord:
     """Read one hop's QoS state without touching it."""
     link = graph.link(src, dst)
@@ -113,7 +122,7 @@ def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> Hop
         dst_id=dst,
         sender_processing_rate=sender.processing_rate,
         receiver_processing_rate=receiver.processing_rate,
-        receiver_incoming_traffic=receiver.incoming_traffic,
+        receiver_incoming_traffic=incoming_traffic(graph, dst),
         link_max_bandwidth=link.max_bandwidth,
         link_used_bandwidth=link.used_bandwidth,
         link_reliability=link.reliability,

@@ -31,15 +31,18 @@ def chain_rewards(
 
     The last hop's sender and receiver process at the given rates and its
     link has the given bandwidth, load and reliability. The receiver's
-    incoming traffic is the last link's load, as the graph derives it,
-    unless incoming overrides it. lost drops the packet on the last hop.
+    incoming traffic, the sum of its inbound links' loads, is the last
+    link's load; given incoming >= used, a spare node's link into the
+    receiver carries the rest, incoming - used. lost drops the packet on
+    the last hop.
     """
     nodes = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(hops - 1)]
     nodes += [NodeState(hops - 1, sender), NodeState(hops, receiver)]
     links = [(i, i + 1, 10e6) for i in range(hops - 1)] + [(hops - 1, hops, max_bw, used, rel)]
-    graph = build_graph(nodes, links)
     if incoming is not None:
-        graph.node(hops).incoming_traffic = incoming
+        nodes.append(NodeState(hops + 1, DEFAULT_PROCESSING_RATE))
+        links.append((hops + 1, hops, 10e6, incoming - used))
+    graph = build_graph(nodes, links)
     demand = TrafficDemand(0, hops, traffic)
     result = execute_path(graph, RoutePath(tuple(range(hops + 1)), True))
     if lost:

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 import random
 import re
 from dataclasses import replace
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,11 @@ class TestExperimentConfig:
     def test_unknown_loss_mode_rejected(self):
         with pytest.raises(ValueError, match=r"loss_mode must be one of .*'coinflip'"):
             ExperimentConfig(topology="t1", demands=[], loss_mode="coinflip")
+
+    @pytest.mark.parametrize("gamma", [1.5, math.nan])
+    def test_global_gamma_out_of_range_rejected(self, gamma):
+        with pytest.raises(ValueError, match=rf"global_gamma {gamma} outside \[0, 1\]"):
+            ExperimentConfig(topology="t1", demands=[], use_global=True, global_gamma=gamma)
 
 
 class TestRunSequence:
@@ -267,7 +274,6 @@ def assert_min_hop_matches_networkx(graph):
     """Every ordered node pair: the baseline's path is a shortest path by
     networkx's count when the destination is reachable, and the zero-hop
     unreached path when it is not."""
-    nx = pytest.importorskip("networkx")
     digraph = nx.DiGraph()
     digraph.add_nodes_from(range(graph.num_nodes))
     digraph.add_edges_from((link.src, link.dst) for link in graph.iter_links())
@@ -470,6 +476,28 @@ class TestCli:
         assert main(argv + ["--global-gamma", "0.1"]) == 1
         assert capsys.readouterr().err.startswith("error: global_gamma 0.1 needs use_global")
         assert main(argv + ["--global-gamma", "0.1", "--use-global"]) == 0
+
+    @pytest.mark.parametrize("gamma", ["1.5", "nan"])
+    def test_global_gamma_out_of_range(self, gamma, capsys):
+        # Refused as the config is built, under its own name, not as --gamma.
+        assert main(["run", "--topology", "t8", "--use-global", "--global-gamma", gamma]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: global_gamma {gamma} outside [0, 1]\n"
+        assert captured.out == ""
+
+    def test_load_errors_name_the_file(self, tmp_path, capsys):
+        topology = tmp_path / "net.json"
+        topology.write_text('{"nodes": [', encoding="utf-8")
+        assert main(["validate-topology", "--topology", str(topology)]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid topology: {topology}: Expecting value: line 1 column 12 (char 11)\n"
+        )
+        demands = tmp_path / "demands.json"
+        demands.write_text('[{"src": 0, "dst": 2, "traffic_bps": 1e5}', encoding="utf-8")
+        assert main(["run", "--topology", "t3", "--demands", str(demands)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {demands}: Expecting ',' delimiter: line 1 column 42 (char 41)\n"
+        )
 
     def test_directory_as_input_path(self, tmp_path, capsys):
         demands = self.demand_file(tmp_path)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlroute.network import (
+    DEFAULT_PROCESSING_RATE,
     LinkState,
     NetworkGraph,
     NodeState,
@@ -24,7 +25,9 @@ from rlroute.network import (
     place_traffic,
     save_topology,
 )
-from rlroute.topologies import builtin_demands, load_builtin, load_demands
+from rlroute.rewards import link_scores, make_weights, reward_intensity
+from rlroute.topologies import builtin_demands, load_builtin, load_demands, resolve_topology
+from reference import incoming_traffic
 from scenarios import OVERFLOWING_TOPOLOGIES
 
 T1_LINKS = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0)]
@@ -100,10 +103,6 @@ class TestValidation:
         with pytest.raises(TopologyError):
             NodeState(0, 0.0)
 
-    def test_node_rejects_negative_incoming(self):
-        with pytest.raises(TopologyError):
-            NodeState(0, 1e6, -1.0)
-
     def test_link_rejects_self_loop(self):
         with pytest.raises(TopologyError):
             LinkState(3, 3, 1e6)
@@ -167,18 +166,25 @@ class TestBuildGraph:
             build_graph(2, [(0, 1, 1e6), (0, 1, 2e6)])
 
     def test_incoming_traffic_derived_from_inbound_used(self):
-        graph = build_graph(3, [(0, 2, 1e7, 3e6), (1, 2, 1e7, 4e6), (2, 0, 1e7, 5e6)])
-        assert graph.node(2).incoming_traffic == 7e6
-        assert graph.node(0).incoming_traffic == 5e6
-        assert graph.node(1).incoming_traffic == 0.0
+        # Read where the learner reads it, in the intensity terms: node 2
+        # receives 3e6 + 4e6, node 0 receives 5e6, node 1 nothing.
+        graph = build_graph(
+            3, [(0, 2, 1e7, 3e6), (1, 2, 1e7, 4e6), (2, 0, 1e7, 5e6), (2, 1, 1e7, 0.0)]
+        )
+        scores = link_scores(graph, make_weights(0, 0, 0, 1, 0), TrafficDemand(0, 2, 1e5))
+        incoming = {0: 5e6, 1: 0.0, 2: 7e6}
+        assert scores.intensity == [
+            reward_intensity(incoming[dst], DEFAULT_PROCESSING_RATE, 1e5)
+            for dst in graph.link_index().targets
+        ]
 
     def test_copy_is_independent(self):
         graph = t1()
         clone = graph.copy()
         clone.link(0, 1).used_bandwidth = 5e6
-        clone.node(1).incoming_traffic = 5e6
+        clone.node(1).processing_rate = 5e6
         assert graph.link(0, 1).used_bandwidth == 0.0
-        assert graph.node(1).incoming_traffic == 0.0
+        assert graph.node(1).processing_rate == DEFAULT_PROCESSING_RATE
         assert clone != graph
 
     def test_max_link_utilization(self):
@@ -222,16 +228,18 @@ class TestPaths:
             check_path(t1(), RoutePath((0, 2, 3), True))
 
     def test_place_traffic_t1_chain(self):
-        # 0.5 Mb/s along 0-1-2-3-4 grows every path link and every non-source node.
+        # 0.5 Mb/s along 0-1-2-3-4 grows every path link's load and nothing
+        # else, so every non-source node's inbound loads sum to 0.5 Mb/s.
         graph = t1()
         demand = TrafficDemand(0, 4, 0.5e6)
         place_traffic(graph, RoutePath((0, 1, 2, 3, 4), True), demand)
         for src, dst in [(0, 1), (1, 2), (2, 3), (3, 4)]:
             assert graph.link(src, dst).used_bandwidth == 0.5e6
         assert graph.link(2, 0).used_bandwidth == 0.0
+        assert graph.nodes == t1().nodes
         for node_id in (1, 2, 3, 4):
-            assert graph.node(node_id).incoming_traffic == 0.5e6
-        assert graph.node(0).incoming_traffic == 0.0
+            assert incoming_traffic(graph, node_id) == 0.5e6
+        assert incoming_traffic(graph, 0) == 0.0
 
     def test_place_traffic_rejects_unreached_path(self):
         with pytest.raises(ValueError, match="did not reach"):
@@ -265,6 +273,23 @@ class TestTopologyDocuments:
         link = graph_from_dict(doc).link(0, 1)
         assert link.used_bandwidth == 0.0
         assert link.reliability == 1.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"nodes": [{"id": 0, "processing_rate_bps": 1e8}], "links": '
+             '[{"src": 0, "dst": 5, "max_bandwidth_bps": 1e7}]}',
+             "link (0,5): endpoint 5 is not a node id"),
+            ('{"nodes": [', "Expecting value: line 1 column 12 (char 11)"),
+        ],
+        ids=["endpoint", "truncated"],
+    )
+    def test_file_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "net.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TopologyError) as info:
+            resolve_topology(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
     def test_error_names_field_path(self):
         doc = {
@@ -387,6 +412,12 @@ class TestDemandFiles:
         path = self.write(tmp_path, '[{"src": 0, "dst": 2, "traffic_bps": 1%s}]' % ("0" * 400))
         with pytest.raises(TopologyError, match=r"\[0\]\.traffic_bps: integer too large"):
             load_demands(path)
+
+    def test_rejects_truncated_json_naming_file(self, tmp_path):
+        path = self.write(tmp_path, '[{"src": 0, "dst": 1, "traffic_bps": 1e5}')
+        with pytest.raises(TopologyError) as info:
+            load_demands(path)
+        assert str(info.value) == f"{path}: Expecting ',' delimiter: line 1 column 42 (char 41)"
 
     def test_rejects_non_list_document(self, tmp_path):
         path = self.write(tmp_path, '{"src": 0, "dst": 1, "traffic_bps": 1e5}')

@@ -19,14 +19,16 @@ from rlroute.engine import (
 )
 from rlroute.harness import baseline_min_hop
 from rlroute.network import (
+    NodeState,
     TrafficDemand,
     build_graph,
     check_path,
     graph_from_dict,
     graph_to_dict,
+    place_traffic,
 )
-from rlroute.rewards import make_weights
-from reference import RewardRecord, rewards_of
+from rlroute.rewards import link_scores, make_weights, reward_intensity
+from reference import RewardRecord, incoming_traffic, rewards_of
 from scenarios import chain_rewards
 
 finite = st.floats(min_value=-10.0, max_value=10.0)
@@ -45,6 +47,27 @@ def routing_scenarios(draw):
     src = draw(st.integers(min_value=0, max_value=n - 1))
     dst = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
     return graph, table, TrafficDemand(src, dst, 1e5)
+
+
+@st.composite
+def placed_graphs(draw):
+    """A random graph with fractional link loads, after placing a random
+    sequence of fractional demands along their min-hop paths. Nodes process
+    1 b/s, so an intensity term keeps nearly every bit of its node's sum."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
+    rate = st.floats(min_value=1e-3, max_value=1e5)
+    nodes = [NodeState(i, 1.0) for i in range(n)]
+    graph = build_graph(nodes, [(a, b, 1e7, draw(rate | st.just(0.0))) for a, b in chosen])
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        src = draw(st.integers(min_value=0, max_value=n - 1))
+        dst = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
+        demand = TrafficDemand(src, dst, draw(rate))
+        path = baseline_min_hop(graph, demand)
+        if path.reached_destination:
+            place_traffic(graph, path, demand)
+    return graph
 
 
 @st.composite
@@ -189,18 +212,36 @@ class TestRewardBounds:
         st.floats(min_value=0.0, max_value=1e8, exclude_min=True),
     )
     def test_successful_rewards_never_exceed_their_caps(
-        self, hops, sender, receiver, incoming, max_bw, used, rel, raw_weights, extra
+        self, hops, sender, receiver, other_incoming, max_bw, used, rel, raw_weights, extra
     ):
         # Each term is at most 1, so the weighted sum stays below the
         # normalizing constant: local tops out at -0.1, global at 0.
-        # (A demand's traffic is always positive, hence extra > 0.)
+        # (A demand's traffic is always positive, hence extra > 0.) The
+        # receiver's other inbound traffic is drawn apart from the link's
+        # load, so intensity varies independently of utilization.
         weights = make_weights(*raw_weights)
         local, glob = chain_rewards(
-            hops, sender, receiver, incoming, max_bw, used, rel, weights, extra
+            hops, sender, receiver, used + other_incoming, max_bw, used, rel, weights, extra
         )
         assert local[-1].action_success and glob[-1].action_success
         assert local[-1].value <= -0.1 + 1e-9
         assert glob[-1].value <= 1e-9
+
+
+class TestIncomingTraffic:
+    @settings(max_examples=200, deadline=None)
+    @given(placed_graphs())
+    def test_intensity_reads_the_sum_of_inbound_loads(self, graph):
+        # Placements add fractional rates link by link; each intensity term
+        # still sees its receiver's inbound loads as they now sum.
+        demand = TrafficDemand(0, 1, 1.0)
+        scores = link_scores(graph, make_weights(0, 0, 0, 1, 0), demand)
+        assert scores.intensity == [
+            reward_intensity(
+                incoming_traffic(graph, dst), graph.node(dst).processing_rate, demand.traffic
+            )
+            for dst in graph.link_index().targets
+        ]
 
 
 class TestBaselineOptimality:
@@ -254,4 +295,3 @@ class TestSerialization:
         )
         restored = graph_from_dict(graph_to_dict(graph))
         assert restored == graph
-        assert restored.node(1).incoming_traffic == graph.node(1).incoming_traffic
