@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from math import isfinite
+from math import inf, isfinite
 from numbers import Integral
 from typing import ClassVar, Optional, Sequence
 
@@ -90,19 +90,32 @@ class QTable:
     state being the link's source node and the action its target.
 
     Only links have cells, so a (state, action) pair without a link is
-    absent: the accessors raise AbsentLinkError for it. set() refuses
-    non-finite values.
+    absent: the accessors raise AbsentLinkError for it. Every Q-value is
+    finite: the constructor, store() and set() refuse any other, and
+    selection relies on it.
     """
 
     def __init__(self, index: LinkIndex, q: list[float]):
+        if len(q) != len(index.targets):
+            raise ValueError(f"{len(q)} Q-values for {len(index.targets)} links")
         self.index = index
         self.q = q
+        for k, value in enumerate(q):
+            if not isfinite(value):
+                self.store(k, value)  # raises, naming the link
+
+    @classmethod
+    def _of(cls, index: LinkIndex, q: list[float]) -> "QTable":
+        """A table over values already known to be finite, unchecked."""
+        table = cls.__new__(cls)
+        table.index, table.q = index, q
+        return table
 
     @classmethod
     def for_graph(cls, graph: NetworkGraph) -> "QTable":
         """A table holding 0 for every link of graph."""
         index = graph.link_index()
-        return cls(index, [0.0] * len(index.targets))
+        return cls._of(index, [0.0] * len(index.targets))
 
     def link_id(self, state: int, action: int) -> int:
         try:
@@ -124,7 +137,7 @@ class QTable:
         self.q[k] = value
 
     def copy(self) -> "QTable":
-        return QTable(self.index, self.q.copy())
+        return QTable._of(self.index, self.q.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QTable):
@@ -180,6 +193,12 @@ def find_temp_path(
     otherwise the one with the highest Q-value, ties to the lowest node id.
     Stops on reaching the destination, on a dead end, or after ttl hops.
     A source with no out-neighbors yields a zero-hop, not-reached path.
+
+    A greedy step scans the node's out-links in id order, keeping the best
+    so far: a link replaces it only if its Q-value is strictly higher, and
+    only then is its target looked up in visited. Every Q-value is finite
+    (QTable holds no other), so this keeps the highest-valued unvisited
+    link, the first of equal values.
     """
     epsilon, destination = hyper.epsilon, demand.dst
     explore = epsilon > 0
@@ -200,9 +219,10 @@ def find_temp_path(
                 chosen = out[rng.randrange(len(out))]
         if chosen < 0:
             # Greedy: strict > keeps the first of equal values, so ties go
-            # to the lowest id.
+            # to the lowest id; every finite value beats -inf.
+            best = -inf
             for k in out:
-                if targets[k] not in visited and (chosen < 0 or q[k] > best):
+                if q[k] > best and targets[k] not in visited:
                     chosen, best = k, q[k]
             if chosen < 0:
                 break
@@ -239,13 +259,18 @@ def update_table(table: QTable, rewards: EpisodeRewards, hyper: Hyperparameters)
     means that read always sees the pre-episode value. The last entry either
     bootstraps from hyper.terminal_q (success) or has its penalty value added
     outright (failure), so failures accumulate.
+
+    The entries before the last compute sarsa_update's formula inline, with
+    the same operations in the same order, so the values are the same bits.
+    Each written value is checked to be finite.
     """
     if not rewards:
         raise ValueError("cannot update a table with an empty reward list")
     q, links, values = table.q, rewards.links, rewards.values
     alpha, gamma = hyper.alpha, hyper.gamma
+    keep = 1.0 - alpha
     for k, k_next, reward in zip(links, links[1:], values):
-        value = sarsa_update(q[k], reward, q[k_next], alpha, gamma)
+        value = keep * q[k] + alpha * (reward + gamma * q[k_next])
         if not isfinite(value):
             table.store(k, value)  # raises, naming the pair
         q[k] = value

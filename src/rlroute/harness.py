@@ -261,10 +261,13 @@ class GammaStudyReport:
 
 def run_gamma_study(base: ExperimentConfig, gammas: Sequence[float]) -> GammaStudyReport:
     """Same topology, demands, and seed for every group; test groups turn on
-    global-table reuse and apply their gamma to global updates only."""
-    control = run_sequence(replace(base, use_global=False, global_gamma=None))
-    runs = [run_sequence(replace(base, use_global=True, global_gamma=gamma)) for gamma in gammas]
-    return GammaStudyReport(control=control, runs=runs)
+    global-table reuse and apply their gamma to global updates only. Every
+    group's config is built, and so checked, before the first group runs."""
+    control = replace(base, use_global=False, global_gamma=None)
+    groups = [replace(base, use_global=True, global_gamma=gamma) for gamma in gammas]
+    return GammaStudyReport(
+        control=run_sequence(control), runs=[run_sequence(config) for config in groups]
+    )
 
 
 def baseline_min_hop(graph: NetworkGraph, demand: TrafficDemand) -> RoutePath:

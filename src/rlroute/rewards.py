@@ -171,25 +171,59 @@ def reward_utilization(used, max_bandwidth, extra: float = 0.0):
 
 
 @dataclass(frozen=True)
+class WeightedTerms:
+    """A graph's load-free local terms under one set of weights. hop (by
+    position), transmission and reliability are the weighted terms, as
+    lists that every LinkScores with these weights shares; partial holds
+    each link's hop + transmission + reliability for the first and the last
+    hop, which link_scores extends to bound the local rewards."""
+
+    hop: list[float]
+    transmission: list[float]
+    reliability: list[float]
+    partial: np.ndarray
+
+
+@dataclass(frozen=True)
 class FixedTerms:
     """A graph's reward inputs that no load enters, as numpy arrays: each
     link's target, each node's processing rate, and per link the sender's
-    transmission reward, the reliability reward and the capacity.
+    transmission reward, the reliability reward, the global reward's
+    (default-weighted) reliability term and the capacity.
     Capacities, reliabilities and processing rates are fixed after
     construction (only place_traffic writes to a graph, and it writes
     loads), so a graph evaluates these once; one reassigned on a built
     graph after its first scoring is not seen. Reliabilities are checked
     here, rates and capacities by the intensity and utilization terms,
-    which divide by them."""
+    which divide by them. The weighted local terms are evaluated once per
+    set of weights (weighted_by)."""
 
     targets: np.ndarray
     rate: np.ndarray
     transmission: np.ndarray
     reliability: np.ndarray
+    global_reliability: np.ndarray
     max_bandwidth: np.ndarray
     # hop[i] is the reward of hop i + 1; a simple path has at most
     # num_nodes - 1 hops.
     hop: np.ndarray
+    weighted: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def weighted_by(self, weights: QoSWeights) -> WeightedTerms:
+        """The local terms under weights, computed on the first call."""
+        terms = self.weighted.get(weights)
+        if terms is None:
+            # A sum that overflows is reported by link_scores, naming the link.
+            with np.errstate(over="ignore", invalid="ignore"):
+                hop = weights.hop_count * self.hop
+                transmission = weights.transmission * self.transmission
+                reliability = weights.reliability * self.reliability
+                ends = hop[[0, -1], None] if len(hop) else hop[:, None]
+                partial = ends + transmission + reliability
+            terms = self.weighted[weights] = WeightedTerms(
+                hop.tolist(), transmission.tolist(), reliability.tolist(), partial
+            )
+        return terms
 
 
 def _fixed_terms(graph: NetworkGraph) -> FixedTerms:
@@ -202,6 +236,7 @@ def _fixed_terms(graph: NetworkGraph) -> FixedTerms:
         rate=np.array(rates),
         transmission=transmission[np.array(index.sources, dtype=np.intp)],
         reliability=reliability,
+        global_reliability=DEFAULT_WEIGHTS.reliability * reliability,
         max_bandwidth=np.array([l.max_bandwidth for l in index.links]),
         hop=np.array([reward_hop(i) for i in range(1, graph.num_nodes)]),
     )
@@ -242,9 +277,11 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     as the term functions do, if any node or link holds an inadmissible value,
     and names the first link whose local or global reward sums to a
     non-finite value. Only the loads are read per call; the rest comes from
-    the graph's FixedTerms, built on its first call.
+    the graph's FixedTerms, built on its first call, and their weighted
+    terms, built on the first call with these weights.
     """
     fixed = graph.cached(_fixed_terms)
+    weighted = fixed.weighted_by(weights)
     index = graph.link_index()
     targets = fixed.targets
     used = np.array([l.used_bandwidth for l in index.links])
@@ -253,14 +290,11 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     w, g = weights, DEFAULT_WEIGHTS
     # Overflow is checked below, naming the link, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        hop = w.hop_count * fixed.hop
-        transmission = w.transmission * fixed.transmission
-        reliability = w.reliability * fixed.reliability
         # Before intensity, so that a bad load is reported as its link's.
         utilization = w.utilization * reward_utilization(used, fixed.max_bandwidth, demand.traffic)
         intensity = (w.intensity * reward_intensity(incoming, fixed.rate, demand.traffic))[targets]
         global_reward = (
-            g.reliability * fixed.reliability
+            fixed.global_reliability
             + (g.intensity * reward_intensity(incoming, fixed.rate))[targets]
             + g.utilization * reward_utilization(used, fixed.max_bandwidth)
             - g.global_constant
@@ -268,8 +302,7 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
         # A hop's local reward adds hop + t + r + ie + ue - K in this order. Each
         # partial sum is monotone in the hop term, so summing with the first and
         # the last hop's terms bounds the sums at every position.
-        ends = hop[[0, -1], None] if len(hop) else hop[:, None]
-        local = ends + transmission + reliability + intensity + utilization - w.local_constant
+        local = weighted.partial + intensity + utilization - w.local_constant
     finite = np.isfinite(local).all(axis=0) & np.isfinite(global_reward)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -279,9 +312,9 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     return LinkScores(
         index=index,
         destination=demand.dst,
-        hop=hop.tolist(),
-        transmission=transmission.tolist(),
-        reliability=reliability.tolist(),
+        hop=weighted.hop,
+        transmission=weighted.transmission,
+        reliability=weighted.reliability,
         intensity=intensity.tolist(),
         utilization=utilization.tolist(),
         local_constant=w.local_constant,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,23 @@ class TestQTable:
             table.set(0, 1, float("inf"))
         with pytest.raises(ValueError):
             table.set(0, 1, float("nan"))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constructor_refuses_non_finite_values(self, value):
+        # Selection compares against -inf and skips NaN, so a table must
+        # never hold either; the message names the link as store() does.
+        index = load_builtin("t1").link_index()
+        q = [0.0] * len(index.targets)
+        q[2] = value
+        message = f"Q-value for ({index.sources[2]},{index.targets[2]}) must be finite, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QTable(index, q)
+
+    def test_constructor_refuses_a_value_count_other_than_the_links(self):
+        index = load_builtin("t1").link_index()
+        with pytest.raises(ValueError, match="4 Q-values for 5 links"):
+            QTable(index, [0.0] * 4)
+        assert QTable(index, [-1.0] * 5).q == [-1.0] * 5
 
     def test_copy_is_deep(self):
         table = QTable.for_graph(load_builtin("t1"))

@@ -229,6 +229,18 @@ class TestGammaStudy:
         study = run_gamma_study(t3_config(), [0.9])
         assert len(study.group_reports()) == 2
 
+    def test_bad_gamma_refused_before_any_group_runs(self, monkeypatch):
+        calls = []
+
+        def recording(config):
+            calls.append(config.global_gamma)
+            return run_sequence(config)
+
+        monkeypatch.setattr(harness, "run_sequence", recording)
+        with pytest.raises(ValueError, match=r"global_gamma 1.5 outside \[0, 1\]"):
+            run_gamma_study(t3_config(), [0.5, 1.5])
+        assert calls == []
+
 
 class TestBaselineMinHop:
     def test_t1_unique_path(self):

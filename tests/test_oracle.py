@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 import reference
 from reference import RewardRecord, records_of, rewards_of
 from rlroute.dataplane import LossModel, execute_path
-from rlroute.engine import Hyperparameters, QTable, find_temp_path, update_table
+from rlroute.engine import Hyperparameters, QTable, find_temp_path, sarsa_update, update_table
 from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
+    EpisodeRewards,
     global_rewards_for_path,
     link_scores,
     local_rewards_for_path,
@@ -65,6 +66,35 @@ def tables(draw, graph):
     for link in graph.iter_links():
         table.set(link.src, link.dst, draw(q_values))
     return table
+
+
+# Signed zeros tie under ==, so a scan must keep the first of them.
+tie_values = st.sampled_from([-1.0, -0.0, 0.0, 0.5])
+
+
+@st.composite
+def duplex_cases(draw):
+    """A dense graph of duplex pairs, a table and a demand. With per-target
+    values every node's best out-link leads to the same few nodes, so once
+    those are visited the best link at each later step is one to skip;
+    leaves (one duplex pair) are dead ends once entered."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(
+        st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1, max_size=len(pairs))
+    )
+    graph = build_graph(n, [(a, b, 1e7) for a, b in chosen] + [(b, a, 1e7) for a, b in chosen])
+    table = QTable.for_graph(graph)
+    if draw(st.booleans()):
+        by_target = draw(st.lists(tie_values | q_values, min_size=n, max_size=n))
+        for link in graph.iter_links():
+            table.set(link.src, link.dst, by_target[link.dst])
+    else:
+        for link in graph.iter_links():
+            table.set(link.src, link.dst, draw(tie_values))
+    src = draw(st.integers(min_value=0, max_value=n - 1))
+    dst = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
+    return graph, table, TrafficDemand(src, dst, 1e5)
 
 
 def exact(rewards):
@@ -134,6 +164,22 @@ class TestLinkScores:
                 reference.global_rewards_for_path(records, DEFAULT_WEIGHTS)
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(networks(), weight_sets, weight_sets)
+    def test_weight_sets_scored_on_one_graph_keep_apart(self, network, first, second):
+        # The graph keeps its weighted terms per weight set: scoring under
+        # one set, then another, then the first again gives the bits a
+        # never-scored copy of the graph gives each time.
+        graph, demand = network
+        for weights in (first, second, first):
+            kept = link_scores(graph, weights, demand)
+            fresh = link_scores(graph.copy(), weights, demand)
+            for name in ("hop", "transmission", "reliability", "intensity", "utilization",
+                         "global_reward"):
+                assert [v.hex() for v in getattr(kept, name)] == [
+                    v.hex() for v in getattr(fresh, name)
+                ]
+
     def test_scores_read_loads_placed_after_the_graph_was_first_scored(self):
         # The graph keeps its load-free terms from the first scoring; the
         # loads placed after it must still reach the next demand's scores.
@@ -173,6 +219,24 @@ class TestSelection:
         # The same random draws, not just the same path.
         assert rng.getstate() == reference_rng.getstate()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        duplex_cases(),
+        st.sampled_from([0.0, 0.3, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        seeds,
+        st.integers(min_value=1, max_value=9),
+    )
+    def test_selection_skips_visited_best_links_as_the_reference_does(
+        self, case, epsilon, seed, ttl
+    ):
+        graph, table, demand = case
+        hyper = Hyperparameters(epsilon=epsilon, ttl=ttl)
+        dense = reference.DenseQTable.from_table(graph, table)
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        path = find_temp_path(demand, table, hyper, rng)
+        assert path == reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
+        assert rng.getstate() == reference_rng.getstate()
+
 
 class TestUpdate:
     @settings(max_examples=200, deadline=None)
@@ -203,6 +267,40 @@ class TestUpdate:
         update_table(table, rewards_of(table.index, rewards), hyper)
         reference.update_table(dense, rewards, hyper)
         assert same_values(table, dense, graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        duplex_cases(),
+        seeds,
+        st.lists(tie_values | q_values, min_size=9, max_size=9),
+        st.booleans(),
+        st.sampled_from([0.05, 0.5, 1.0]) | st.floats(min_value=0.05, max_value=1.0),
+        st.sampled_from([0.0, 0.9, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        tie_values,
+    )
+    def test_update_matches_step_interleaved_sarsa_bit_for_bit(
+        self, case, seed, values, last_ok, alpha, gamma, terminal_q
+    ):
+        # Each step writes sarsa_update of the current values before the
+        # next step reads; -0.0 in the table, rewards and bootstrap must
+        # come out with the same sign.
+        graph, table, demand = case
+        path = find_temp_path(demand, table, Hyperparameters(epsilon=1.0), random.Random(seed))
+        assume(path.hop_count > 0)
+        links = tuple(table.index.ids[pair] for pair in path.links())
+        rewards = EpisodeRewards(links, tuple(values[: len(links)]), last_ok)
+        hyper = Hyperparameters(alpha=alpha, gamma=gamma, terminal_q=terminal_q)
+        expected = list(table.q)
+        for i, k in enumerate(links):
+            if i < len(links) - 1:
+                q_next = expected[links[i + 1]]
+                expected[k] = sarsa_update(expected[k], values[i], q_next, alpha, gamma)
+            elif last_ok:
+                expected[k] = sarsa_update(expected[k], values[i], terminal_q, alpha, gamma)
+            else:
+                expected[k] = expected[k] + values[i]
+        update_table(table, rewards, hyper)
+        assert [v.hex() for v in table.q] == [v.hex() for v in expected]
 
 
 class TestEpisodes:

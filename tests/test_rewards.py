@@ -268,6 +268,15 @@ class TestRewardSums:
         with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
             link_scores(load_builtin("t1"), weights, TrafficDemand(0, 4, 1e5))
 
+    def test_load_free_terms_overflowing_are_refused_on_every_demand(self):
+        # The graph keeps its weighted hop, transmission and reliability
+        # terms after the first demand; their sum is still checked on each.
+        graph = load_builtin("t1")
+        weights = make_weights(1e308, 1e308, 1e308, 0, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
+                link_scores(graph, weights, TrafficDemand(0, 4, 1e5))
+
     def test_find_route_fails_before_the_first_episode(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an episode was run")
