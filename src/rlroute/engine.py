@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from math import inf, isfinite
-from numbers import Integral
 from typing import ClassVar, Optional, Sequence
 
 from . import dataplane
@@ -76,7 +75,7 @@ class Hyperparameters:
             raise ValueError(f"gamma {self.gamma} outside [0, 1]")
         for name in ("ttl", "episodes"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not isfinite(self.terminal_q):
             raise ValueError(f"terminal_q must be finite, got {self.terminal_q}")
@@ -289,7 +288,7 @@ def find_route(
     weights: Optional[QoSWeights] = None,
     hyper: Optional[Hyperparameters] = None,
     rng: Optional[random.Random] = None,
-    global_hyper: Optional[Hyperparameters] = None,
+    global_gamma: Optional[float] = None,
     loss: Optional[dataplane.LossModel] = None,
 ) -> RouteResult:
     """Learn a path for one demand over graph.
@@ -301,10 +300,10 @@ def find_route(
     rewards (framework default weights) right after the local ones and
     updates global_table in place after the local table. With None the local
     table starts at 0 and nothing global is scored or kept. Global updates
-    use the framework default hyperparameters unless global_hyper overrides
-    them; per-demand customization (weights, hyper) touches only the local
-    table. Packets are lost only to a given loss model. Returns the greedy
-    final path plus per-episode traces.
+    use the framework default hyperparameters, with global_gamma as gamma
+    when given; per-demand customization (weights, hyper) touches only the
+    local table. Packets are lost only to a given loss model. Returns the
+    greedy final path plus per-episode traces.
     """
     if not (graph.has_node(demand.src) and graph.has_node(demand.dst)):
         raise ValueError(f"demand {demand.src}->{demand.dst} references unknown nodes")
@@ -312,7 +311,9 @@ def find_route(
         raise UnroutableDemandError(f"node {demand.src} has no outgoing links")
     weights = DEFAULT_WEIGHTS if weights is None else weights
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
-    global_hyper = DEFAULT_HYPERPARAMETERS if global_hyper is None else global_hyper
+    global_hyper = DEFAULT_HYPERPARAMETERS
+    if global_gamma is not None:
+        global_hyper = replace(global_hyper, gamma=global_gamma)
 
     local_table = init_local_table(graph, global_table)
     # Executing paths never changes the graph, so one demand's reward terms

@@ -46,7 +46,8 @@ LOSS_MODES = ("off", "bernoulli")
 class ExperimentConfig:
     """Everything one run depends on. topology is a builtin id or a file
     path; demands are handled strictly in the given order. global_gamma
-    discounts global-table updates, so it needs use_global."""
+    discounts global-table updates, so it needs use_global. seed is a
+    Python int (not bool, not a numpy integer), as reports write it."""
 
     topology: str
     demands: Sequence[TrafficDemand]
@@ -58,6 +59,8 @@ class ExperimentConfig:
     loss_mode: str = "off"
 
     def __post_init__(self) -> None:
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         gamma = self.global_gamma
@@ -199,8 +202,6 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
     # Only a run that seeds local tables from it needs a global table.
     global_table = QTable.for_graph(graph) if config.use_global else None
     rng = random.Random(config.seed)
-    gamma = config.global_gamma
-    global_hyper = None if gamma is None else replace(DEFAULT_HYPERPARAMETERS, gamma=gamma)
     outcomes: list[DemandOutcome] = []
     for index, demand in enumerate(config.demands, start=1):
         try:
@@ -211,7 +212,7 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
                 weights=config.weights,
                 hyper=config.hyper,
                 rng=rng,
-                global_hyper=global_hyper,
+                global_gamma=config.global_gamma,
                 loss=loss,
             )
         except UnroutableDemandError:

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import IO, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
 
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
@@ -29,9 +29,9 @@ class TopologyError(ValueError):
 @dataclass
 class NodeState:
     """One network node. Its incoming traffic is not stored: it is the sum
-    of its inbound links' used bandwidth. The processing rate is read once
-    per graph (rewards.FixedTerms); the rewards do not see it reassigned
-    after the graph's first scoring.
+    of its inbound links' used bandwidth. The processing rate is read, and
+    checked, the first time the graph is scored under a set of weights
+    (rewards.TermSet); the rewards do not see it reassigned after that.
     """
 
     node_id: int
@@ -53,9 +53,9 @@ class LinkState:
 
     used_bandwidth may exceed max_bandwidth: over-subscription is an
     observable (and penalized) state, not a construction error. Loads are
-    read per demand. max_bandwidth and reliability are read once per graph
-    (rewards.FixedTerms); the rewards do not see one reassigned after the
-    graph's first scoring.
+    read, and checked, per demand. max_bandwidth and reliability are read,
+    and checked, the first time the graph is scored under a set of weights
+    (rewards.TermSet); the rewards do not see one reassigned after that.
     """
 
     src: int
@@ -89,13 +89,19 @@ class LinkState:
 
 @dataclass(frozen=True)
 class TrafficDemand:
-    """A (source, destination, estimated traffic rate) triple; the unit of work."""
+    """A (source, destination, estimated traffic rate) triple; the unit of
+    work. src and dst are Python ints (not bool, not numpy integers), as
+    reports write them."""
 
     src: int
     dst: int
     traffic: float
 
     def __post_init__(self) -> None:
+        for name in ("src", "dst"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"demand {name} must be an int, got {value!r}")
         if self.src == self.dst:
             raise ValueError(f"demand src and dst must differ, got {self.src}")
         if not 0 < self.traffic <= _FLOAT_MAX:
@@ -208,21 +214,24 @@ class NetworkGraph:
         scores share. Built with the graph: its link set never changes."""
         return self._index
 
-    def cached(self, build: Callable[["NetworkGraph"], _T]) -> _T:
-        """build(self), computed on the first call and kept for the graph's
-        lifetime. build itself is the key, so pass a module-level function,
-        not a fresh lambda; rewards.FixedTerms is built this way.
+    def cached(self, build: Callable[..., _T], *args: Hashable) -> _T:
+        """build(self, *args), computed on the first call with these args
+        and kept for the graph's lifetime. build and args are the key, so
+        pass a module-level function, not a fresh lambda; rewards.TermSet is
+        built this way, once per set of weights. A build that raises keeps
+        nothing, so the next call builds again.
 
-        Only for what depends on nothing but the fixed part of the graph:
-        its link set, link capacities and reliabilities and node processing
-        rates, none of which change after construction. Loads do change
-        (place_traffic writes them), so nothing derived from a load may be
-        cached here.
+        Only for what depends on nothing but args and the fixed part of the
+        graph: its link set, link capacities and reliabilities and node
+        processing rates, none of which change after construction. Loads do
+        change (place_traffic writes them), so nothing derived from a load
+        may be cached here.
         """
+        key = (build, *args)
         try:
-            return self._cache[build]
+            return self._cache[key]
         except KeyError:
-            value = self._cache[build] = build(self)
+            value = self._cache[key] = build(self, *args)
             return value
 
     def iter_links(self) -> Iterator[LinkState]:

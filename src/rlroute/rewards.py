@@ -28,8 +28,12 @@ Every term but the hop reward depends on one link and on loads that change
 only between demands, when a routed demand's traffic is placed. LinkScores
 evaluates those terms for all links once per demand, so an episode's
 rewards only index lists by link id, and an episode that repeats an earlier
-one's hops and loss flag gets the rewards already computed. The inputs no
-load enters (FixedTerms) are evaluated once per graph.
+one's hops and loss flag gets the rewards already computed. What no load
+enters is evaluated once per graph and set of weights (TermSet).
+
+Each input is checked once, where it enters: capacities, reliabilities and
+processing rates when a graph's TermSet is built, loads by link_scores on
+every demand, and demand traffic by TrafficDemand.
 """
 
 from __future__ import annotations
@@ -112,18 +116,17 @@ class EpisodeRewards:
         return len(self.links)
 
 
-def _check(ok, values, message: str) -> None:
-    """Raise ValueError(message) with the first of values where ok fails.
-    ok and values are numbers, or arrays of one shape."""
-    ok = np.asarray(ok)
+def _check(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) with the first of values where ok fails."""
     if np.count_nonzero(ok) != ok.size:
-        raise ValueError(f"{message}, got {np.asarray(values)[~ok].flat[0]}")
+        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
 
 
-# The term functions below take numbers or, all but reward_hop and
-# reward_transmission, numpy arrays: elementwise + - * / round exactly as on
-# Python floats, so a term evaluated over all links at once equals the same
-# term evaluated per hop.
+# The term functions below are the formulas alone; their inputs are checked
+# where they enter, as the module docstring says. All but reward_hop and
+# reward_transmission also take numpy arrays: elementwise + - * / round
+# exactly as on Python floats, so a term evaluated over all links at once
+# equals the same term evaluated per hop.
 
 
 def reward_hop(hop_index: int) -> float:
@@ -137,15 +140,11 @@ def reward_transmission(sender_rate_mbps: float) -> float:
     """Transmission-delay reward, (2/pi)*atan(rate); the argument is the
     sending node's processing rate expressed numerically in Mb/s. A number
     only: np.arctan may differ from math.atan in the last bit."""
-    if sender_rate_mbps < 0:
-        raise ValueError(f"sender rate must be >= 0, got {sender_rate_mbps}")
     return (2.0 / math.pi) * math.atan(sender_rate_mbps)
 
 
 def reward_reliability(reliability):
     """Link-reliability reward; the identity on [0, 1]."""
-    _check((0.0 <= reliability) & (reliability <= 1.0), reliability,
-           "reliability outside [0, 1]")
     return reliability
 
 
@@ -155,90 +154,73 @@ def reward_intensity(receiver_incoming, receiver_rate, extra: float = 0.0):
     extra = 0 gives the current form; extra = the demand's traffic gives the
     estimated form. May go negative when the node is overloaded.
     """
-    _check(receiver_rate > 0, receiver_rate, "receiver processing rate must be > 0")
-    _check(receiver_incoming >= 0, receiver_incoming, "receiver incoming traffic must be >= 0")
-    _check(extra >= 0, extra, "extra traffic must be >= 0")
     return 1.0 - (receiver_incoming + extra) / receiver_rate
 
 
 def reward_utilization(used, max_bandwidth, extra: float = 0.0):
     """Link-utilization reward, 1 - (used+extra)/max; negative when the link
     is over-subscribed (deliberately unclamped)."""
-    _check(max_bandwidth > 0, max_bandwidth, "link max bandwidth must be > 0")
-    _check(used >= 0, used, "link used bandwidth must be >= 0")
-    _check(extra >= 0, extra, "extra traffic must be >= 0")
     return 1.0 - (used + extra) / max_bandwidth
 
 
 @dataclass(frozen=True)
-class WeightedTerms:
-    """A graph's load-free local terms under one set of weights. hop (by
-    position), transmission and reliability are the weighted terms, as
-    lists that every LinkScores with these weights shares; partial holds
-    each link's hop + transmission + reliability for the first and the last
-    hop, which link_scores extends to bound the local rewards."""
+class TermSet:
+    """What link_scores reads of a graph under one set of weights that no
+    load enters, built by NetworkGraph.cached on the first scoring with
+    these weights: each link's target, each node's processing rate, each
+    link's capacity and the global reward's (default-weighted) reliability
+    term, as numpy arrays; the weighted hop (by position), transmission and
+    reliability terms, as the lists every LinkScores with these weights
+    shares; and partial, each link's hop + transmission + reliability for
+    the first and the last hop, which link_scores extends to bound the local
+    rewards.
 
+    Capacities, reliabilities and processing rates are fixed after
+    construction (only place_traffic writes to a graph, and it writes
+    loads), so they are read and checked here, once; one reassigned on a
+    built graph after its first scoring is not seen.
+    """
+
+    targets: np.ndarray
+    rate: np.ndarray
+    max_bandwidth: np.ndarray
+    global_reliability: np.ndarray
     hop: list[float]
     transmission: list[float]
     reliability: list[float]
     partial: np.ndarray
 
 
-@dataclass(frozen=True)
-class FixedTerms:
-    """A graph's reward inputs that no load enters, as numpy arrays: each
-    link's target, each node's processing rate, and per link the sender's
-    transmission reward, the reliability reward, the global reward's
-    (default-weighted) reliability term and the capacity.
-    Capacities, reliabilities and processing rates are fixed after
-    construction (only place_traffic writes to a graph, and it writes
-    loads), so a graph evaluates these once; one reassigned on a built
-    graph after its first scoring is not seen. Reliabilities are checked
-    here, rates and capacities by the intensity and utilization terms,
-    which divide by them. The weighted local terms are evaluated once per
-    set of weights (weighted_by)."""
-
-    targets: np.ndarray
-    rate: np.ndarray
-    transmission: np.ndarray
-    reliability: np.ndarray
-    global_reliability: np.ndarray
-    max_bandwidth: np.ndarray
+def _term_set(graph: NetworkGraph, weights: QoSWeights) -> TermSet:
+    index = graph.link_index()
+    reliability = np.array([l.reliability for l in index.links])
+    max_bandwidth = np.array([l.max_bandwidth for l in index.links])
+    rates = [n.processing_rate for n in graph.nodes]
+    rate = np.array(rates)
+    _check((0.0 <= reliability) & (reliability <= 1.0), reliability, "reliability outside [0, 1]")
+    _check(max_bandwidth > 0, max_bandwidth, "link max bandwidth must be > 0")
+    _check(rate > 0, rate, "receiver processing rate must be > 0")
+    transmission = np.array([reward_transmission(r / MBPS) for r in rates])
+    reliability = reward_reliability(reliability)
     # hop[i] is the reward of hop i + 1; a simple path has at most
     # num_nodes - 1 hops.
-    hop: np.ndarray
-    weighted: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def weighted_by(self, weights: QoSWeights) -> WeightedTerms:
-        """The local terms under weights, computed on the first call."""
-        terms = self.weighted.get(weights)
-        if terms is None:
-            # A sum that overflows is reported by link_scores, naming the link.
-            with np.errstate(over="ignore", invalid="ignore"):
-                hop = weights.hop_count * self.hop
-                transmission = weights.transmission * self.transmission
-                reliability = weights.reliability * self.reliability
-                ends = hop[[0, -1], None] if len(hop) else hop[:, None]
-                partial = ends + transmission + reliability
-            terms = self.weighted[weights] = WeightedTerms(
-                hop.tolist(), transmission.tolist(), reliability.tolist(), partial
-            )
-        return terms
-
-
-def _fixed_terms(graph: NetworkGraph) -> FixedTerms:
-    index = graph.link_index()
-    rates = [n.processing_rate for n in graph.nodes]
-    transmission = np.array([reward_transmission(r / MBPS) for r in rates])
-    reliability = reward_reliability(np.array([l.reliability for l in index.links]))
-    return FixedTerms(
+    hop = np.array([reward_hop(i) for i in range(1, graph.num_nodes)])
+    # A sum that overflows is reported by link_scores, naming the link.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hop = weights.hop_count * hop
+        transmission = weights.transmission * transmission[np.array(index.sources, dtype=np.intp)]
+        weighted_reliability = weights.reliability * reliability
+        ends = hop[[0, -1], None] if len(hop) else hop[:, None]
+        partial = ends + transmission + weighted_reliability
+    return TermSet(
         targets=np.array(index.targets, dtype=np.intp),
-        rate=np.array(rates),
-        transmission=transmission[np.array(index.sources, dtype=np.intp)],
-        reliability=reliability,
+        rate=rate,
+        max_bandwidth=max_bandwidth,
         global_reliability=DEFAULT_WEIGHTS.reliability * reliability,
-        max_bandwidth=np.array([l.max_bandwidth for l in index.links]),
-        hop=np.array([reward_hop(i) for i in range(1, graph.num_nodes)]),
+        hop=hop.tolist(),
+        transmission=transmission.tolist(),
+        reliability=weighted_reliability.tolist(),
+        partial=partial,
     )
 
 
@@ -273,36 +255,34 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     """Evaluate every link's reward terms on the graph's current state.
 
     Local terms use weights and the demand's traffic; the global reward uses
-    the framework default weights and the current forms. Raises ValueError,
-    as the term functions do, if any node or link holds an inadmissible value,
-    and names the first link whose local or global reward sums to a
-    non-finite value. Only the loads are read per call; the rest comes from
-    the graph's FixedTerms, built on its first call, and their weighted
-    terms, built on the first call with these weights.
+    the framework default weights and the current forms. Only the loads are
+    read per call, and refused unless every one is >= 0; the rest comes from
+    the graph's TermSet for these weights, built and checked on the first
+    call with them. Raises ValueError naming the first link whose local or
+    global reward sums to a non-finite value.
     """
-    fixed = graph.cached(_fixed_terms)
-    weighted = fixed.weighted_by(weights)
+    terms = graph.cached(_term_set, weights)
     index = graph.link_index()
-    targets = fixed.targets
+    targets = terms.targets
     used = np.array([l.used_bandwidth for l in index.links])
+    _check(used >= 0, used, "link used bandwidth must be >= 0")
     # Each node's inbound loads, summed in link-id order.
     incoming = np.bincount(targets, weights=used, minlength=graph.num_nodes)
     w, g = weights, DEFAULT_WEIGHTS
     # Overflow is checked below, naming the link, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Before intensity, so that a bad load is reported as its link's.
-        utilization = w.utilization * reward_utilization(used, fixed.max_bandwidth, demand.traffic)
-        intensity = (w.intensity * reward_intensity(incoming, fixed.rate, demand.traffic))[targets]
+        utilization = w.utilization * reward_utilization(used, terms.max_bandwidth, demand.traffic)
+        intensity = (w.intensity * reward_intensity(incoming, terms.rate, demand.traffic))[targets]
         global_reward = (
-            fixed.global_reliability
-            + (g.intensity * reward_intensity(incoming, fixed.rate))[targets]
-            + g.utilization * reward_utilization(used, fixed.max_bandwidth)
+            terms.global_reliability
+            + (g.intensity * reward_intensity(incoming, terms.rate))[targets]
+            + g.utilization * reward_utilization(used, terms.max_bandwidth)
             - g.global_constant
         )
         # A hop's local reward adds hop + t + r + ie + ue - K in this order. Each
         # partial sum is monotone in the hop term, so summing with the first and
         # the last hop's terms bounds the sums at every position.
-        local = weighted.partial + intensity + utilization - w.local_constant
+        local = terms.partial + intensity + utilization - w.local_constant
     finite = np.isfinite(local).all(axis=0) & np.isfinite(global_reward)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -312,9 +292,9 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     return LinkScores(
         index=index,
         destination=demand.dst,
-        hop=weighted.hop,
-        transmission=weighted.transmission,
-        reliability=weighted.reliability,
+        hop=terms.hop,
+        transmission=terms.transmission,
+        reliability=terms.reliability,
         intensity=intensity.tolist(),
         utilization=utilization.tolist(),
         local_constant=w.local_constant,

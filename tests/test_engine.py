@@ -4,6 +4,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from rlroute import dataplane, engine
@@ -154,11 +155,14 @@ class TestHyperparameters:
     @pytest.mark.parametrize(
         "name, value",
         [("ttl", 2.5), ("episodes", 3.0), ("ttl", True),
+         pytest.param("ttl", np.int64(32), id="ttl-int64"),
+         pytest.param("episodes", np.int64(75), id="episodes-int64"),
          ("terminal_q", math.inf), ("terminal_q", math.nan)],
     )
     def test_rejects_fractional_counts_and_non_finite_bootstrap(self, name, value):
         # Counts feed range() and the bootstrap feeds every terminal update,
-        # so both are refused here rather than deep inside a run.
+        # so both are refused here rather than deep inside a run. Counts are
+        # Python ints only: report.json writes them as they are.
         with pytest.raises(ValueError, match=f"^{name} must be"):
             Hyperparameters(**{name: value})
 

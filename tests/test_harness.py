@@ -8,6 +8,7 @@ import re
 from dataclasses import replace
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,15 @@ class TestExperimentConfig:
     def test_global_gamma_out_of_range_rejected(self, gamma):
         with pytest.raises(ValueError, match=rf"global_gamma {gamma} outside \[0, 1\]"):
             ExperimentConfig(topology="t1", demands=[], use_global=True, global_gamma=gamma)
+
+
+    @pytest.mark.parametrize(
+        "seed", [None, True, 1.0, np.int64(1)], ids=["None", "bool", "float", "int64"]
+    )
+    def test_seed_must_be_a_python_int(self, seed):
+        # None would seed from the clock, yet be reported as the seed.
+        with pytest.raises(ValueError, match=r"^seed must be an int, got "):
+            ExperimentConfig(topology="t1", demands=[], seed=seed)
 
 
 class TestRunSequence:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,17 @@ class TestValidation:
     def test_demand_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):
             TrafficDemand(2, 2, 1e5)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("src", 0.5), ("src", True), ("src", np.int64(0)), ("dst", np.int64(3))],
+        ids=["src-float", "src-bool", "src-int64", "dst-int64"],
+    )
+    def test_demand_endpoints_must_be_python_ints(self, name, value):
+        # Endpoints index lists and are written to report.json as they are.
+        ends = {"src": 0, "dst": 3, name: value}
+        with pytest.raises(ValueError, match=f"^demand {name} must be an int, got "):
+            TrafficDemand(ends["src"], ends["dst"], 1e5)
 
     def test_demand_rejects_infinite_traffic(self):
         with pytest.raises(ValueError, match="demand traffic must be > 0 and finite, got inf"):

@@ -5,6 +5,7 @@ compared against the implementation; tolerances cover only IEEE rounding.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -49,12 +50,6 @@ class TestTermFormulas:
         assert reward_intensity(5, 50) == 0.9
         assert reward_intensity(5, 50, 0.5) == 0.89
 
-    def test_intensity_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            reward_intensity(5, 0)
-        with pytest.raises(ValueError):
-            reward_intensity(5, 50, -1.0)
-
     def test_utilization_current_and_estimated(self):
         assert reward_utilization(5, 10) == 0.5
         assert reward_utilization(5, 10, 0.5) == pytest.approx(0.45, abs=1e-12)
@@ -75,14 +70,6 @@ class TestTermFormulas:
             assert reward_utilization(incoming, rate, extra).tolist() == [
                 reward_utilization(u, m, extra) for u, m in zip(incoming.tolist(), rate.tolist())
             ]
-
-    def test_array_terms_reject_any_bad_element(self):
-        with pytest.raises(ValueError, match="1.2"):
-            reward_reliability(np.array([0.5, 1.2, 1.0]))
-        with pytest.raises(ValueError):
-            reward_intensity(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            reward_utilization(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
 class TestWeights:
@@ -215,31 +202,35 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             reward_hop(0)
 
-    def test_reliability_bounds(self):
-        # Scores check every link's state once per demand, so a bad value
-        # anywhere in the graph is refused before any episode runs.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("reliability", 1.2, "reliability outside [0, 1], got 1.2"),
+            ("max_bandwidth", 0.0, "link max bandwidth must be > 0, got 0.0"),
+            ("processing_rate", 0.0, "receiver processing rate must be > 0, got 0.0"),
+            ("used_bandwidth", -1.0, "link used bandwidth must be >= 0, got -1.0"),
+        ],
+        ids=["reliability", "capacity", "rate", "load"],
+    )
+    def test_a_bad_input_is_refused_naming_its_value(self, field, value, message):
+        # A value reassigned on a built graph, past its construction checks,
+        # is refused by the scores: before any episode, and before a zero
+        # capacity or rate is divided by.
         graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
-        graph.link(1, 2).reliability = 1.2
-        with pytest.raises(ValueError, match="reliability"):
+        state = graph.node(2) if field == "processing_rate" else graph.link(1, 2)
+        setattr(state, field, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
 
-    def test_negative_load_rejected(self):
+    def test_a_load_set_negative_after_the_first_scoring_is_refused(self):
+        # The graph keeps its load-free terms after the first demand; its
+        # loads are read and checked again on every demand.
         graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
+        demand = TrafficDemand(0, 2, 1e5)
+        link_scores(graph, DEFAULT_WEIGHTS, demand)
         graph.link(0, 1).used_bandwidth = -1.0
-        with pytest.raises(ValueError, match="used bandwidth"):
-            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
-
-    def test_zero_rate_or_capacity_rejected(self):
-        # The intensity and utilization terms divide by these, and refuse a
-        # zero before dividing, whatever a graph's fixed terms hold.
-        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
-        graph.node(2).processing_rate = 0.0
-        with pytest.raises(ValueError, match="receiver processing rate must be > 0"):
-            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
-        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
-        graph.link(1, 2).max_bandwidth = 0.0
-        with pytest.raises(ValueError, match="link max bandwidth must be > 0"):
-            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
+        with pytest.raises(ValueError, match=r"^link used bandwidth must be >= 0, got -1\.0$"):
+            link_scores(graph, DEFAULT_WEIGHTS, demand)
 
 
 class TestRewardSums:
