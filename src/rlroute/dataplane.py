@@ -1,24 +1,25 @@
 """Simulated data plane.
 
-Executing a path walks its links in order and records the id of each link
-attempted (see NetworkGraph.link_index); the graph is never mutated here,
-so the QoS state every hop sees is the one its demand started with. An
-optional Bernoulli loss model can drop the packet mid-path, in which case
-the losing hop is the last one recorded and later hops never happen.
+A path arrives as the ordered link ids selection chose, a segment list in
+the terms of segment routing (RFC 8402), so executing it resolves nothing:
+it walks the ids in order and records each link attempted (see
+NetworkGraph.link_index). The graph is never mutated here, so the QoS state
+every hop sees is the one its demand started with. An optional Bernoulli
+loss model can drop the packet mid-path, in which case the losing hop is
+the last one recorded and later hops never happen.
 
-Message accounting models the control traffic of two reporting schemes over
-n attempted hops: one report per hop plus a single path-level request when
-hops aggregate (n + 1), versus a request/report pair per hop without
-aggregation (2n).
+Message accounting (control_messages) models the control traffic of two
+reporting schemes over n attempted hops: one report per hop plus a single
+path-level request when hops aggregate (n + 1), versus a request/report
+pair per hop without aggregation (2n).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .network import NetworkGraph, RoutePath
+from .network import NetworkGraph
 
 
 class LossModel:
@@ -33,23 +34,18 @@ class LossModel:
         return self._rng.random() >= reliability
 
 
-class ControlMessages:
-    """Message accounting (see the module docstring) for a record that has
-    attempted_hops and episodes_run: n + 1 and 2n for one n-hop episode."""
-
-    @property
-    def messages_with_aggregation(self) -> int:
-        return self.attempted_hops + self.episodes_run
-
-    @property
-    def messages_without_aggregation(self) -> int:
-        return 2 * self.attempted_hops
+def control_messages(attempted_hops: int, episodes: int) -> tuple[int, int]:
+    """Controller messages (with aggregation, without) for episodes
+    episodes that attempted attempted_hops hops in all: each episode's path
+    request plus one report per hop, n + episodes, against a request/report
+    pair per hop, 2n."""
+    return attempted_hops + episodes, 2 * attempted_hops
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     """What one episode's path attempt produced: the link ids of the
-    attempted hops, in order, and whether the packet was lost on the last."""
+    attempted hops, in order, and whether the packet was lost on the last.
+    It equals the plain tuple (records, lost)."""
 
     records: tuple[int, ...]
     lost: bool = False
@@ -57,18 +53,17 @@ class ExecutionResult:
 
 def execute_path(
     graph: NetworkGraph,
-    path: RoutePath,
+    links: tuple[int, ...],
     loss: Optional[LossModel] = None,
 ) -> ExecutionResult:
-    """Attempt a path hop by hop, consulting the loss model, if any, at
-    each hop. Stops early if it drops the packet; the losing hop is kept as
-    the last record and the result is flagged lost. A path using a link the
-    graph lacks raises KeyError before any hop is attempted."""
-    records = graph.link_ids(path.nodes)
+    """Attempt the links, ids of graph's link index, hop by hop, consulting
+    the loss model, if any, at each hop. With no loss model every hop is
+    attempted and the records are links itself. Stops early if the model
+    drops the packet; the losing hop is kept as the last record and the
+    result is flagged lost."""
     if loss is not None:
-        links = graph.link_index().links
-        for hop, k in enumerate(records, start=1):
-            if loss.packet_lost(links[k].reliability):
-                return ExecutionResult(records[:hop], lost=True)
-    return ExecutionResult(records)
-
+        states = graph.link_index().links
+        for hop, k in enumerate(links, start=1):
+            if loss.packet_lost(states[k].reliability):
+                return ExecutionResult(links[:hop], True)
+    return ExecutionResult(links, False)

@@ -29,10 +29,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from math import inf, isfinite
-from typing import ClassVar, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import dataplane
-from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand
+from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand, check_float
 from .rewards import (
     DEFAULT_WEIGHTS,
     EpisodeRewards,
@@ -67,6 +67,8 @@ class Hyperparameters:
     terminal_q: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "alpha", "gamma", "terminal_q"):
+            check_float(getattr(self, name), name)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon {self.epsilon} outside [0, 1]")
         if not 0.0 < self.alpha <= 1.0:
@@ -144,23 +146,74 @@ class QTable:
         return self.index == other.index and self.q == other.q
 
     def __repr__(self) -> str:
-        return f"QTable(nodes={len(self.index.offsets) - 1}, entries={len(self.q)})"
+        return f"QTable(nodes={len(self.index.out)}, entries={len(self.q)})"
 
 
-@dataclass(frozen=True)
-class EpisodeTrace(dataplane.ControlMessages):
+class TempPath(NamedTuple):
+    """One episode's temp path as selection chose it: the source node, the
+    ids of the links taken, in order, and whether the last one reaches the
+    destination. Selection never revisits a node, so it is simple by
+    construction and is not validated again. Two temp paths are equal when
+    their source, links and reached flag are; index only names the links.
+    """
+
+    source: int
+    links: tuple[int, ...]
+    reached_destination: bool
+    index: LinkIndex
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """The source, then the target of each link taken."""
+        return (self.source, *map(self.index.targets.__getitem__, self.links))
+
+    @property
+    def hop_count(self) -> int:
+        return len(self.links)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TempPath):
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    # tuple defines its own __ne__, which would compare the index too.
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, TempPath):
+            return NotImplemented
+        return self[:3] != other[:3]
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __repr__(self) -> str:
+        return (
+            f"TempPath(nodes={self.nodes}, links={self.links}, "
+            f"reached_destination={self.reached_destination})"
+        )
+
+
+class EpisodeTrace(NamedTuple):
     """One learning episode's evidence: the temp path and how many of its
     hops the data plane attempted, which set the controller message counts."""
 
     episode_index: int
-    temp_path: RoutePath
+    temp_path: TempPath
     attempted_hops: int
-    episodes_run: ClassVar[int] = 1
+
+    @property
+    def messages_with_aggregation(self) -> int:
+        return dataplane.control_messages(self.attempted_hops, 1)[0]
+
+    @property
+    def messages_without_aggregation(self) -> int:
+        return dataplane.control_messages(self.attempted_hops, 1)[1]
 
 
 @dataclass
 class RouteResult:
-    """Outcome of one learning run: the greedy final path plus all traces."""
+    """Outcome of one learning run: the greedy final path, a validated
+    RoutePath, plus one trace per episode, whose temp path is the link ids
+    selection chose."""
 
     final_path: RoutePath
     traces: list[EpisodeTrace]
@@ -183,7 +236,7 @@ def find_temp_path(
     table: QTable,
     hyper: Hyperparameters,
     rng: Optional[random.Random] = None,
-) -> RoutePath:
+) -> TempPath:
     """Select one episode's loop-free action sequence.
 
     Starting at the demand source (which is marked visited immediately, so a
@@ -192,6 +245,8 @@ def find_temp_path(
     otherwise the one with the highest Q-value, ties to the lowest node id.
     Stops on reaching the destination, on a dead end, or after ttl hops.
     A source with no out-neighbors yields a zero-hop, not-reached path.
+    Returns the ids of the links chosen, the index's own ints, as a
+    TempPath; execution takes them as they are.
 
     A greedy step scans the node's out-links in id order, keeping the best
     so far: a link replaces it only if its Q-value is strictly higher, and
@@ -204,13 +259,13 @@ def find_temp_path(
     if explore and rng is None:
         raise ValueError("epsilon > 0 requires a random source")
     index = table.index
-    offsets, targets, q = index.offsets, index.targets, table.q
-    visited = {demand.src}
-    nodes = [demand.src]
-    current = demand.src
+    out_links, targets, q = index.out, index.targets, table.q
+    source = current = demand.src
+    visited = {source}
+    links = []
     for _ in range(hyper.ttl):
         # Link ids leaving current, in ascending target order.
-        out = range(offsets[current], offsets[current + 1])
+        out = out_links[current]
         chosen = -1
         if explore:
             out = [k for k in out if targets[k] not in visited]
@@ -226,11 +281,11 @@ def find_temp_path(
             if chosen < 0:
                 break
         current = targets[chosen]
-        nodes.append(current)
+        links.append(chosen)
         visited.add(current)
         if current == destination:
             break
-    return RoutePath(tuple(nodes), current == destination)
+    return TempPath(source, tuple(links), current == destination, index)
 
 
 def find_final_path(
@@ -239,9 +294,10 @@ def find_final_path(
     hyper: Hyperparameters,
 ) -> RoutePath:
     """Greedy path extraction: find_temp_path with epsilon forced to 0,
-    deterministic under the lowest-id tie-break."""
+    deterministic under the lowest-id tie-break, as a validated RoutePath."""
     greedy = replace(hyper, epsilon=0.0)
-    return find_temp_path(demand, table, greedy)
+    path = find_temp_path(demand, table, greedy)
+    return RoutePath(path.nodes, path.reached_destination)
 
 
 def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
@@ -323,7 +379,7 @@ def find_route(
     for episode in range(1, hyper.episodes + 1):
         temp_path = find_temp_path(demand, local_table, hyper, rng)
         # Looked up on the module at call time, so wrapping it there sees every call.
-        result = dataplane.execute_path(graph, temp_path, loss)
+        result = dataplane.execute_path(graph, temp_path.links, loss)
         local_rewards = local_rewards_for_path(result, scores)
         if global_table is None:
             update_table(local_table, local_rewards, hyper)

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataplane import ControlMessages, LossModel
+from .dataplane import LossModel, control_messages
 from .engine import (
     DEFAULT_HYPERPARAMETERS,
     Hyperparameters,
@@ -33,7 +33,7 @@ from .engine import (
     detect_convergence,
     find_route,
 )
-from .network import NetworkGraph, RoutePath, TrafficDemand, place_traffic
+from .network import NetworkGraph, RoutePath, TrafficDemand, check_float, check_int, place_traffic
 from .rewards import DEFAULT_WEIGHTS, QoSWeights
 from .topologies import resolve_topology
 
@@ -47,7 +47,8 @@ class ExperimentConfig:
     """Everything one run depends on. topology is a builtin id or a file
     path; demands are handled strictly in the given order. global_gamma
     discounts global-table updates, so it needs use_global. seed is a
-    Python int (not bool, not a numpy integer), as reports write it."""
+    Python int and global_gamma a Python int or float (see
+    network.check_int and check_float), as reports write them."""
 
     topology: str
     demands: Sequence[TrafficDemand]
@@ -59,19 +60,20 @@ class ExperimentConfig:
     loss_mode: str = "off"
 
     def __post_init__(self) -> None:
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        check_int(self.seed, "seed")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         gamma = self.global_gamma
-        if gamma is not None and not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"global_gamma {gamma} outside [0, 1]")
-        if gamma is not None and not self.use_global:
-            raise ValueError(f"global_gamma {gamma} needs use_global: no global table reads it")
+        if gamma is not None:
+            check_float(gamma, "global_gamma")
+            if not 0.0 <= gamma <= 1.0:
+                raise ValueError(f"global_gamma {gamma} outside [0, 1]")
+            if not self.use_global:
+                raise ValueError(f"global_gamma {gamma} needs use_global: no global table reads it")
 
 
 @dataclass(frozen=True)
-class DemandOutcome(ControlMessages):
+class DemandOutcome:
     """One demand's results: the final path (None if the demand was
     unroutable), when the learner converged (None if it never settled), the
     per-episode temp-path lengths, and the hops the data plane attempted
@@ -91,6 +93,14 @@ class DemandOutcome(ControlMessages):
     @property
     def episodes_run(self) -> int:
         return len(self.temp_path_lengths)
+
+    @property
+    def messages_with_aggregation(self) -> int:
+        return control_messages(self.attempted_hops, self.episodes_run)[0]
+
+    @property
+    def messages_without_aggregation(self) -> int:
+        return control_messages(self.attempted_hops, self.episodes_run)[1]
 
     # Unconverged demands cost their whole episode budget, so totals charge
     # episodes_run when converged_episode is absent.

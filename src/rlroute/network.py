@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from pathlib import Path
@@ -26,6 +25,22 @@ class TopologyError(ValueError):
     """Raised when a topology document or construction input is invalid."""
 
 
+def check_int(value, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise error naming name unless value is a Python int: not bool and
+    not a numpy integer, since reports write it as it is."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, got {value!r}")
+
+
+def check_float(value, name: str) -> None:
+    """Raise ValueError naming name unless value is a Python int or float
+    (a float subclass such as numpy.float64 included): not bool, which
+    reports would write as true or false, and not another numpy scalar,
+    which they cannot write at all. Ranges are the caller's to check."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be an int or float, got {value!r}")
+
+
 @dataclass
 class NodeState:
     """One network node. Its incoming traffic is not stored: it is the sum
@@ -38,6 +53,7 @@ class NodeState:
     processing_rate: float
 
     def __post_init__(self) -> None:
+        check_int(self.node_id, "node id", TopologyError)
         if self.node_id < 0:
             raise TopologyError(f"node id {self.node_id} is negative")
         if not self.processing_rate > 0:
@@ -65,6 +81,10 @@ class LinkState:
     reliability: float = 1.0
 
     def __post_init__(self) -> None:
+        # Tested inline first: a topology builds one LinkState per link.
+        if type(self.src) is not int or type(self.dst) is not int:
+            check_int(self.src, "link src", TopologyError)
+            check_int(self.dst, "link dst", TopologyError)
         if self.src == self.dst:
             raise TopologyError(f"link ({self.src},{self.dst}): self loops are not allowed")
         if not self.max_bandwidth > 0:
@@ -90,27 +110,28 @@ class LinkState:
 @dataclass(frozen=True)
 class TrafficDemand:
     """A (source, destination, estimated traffic rate) triple; the unit of
-    work. src and dst are Python ints (not bool, not numpy integers), as
-    reports write them."""
+    work. src and dst are Python ints and traffic a Python int or float
+    (see check_int and check_float), as reports write them."""
 
     src: int
     dst: int
     traffic: float
 
     def __post_init__(self) -> None:
-        for name in ("src", "dst"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"demand {name} must be an int, got {value!r}")
+        check_int(self.src, "demand src")
+        check_int(self.dst, "demand dst")
         if self.src == self.dst:
             raise ValueError(f"demand src and dst must differ, got {self.src}")
+        check_float(self.traffic, "demand traffic")
         if not 0 < self.traffic <= _FLOAT_MAX:
             raise ValueError(f"demand traffic must be > 0 and finite, got {self.traffic}")
 
 
 @dataclass(frozen=True)
 class RoutePath:
-    """A simple (loop-free) node sequence; links are the consecutive pairs."""
+    """A simple (loop-free) node sequence, validated on construction: the
+    form a path takes where it leaves the learner (its final path) or
+    enters from outside (traffic placement, the baseline router)."""
 
     nodes: tuple[int, ...]
     reached_destination: bool = False
@@ -125,20 +146,19 @@ class RoutePath:
     def hop_count(self) -> int:
         return len(self.nodes) - 1
 
-    def links(self) -> list[tuple[int, int]]:
-        return list(zip(self.nodes[:-1], self.nodes[1:]))
-
 
 @dataclass(frozen=True)
 class LinkIndex:
-    """Dense link ids in compressed-sparse-row form.
+    """Dense link ids.
 
-    Link k is the k-th link in (src, dst) order, the iter_links order, so the
-    links leaving node u are k in offsets[u]..offsets[u+1], their targets
-    ascending. Two indexes are equal when they number the same link set.
+    Link k is the k-th link in (src, dst) order, the iter_links order, so
+    out[u], the ids of the links leaving node u, ascend and so do their
+    targets. The ids in out are the int objects of ids' values, so a path
+    that holds them holds no ints of its own. Two indexes are equal when
+    they number the same link set.
     """
 
-    offsets: list[int]
+    out: list[tuple[int, ...]]
     targets: list[int]
     sources: list[int] = field(compare=False)
     ids: dict[tuple[int, int], int] = field(compare=False)
@@ -165,12 +185,15 @@ class NetworkGraph:
     def __init__(self, nodes: list[NodeState], links: dict[tuple[int, int], LinkState]):
         self._nodes = nodes
         keys = sorted(links)
-        sources = [src for src, _ in keys]
+        ids = {key: k for k, key in enumerate(keys)}
+        out: list[list[int]] = [[] for _ in nodes]
+        for (src, _), k in ids.items():
+            out[src].append(k)
         self._index = LinkIndex(
-            offsets=[bisect_left(sources, u) for u in range(len(nodes) + 1)],
+            out=[tuple(ks) for ks in out],
             targets=[dst for _, dst in keys],
-            sources=sources,
-            ids={key: k for k, key in enumerate(keys)},
+            sources=[src for src, _ in keys],
+            ids=ids,
             links=[links[key] for key in keys],
         )
         self._cache: dict = {}
@@ -206,8 +229,8 @@ class NetworkGraph:
 
     def out_neighbors(self, node_id: int) -> list[int]:
         """Next-hop candidates from node_id, in ascending id order."""
-        offsets = self._index.offsets
-        return self._index.targets[offsets[node_id]:offsets[node_id + 1]]
+        targets = self._index.targets
+        return [targets[k] for k in self._index.out[node_id]]
 
     def link_index(self) -> LinkIndex:
         """The graph's links and their numbering, which Q-tables and reward

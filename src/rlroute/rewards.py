@@ -4,7 +4,7 @@ Five per-factor rewards, each capped at 1 for admissible inputs:
 
     hop reward          1 / hop_index
     transmission reward (2/pi) * atan(sender processing rate in Mb/s)
-    reliability reward  the link's reliability fraction
+    reliability reward  the link's reliability fraction, read as it is
     intensity reward    1 - (receiver incoming traffic + extra) / receiver rate
     utilization reward  1 - (link used bandwidth + extra) / link max bandwidth
 
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .network import LinkIndex, NetworkGraph, TrafficDemand
+from .network import LinkIndex, NetworkGraph, TrafficDemand, check_float
 
 if TYPE_CHECKING:
     from .dataplane import ExecutionResult
@@ -69,6 +69,7 @@ class QoSWeights:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
+            check_float(value, f"weight {name}")
             if not 0 <= value < math.inf:
                 raise ValueError(f"weight {name} must be a finite number >= 0, got {value}")
 
@@ -143,11 +144,6 @@ def reward_transmission(sender_rate_mbps: float) -> float:
     return (2.0 / math.pi) * math.atan(sender_rate_mbps)
 
 
-def reward_reliability(reliability):
-    """Link-reliability reward; the identity on [0, 1]."""
-    return reliability
-
-
 def reward_intensity(receiver_incoming, receiver_rate, extra: float = 0.0):
     """Traffic-intensity reward at the receiving node, 1 - (incoming+extra)/rate.
 
@@ -201,7 +197,6 @@ def _term_set(graph: NetworkGraph, weights: QoSWeights) -> TermSet:
     _check(max_bandwidth > 0, max_bandwidth, "link max bandwidth must be > 0")
     _check(rate > 0, rate, "receiver processing rate must be > 0")
     transmission = np.array([reward_transmission(r / MBPS) for r in rates])
-    reliability = reward_reliability(reliability)
     # hop[i] is the reward of hop i + 1; a simple path has at most
     # num_nodes - 1 hops.
     hop = np.array([reward_hop(i) for i in range(1, graph.num_nodes)])
@@ -234,7 +229,8 @@ class LinkScores:
 
     The terms are fixed for the demand, so an episode's rewards depend only
     on its executed hops and loss flag: the reward functions keep the
-    EpisodeRewards computed for each such pair and hand a repeat the same one.
+    EpisodeRewards computed for each such pair, keyed by the ExecutionResult
+    itself (a (records, lost) tuple), and hand a repeat the same one.
     """
 
     index: LinkIndex
@@ -319,8 +315,7 @@ def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> Epi
     not the demand's destination (a dead end or truncation); a failed hop is
     valued at -local_constant, the penalty that update rules accumulate.
     """
-    key = (result.records, result.lost)
-    rewards = scores.local_memo.get(key)
+    rewards = scores.local_memo.get(result)
     if rewards is None:
         links = _links_of(result)
         hop, t, r = scores.hop, scores.transmission, scores.reliability
@@ -329,7 +324,7 @@ def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> Epi
         last_ok = not result.lost and scores.index.targets[links[-1]] == scores.destination
         if not last_ok:
             values[-1] = -constant
-        rewards = scores.local_memo[key] = EpisodeRewards(links, tuple(values), last_ok)
+        rewards = scores.local_memo[result] = EpisodeRewards(links, tuple(values), last_ok)
     return rewards
 
 
@@ -339,12 +334,11 @@ def global_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> Ep
     The last hop fails only on packet loss; reaching a dead end still yields
     a normal network-status reward. A failed hop is valued at -global_constant.
     """
-    key = (result.records, result.lost)
-    rewards = scores.global_memo.get(key)
+    rewards = scores.global_memo.get(result)
     if rewards is None:
         links = _links_of(result)
         values = list(map(scores.global_reward.__getitem__, links))
         if result.lost:
             values[-1] = -scores.global_constant
-        rewards = scores.global_memo[key] = EpisodeRewards(links, tuple(values), not result.lost)
+        rewards = scores.global_memo[result] = EpisodeRewards(links, tuple(values), not result.lost)
     return rewards

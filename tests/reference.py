@@ -9,7 +9,7 @@ aligns an episode's rewards with its link ids (rewards.EpisodeRewards) and
 keeps Q-values in a list indexed by link id; tests require its results to
 equal these exactly, not approximately. RewardRecord is the (src, dst) view
 of one action's reward, and records_of / rewards_of convert between it and
-EpisodeRewards.
+EpisodeRewards; node_pairs and route_of give a path's node form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from rlroute.rewards import (
     QoSWeights,
     reward_hop,
     reward_intensity,
-    reward_reliability,
     reward_transmission,
     reward_utilization,
 )
@@ -129,11 +128,23 @@ def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> Hop
     )
 
 
-def execute_path(graph: NetworkGraph, path: RoutePath, loss=None) -> tuple[HopQoSRecord, ...]:
-    """Snapshot each hop as it is reached; stop after the hop the loss model
-    drops, flagging its record."""
+def node_pairs(path) -> list[tuple[int, int]]:
+    """The (src, dst) pairs of consecutive nodes of a path: a RoutePath, or
+    anything else with nodes, such as the learner's TempPath."""
+    return list(zip(path.nodes[:-1], path.nodes[1:]))
+
+
+def route_of(path) -> RoutePath:
+    """A path with nodes and a reached flag as a validated RoutePath, which
+    compares equal to the RoutePath the reference forms return."""
+    return RoutePath(path.nodes, path.reached_destination)
+
+
+def execute_path(graph: NetworkGraph, path, loss=None) -> tuple[HopQoSRecord, ...]:
+    """Snapshot each hop of path, read as its node pairs, as it is reached;
+    stop after the hop the loss model drops, flagging its record."""
     records: list[HopQoSRecord] = []
-    for hop_index, (src, dst) in enumerate(path.links(), start=1):
+    for hop_index, (src, dst) in enumerate(node_pairs(path), start=1):
         record = snapshot_qos(graph, src, dst, hop_index)
         if loss is not None and loss.packet_lost(record.link_reliability):
             records.append(replace(record, has_lost=True))
@@ -147,7 +158,7 @@ def local_reward(record: HopQoSRecord, weights: QoSWeights, demand_traffic: floa
     return (
         weights.hop_count * reward_hop(record.hop_index)
         + weights.transmission * reward_transmission(record.sender_processing_rate / MBPS)
-        + weights.reliability * reward_reliability(record.link_reliability)
+        + weights.reliability * record.link_reliability
         + weights.intensity
         * reward_intensity(
             record.receiver_incoming_traffic, record.receiver_processing_rate, demand_traffic
@@ -161,7 +172,7 @@ def local_reward(record: HopQoSRecord, weights: QoSWeights, demand_traffic: floa
 def global_reward(record: HopQoSRecord, weights: QoSWeights) -> float:
     """Composite global reward of one hop: network status only."""
     return (
-        weights.reliability * reward_reliability(record.link_reliability)
+        weights.reliability * record.link_reliability
         + weights.intensity
         * reward_intensity(record.receiver_incoming_traffic, record.receiver_processing_rate)
         + weights.utilization

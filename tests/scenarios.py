@@ -1,10 +1,8 @@
 """Small graphs that put one hop in a chosen QoS state, for reward tests,
 and topology documents whose finite loads overflow once derived."""
 
-from dataclasses import replace
-
 from rlroute.dataplane import execute_path
-from rlroute.network import DEFAULT_PROCESSING_RATE, NodeState, RoutePath, TrafficDemand, build_graph
+from rlroute.network import DEFAULT_PROCESSING_RATE, NodeState, TrafficDemand, build_graph
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
     global_rewards_for_path,
@@ -44,9 +42,9 @@ def chain_rewards(
         links.append((hops + 1, hops, 10e6, incoming - used))
     graph = build_graph(nodes, links)
     demand = TrafficDemand(0, hops, traffic)
-    result = execute_path(graph, RoutePath(tuple(range(hops + 1)), True))
+    result = execute_path(graph, graph.link_ids(range(hops + 1)))
     if lost:
-        result = replace(result, lost=True)
+        result = result._replace(lost=True)
     scores = link_scores(graph, weights, demand)
     return (
         records_of(scores.index, local_rewards_for_path(result, scores)),

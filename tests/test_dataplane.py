@@ -1,9 +1,7 @@
 """Path execution, QoS snapshots, loss handling, message accounting."""
 
-import pytest
-
 from reference import execute_path as reference_execute_path
-from reference import snapshot_qos
+from reference import node_pairs, snapshot_qos
 from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import EpisodeTrace
 from rlroute.network import RoutePath, build_graph
@@ -54,8 +52,12 @@ class TestExecutePath:
     def test_full_delivery(self):
         graph = chain_graph()
         path = RoutePath((0, 1, 2, 3), True)
-        result = execute_path(graph, path)
+        links = graph.link_ids(path.nodes)
+        result = execute_path(graph, links)
         assert not result.lost
+        # Without a loss model the ids selection chose are the records.
+        assert result.records is links
+        assert result == (links, False)
         assert attempted(graph, result) == [(0, 1), (1, 2), (2, 3)]
         assert messages(path, result) == (4, 6)
 
@@ -64,33 +66,23 @@ class TestExecutePath:
         # the path itself stops short of the destination.
         graph = chain_graph()
         path = RoutePath((0, 1, 2))
-        result = execute_path(graph, path)
+        result = execute_path(graph, graph.link_ids(path.nodes))
         assert not path.reached_destination
-        assert attempted(graph, result) == path.links()
+        assert attempted(graph, result) == node_pairs(path)
         assert not result.lost
 
     def test_execution_never_mutates_graph(self):
         graph = chain_graph()
         before = graph.copy()
-        execute_path(graph, RoutePath((0, 1, 2, 3), True))
+        execute_path(graph, graph.link_ids((0, 1, 2, 3)), LossModel(seed=0))
         assert graph == before
 
     def test_zero_hop_path(self):
         path = RoutePath((0,))
-        result = execute_path(chain_graph(), path)
+        result = execute_path(chain_graph(), ())
         assert result.records == ()
         assert not result.lost
         assert messages(path, result) == (1, 0)
-
-    def test_missing_link_raises_before_any_hop(self):
-        # Link ids are resolved for the whole path before the loss model is
-        # consulted, so a bad path never draws from it.
-        loss, untouched = LossModel(seed=0), LossModel(seed=0)
-        for model in (None, loss):
-            with pytest.raises(KeyError, match=r"no link \(2,0\) in graph"):
-                execute_path(chain_graph(), RoutePath((1, 2, 0)), model)
-        draws = [loss.packet_lost(0.5) for _ in range(32)]
-        assert draws == [untouched.packet_lost(0.5) for _ in range(32)]
 
 
 class TestLoss:
@@ -103,7 +95,7 @@ class TestLoss:
         # Reliability 0 on the second link forces the drop at hop 2.
         graph = build_graph(4, [(0, 1, 1e7, 0, 1.0), (1, 2, 1e7, 0, 0.0), (2, 3, 1e7, 0, 1.0)])
         path = RoutePath((0, 1, 2, 3), True)
-        result = execute_path(graph, path, loss=LossModel(seed=7))
+        result = execute_path(graph, graph.link_ids(path.nodes), loss=LossModel(seed=7))
         assert attempted(graph, result) == [(0, 1), (1, 2)]
         assert result.lost
         # Counts follow the two attempted hops, not the path's three.
@@ -112,13 +104,14 @@ class TestLoss:
     def test_at_most_one_lost_record(self):
         graph = build_graph(3, [(0, 1, 1e7, 0, 0.5), (1, 2, 1e7, 0, 0.5)])
         path = RoutePath((0, 1, 2), True)
+        links = graph.link_ids(path.nodes)
         outcomes = set()
         for seed in range(50):
-            result = execute_path(graph, path, loss=LossModel(seed=seed))
+            result = execute_path(graph, links, loss=LossModel(seed=seed))
             # The attempted hops are a prefix of the path; delivery stops at
             # the lost hop, so only a lost execution may end early.
+            assert result.records == links[: len(result.records)]
             hops = attempted(graph, result)
-            assert hops == path.links()[: len(hops)]
             assert result.lost or len(hops) == 2
             # The loss model is consulted per hop exactly as the per-hop
             # snapshot walk consults it, so the same seed loses the same hop.

@@ -15,6 +15,7 @@ from rlroute.engine import (
     EpisodeTrace,
     Hyperparameters,
     QTable,
+    TempPath,
     UnroutableDemandError,
     detect_convergence,
     find_final_path,
@@ -27,7 +28,7 @@ from rlroute.engine import (
 from rlroute.network import RoutePath, TrafficDemand, build_graph
 from rlroute.rewards import EpisodeRewards, make_weights
 from rlroute.topologies import builtin_demands, load_builtin
-from reference import RewardRecord, records_of, rewards_of
+from reference import RewardRecord, node_pairs, records_of, rewards_of
 
 # Hypothesized trained tables for the five-node, seven-pair network (t2):
 # a local table preferring 0-1-2-3 and a global table preferring 0-2.
@@ -166,6 +167,13 @@ class TestHyperparameters:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             Hyperparameters(**{name: value})
 
+    @pytest.mark.parametrize("name", ["epsilon", "alpha", "gamma", "terminal_q"])
+    @pytest.mark.parametrize("value", [True, np.float32(0.5)], ids=["bool", "float32"])
+    def test_rejects_floats_reports_cannot_write(self, name, value):
+        # report.json writes the hyperparameters as they are.
+        with pytest.raises(ValueError, match=f"^{name} must be an int or float, got "):
+            Hyperparameters(**{name: value})
+
 
 class TestInitLocalTable:
     def test_fresh_table_without_global(self):
@@ -273,8 +281,44 @@ class TestFindTempPath:
         for _ in range(200):
             path = find_temp_path(TrafficDemand(0, 3, 1e5), QTable.for_graph(graph), hyper, rng)
             assert len(set(path.nodes)) == len(path.nodes)
-            for s, d in path.links():
+            for s, d in node_pairs(path):
                 assert graph.has_link(s, d)
+
+    def test_temp_path_holds_the_chosen_link_ids(self):
+        graph = load_builtin("t1")
+        path = find_temp_path(
+            TrafficDemand(0, 4, 1e5), QTable.for_graph(graph), DEFAULT_HYPERPARAMETERS
+        )
+        assert path.source == 0
+        assert path.links == graph.link_ids(path.nodes)
+        assert path.hop_count == len(path.links) == 4
+        # The repr shows the path, not the index it reads its nodes from.
+        assert repr(path) == (
+            f"TempPath(nodes=(0, 1, 2, 3, 4), links={path.links}, reached_destination=True)"
+        )
+
+    def test_temp_path_ids_are_the_index_ints(self):
+        # Every episode's temp path is kept, so its ids must be the index's
+        # own int objects, not new ones: ids above 256 are not shared.
+        graph = build_graph(300, [(i, i + 1, 1e6) for i in range(299)])
+        index = graph.link_index()
+        path = find_temp_path(
+            TrafficDemand(0, 299, 1e5), QTable.for_graph(graph), Hyperparameters(ttl=299)
+        )
+        assert path.reached_destination
+        assert all(k is index.ids[pair] for k, pair in zip(path.links, node_pairs(path)))
+
+    def test_temp_paths_compare_by_source_links_and_flag(self):
+        t1, copy = load_builtin("t1"), load_builtin("t1")
+        demand = TrafficDemand(0, 4, 1e5)
+        path = find_temp_path(demand, QTable.for_graph(t1), DEFAULT_HYPERPARAMETERS)
+        same = find_temp_path(demand, QTable.for_graph(copy), DEFAULT_HYPERPARAMETERS)
+        assert path.index is not same.index
+        assert path == same and hash(path) == hash(same)
+        assert not path != same
+        assert path != path._replace(reached_destination=False)
+        assert path != path._replace(links=path.links[:-1])
+        assert path != path._replace(source=1)
 
 
 class TestSarsaUpdate:
@@ -414,8 +458,9 @@ class TestFindRoute:
             assert trace.attempted_hops == n == trace.temp_path.hop_count <= hyper.ttl
             assert trace.messages_with_aggregation == n + 1
             assert trace.messages_without_aggregation == 2 * n
+            assert rewards.links == trace.temp_path.links
             records = records_of(graph.link_index(), rewards)
-            assert [(r.src_id, r.dst_id) for r in records] == trace.temp_path.links()
+            assert [(r.src_id, r.dst_id) for r in records] == node_pairs(trace.temp_path)
 
     def test_layers_are_called_once_per_episode_and_demand(self, monkeypatch):
         # The benchmark's tracer times the learner by replacing these module
@@ -509,7 +554,8 @@ class TestFindFinalPath:
         path = find_final_path(
             TrafficDemand(0, 3, 1e5), table_from(graph, LOCAL_T2), DEFAULT_HYPERPARAMETERS
         )
-        assert path.nodes == (0, 1, 2, 3)
+        # The final path leaves the learner, so it is a validated RoutePath.
+        assert path == RoutePath((0, 1, 2, 3), True)
 
     def test_global_argmax_survives_local_initialization(self):
         # The hypothesized global table prefers 0-2; a local table copied
@@ -535,8 +581,11 @@ class TestFindFinalPath:
         )
 
 
+SQUARE = build_graph(4, [(0, 1, 1e6), (0, 3, 1e6), (1, 2, 1e6), (3, 2, 1e6)])
+
+
 def trace(i, nodes, reached):
-    path = RoutePath(tuple(nodes), reached)
+    path = TempPath(nodes[0], SQUARE.link_ids(nodes), reached, SQUARE.link_index())
     return EpisodeTrace(episode_index=i, temp_path=path, attempted_hops=path.hop_count)
 
 

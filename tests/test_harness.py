@@ -32,6 +32,7 @@ from rlroute.harness import (
 from rlroute.network import TrafficDemand, build_graph, check_path
 from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
+from reference import node_pairs
 from scenarios import OVERFLOWING_TOPOLOGIES
 
 UTIL_ONLY = make_weights(0, 0, 0, 0, 1)
@@ -57,6 +58,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=rf"global_gamma {gamma} outside \[0, 1\]"):
             ExperimentConfig(topology="t1", demands=[], use_global=True, global_gamma=gamma)
 
+
+    @pytest.mark.parametrize("gamma", [True, np.float32(0.5)], ids=["bool", "float32"])
+    def test_global_gamma_must_be_a_python_number(self, gamma):
+        # report.json writes global_gamma as it is.
+        with pytest.raises(ValueError, match=r"^global_gamma must be an int or float, got "):
+            ExperimentConfig(topology="t1", demands=[], use_global=True, global_gamma=gamma)
 
     @pytest.mark.parametrize(
         "seed", [None, True, 1.0, np.int64(1)], ids=["None", "bool", "float", "int64"]
@@ -94,7 +101,7 @@ class TestRunSequence:
         for link in report.graph.iter_links():
             expected = initial.link(link.src, link.dst).used_bandwidth
             for outcome in report.outcomes:
-                if outcome.routed and (link.src, link.dst) in outcome.final_path.links():
+                if outcome.routed and (link.src, link.dst) in node_pairs(outcome.final_path):
                     expected += outcome.demand.traffic
             assert link.used_bandwidth == pytest.approx(expected)
 

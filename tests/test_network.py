@@ -136,6 +136,34 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^demand {name} must be an int, got "):
             TrafficDemand(ends["src"], ends["dst"], 1e5)
 
+    @pytest.mark.parametrize(
+        "traffic", [True, np.float32(1e5), "1e5"], ids=["bool", "float32", "str"]
+    )
+    def test_demand_traffic_must_be_a_python_number(self, traffic):
+        # True would be written as "traffic_bps": true; a float32 fails only
+        # when the report is written, after the whole study.
+        with pytest.raises(ValueError, match=r"^demand traffic must be an int or float, got "):
+            TrafficDemand(0, 4, traffic)
+
+    def test_demand_traffic_may_be_a_numpy_float64(self):
+        assert TrafficDemand(0, 4, np.float64(1e5)).traffic == 1e5
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: NodeState(v, 1e6), "node id"),
+            (lambda v: LinkState(v, 1, 1e6), "link src"),
+            (lambda v: LinkState(0, v, 1e6), "link dst"),
+        ],
+        ids=["node", "link-src", "link-dst"],
+    )
+    @pytest.mark.parametrize("value", [0.0, True, np.int64(0)], ids=["float", "bool", "int64"])
+    def test_ids_must_be_python_ints(self, make, field, value):
+        # Ids index lists and are written to reports as they are: a link
+        # from 0.0 would be written "src": 0.0.
+        with pytest.raises(TopologyError, match=f"^{field} must be an int, got "):
+            make(value)
+
     def test_demand_rejects_infinite_traffic(self):
         with pytest.raises(ValueError, match="demand traffic must be > 0 and finite, got inf"):
             TrafficDemand(0, 4, math.inf)
@@ -214,7 +242,7 @@ class TestBuildGraph:
         links = list(graph.iter_links())
         assert list(zip(index.sources, index.targets)) == [(l.src, l.dst) for l in links]
         assert all(a is b for a, b in zip(index.links, links))
-        assert index.offsets == [0, 2, 2, 3, 4]
+        assert index.out == [(0, 1), (), (2,), (3,)]
         assert index.ids == {(0, 1): 0, (0, 3): 1, (2, 0): 2, (3, 2): 3}
         # Cached: links never change after construction.
         assert graph.link_index() is index
@@ -227,10 +255,19 @@ class TestBuildGraph:
 
 
 class TestPaths:
-    def test_hop_count_and_links(self):
+    def test_hop_count(self):
         path = RoutePath((0, 1, 2), reached_destination=True)
         assert path.hop_count == 2
-        assert path.links() == [(0, 1), (1, 2)]
+
+    def test_missing_link_raises_where_node_paths_enter(self):
+        # Node paths enter from outside the learner; their pairs are
+        # resolved to link ids here, and the first missing pair is named.
+        graph = build_graph(4, [(0, 1, 10e6), (1, 2, 10e6), (2, 3, 10e6)])
+        assert graph.link_ids((0, 1, 2, 3)) == (0, 1, 2)
+        with pytest.raises(KeyError, match=r"no link \(2,0\) in graph"):
+            graph.link_ids((1, 2, 0, 3))
+        with pytest.raises(ValueError, match=r"path \[1, 2, 0\] uses missing link \(2,0\)"):
+            check_path(graph, RoutePath((1, 2, 0)))
 
     def test_check_path_accepts_t1_chain(self):
         check_path(t1(), RoutePath((0, 1, 2, 3, 4), True))

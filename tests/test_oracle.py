@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import RewardRecord, records_of, rewards_of
+from reference import RewardRecord, node_pairs, records_of, rewards_of, route_of
 from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import Hyperparameters, QTable, find_temp_path, sarsa_update, update_table
 from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
@@ -121,7 +121,7 @@ class TestLinkScores:
             random.Random(seed),
         )
         assume(path.hop_count > 0)
-        result = execute_path(graph, path, LossModel(seed) if lossy else None)
+        result = execute_path(graph, path.links, LossModel(seed) if lossy else None)
         records = reference.execute_path(graph, path, LossModel(seed) if lossy else None)
         index = graph.link_index()
         assert [(index.sources[k], index.targets[k]) for k in result.records] == [
@@ -134,7 +134,7 @@ class TestLinkScores:
         expected_global = exact(reference.global_rewards_for_path(records, DEFAULT_WEIGHTS))
         # A repeated episode, scored from the demand's memo, gets the same
         # bits as the first; an equal result is a repeat too.
-        for again in (result, replace(result)):
+        for again in (result, result._replace()):
             assert exact(records_of(index, local_rewards_for_path(again, scores))) == expected_local
             assert exact(records_of(index, global_rewards_for_path(again, scores))) == expected_global
 
@@ -149,8 +149,8 @@ class TestLinkScores:
             random.Random(seed),
         )
         assume(path.hop_count > 0)
-        clean = execute_path(graph, path)
-        lost = replace(clean, lost=True)
+        clean = execute_path(graph, path.links)
+        lost = clean._replace(lost=True)
         clean_records = reference.execute_path(graph, path)
         lost_records = clean_records[:-1] + (replace(clean_records[-1], has_lost=True),)
         scores = link_scores(graph, weights, demand)
@@ -189,7 +189,7 @@ class TestLinkScores:
         before = link_scores(graph, DEFAULT_WEIGHTS, demand)
         place_traffic(graph, path, demand)
         after = link_scores(graph, DEFAULT_WEIGHTS, demand)
-        result = execute_path(graph, path)
+        result = execute_path(graph, graph.link_ids(path.nodes))
         records = reference.execute_path(graph, path)
         index = after.index
         assert exact(records_of(index, local_rewards_for_path(result, after))) == exact(
@@ -215,7 +215,8 @@ class TestSelection:
         dense = reference.DenseQTable.from_table(graph, table)
         rng, reference_rng = random.Random(seed), random.Random(seed)
         path = find_temp_path(demand, table, hyper, rng)
-        assert path == reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
+        expected = reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
+        assert route_of(path) == expected
         # The same random draws, not just the same path.
         assert rng.getstate() == reference_rng.getstate()
 
@@ -234,7 +235,8 @@ class TestSelection:
         dense = reference.DenseQTable.from_table(graph, table)
         rng, reference_rng = random.Random(seed), random.Random(seed)
         path = find_temp_path(demand, table, hyper, rng)
-        assert path == reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
+        expected = reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
+        assert route_of(path) == expected
         assert rng.getstate() == reference_rng.getstate()
 
 
@@ -257,7 +259,7 @@ class TestUpdate:
             demand, table, Hyperparameters(epsilon=1.0), random.Random(seed)
         )
         assume(path.hop_count > 0)
-        links = path.links()
+        links = node_pairs(path)
         rewards = [
             RewardRecord(s, d, i < len(links) - 1 or last_success, values[i])
             for i, (s, d) in enumerate(links)
@@ -287,7 +289,7 @@ class TestUpdate:
         graph, table, demand = case
         path = find_temp_path(demand, table, Hyperparameters(epsilon=1.0), random.Random(seed))
         assume(path.hop_count > 0)
-        links = tuple(table.index.ids[pair] for pair in path.links())
+        links = path.links
         rewards = EpisodeRewards(links, tuple(values[: len(links)]), last_ok)
         hyper = Hyperparameters(alpha=alpha, gamma=gamma, terminal_q=terminal_q)
         expected = list(table.q)
@@ -321,8 +323,9 @@ class TestEpisodes:
         scores = link_scores(graph, weights, demand)
         for _ in range(8):
             path = find_temp_path(demand, table, hyper, rng)
-            assert path == reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
-            result = execute_path(graph, path, loss)
+            expected = reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
+            assert route_of(path) == expected
+            result = execute_path(graph, path.links, loss)
             records = reference.execute_path(graph, path, reference_loss)
             update_table(table, local_rewards_for_path(result, scores), hyper)
             update_table(global_table, global_rewards_for_path(result, scores), hyper)

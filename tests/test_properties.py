@@ -7,7 +7,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlroute.dataplane import execute_path
+from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
     EpisodeTrace,
@@ -28,7 +28,7 @@ from rlroute.network import (
     place_traffic,
 )
 from rlroute.rewards import link_scores, make_weights, reward_intensity
-from reference import RewardRecord, incoming_traffic, rewards_of
+from reference import RewardRecord, incoming_traffic, node_pairs, rewards_of
 from scenarios import chain_rewards
 
 finite = st.floats(min_value=-10.0, max_value=10.0)
@@ -110,7 +110,7 @@ class TestPathSelection:
     @settings(max_examples=300, deadline=None)
     @given(
         routing_scenarios(),
-        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([0.0, 0.3, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=6),
     )
@@ -121,7 +121,8 @@ class TestPathSelection:
         assert path.nodes[0] == demand.src
         assert len(set(path.nodes)) == len(path.nodes)
         assert path.hop_count <= ttl
-        check_path(graph, path)
+        # The ids selection chose are the links joining its nodes.
+        assert path.links == check_path(graph, path) == graph.link_ids(path.nodes)
         assert path.reached_destination == (path.nodes[-1] == demand.dst)
 
 
@@ -269,7 +270,7 @@ class TestMessageAccounting:
         path = find_temp_path(
             demand, table, DEFAULT_HYPERPARAMETERS, rng=random.Random(seed)
         )
-        result = execute_path(graph, path)
+        result = execute_path(graph, path.links)
         n = len(result.records)
         assert n == path.hop_count
         trace = EpisodeTrace(episode_index=1, temp_path=path, attempted_hops=n)
@@ -277,7 +278,30 @@ class TestMessageAccounting:
         assert trace.messages_without_aggregation == 2 * n
         assert not result.lost
         index = graph.link_index()
-        assert [(index.sources[k], index.targets[k]) for k in result.records] == path.links()
+        assert [(index.sources[k], index.targets[k]) for k in result.records] == node_pairs(path)
+        assert result.records is path.links
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        routing_scenarios(),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=56, max_size=56),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_lossy_execution_attempts_a_prefix_of_the_ids(self, scenario, reliabilities, seed):
+        # Random reliabilities make losses common: a lost run stops at the
+        # losing hop, and only a lost run may stop before the last link.
+        base, table, demand = scenario
+        graph = build_graph(
+            base.num_nodes,
+            [(l.src, l.dst, l.max_bandwidth, 0.0, reliability)
+             for l, reliability in zip(base.iter_links(), reliabilities)],
+        )
+        path = find_temp_path(demand, table, Hyperparameters(epsilon=0.3), rng=random.Random(seed))
+        result = execute_path(graph, path.links, LossModel(seed))
+        n = len(result.records)
+        assert result.records == path.links[:n]
+        assert n >= 1 or path.hop_count == 0
+        assert result.lost or n == path.hop_count
 
 
 class TestSerialization:

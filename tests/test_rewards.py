@@ -6,7 +6,6 @@ compared against the implementation; tolerances cover only IEEE rounding.
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from rlroute.rewards import (
     make_weights,
     reward_hop,
     reward_intensity,
-    reward_reliability,
     reward_transmission,
     reward_utilization,
 )
@@ -42,9 +40,6 @@ class TestTermFormulas:
         assert reward_transmission(0) == 0.0
         # Saturates toward 1 as the sender gets faster.
         assert reward_transmission(10) < reward_transmission(1000) < 1.0
-
-    def test_reliability_is_identity(self):
-        assert reward_reliability(0.95) == 0.95
 
     def test_intensity_current_and_estimated(self):
         assert reward_intensity(5, 50) == 0.9
@@ -90,6 +85,18 @@ class TestWeights:
     def test_rejects_non_finite_weight(self, value):
         with pytest.raises(ValueError, match="weight reliability must be a finite number >= 0"):
             make_weights(1, 1, value, 1, 1)
+
+    @pytest.mark.parametrize(
+        "value", [True, np.float32(1.0), np.int64(1), "1"], ids=["bool", "float32", "int64", "str"]
+    )
+    def test_rejects_weights_reports_cannot_write_as_numbers(self, value):
+        # report.json writes the weights as they are: True as true, and a
+        # numpy float32 not at all, after the whole study has run.
+        with pytest.raises(ValueError, match=r"^weight hop_count must be an int or float, got "):
+            make_weights(value, 1, 1, 1, 1)
+
+    def test_numpy_float64_weights_are_floats(self):
+        assert make_weights(np.float64(0.5), 1, 1, 1, 1).local_constant == pytest.approx(4.6)
 
     def test_zero_weights_allowed(self):
         w = make_weights(0, 0, 0, 0, 1)
@@ -140,9 +147,9 @@ class TestRewardLists:
         """Reward records of walking nodes on a graph where 1 branches to
         the destination 2 and to the dead end 3."""
         graph = build_graph(4, [(0, 1, 10e6), (1, 2, 10e6), (1, 3, 10e6)])
-        result = execute_path(graph, RoutePath(tuple(nodes), nodes[-1] == 2))
+        result = execute_path(graph, graph.link_ids(nodes))
         if lost:
-            result = replace(result, lost=True)
+            result = result._replace(lost=True)
         scores = link_scores(graph, DEFAULT_WEIGHTS, self.demand())
         return (
             records_of(scores.index, local_rewards_for_path(result, scores)),
