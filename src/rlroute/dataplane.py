@@ -66,4 +66,4 @@ def execute_path(
         for hop, k in enumerate(links, start=1):
             if loss.packet_lost(states[k].reliability):
                 return ExecutionResult(links[:hop], True)
-    return ExecutionResult(links, False)
+    return tuple.__new__(ExecutionResult, (links, False))

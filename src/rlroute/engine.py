@@ -285,7 +285,8 @@ def find_temp_path(
         visited.add(current)
         if current == destination:
             break
-    return TempPath(source, tuple(links), current == destination, index)
+    # As namedtuple's _make does: the generated __new__ parses arguments first.
+    return tuple.__new__(TempPath, (source, tuple(links), current == destination, index))
 
 
 def find_final_path(
@@ -295,14 +296,9 @@ def find_final_path(
 ) -> RoutePath:
     """Greedy path extraction: find_temp_path with epsilon forced to 0,
     deterministic under the lowest-id tie-break, as a validated RoutePath."""
-    greedy = replace(hyper, epsilon=0.0)
+    greedy = hyper if hyper.epsilon == 0 else replace(hyper, epsilon=0.0)
     path = find_temp_path(demand, table, greedy)
     return RoutePath(path.nodes, path.reached_destination)
-
-
-def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
-    """One-step update: (1 - alpha) * q_sa + alpha * (reward + gamma * q_next)."""
-    return (1.0 - alpha) * q_sa + alpha * (reward + gamma * q_next)
 
 
 def update_table(table: QTable, rewards: EpisodeRewards, hyper: Hyperparameters) -> QTable:
@@ -315,11 +311,12 @@ def update_table(table: QTable, rewards: EpisodeRewards, hyper: Hyperparameters)
     bootstraps from hyper.terminal_q (success) or has its penalty value added
     outright (failure), so failures accumulate.
 
-    The entries before the last compute sarsa_update's formula inline, with
-    the same operations in the same order, so the values are the same bits.
-    Each written value is checked to be finite.
+    Each entry is computed inline, a success as keep * q[k] + alpha * (reward
+    + gamma * q_next) with keep = 1 - alpha (the module docstring's operations
+    in order, so the same bits) and a failure as q[k] + penalty. table.store
+    is called only to refuse a value that is not finite, naming the link.
     """
-    if not rewards:
+    if not rewards.links:
         raise ValueError("cannot update a table with an empty reward list")
     q, links, values = table.q, rewards.links, rewards.values
     alpha, gamma = hyper.alpha, hyper.gamma
@@ -331,9 +328,12 @@ def update_table(table: QTable, rewards: EpisodeRewards, hyper: Hyperparameters)
         q[k] = value
     k, last = links[-1], values[-1]
     if rewards.last_ok:
-        table.store(k, sarsa_update(q[k], last, hyper.terminal_q, alpha, gamma))
+        value = keep * q[k] + alpha * (last + gamma * hyper.terminal_q)
     else:
-        table.store(k, q[k] + last)
+        value = q[k] + last
+    if not isfinite(value):
+        table.store(k, value)  # raises, naming the pair
+    q[k] = value
     return table
 
 
@@ -363,7 +363,7 @@ def find_route(
     """
     if not (graph.has_node(demand.src) and graph.has_node(demand.dst)):
         raise ValueError(f"demand {demand.src}->{demand.dst} references unknown nodes")
-    if not graph.out_neighbors(demand.src):
+    if not graph.link_index().out[demand.src]:
         raise UnroutableDemandError(f"node {demand.src} has no outgoing links")
     weights = DEFAULT_WEIGHTS if weights is None else weights
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
@@ -387,7 +387,7 @@ def find_route(
             global_rewards = global_rewards_for_path(result, scores)
             update_table(local_table, local_rewards, hyper)
             update_table(global_table, global_rewards, global_hyper)
-        traces.append(EpisodeTrace(episode, temp_path, len(result.records)))
+        traces.append(tuple.__new__(EpisodeTrace, (episode, temp_path, len(result.records))))
     final_path = find_final_path(demand, local_table, hyper)
     return RouteResult(final_path=final_path, traces=traces)
 

@@ -174,7 +174,7 @@ class ExperimentReport:
 
 
 # The per-link columns of every report: the JSON "links" blocks and the
-# links CSVs. Topology files have their own schema (network.graph_to_dict).
+# links CSVs. Topology files have their own schema (see network.graph_from_dict).
 _LINK_COLUMNS = ("src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "utilization")
 
 

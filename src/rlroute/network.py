@@ -1,4 +1,4 @@
-"""Directed-graph network model: nodes, links, demands, paths, topology i/o.
+"""Directed-graph network model: nodes, links, demands, paths, topology loading.
 
 This module is the single source of truth for all QoS state the simulator
 reads. All data rates are bits per second unless a name says otherwise.
@@ -32,21 +32,22 @@ def check_int(value, name: str, error: type[ValueError] = ValueError) -> None:
         raise error(f"{name} must be an int, got {value!r}")
 
 
-def check_float(value, name: str) -> None:
-    """Raise ValueError naming name unless value is a Python int or float
+def check_float(value, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise error naming name unless value is a Python int or float
     (a float subclass such as numpy.float64 included): not bool, which
     reports would write as true or false, and not another numpy scalar,
     which they cannot write at all. Ranges are the caller's to check."""
     if type(value) is bool or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be an int or float, got {value!r}")
+        raise error(f"{name} must be an int or float, got {value!r}")
 
 
 @dataclass
 class NodeState:
     """One network node. Its incoming traffic is not stored: it is the sum
-    of its inbound links' used bandwidth. The processing rate is read, and
-    checked, the first time the graph is scored under a set of weights
-    (rewards.TermSet); the rewards do not see it reassigned after that.
+    of its inbound links' used bandwidth. The processing rate, a Python int
+    or float (see check_float), is read, and checked, the first time the
+    graph is scored under a set of weights (rewards.TermSet); the rewards do
+    not see it reassigned after that.
     """
 
     node_id: int
@@ -56,7 +57,10 @@ class NodeState:
         check_int(self.node_id, "node id", TopologyError)
         if self.node_id < 0:
             raise TopologyError(f"node id {self.node_id} is negative")
-        if not self.processing_rate > 0:
+        rate = self.processing_rate
+        if type(rate) is not float:
+            check_float(rate, f"node {self.node_id}: processing_rate", TopologyError)
+        if not rate > 0:
             raise TopologyError(
                 f"node {self.node_id}: processing_rate must be > 0, "
                 f"got {self.processing_rate}"
@@ -67,11 +71,13 @@ class NodeState:
 class LinkState:
     """One directed link.
 
-    used_bandwidth may exceed max_bandwidth: over-subscription is an
-    observable (and penalized) state, not a construction error. Loads are
-    read, and checked, per demand. max_bandwidth and reliability are read,
-    and checked, the first time the graph is scored under a set of weights
-    (rewards.TermSet); the rewards do not see one reassigned after that.
+    Its numbers are Python ints or floats (see check_float), as reports
+    write them. used_bandwidth may exceed max_bandwidth: over-subscription
+    is an observable (and penalized) state, not a construction error. Loads
+    are read, and checked, per demand. max_bandwidth and reliability are
+    read, and checked, the first time the graph is scored under a set of
+    weights (rewards.TermSet); the rewards do not see one reassigned after
+    that.
     """
 
     src: int
@@ -87,6 +93,13 @@ class LinkState:
             check_int(self.dst, "link dst", TopologyError)
         if self.src == self.dst:
             raise TopologyError(f"link ({self.src},{self.dst}): self loops are not allowed")
+        # Tested inline first, as the ids are; the loaders pass floats.
+        if not (
+            type(self.max_bandwidth) is type(self.used_bandwidth) is type(self.reliability) is float
+        ):
+            link = f"link ({self.src},{self.dst})"
+            for name in ("max_bandwidth", "used_bandwidth", "reliability"):
+                check_float(getattr(self, name), f"{link}: {name}", TopologyError)
         if not self.max_bandwidth > 0:
             raise TopologyError(
                 f"link ({self.src},{self.dst}): max_bandwidth must be > 0, "
@@ -459,25 +472,6 @@ def demands_from_list(document, source: str) -> list[TrafficDemand]:
     return demands
 
 
-def graph_to_dict(graph: NetworkGraph) -> dict:
-    return {
-        "nodes": [
-            {"id": n.node_id, "processing_rate_bps": n.processing_rate}
-            for n in graph.nodes
-        ],
-        "links": [
-            {
-                "src": l.src,
-                "dst": l.dst,
-                "max_bandwidth_bps": l.max_bandwidth,
-                "used_bandwidth_bps": l.used_bandwidth,
-                "reliability": l.reliability,
-            }
-            for l in graph.iter_links()
-        ],
-    }
-
-
 def load_topology(source: Union[str, Path, IO[str]]) -> NetworkGraph:
     """Load a topology document from a path or open text file. From a path,
     text that is not valid JSON or not a valid topology raises TopologyError
@@ -488,12 +482,3 @@ def load_topology(source: Union[str, Path, IO[str]]) -> NetworkGraph:
         return graph_from_dict(json.loads(Path(source).read_text(encoding="utf-8")))
     except ValueError as exc:
         raise TopologyError(f"{source}: {exc}") from None
-
-
-def save_topology(graph: NetworkGraph, dest: Union[str, Path, IO[str]]) -> None:
-    """Write the topology document; loading it back reproduces the graph."""
-    text = json.dumps(graph_to_dict(graph), indent=2) + "\n"
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8")
-    else:
-        dest.write(text)

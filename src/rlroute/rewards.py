@@ -255,7 +255,9 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     read per call, and refused unless every one is >= 0; the rest comes from
     the graph's TermSet for these weights, built and checked on the first
     call with them. Raises ValueError naming the first link whose local or
-    global reward sums to a non-finite value.
+    global reward sums to a non-finite value. One test of the total of all
+    sums clears the usual case; only a total that is not finite (a NaN, an
+    inf, or finite sums that overflow) runs the exact per-link test.
     """
     terms = graph.cached(_term_set, weights)
     index = graph.link_index()
@@ -279,12 +281,13 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
         # partial sum is monotone in the hop term, so summing with the first and
         # the last hop's terms bounds the sums at every position.
         local = terms.partial + intensity + utilization - w.local_constant
-    finite = np.isfinite(local).all(axis=0) & np.isfinite(global_reward)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        which = "global" if np.isfinite(local[:, k]).all() else "local"
-        link = f"({index.sources[k]},{index.targets[k]})"
-        raise ValueError(f"link {link}: {which} reward terms sum to a non-finite value")
+        if not math.isfinite(local.sum() + global_reward.sum()):
+            finite = np.isfinite(local).all(axis=0) & np.isfinite(global_reward)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                which = "global" if np.isfinite(local[:, k]).all() else "local"
+                link = f"({index.sources[k]},{index.targets[k]})"
+                raise ValueError(f"link {link}: {which} reward terms sum to a non-finite value")
     return LinkScores(
         index=index,
         destination=demand.dst,

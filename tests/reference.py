@@ -7,9 +7,11 @@ selection and updates through guarded per-cell reads. rlroute instead
 evaluates reward terms once per demand over all links (rewards.LinkScores),
 aligns an episode's rewards with its link ids (rewards.EpisodeRewards) and
 keeps Q-values in a list indexed by link id; tests require its results to
-equal these exactly, not approximately. RewardRecord is the (src, dst) view
-of one action's reward, and records_of / rewards_of convert between it and
-EpisodeRewards; node_pairs and route_of give a path's node form.
+equal these exactly, not approximately. sarsa_update is the one-step
+update engine.update_table computes inline. RewardRecord is the (src, dst)
+view of one action's reward, and records_of / rewards_of convert between it
+and EpisodeRewards; node_pairs and route_of give a path's node form;
+graph_to_dict writes the topology document graph_from_dict reads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from rlroute.engine import AbsentLinkError, sarsa_update
+from rlroute.engine import AbsentLinkError
 from rlroute.network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand
 from rlroute.rewards import (
     MBPS,
@@ -31,6 +33,31 @@ from rlroute.rewards import (
     reward_transmission,
     reward_utilization,
 )
+
+
+def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
+    """One-step update: (1 - alpha) * q_sa + alpha * (reward + gamma * q_next)."""
+    return (1.0 - alpha) * q_sa + alpha * (reward + gamma * q_next)
+
+
+def graph_to_dict(graph: NetworkGraph) -> dict:
+    """The topology document of graph; graph_from_dict reads it back."""
+    return {
+        "nodes": [
+            {"id": n.node_id, "processing_rate_bps": n.processing_rate}
+            for n in graph.nodes
+        ],
+        "links": [
+            {
+                "src": l.src,
+                "dst": l.dst,
+                "max_bandwidth_bps": l.max_bandwidth,
+                "used_bandwidth_bps": l.used_bandwidth,
+                "reliability": l.reliability,
+            }
+            for l in graph.iter_links()
+        ],
+    }
 
 
 class RewardRecord(NamedTuple):

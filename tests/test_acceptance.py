@@ -18,7 +18,6 @@ from rlroute.engine import (
     find_final_path,
     find_route,
     find_temp_path,
-    sarsa_update,
     update_table,
 )
 from rlroute.harness import (
@@ -37,7 +36,7 @@ from rlroute.rewards import (
     reward_utilization,
 )
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
-from reference import RewardRecord, node_pairs, rewards_of
+from reference import RewardRecord, node_pairs, rewards_of, sarsa_update
 
 T8_WEIGHTS = make_weights(0, 0, 0, 1, 1)
 T8_CHAIN = (4, 7, 6, 10, 14, 18, 19, 23)

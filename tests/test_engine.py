@@ -22,7 +22,6 @@ from rlroute.engine import (
     find_route,
     find_temp_path,
     init_local_table,
-    sarsa_update,
     update_table,
 )
 from rlroute.network import RoutePath, TrafficDemand, build_graph
@@ -321,19 +320,6 @@ class TestFindTempPath:
         assert path != path._replace(source=1)
 
 
-class TestSarsaUpdate:
-    def test_alpha_one_substitutes_fully(self):
-        assert sarsa_update(0.0, -2.0, -2.0, alpha=1.0, gamma=1.0) == -4.0
-
-    def test_alpha_zero_changes_nothing(self):
-        assert sarsa_update(-3.3, 100.0, 50.0, alpha=0.0, gamma=1.0) == -3.3
-
-    def test_worked_blend(self):
-        # 0.1*(-1) + 0.9*(-0.65 + 0.9*(-0.5)) = -1.09
-        value = sarsa_update(-1.0, -0.65, -0.5, alpha=0.9, gamma=0.9)
-        assert value == pytest.approx(-1.09, abs=1e-9)
-
-
 class TestUpdateTable:
     def t1(self):
         return load_builtin("t1")
@@ -392,6 +378,29 @@ class TestUpdateTable:
         hyper = Hyperparameters(alpha=1.0, gamma=1.0, terminal_q=1.0)
         update_table(table, rewards_of(table.index, [RewardRecord(0, 1, True, -2.0)]), hyper)
         assert table.get(0, 1) == -1.0
+
+    @pytest.mark.parametrize(
+        "records, terminal_q",
+        [
+            # (0,1) bootstraps from (1,2): -1e308 + -1e308.
+            ([RewardRecord(0, 1, True, -1e308), RewardRecord(1, 2, True, -1.0)], 0.0),
+            # The terminal entry bootstraps from terminal_q: -1e308 + -1e308.
+            ([RewardRecord(0, 1, True, -1e308)], -1e308),
+            # A failed terminal entry adds its penalty to -1e308.
+            ([RewardRecord(0, 1, False, -1e308)], 0.0),
+        ],
+        ids=["non-terminal", "terminal-bootstrap", "terminal-penalty"],
+    )
+    def test_an_overflowing_value_is_refused_naming_the_link(self, records, terminal_q):
+        table = QTable.for_graph(self.t1())
+        table.set(0, 1, -1e308)
+        table.set(1, 2, -1e308)
+        hyper = Hyperparameters(alpha=1.0, gamma=1.0, terminal_q=terminal_q)
+        rewards = rewards_of(table.index, records)
+        with pytest.raises(ValueError, match=r"^Q-value for \(0,1\) must be finite, got -inf$"):
+            update_table(table, rewards, hyper)
+        assert all(math.isfinite(v) for v in table.q)
+        assert table.get(0, 1) == table.get(1, 2) == -1e308
 
 
 class TestFindRoute:

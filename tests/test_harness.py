@@ -32,7 +32,7 @@ from rlroute.harness import (
 from rlroute.network import TrafficDemand, build_graph, check_path
 from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
-from reference import node_pairs
+from reference import graph_to_dict, node_pairs
 from scenarios import OVERFLOWING_TOPOLOGIES
 
 UTIL_ONLY = make_weights(0, 0, 0, 0, 1)
@@ -107,11 +107,9 @@ class TestRunSequence:
 
     def test_unroutable_demand_recorded_and_run_continues(self, tmp_path):
         # Node 3 only has an inbound link, so 3->0 is unroutable.
-        from rlroute.network import save_topology
-
         graph = build_graph(4, [(0, 1, 1e7), (1, 2, 1e7), (2, 0, 1e7), (2, 3, 1e7)])
         graph_path = tmp_path / "net.json"
-        save_topology(graph, graph_path)
+        graph_path.write_text(json.dumps(graph_to_dict(graph)), encoding="utf-8")
         config = ExperimentConfig(
             topology=str(graph_path),
             demands=[TrafficDemand(3, 0, 1e5), TrafficDemand(0, 2, 1e5)],
@@ -543,10 +541,8 @@ class TestCli:
         assert "max link utilization" in capsys.readouterr().out
 
     def test_run_requires_demands_for_custom_topology(self, tmp_path):
-        from rlroute.network import save_topology
-
         topo = tmp_path / "net.json"
-        save_topology(load_builtin("t1"), topo)
+        topo.write_text(json.dumps(graph_to_dict(load_builtin("t1"))), encoding="utf-8")
         with pytest.raises(SystemExit):
             main(["run", "--topology", str(topo)])
 

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,14 +22,12 @@ from rlroute.network import (
     check_path,
     demands_from_list,
     graph_from_dict,
-    graph_to_dict,
     load_topology,
     place_traffic,
-    save_topology,
 )
 from rlroute.rewards import link_scores, make_weights, reward_intensity
 from rlroute.topologies import builtin_demands, load_builtin, load_demands, resolve_topology
-from reference import incoming_traffic
+from reference import graph_to_dict, incoming_traffic
 from scenarios import OVERFLOWING_TOPOLOGIES
 
 T1_LINKS = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0)]
@@ -163,6 +162,29 @@ class TestValidation:
         # from 0.0 would be written "src": 0.0.
         with pytest.raises(TopologyError, match=f"^{field} must be an int, got "):
             make(value)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: NodeState(0, v), "node 0: processing_rate"),
+            (lambda v: LinkState(0, 1, v), "link (0,1): max_bandwidth"),
+            (lambda v: LinkState(0, 1, 1e7, v), "link (0,1): used_bandwidth"),
+            (lambda v: LinkState(0, 1, 1e7, 0.0, v), "link (0,1): reliability"),
+        ],
+        ids=["rate", "capacity", "load", "reliability"],
+    )
+    @pytest.mark.parametrize("value", [True, np.float32(0.5)], ids=["bool", "float32"])
+    def test_link_and_node_numbers_must_be_python_numbers(self, make, field, value):
+        # Reports write these as they are: a load of True as
+        # "used_bandwidth_bps": true, and a float32 not at all.
+        with pytest.raises(TopologyError, match=rf"^{re.escape(field)} must be an int or float, got "):
+            make(value)
+
+    def test_link_and_node_numbers_may_be_ints_or_numpy_float64(self):
+        link = LinkState(0, 1, 10_000_000, np.float64(1e6), 1)
+        node = NodeState(0, np.float64(1e6))
+        assert (link.max_bandwidth, link.used_bandwidth, link.reliability) == (1e7, 1e6, 1.0)
+        assert node.processing_rate == 1e6
 
     def test_demand_rejects_infinite_traffic(self):
         with pytest.raises(ValueError, match="demand traffic must be > 0 and finite, got inf"):
@@ -307,7 +329,7 @@ class TestTopologyDocuments:
     def test_t1_document_round_trip_via_file(self, tmp_path):
         graph = t1()
         path = tmp_path / "net.json"
-        save_topology(graph, path)
+        path.write_text(json.dumps(graph_to_dict(graph), indent=2), encoding="utf-8")
         assert load_topology(path) == graph
 
     def test_load_from_open_file(self):

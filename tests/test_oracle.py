@@ -9,13 +9,14 @@ give: equal bits, not approximately equal values.
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import RewardRecord, node_pairs, records_of, rewards_of, route_of
+from reference import RewardRecord, node_pairs, records_of, rewards_of, route_of, sarsa_update
 from rlroute.dataplane import LossModel, execute_path
-from rlroute.engine import Hyperparameters, QTable, find_temp_path, sarsa_update, update_table
+from rlroute.engine import Hyperparameters, QTable, find_temp_path, update_table
 from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
@@ -238,6 +239,21 @@ class TestSelection:
         expected = reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
         assert route_of(path) == expected
         assert rng.getstate() == reference_rng.getstate()
+
+
+class TestSarsaUpdate:
+    """The reference one-step update that update_table is compared against."""
+
+    def test_alpha_one_substitutes_fully(self):
+        assert sarsa_update(0.0, -2.0, -2.0, alpha=1.0, gamma=1.0) == -4.0
+
+    def test_alpha_zero_changes_nothing(self):
+        assert sarsa_update(-3.3, 100.0, 50.0, alpha=0.0, gamma=1.0) == -3.3
+
+    def test_worked_blend(self):
+        # 0.1*(-1) + 0.9*(-0.65 + 0.9*(-0.5)) = -1.09
+        value = sarsa_update(-1.0, -0.65, -0.5, alpha=0.9, gamma=0.9)
+        assert value == pytest.approx(-1.09, abs=1e-9)
 
 
 class TestUpdate:

@@ -14,7 +14,6 @@ from rlroute.engine import (
     Hyperparameters,
     QTable,
     find_temp_path,
-    sarsa_update,
     update_table,
 )
 from rlroute.harness import baseline_min_hop
@@ -24,11 +23,17 @@ from rlroute.network import (
     build_graph,
     check_path,
     graph_from_dict,
-    graph_to_dict,
     place_traffic,
 )
 from rlroute.rewards import link_scores, make_weights, reward_intensity
-from reference import RewardRecord, incoming_traffic, node_pairs, rewards_of
+from reference import (
+    RewardRecord,
+    graph_to_dict,
+    incoming_traffic,
+    node_pairs,
+    rewards_of,
+    sarsa_update,
+)
 from scenarios import chain_rewards
 
 finite = st.floats(min_value=-10.0, max_value=10.0)

@@ -6,6 +6,8 @@ compared against the implementation; tolerances cover only IEEE rounding.
 
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +276,19 @@ class TestRewardSums:
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
                 link_scores(graph, weights, TrafficDemand(0, 4, 1e5))
+
+    def test_finite_sums_whose_total_overflows_are_accepted(self):
+        # The link's local reward is finite at every position, but its
+        # first- and last-hop bounds add past the largest float. The one
+        # whole-array test then falls through to the per-link test, which
+        # refuses nothing, and numpy warns of nothing.
+        graph = graph_from_dict(pair_document(2.0))
+        weights = make_weights(0, 0, 0, 0, 5e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = link_scores(graph, weights, TrafficDemand(0, 1, 1.0))
+        (value,) = local_rewards_for_path(ExecutionResult((0,)), scores).values
+        assert math.isfinite(value) and value < -sys.float_info.max / 2
 
     def test_find_route_fails_before_the_first_episode(self, monkeypatch):
         def refuse(*args, **kwargs):
