@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import inf, isfinite
 from typing import NamedTuple, Optional, Sequence
 
@@ -84,6 +85,13 @@ class Hyperparameters:
 
 
 DEFAULT_HYPERPARAMETERS = Hyperparameters()
+
+
+@lru_cache(typed=True)
+def _global_hyperparameters(gamma: float) -> Hyperparameters:
+    """The framework defaults with gamma as gamma, built once per gamma;
+    typed, so True (== 1, same hash) is refused, not served 1's entry."""
+    return replace(DEFAULT_HYPERPARAMETERS, gamma=gamma)
 
 
 class QTable:
@@ -369,7 +377,7 @@ def find_route(
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
     global_hyper = DEFAULT_HYPERPARAMETERS
     if global_gamma is not None:
-        global_hyper = replace(global_hyper, gamma=global_gamma)
+        global_hyper = _global_hyperparameters(global_gamma)
 
     local_table = init_local_table(graph, global_table)
     # Executing paths never changes the graph, so one demand's reward terms

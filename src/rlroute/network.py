@@ -414,61 +414,85 @@ def _want_int(obj: dict, where: str, key: str) -> int:
     return value
 
 
+# What a loader reads from an entry that is not an object: no field at all.
+_NO_FIELDS: Callable = {}.get
+
+
 def graph_from_dict(document: dict) -> NetworkGraph:
-    """Parse and validate one topology document (already JSON-decoded)."""
+    """Parse and validate one topology document (already JSON-decoded). A
+    well-formed entry, an object with int ids and float numbers all within
+    +-_FLOAT_MAX, takes one inline test. Only an entry that fails it runs the
+    per-field checkers, which name what it got wrong or convert its JSON
+    ints. NodeState, LinkState and build_graph check the rest."""
     if not isinstance(document, dict):
         raise TopologyError("topology document must be a JSON object")
     for section in ("nodes", "links"):
         if section not in document or not isinstance(document[section], list):
             raise TopologyError(f"{section}: required list missing")
+    hi = _FLOAT_MAX
 
     nodes = []
     for i, entry in enumerate(document["nodes"]):
-        where = f"nodes[{i}]"
-        if not isinstance(entry, dict):
-            raise TopologyError(f"{where}: expected an object")
-        node_id = _want_int(entry, where, "id")
-        rate = _want_number(entry, where, "processing_rate_bps")
+        get = entry.get if type(entry) is dict else _NO_FIELDS
+        node_id, rate = get("id"), get("processing_rate_bps")
+        if not (type(node_id) is int and type(rate) is float
+                and -hi <= node_id <= hi and -hi <= rate <= hi):
+            where = f"nodes[{i}]"
+            if not isinstance(entry, dict):
+                raise TopologyError(f"{where}: expected an object")
+            node_id = _want_int(entry, where, "id")
+            rate = float(_want_number(entry, where, "processing_rate_bps"))
         try:
-            nodes.append(NodeState(node_id, float(rate)))
+            nodes.append(NodeState(node_id, rate))
         except TopologyError as exc:
-            raise TopologyError(f"{where}: {exc}") from None
+            raise TopologyError(f"nodes[{i}]: {exc}") from None
 
     links = []
     for i, entry in enumerate(document["links"]):
-        where = f"links[{i}]"
-        if not isinstance(entry, dict):
-            raise TopologyError(f"{where}: expected an object")
-        src = _want_int(entry, where, "src")
-        dst = _want_int(entry, where, "dst")
-        max_bw = _want_number(entry, where, "max_bandwidth_bps")
-        used = _want_number(entry, where, "used_bandwidth_bps", default=0.0)
-        rel = _want_number(entry, where, "reliability", default=1.0)
+        get = entry.get if type(entry) is dict else _NO_FIELDS
+        src, dst, max_bw = get("src"), get("dst"), get("max_bandwidth_bps")
+        used, rel = get("used_bandwidth_bps", 0.0), get("reliability", 1.0)
+        if not (type(src) is type(dst) is int and type(max_bw) is type(used) is type(rel) is float
+                and -hi <= src <= hi and -hi <= dst <= hi and -hi <= max_bw <= hi
+                and -hi <= used <= hi and -hi <= rel <= hi):
+            where = f"links[{i}]"
+            if not isinstance(entry, dict):
+                raise TopologyError(f"{where}: expected an object")
+            src, dst = _want_int(entry, where, "src"), _want_int(entry, where, "dst")
+            max_bw = float(_want_number(entry, where, "max_bandwidth_bps"))
+            used = float(_want_number(entry, where, "used_bandwidth_bps", default=0.0))
+            rel = float(_want_number(entry, where, "reliability", default=1.0))
         try:
-            links.append(LinkState(src, dst, float(max_bw), float(used), float(rel)))
+            links.append(LinkState(src, dst, max_bw, used, rel))
         except TopologyError as exc:
-            raise TopologyError(f"{where}: {exc}") from None
+            raise TopologyError(f"links[{i}]: {exc}") from None
 
     return build_graph(nodes, links)
 
 
 def demands_from_list(document, source: str) -> list[TrafficDemand]:
     """Parse and validate one demand list (already JSON-decoded). Errors
-    name the source and the offending entry, as in "demands.json[3].src"."""
+    name the source and the offending entry, as in "demands.json[3].src".
+    As in graph_from_dict, a well-formed entry takes one inline test and
+    only an entry that fails it runs the per-field checkers."""
     if not isinstance(document, list):
         raise TopologyError(f"demand file {source} must hold a JSON list")
+    hi = _FLOAT_MAX
     demands = []
     for i, item in enumerate(document):
-        where = f"{source}[{i}]"
-        if not isinstance(item, dict):
-            raise TopologyError(f"{where}: expected an object")
-        src = _want_int(item, where, "src")
-        dst = _want_int(item, where, "dst")
-        traffic = _want_number(item, where, "traffic_bps")
+        get = item.get if type(item) is dict else _NO_FIELDS
+        src, dst, traffic = get("src"), get("dst"), get("traffic_bps")
+        if not (type(src) is type(dst) is int and type(traffic) is float
+                and -hi <= src <= hi and -hi <= dst <= hi and -hi <= traffic <= hi):
+            where = f"{source}[{i}]"
+            if not isinstance(item, dict):
+                raise TopologyError(f"{where}: expected an object")
+            src, dst = _want_int(item, where, "src"), _want_int(item, where, "dst")
+            traffic = float(_want_number(item, where, "traffic_bps"))
         try:
-            demands.append(TrafficDemand(src=src, dst=dst, traffic=float(traffic)))
+            demands.append(TrafficDemand(src=src, dst=dst, traffic=traffic))
         except ValueError as exc:
-            raise TopologyError(f"{where}: {exc}") from None
+            raise TopologyError(f"{source}[{i}]: {exc}") from None
     return demands
 
 

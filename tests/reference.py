@@ -11,19 +11,30 @@ equal these exactly, not approximately. sarsa_update is the one-step
 update engine.update_table computes inline. RewardRecord is the (src, dst)
 view of one action's reward, and records_of / rewards_of convert between it
 and EpisodeRewards; node_pairs and route_of give a path's node form;
-graph_to_dict writes the topology document graph_from_dict reads.
+graph_to_dict writes the topology document graph_from_dict reads, and
+graph_from_dict and demands_from_list are the loaders' field-by-field form.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from rlroute.engine import AbsentLinkError
-from rlroute.network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand
+from rlroute.network import (
+    LinkIndex,
+    LinkState,
+    NetworkGraph,
+    NodeState,
+    RoutePath,
+    TopologyError,
+    TrafficDemand,
+    build_graph,
+)
 from rlroute.rewards import (
     MBPS,
     EpisodeRewards,
@@ -33,6 +44,8 @@ from rlroute.rewards import (
     reward_transmission,
     reward_utilization,
 )
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
@@ -58,6 +71,90 @@ def graph_to_dict(graph: NetworkGraph) -> dict:
             for l in graph.iter_links()
         ],
     }
+
+
+# The topology and demand loaders as they were before they gained their
+# inline test: every field of every entry goes through _want_number or
+# _want_int. rlroute's loaders must accept, build and refuse exactly what
+# these do, with the same messages.
+
+def _want_number(obj: dict, where: str, key: str, *, default=None):
+    if key not in obj:
+        if default is not None:
+            return default
+        raise TopologyError(f"{where}.{key}: required field missing")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TopologyError(f"{where}.{key}: expected a number, got {value!r}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if isinstance(value, int):
+            raise TopologyError(f"{where}.{key}: integer too large for a float")
+        raise TopologyError(f"{where}.{key}: expected a finite number, got {value!r}")
+    return value
+
+
+def _want_int(obj: dict, where: str, key: str) -> int:
+    value = _want_number(obj, where, key)
+    if not isinstance(value, int):
+        raise TopologyError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def graph_from_dict(document: dict) -> NetworkGraph:
+    """Parse and validate one topology document, field by field."""
+    if not isinstance(document, dict):
+        raise TopologyError("topology document must be a JSON object")
+    for section in ("nodes", "links"):
+        if section not in document or not isinstance(document[section], list):
+            raise TopologyError(f"{section}: required list missing")
+
+    nodes = []
+    for i, entry in enumerate(document["nodes"]):
+        where = f"nodes[{i}]"
+        if not isinstance(entry, dict):
+            raise TopologyError(f"{where}: expected an object")
+        node_id = _want_int(entry, where, "id")
+        rate = _want_number(entry, where, "processing_rate_bps")
+        try:
+            nodes.append(NodeState(node_id, float(rate)))
+        except TopologyError as exc:
+            raise TopologyError(f"{where}: {exc}") from None
+
+    links = []
+    for i, entry in enumerate(document["links"]):
+        where = f"links[{i}]"
+        if not isinstance(entry, dict):
+            raise TopologyError(f"{where}: expected an object")
+        src = _want_int(entry, where, "src")
+        dst = _want_int(entry, where, "dst")
+        max_bw = _want_number(entry, where, "max_bandwidth_bps")
+        used = _want_number(entry, where, "used_bandwidth_bps", default=0.0)
+        rel = _want_number(entry, where, "reliability", default=1.0)
+        try:
+            links.append(LinkState(src, dst, float(max_bw), float(used), float(rel)))
+        except TopologyError as exc:
+            raise TopologyError(f"{where}: {exc}") from None
+
+    return build_graph(nodes, links)
+
+
+def demands_from_list(document, source: str) -> list[TrafficDemand]:
+    """Parse and validate one demand list, field by field."""
+    if not isinstance(document, list):
+        raise TopologyError(f"demand file {source} must hold a JSON list")
+    demands = []
+    for i, item in enumerate(document):
+        where = f"{source}[{i}]"
+        if not isinstance(item, dict):
+            raise TopologyError(f"{where}: expected an object")
+        src = _want_int(item, where, "src")
+        dst = _want_int(item, where, "dst")
+        traffic = _want_number(item, where, "traffic_bps")
+        try:
+            demands.append(TrafficDemand(src=src, dst=dst, traffic=float(traffic)))
+        except ValueError as exc:
+            raise TopologyError(f"{where}: {exc}") from None
+    return demands
 
 
 class RewardRecord(NamedTuple):

@@ -546,6 +546,27 @@ class TestFindRoute:
         assert loss_draws == expected_loss_draws
         assert any(t.attempted_hops < t.temp_path.hop_count for t in result.traces)
 
+    def test_global_gamma_true_refused_after_gamma_1(self):
+        # The global hyperparameters are built once per gamma; True equals
+        # and hashes as 1 and 1.0, yet must not be served their entry.
+        graph = load_builtin("t1")
+        demand = TrafficDemand(0, 4, 1e5)
+        for gamma in (1, 1.0):
+            find_route(demand, graph, QTable.for_graph(graph), global_gamma=gamma)
+            with pytest.raises(ValueError, match=r"^gamma must be an int or float, got True$"):
+                find_route(demand, graph, QTable.for_graph(graph), global_gamma=True)
+
+    def test_global_gamma_discounts_the_global_updates(self):
+        # One gamma's hyperparameters are reused across demands; each call
+        # must still learn with its own gamma.
+        def global_q(gamma):
+            graph = load_builtin("t2")
+            table = QTable.for_graph(graph)
+            find_route(TrafficDemand(0, 3, 1e5), graph, table, global_gamma=gamma)
+            return table.q
+
+        assert global_q(0.5) == global_q(0.5) != global_q(0.9)
+
     def test_greedy_runs_are_deterministic(self):
         graph = load_builtin("t2")
         demand = TrafficDemand(0, 4, 1e5)

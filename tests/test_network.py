@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlroute import network
 from rlroute.network import (
     DEFAULT_PROCESSING_RATE,
     LinkState,
@@ -26,7 +28,15 @@ from rlroute.network import (
     place_traffic,
 )
 from rlroute.rewards import link_scores, make_weights, reward_intensity
-from rlroute.topologies import builtin_demands, load_builtin, load_demands, resolve_topology
+from rlroute.topologies import (
+    BUILTIN_DEMAND_SETS,
+    BUILTIN_TOPOLOGIES,
+    builtin_demands,
+    load_builtin,
+    load_demands,
+    resolve_topology,
+)
+import reference
 from reference import graph_to_dict, incoming_traffic
 from scenarios import OVERFLOWING_TOPOLOGIES
 
@@ -494,3 +504,217 @@ class TestDemandFiles:
         path = self.write(tmp_path, '{"src": 0, "dst": 1, "traffic_bps": 1e5}')
         with pytest.raises(TopologyError, match="must hold a JSON list"):
             load_demands(path)
+
+
+# ---------------------------------------------------------------------------
+# The loaders test a well-formed entry inline and read any other one field
+# by field; reference.graph_from_dict and reference.demands_from_list read
+# every entry field by field. Both must accept, build and refuse the same.
+
+MISSING = object()
+OPTIONAL = {"used_bandwidth_bps", "reliability"}
+ENTRY_FIELDS = {
+    "nodes": ("id", "processing_rate_bps"),
+    "links": ("src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "reliability"),
+    "demands": ("src", "dst", "traffic_bps"),
+}
+ID_FIELDS = {"id", "src", "dst"}
+BAD_VALUES = {
+    "missing": MISSING,
+    "true": True,
+    "null": None,
+    "string": "1",
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "huge": 10**400,
+    "-huge": -(10**400),
+}
+
+
+def load_outcome(load, document):
+    """What load makes of document: the built value, as text that tells a
+    float from an int, or the type and message of what it raised."""
+    try:
+        value = load(document)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, NetworkGraph):
+        return "graph", json.dumps(graph_to_dict(value))
+    return "demands", repr(value)
+
+
+def loaders_agree(document):
+    """The topology and demand loaders' outcomes on document, each checked
+    equal to its reference's."""
+    outcomes = []
+    for load, ref in (
+        (graph_from_dict, reference.graph_from_dict),
+        (lambda doc: demands_from_list(doc, "demands.json"),
+         lambda doc: reference.demands_from_list(doc, "demands.json")),
+    ):
+        outcome = load_outcome(load, document)
+        assert outcome == load_outcome(ref, document)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def small_documents():
+    """A valid topology document of three nodes and three links, and a
+    valid demand list of three entries; bad entries go at index 1."""
+    topology = {
+        "nodes": [{"id": i, "processing_rate_bps": 1e8} for i in range(3)],
+        "links": [
+            {"src": s, "dst": d, "max_bandwidth_bps": 1e7,
+             "used_bandwidth_bps": 1e6, "reliability": 0.95}
+            for s, d in ((0, 1), (1, 2), (2, 0))
+        ],
+    }
+    demands = [{"src": s, "dst": d, "traffic_bps": 1e5} for s, d in ((0, 1), (1, 2), (2, 0))]
+    return topology, demands
+
+
+def malformed_cases():
+    for section, fields in ENTRY_FIELDS.items():
+        for key in fields:
+            values = dict(BAD_VALUES)
+            if key in ID_FIELDS:
+                values["float-id"] = 1.0
+            for name, value in values.items():
+                refused = not (value is MISSING and key in OPTIONAL)
+                yield pytest.param(section, key, value, refused, id=f"{section}-{key}-{name}")
+        yield pytest.param(section, None, [0, 1, 1e5], True, id=f"{section}-not-an-object")
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid topology document and demand list whose numbers are floats
+    or JSON ints and whose optional keys may be left out."""
+    def number(low, high):
+        return draw(st.one_of(
+            st.floats(low, high),
+            st.integers(math.ceil(low), math.floor(high)),
+            st.sampled_from([v for v in (0, 0.0, -0.0, 1, 1.0) if low <= v <= high]),
+        ))
+
+    n = draw(st.integers(min_value=2, max_value=6))
+    ids = draw(st.permutations(range(n)))
+    nodes = [{"id": i, "processing_rate_bps": number(1.0, 1e12)} for i in ids]
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        unique=True, max_size=12,
+    ))
+    links = []
+    for src, dst in pairs:
+        link = {"src": src, "dst": dst, "max_bandwidth_bps": number(1.0, 1e12)}
+        if draw(st.booleans()):
+            link["used_bandwidth_bps"] = number(0.0, 1e12)
+        if draw(st.booleans()):
+            link["reliability"] = number(0.0, 1.0)
+        links.append(link)
+    demands = [{"src": s, "dst": d, "traffic_bps": number(1.0, 1e12)} for s, d in pairs[:4]]
+    return {"nodes": nodes, "links": links}, demands
+
+
+class TestLoaderAgreesWithFieldByFieldReference:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_documents())
+    def test_valid_documents_build_the_same(self, documents):
+        topology, demands = documents
+        graph_outcome, _ = loaders_agree(topology)
+        _, demands_outcome = loaders_agree(demands)
+        assert graph_outcome[0] == "graph"
+        assert demands_outcome[0] == "demands"
+
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_documents())
+    def test_corrupted_documents_load_the_same(self, document):
+        loaders_agree(document)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values | st.lists(entries, max_size=4))
+    def test_arbitrary_json_loads_the_same(self, document):
+        loaders_agree(document)
+
+    @pytest.mark.parametrize("section, key, value, refused", malformed_cases())
+    def test_malformed_entry_refused_word_for_word(self, section, key, value, refused):
+        topology, demands = small_documents()
+        rows = demands if section == "demands" else topology[section]
+        if key is None:
+            rows[1] = value
+        elif value is MISSING:
+            del rows[1][key]
+        else:
+            rows[1][key] = value
+        graph_outcome, demands_outcome = loaders_agree(
+            demands if section == "demands" else topology
+        )
+        outcome = demands_outcome if section == "demands" else graph_outcome
+        assert (outcome[0] is TopologyError) == refused
+        if refused:
+            prefix = "demands.json[1]" if section == "demands" else f"{section}[1]"
+            assert outcome[1].startswith(prefix)
+
+    def test_huge_id_is_refused_as_too_large_not_as_an_endpoint(self):
+        topology, _ = small_documents()
+        topology["links"][1]["src"] = 10**400
+        with pytest.raises(TopologyError) as info:
+            graph_from_dict(topology)
+        assert str(info.value) == "links[1].src: integer too large for a float"
+
+
+def float_document(num_nodes, seed):
+    """A ring plus random chords over num_nodes nodes, every number a
+    float, and one demand per node, as topology and demand files hold."""
+    rng = random.Random(seed)
+    pairs = {(i, (i + 1) % num_nodes) for i in range(num_nodes)}
+    while len(pairs) < 4 * num_nodes:
+        u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
+        if u != v:
+            pairs.add((u, v))
+    topology = {
+        "nodes": [
+            {"id": i, "processing_rate_bps": rng.choice([1e8, 2e8])} for i in range(num_nodes)
+        ],
+        "links": [
+            {"src": u, "dst": v, "max_bandwidth_bps": rng.choice([1e7, 4e7]),
+             "used_bandwidth_bps": round(rng.uniform(0.0, 5e6), -3),
+             "reliability": round(rng.uniform(0.95, 1.0), 4)}
+            for u, v in sorted(pairs)
+        ],
+    }
+    demands = [
+        {"src": i, "dst": (i + 1 + rng.randrange(num_nodes - 1)) % num_nodes, "traffic_bps": 1e5}
+        for i in range(num_nodes)
+    ]
+    return topology, demands
+
+
+class TestWellFormedEntriesSkipTheFieldCheckers:
+    # Every bundled file and a generated document hold float numbers, so
+    # they must load without a single per-field check.
+
+    @pytest.fixture(autouse=True)
+    def no_field_checkers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"per-field checker called with {args[1:]}")
+
+        monkeypatch.setattr(network, "_want_number", refuse)
+        monkeypatch.setattr(network, "_want_int", refuse)
+
+    @pytest.mark.parametrize("name", BUILTIN_TOPOLOGIES)
+    def test_bundled_topologies(self, name):
+        assert load_builtin(name).num_nodes > 0
+
+    @pytest.mark.parametrize("name", BUILTIN_DEMAND_SETS)
+    def test_bundled_demand_sets(self, name):
+        assert builtin_demands(name)
+
+    def test_generated_100_node_document(self, tmp_path):
+        topology, demands = float_document(100, seed=4)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(topology), encoding="utf-8")
+        assert resolve_topology(str(path)).num_nodes == 100
+        path = tmp_path / "demands.json"
+        path.write_text(json.dumps(demands), encoding="utf-8")
+        assert len(load_demands(path)) == 100
