@@ -44,10 +44,6 @@ from .rewards import (
 )
 
 
-class AbsentLinkError(KeyError):
-    """Raised on any read or write of a Q-table cell with no underlying link."""
-
-
 class UnroutableDemandError(ValueError):
     """Raised when a demand's source node has no outgoing links at all."""
 
@@ -98,10 +94,9 @@ class QTable:
     """Q-values of one graph's links: q[k] belongs to link k of index, the
     state being the link's source node and the action its target.
 
-    Only links have cells, so a (state, action) pair without a link is
-    absent: the accessors raise AbsentLinkError for it. Every Q-value is
-    finite: the constructor, store() and set() refuse any other, and
-    selection relies on it.
+    Only links have cells, so a (state, action) pair without a link has
+    none. Every Q-value is finite: the constructor and store() refuse any
+    other, and selection relies on it.
     """
 
     def __init__(self, index: LinkIndex, q: list[float]):
@@ -125,18 +120,6 @@ class QTable:
         """A table holding 0 for every link of graph."""
         index = graph.link_index()
         return cls._of(index, [0.0] * len(index.targets))
-
-    def link_id(self, state: int, action: int) -> int:
-        try:
-            return self.index.ids[(state, action)]
-        except KeyError:
-            raise AbsentLinkError(f"no link ({state},{action}); Q-value is absent") from None
-
-    def get(self, state: int, action: int) -> float:
-        return self.q[self.link_id(state, action)]
-
-    def set(self, state: int, action: int, value: float) -> None:
-        self.store(self.link_id(state, action), value)
 
     def store(self, k: int, value: float) -> None:
         """Write the Q-value of link id k, refusing non-finite values."""
@@ -162,13 +145,15 @@ class TempPath(NamedTuple):
     ids of the links taken, in order, and whether the last one reaches the
     destination. Selection never revisits a node, so it is simple by
     construction and is not validated again. Two temp paths are equal when
-    their source, links and reached flag are; index only names the links.
+    their source, links and reached flag are; index only names the links,
+    and floors (set on a greedy repeat) only serve find_temp_path.
     """
 
     source: int
     links: tuple[int, ...]
     reached_destination: bool
     index: LinkIndex
+    floors: Optional[tuple[float, ...]] = None
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -244,6 +229,7 @@ def find_temp_path(
     table: QTable,
     hyper: Hyperparameters,
     rng: Optional[random.Random] = None,
+    previous: Optional[TempPath] = None,
 ) -> TempPath:
     """Select one episode's loop-free action sequence.
 
@@ -261,6 +247,12 @@ def find_temp_path(
     only then is its target looked up in visited. Every Q-value is finite
     (QTable holds no other), so this keeps the highest-valued unvisited
     link, the first of equal values.
+
+    previous: the path the call before returned for this demand and
+    hyperparameters; only its links' Q-values may have changed since. A
+    greedy walk repeating it gets floors, per hop the best Q-value of the
+    node's other links into unvisited nodes (-inf if none). At epsilon 0, a
+    previous strictly above every floor is returned unwalked (a tie walks).
     """
     epsilon, destination = hyper.epsilon, demand.dst
     explore = epsilon > 0
@@ -269,6 +261,14 @@ def find_temp_path(
     index = table.index
     out_links, targets, q = index.out, index.targets, table.q
     source = current = demand.src
+    if explore or previous is None or previous.source != source or previous.index is not index:
+        previous = None
+    if previous is not None and previous.floors is not None:
+        for k, floor in zip(previous.links, previous.floors):
+            if q[k] <= floor:
+                break
+        else:
+            return previous
     visited = {source}
     links = []
     for _ in range(hyper.ttl):
@@ -293,8 +293,23 @@ def find_temp_path(
         visited.add(current)
         if current == destination:
             break
+    links = tuple(links)
     # As namedtuple's _make does: the generated __new__ parses arguments first.
-    return tuple.__new__(TempPath, (source, tuple(links), current == destination, index))
+    if previous is None or links != previous.links:
+        return tuple.__new__(TempPath, (source, links, current == destination, index, None))
+    if previous.floors is not None:
+        return previous
+    # Hop j's floor: the best of u_j's other links not into u_0..u_j. A
+    # comprehension here would make q a closure cell and slow every scan.
+    floors, visited = [], set()
+    for u, chosen in zip((source, *map(targets.__getitem__, links)), links):
+        visited.add(u)
+        best = -inf
+        for k in out_links[u]:
+            if k != chosen and q[k] > best and targets[k] not in visited:
+                best = q[k]
+        floors.append(best)
+    return tuple.__new__(TempPath, (source, links, current == destination, index, tuple(floors)))
 
 
 def find_final_path(
@@ -366,8 +381,9 @@ def find_route(
     table starts at 0 and nothing global is scored or kept. Global updates
     use the framework default hyperparameters, with global_gamma as gamma
     when given; per-demand customization (weights, hyper) touches only the
-    local table. Packets are lost only to a given loss model. Returns the
-    greedy final path plus per-episode traces.
+    local table. Packets are lost only to a given loss model. Selection gets
+    the episode before's temp path, off whose links the local table has not
+    changed since. Returns the greedy final path plus per-episode traces.
     """
     if not (graph.has_node(demand.src) and graph.has_node(demand.dst)):
         raise ValueError(f"demand {demand.src}->{demand.dst} references unknown nodes")
@@ -384,8 +400,9 @@ def find_route(
     # are fixed for all of its episodes.
     scores = link_scores(graph, weights, demand)
     traces: list[EpisodeTrace] = []
+    temp_path = None
     for episode in range(1, hyper.episodes + 1):
-        temp_path = find_temp_path(demand, local_table, hyper, rng)
+        temp_path = find_temp_path(demand, local_table, hyper, rng, temp_path)
         # Looked up on the module at call time, so wrapping it there sees every call.
         result = dataplane.execute_path(graph, temp_path.links, loss)
         local_rewards = local_rewards_for_path(result, scores)

@@ -281,18 +281,24 @@ def run_gamma_study(base: ExperimentConfig, gammas: Sequence[float]) -> GammaStu
     )
 
 
+def _in_neighbors(graph: NetworkGraph) -> dict[int, list[int]]:
+    """Each node's in-neighbors in link-id order, cached per graph."""
+    index, reverse = graph.link_index(), {}
+    for src, dst in zip(index.sources, index.targets):
+        reverse.setdefault(dst, []).append(src)
+    return reverse
+
+
 def baseline_min_hop(graph: NetworkGraph, demand: TrafficDemand) -> RoutePath:
     """Breadth-first shortest path by hop count, every tie broken toward the
     lowest node id. Unreachable destination yields a zero-hop unfinished
     path, mirroring the learner's unroutable shape."""
     dist = {demand.dst: 0}
-    reverse: dict[int, list[int]] = {}
-    for link in graph.iter_links():
-        reverse.setdefault(link.dst, []).append(link.src)
+    reverse = graph.cached(_in_neighbors)
     queue = deque([demand.dst])
     while queue:
         node = queue.popleft()
-        for prev in reverse.get(node, []):
+        for prev in reverse.get(node, ()):
             if prev not in dist:
                 dist[prev] = dist[node] + 1
                 queue.append(prev)

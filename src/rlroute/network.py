@@ -228,9 +228,6 @@ class NetworkGraph:
     def has_link(self, src: int, dst: int) -> bool:
         return (src, dst) in self._index.ids
 
-    def link(self, src: int, dst: int) -> LinkState:
-        return self._index.links[self.link_ids((src, dst))[0]]
-
     def link_ids(self, nodes: Sequence[int]) -> tuple[int, ...]:
         """The ids of the links joining consecutive nodes, in order. Raises
         MissingLinkError, a KeyError, naming the first pair with no link."""
@@ -253,9 +250,9 @@ class NetworkGraph:
     def cached(self, build: Callable[..., _T], *args: Hashable) -> _T:
         """build(self, *args), computed on the first call with these args
         and kept for the graph's lifetime. build and args are the key, so
-        pass a module-level function, not a fresh lambda; rewards.TermSet is
-        built this way, once per set of weights. A build that raises keeps
-        nothing, so the next call builds again.
+        pass a module-level function, not a fresh lambda; rewards.TermSet and
+        the baseline's in-neighbor lists are built this way. A build that
+        raises keeps nothing, so the next call builds again.
 
         Only for what depends on nothing but args and the fixed part of the
         graph: its link set, link capacities and reliabilities and node

@@ -13,6 +13,8 @@ view of one action's reward, and records_of / rewards_of convert between it
 and EpisodeRewards; node_pairs and route_of give a path's node form;
 graph_to_dict writes the topology document graph_from_dict reads, and
 graph_from_dict and demands_from_list are the loaders' field-by-field form.
+q_get, q_set and link_of read and write a table cell or a link by its node
+pair, which the learner never does: it works in link ids throughout.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from rlroute.engine import AbsentLinkError
+from rlroute.engine import QTable
 from rlroute.network import (
     LinkIndex,
     LinkState,
@@ -46,6 +48,32 @@ from rlroute.rewards import (
 )
 
 _FLOAT_MAX = sys.float_info.max
+
+
+class AbsentLinkError(KeyError):
+    """Raised on any read or write of a Q-table cell with no underlying link."""
+
+
+def q_link_id(table: QTable, state: int, action: int) -> int:
+    """The id of link (state, action) in table's index."""
+    try:
+        return table.index.ids[(state, action)]
+    except KeyError:
+        raise AbsentLinkError(f"no link ({state},{action}); Q-value is absent") from None
+
+
+def q_get(table: QTable, state: int, action: int) -> float:
+    return table.q[q_link_id(table, state, action)]
+
+
+def q_set(table: QTable, state: int, action: int, value: float) -> None:
+    """Write one cell through QTable.store, which refuses non-finite values."""
+    table.store(q_link_id(table, state, action), value)
+
+
+def link_of(graph: NetworkGraph, src: int, dst: int) -> LinkState:
+    """The graph's own LinkState of (src, dst); a KeyError if there is none."""
+    return graph.link_index().links[graph.link_ids((src, dst))[0]]
 
 
 def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
@@ -236,7 +264,7 @@ def incoming_traffic(graph: NetworkGraph, node_id: int) -> float:
 
 def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> HopQoSRecord:
     """Read one hop's QoS state without touching it."""
-    link = graph.link(src, dst)
+    link = link_of(graph, src, dst)
     sender = graph.node(src)
     receiver = graph.node(dst)
     return HopQoSRecord(
@@ -362,7 +390,7 @@ class DenseQTable:
         """The dense form of an rlroute QTable over graph."""
         values = np.full((graph.num_nodes, graph.num_nodes), np.nan)
         for link in graph.iter_links():
-            values[link.src, link.dst] = table.get(link.src, link.dst)
+            values[link.src, link.dst] = q_get(table, link.src, link.dst)
         return cls(values)
 
     def get(self, state: int, action: int) -> float:

@@ -36,7 +36,7 @@ from rlroute.rewards import (
     reward_utilization,
 )
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
-from reference import RewardRecord, node_pairs, rewards_of, sarsa_update
+from reference import RewardRecord, node_pairs, q_get, q_set, rewards_of, sarsa_update
 
 T8_WEIGHTS = make_weights(0, 0, 0, 1, 1)
 T8_CHAIN = (4, 7, 6, 10, 14, 18, 19, 23)
@@ -96,7 +96,7 @@ def test_criterion_03_accumulative_penalty_steers_off_dead_end():
     failure = rewards_of(table.index, (RewardRecord(0, 5, False, -3.0),))
     for expected in (-3.0, -6.0, -9.0):
         update_table(table, failure, DEFAULT_HYPERPARAMETERS)
-        assert table.get(0, 5) == expected
+        assert q_get(table, 0, 5) == expected
     final = find_final_path(TrafficDemand(0, 4, 1e5), table, DEFAULT_HYPERPARAMETERS)
     assert final.nodes == (0, 1, 2, 3, 4)
     assert 5 not in final.nodes
@@ -112,7 +112,7 @@ def test_criterion_04_batched_update_equals_interleaved_sarsa():
         graph = build_graph(33, [(nodes[i], nodes[i + 1], 1e7) for i in range(hops)])
         table = QTable.for_graph(graph)
         for i in range(hops):
-            table.set(nodes[i], nodes[i + 1], rng.uniform(-10, 10))
+            q_set(table, nodes[i], nodes[i + 1], rng.uniform(-10, 10))
         rewards = tuple(
             RewardRecord(
                 nodes[i], nodes[i + 1],
@@ -136,17 +136,18 @@ def test_criterion_04_batched_update_equals_interleaved_sarsa():
         for i, rec in enumerate(rewards):
             if i < hops - 1:
                 nxt = rewards[i + 1]
-                oracle.set(rec.src_id, rec.dst_id, sarsa_update(
-                    oracle.get(rec.src_id, rec.dst_id), rec.value,
-                    oracle.get(nxt.src_id, nxt.dst_id), hyper.alpha, hyper.gamma,
+                q_set(oracle, rec.src_id, rec.dst_id, sarsa_update(
+                    q_get(oracle, rec.src_id, rec.dst_id), rec.value,
+                    q_get(oracle, nxt.src_id, nxt.dst_id), hyper.alpha, hyper.gamma,
                 ))
             elif rec.action_success:
-                oracle.set(rec.src_id, rec.dst_id, sarsa_update(
-                    oracle.get(rec.src_id, rec.dst_id), rec.value,
+                q_set(oracle, rec.src_id, rec.dst_id, sarsa_update(
+                    q_get(oracle, rec.src_id, rec.dst_id), rec.value,
                     hyper.terminal_q, hyper.alpha, hyper.gamma,
                 ))
             else:
-                oracle.set(rec.src_id, rec.dst_id, oracle.get(rec.src_id, rec.dst_id) + rec.value)
+                value = q_get(oracle, rec.src_id, rec.dst_id) + rec.value
+                q_set(oracle, rec.src_id, rec.dst_id, value)
         assert batched == oracle
 
 
@@ -164,7 +165,7 @@ def test_criterion_05_temp_paths_loop_free_within_ttl():
         graph = build_graph(n, links)
         table = QTable.for_graph(graph)
         for link in graph.iter_links():
-            table.set(link.src, link.dst, rng.uniform(-5, 5))
+            q_set(table, link.src, link.dst, rng.uniform(-5, 5))
         src, dst = rng.sample(range(n), 2)
         hyper = Hyperparameters(
             epsilon=rng.random(),

@@ -11,7 +11,6 @@ from rlroute import dataplane, engine
 from rlroute.dataplane import LossModel
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
-    AbsentLinkError,
     EpisodeTrace,
     Hyperparameters,
     QTable,
@@ -27,7 +26,15 @@ from rlroute.engine import (
 from rlroute.network import RoutePath, TrafficDemand, build_graph
 from rlroute.rewards import EpisodeRewards, make_weights
 from rlroute.topologies import builtin_demands, load_builtin
-from reference import RewardRecord, node_pairs, records_of, rewards_of
+from reference import (
+    AbsentLinkError,
+    RewardRecord,
+    node_pairs,
+    q_get,
+    q_set,
+    records_of,
+    rewards_of,
+)
 
 # Hypothesized trained tables for the five-node, seven-pair network (t2):
 # a local table preferring 0-1-2-3 and a global table preferring 0-2.
@@ -46,7 +53,7 @@ GLOBAL_T2 = {
 def table_from(graph, entries):
     table = QTable.for_graph(graph)
     for (s, a), v in entries.items():
-        table.set(s, a, v)
+        q_set(table, s, a, v)
     return table
 
 
@@ -80,25 +87,25 @@ class TestQTable:
         for i in range(5):
             for j in range(5):
                 if (i, j) in link_pairs:
-                    assert table.get(i, j) == 0.0
+                    assert q_get(table, i, j) == 0.0
                 else:
                     assert (i, j) not in table.index.ids
                     with pytest.raises(AbsentLinkError):
-                        table.get(i, j)
+                        q_get(table, i, j)
 
     def test_absent_cells_refuse_access(self):
         table = QTable.for_graph(load_builtin("t1"))
         with pytest.raises(AbsentLinkError):
-            table.get(0, 4)
+            q_get(table, 0, 4)
         with pytest.raises(AbsentLinkError):
-            table.set(0, 4, 1.0)
+            q_set(table, 0, 4, 1.0)
 
     def test_values_must_stay_finite(self):
         table = QTable.for_graph(load_builtin("t1"))
         with pytest.raises(ValueError):
-            table.set(0, 1, float("inf"))
+            q_set(table, 0, 1, float("inf"))
         with pytest.raises(ValueError):
-            table.set(0, 1, float("nan"))
+            q_set(table, 0, 1, float("nan"))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_constructor_refuses_non_finite_values(self, value):
@@ -120,8 +127,8 @@ class TestQTable:
     def test_copy_is_deep(self):
         table = QTable.for_graph(load_builtin("t1"))
         clone = table.copy()
-        clone.set(0, 1, -7.0)
-        assert table.get(0, 1) == 0.0
+        q_set(clone, 0, 1, -7.0)
+        assert q_get(table, 0, 1) == 0.0
         assert clone != table
 
     def test_equality_ignores_absent_cells(self):
@@ -185,14 +192,14 @@ class TestInitLocalTable:
         global_table = table_from(graph, GLOBAL_T2)
         local = init_local_table(graph, global_table)
         for (s, a), v in GLOBAL_T2.items():
-            assert local.get(s, a) == v
+            assert q_get(local, s, a) == v
 
     def test_global_copy_is_independent(self):
         graph = load_builtin("t2")
         global_table = table_from(graph, GLOBAL_T2)
         local = init_local_table(graph, global_table)
-        local.set(0, 1, 123.0)
-        assert global_table.get(0, 1) == GLOBAL_T2[(0, 1)]
+        q_set(local, 0, 1, 123.0)
+        assert q_get(global_table, 0, 1) == GLOBAL_T2[(0, 1)]
 
     def test_use_global_requires_matching_table(self):
         graph = load_builtin("t1")
@@ -232,7 +239,7 @@ class TestFindTempPath:
         # only out-neighbor is the already-visited source.
         graph = load_builtin("t4")
         table = QTable.for_graph(graph)
-        table.set(0, 5, 1.0)
+        q_set(table, 0, 5, 1.0)
         path = find_temp_path(TrafficDemand(0, 4, 1e5), table, DEFAULT_HYPERPARAMETERS)
         assert path.nodes == (0, 5)
         assert not path.reached_destination
@@ -320,6 +327,102 @@ class TestFindTempPath:
         assert path != path._replace(source=1)
 
 
+def repeated(demand, table, hyper=DEFAULT_HYPERPARAMETERS):
+    """A greedy path walked twice, the second walk given the first, as
+    find_route hands each episode the one before: it carries floors."""
+    first = find_temp_path(demand, table, hyper)
+    again = find_temp_path(demand, table, hyper, previous=first)
+    assert again == first and again is not first
+    assert first.floors is None and again.floors is not None
+    return again
+
+
+class TestRememberedWalk:
+    def test_strictly_above_every_floor_serves_previous_itself(self):
+        graph = load_builtin("t2")
+        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
+        previous = repeated(demand, table)
+        assert previous.nodes == (0, 1, 2, 3)
+        # Per hop the best rival into a node not yet visited: 0-2, 1-4, 2-4.
+        assert previous.floors == (-1.8, -1.2, -1.3)
+        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
+        # Served without a walk: a rival written against the contract (only
+        # the path's own links may change) is not even read.
+        q_set(table, 0, 2, 5.0)
+        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
+        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS).nodes == (0, 2, 3)
+
+    def test_a_tie_with_a_lower_target_rival_walks_and_the_rival_wins(self):
+        # 0-2 beats 0-1 until an update lowers it to exactly 0-1's value:
+        # strictly above the floor no longer holds, the walk decides, and
+        # the tie goes to the lower target.
+        graph = build_graph(4, [(0, 1, 1e6), (0, 2, 1e6), (1, 3, 1e6), (2, 3, 1e6)])
+        table = table_from(graph, {(0, 1): -0.5, (0, 2): 0.25})
+        demand = TrafficDemand(0, 3, 1e5)
+        previous = repeated(demand, table)
+        assert previous.nodes == (0, 2, 3) and previous.floors == (-0.5, -math.inf)
+        q_set(table, 0, 2, -0.5)
+        path = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous)
+        assert path.nodes == (0, 1, 3)
+        assert path.floors is None
+
+    def test_a_higher_rival_into_a_visited_node_does_not_stop_serving(self):
+        graph = load_builtin("t2")
+        table = table_from(graph, {**LOCAL_T2, (1, 0): 9.0, (2, 1): 9.0, (2, 0): 9.0})
+        demand = TrafficDemand(0, 3, 1e5)
+        previous = repeated(demand, table)
+        assert previous.nodes == (0, 1, 2, 3)
+        assert previous.floors == (-1.8, -1.2, -1.3)
+        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
+
+    def test_exploration_serves_nothing_and_draws_the_same(self):
+        graph = load_builtin("t2")
+        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
+        previous = repeated(demand, table)
+        hyper = Hyperparameters(epsilon=0.3)
+        with_previous, without = random.Random(5), random.Random(5)
+        for _ in range(200):
+            path = find_temp_path(demand, table, hyper, with_previous, previous)
+            assert path == find_temp_path(demand, table, hyper, without)
+            assert path is not previous and path.floors is None
+            assert with_previous.getstate() == without.getstate()
+
+    def test_dead_end_and_ttl_endings_are_served_again(self):
+        dead_end = load_builtin("t4")
+        table = QTable.for_graph(dead_end)
+        q_set(table, 0, 5, 1.0)
+        demand = TrafficDemand(0, 4, 1e5)
+        previous = repeated(demand, table)
+        assert previous.nodes == (0, 5) and not previous.reached_destination
+        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
+
+        chain = build_graph(6, [(i, i + 1, 1e6) for i in range(5)])
+        table, demand = QTable.for_graph(chain), TrafficDemand(0, 5, 1e5)
+        hyper = Hyperparameters(ttl=2)
+        previous = repeated(demand, table, hyper)
+        assert previous.nodes == (0, 1, 2) and not previous.reached_destination
+        assert previous.floors == (-math.inf, -math.inf)
+        assert find_temp_path(demand, table, hyper, previous=previous) is previous
+
+    def test_a_path_of_another_source_or_index_is_ignored(self):
+        graph = load_builtin("t2")
+        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
+        previous = repeated(demand, table)
+        other_index = table_from(load_builtin("t2"), LOCAL_T2)
+        path = find_temp_path(demand, other_index, DEFAULT_HYPERPARAMETERS, previous=previous)
+        assert path == previous and path is not previous and path.floors is None
+        other_source = TrafficDemand(1, 3, 1e5)
+        path = find_temp_path(other_source, table, DEFAULT_HYPERPARAMETERS, previous=previous)
+        assert path.source == 1 and path.floors is None
+
+    def test_floors_are_left_out_of_equality_hash_and_repr(self):
+        graph = load_builtin("t2")
+        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
+        first = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS)
+        again = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=first)
+        assert again == first and hash(again) == hash(first) and repr(again) == repr(first)
+
+
 class TestUpdateTable:
     def t1(self):
         return load_builtin("t1")
@@ -328,14 +431,14 @@ class TestUpdateTable:
         table = QTable.for_graph(self.t1())
         rewards = rewards_of(table.index, [RewardRecord(0, 1, True, -2.5)])
         update_table(table, rewards, Hyperparameters(alpha=1.0))
-        assert table.get(0, 1) == -2.5
+        assert q_get(table, 0, 1) == -2.5
 
     def test_accumulative_penalty_minus_3_6_9(self):
         table = QTable.for_graph(load_builtin("t4"))
         failed = rewards_of(table.index, [RewardRecord(0, 5, False, -3.0)])
         for expected in (-3.0, -6.0, -9.0):
             update_table(table, failed, DEFAULT_HYPERPARAMETERS)
-            assert table.get(0, 5) == expected
+            assert q_get(table, 0, 5) == expected
 
     def test_chain_fixpoint_under_full_learning(self):
         # All rewards -2 with alpha=gamma=1: repeated passes converge to
@@ -352,7 +455,7 @@ class TestUpdateTable:
         snapshots = []
         for _ in range(8):
             update_table(table, rewards_of(table.index, rewards), hyper)
-            snapshots.append(tuple(table.get(r.src_id, r.dst_id) for r in rewards))
+            snapshots.append(tuple(q_get(table, r.src_id, r.dst_id) for r in rewards))
         assert snapshots[-1] == (-8.0, -6.0, -4.0, -2.0)
         assert snapshots[3] == snapshots[-1], "fixpoint is reached by pass 4"
         assert snapshots[1] != snapshots[-1], "two passes are not enough"
@@ -361,11 +464,11 @@ class TestUpdateTable:
         # Entry (0,1) must bootstrap from (1,2)'s pre-episode value, not the
         # value (1,2) receives later in the same batch.
         table = QTable.for_graph(self.t1())
-        table.set(1, 2, -10.0)
+        q_set(table, 1, 2, -10.0)
         rewards = [RewardRecord(0, 1, True, -1.0), RewardRecord(1, 2, True, -1.0)]
         update_table(table, rewards_of(table.index, rewards), Hyperparameters(alpha=1.0, gamma=1.0))
-        assert table.get(0, 1) == -11.0
-        assert table.get(1, 2) == -1.0
+        assert q_get(table, 0, 1) == -11.0
+        assert q_get(table, 1, 2) == -1.0
 
     def test_empty_rewards_rejected(self):
         with pytest.raises(ValueError):
@@ -377,7 +480,7 @@ class TestUpdateTable:
         table = QTable.for_graph(self.t1())
         hyper = Hyperparameters(alpha=1.0, gamma=1.0, terminal_q=1.0)
         update_table(table, rewards_of(table.index, [RewardRecord(0, 1, True, -2.0)]), hyper)
-        assert table.get(0, 1) == -1.0
+        assert q_get(table, 0, 1) == -1.0
 
     @pytest.mark.parametrize(
         "records, terminal_q",
@@ -393,14 +496,14 @@ class TestUpdateTable:
     )
     def test_an_overflowing_value_is_refused_naming_the_link(self, records, terminal_q):
         table = QTable.for_graph(self.t1())
-        table.set(0, 1, -1e308)
-        table.set(1, 2, -1e308)
+        q_set(table, 0, 1, -1e308)
+        q_set(table, 1, 2, -1e308)
         hyper = Hyperparameters(alpha=1.0, gamma=1.0, terminal_q=terminal_q)
         rewards = rewards_of(table.index, records)
         with pytest.raises(ValueError, match=r"^Q-value for \(0,1\) must be finite, got -inf$"):
             update_table(table, rewards, hyper)
         assert all(math.isfinite(v) for v in table.q)
-        assert table.get(0, 1) == table.get(1, 2) == -1e308
+        assert q_get(table, 0, 1) == q_get(table, 1, 2) == -1e308
 
 
 class TestFindRoute:
@@ -441,7 +544,7 @@ class TestFindRoute:
         global_table = QTable.for_graph(graph)
         find_route(TrafficDemand(0, 4, 1e5), graph, global_table,
                    hyper=Hyperparameters(episodes=3))
-        assert global_table.get(0, 1) != 0.0
+        assert q_get(global_table, 0, 1) != 0.0
 
     def test_traces_are_complete_and_consistent(self, monkeypatch):
         # Traces do not keep the reward records, so capture the local rewards
@@ -521,6 +624,42 @@ class TestFindRoute:
             assert len(local[2]) == len(glob[2]) == len(execute[2].records)
             assert update_local[1][1] is local[2]
             assert update_global[1][1] is glob[2]
+
+    def test_every_select_execute_and_score_goes_through_the_module(self, monkeypatch):
+        # The benchmark's tracer counts these calls by replacing the module
+        # globals: per demand, one selection per episode plus the final
+        # walk's, served ones included, and one execution and one local
+        # scoring per episode.
+        counts = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for module, name in (
+            (engine, "find_temp_path"),
+            (dataplane, "execute_path"),
+            (engine, "local_rewards_for_path"),
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        graph = load_builtin("t8")
+        global_table = QTable.for_graph(graph)
+        episodes = DEFAULT_HYPERPARAMETERS.episodes
+        served = 0
+        for demand in builtin_demands("t8"):
+            counts.clear()
+            result = find_route(demand, graph, global_table, weights=make_weights(0, 0, 0, 1, 1))
+            assert counts == {
+                "find_temp_path": episodes + 1,
+                "execute_path": episodes,
+                "local_rewards_for_path": episodes,
+            }
+            paths = [trace.temp_path for trace in result.traces]
+            served += sum(a is b for a, b in zip(paths, paths[1:]))
+        assert served > 0
 
     def test_without_global_table_learns_the_same(self):
         # A global table that nothing reads changes nothing the learner

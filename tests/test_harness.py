@@ -32,7 +32,7 @@ from rlroute.harness import (
 from rlroute.network import TrafficDemand, build_graph, check_path
 from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
-from reference import graph_to_dict, node_pairs
+from reference import graph_to_dict, link_of, node_pairs
 from scenarios import OVERFLOWING_TOPOLOGIES
 
 UTIL_ONLY = make_weights(0, 0, 0, 0, 1)
@@ -87,9 +87,9 @@ class TestRunSequence:
         outcome = report.outcomes[0]
         assert outcome.routed
         assert outcome.final_path.nodes == (0, 1, 2)
-        assert report.graph.link(0, 1).used_bandwidth == 1e5
-        assert report.graph.link(1, 2).used_bandwidth == 1e5
-        assert report.graph.link(0, 2).used_bandwidth == 9.9e6
+        assert link_of(report.graph, 0, 1).used_bandwidth == 1e5
+        assert link_of(report.graph, 1, 2).used_bandwidth == 1e5
+        assert link_of(report.graph, 0, 2).used_bandwidth == 9.9e6
 
     def test_placement_conservation(self):
         # Each link's final used bandwidth is its initial value plus the
@@ -99,7 +99,7 @@ class TestRunSequence:
         report = run_sequence(config)
         initial = resolve_topology("t2")
         for link in report.graph.iter_links():
-            expected = initial.link(link.src, link.dst).used_bandwidth
+            expected = link_of(initial, link.src, link.dst).used_bandwidth
             for outcome in report.outcomes:
                 if outcome.routed and (link.src, link.dst) in node_pairs(outcome.final_path):
                     expected += outcome.demand.traffic
@@ -277,6 +277,27 @@ class TestBaselineMinHop:
         path = baseline_min_hop(graph, TrafficDemand(0, 2, 1e5))
         assert path.nodes == (0,)
         assert not path.reached_destination
+
+    def test_in_neighbors_are_built_once_per_graph_in_link_id_order(self, monkeypatch):
+        builds = []
+        original = harness._in_neighbors
+
+        def counted(graph):
+            builds.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(harness, "_in_neighbors", counted)
+        graph = load_builtin("t8")
+        for demand in builtin_demands("t8"):
+            baseline_min_hop(graph, demand)
+        assert builds == [graph]
+        expected = {}
+        for link in graph.iter_links():
+            expected.setdefault(link.dst, []).append(link.src)
+        assert graph.cached(counted) == expected
+        copy = graph.copy()
+        baseline_min_hop(copy, builtin_demands("t8")[0])
+        assert builds == [graph, copy]
 
     @pytest.mark.parametrize("topology", ["t1", "t2", "t3", "t4", "t7", "t8"])
     def test_hop_counts_match_networkx_on_bundled_networks(self, topology):

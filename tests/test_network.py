@@ -37,7 +37,7 @@ from rlroute.topologies import (
     resolve_topology,
 )
 import reference
-from reference import graph_to_dict, incoming_traffic
+from reference import graph_to_dict, incoming_traffic, link_of
 from scenarios import OVERFLOWING_TOPOLOGIES
 
 T1_LINKS = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 0)]
@@ -253,9 +253,9 @@ class TestBuildGraph:
     def test_copy_is_independent(self):
         graph = t1()
         clone = graph.copy()
-        clone.link(0, 1).used_bandwidth = 5e6
+        link_of(clone, 0, 1).used_bandwidth = 5e6
         clone.node(1).processing_rate = 5e6
-        assert graph.link(0, 1).used_bandwidth == 0.0
+        assert link_of(graph, 0, 1).used_bandwidth == 0.0
         assert graph.node(1).processing_rate == DEFAULT_PROCESSING_RATE
         assert clone != graph
 
@@ -266,7 +266,7 @@ class TestBuildGraph:
 
     def test_missing_link_lookup_raises(self):
         with pytest.raises(KeyError):
-            t1().link(0, 4)
+            link_of(t1(), 0, 4)
 
     def test_link_index_numbers_links_in_iteration_order(self):
         graph = build_graph(4, [(2, 0, 1e6), (0, 3, 1e6), (0, 1, 1e6), (3, 2, 1e6)])
@@ -280,7 +280,7 @@ class TestBuildGraph:
         assert graph.link_index() is index
         # A copy numbers the same links; loads do not enter the comparison.
         clone = graph.copy()
-        clone.link(0, 1).used_bandwidth = 5e5
+        link_of(clone, 0, 1).used_bandwidth = 5e5
         assert clone.link_index() == index
         assert clone.link_index() is not index
         assert build_graph(3, [(0, 1, 1e6)]).link_index() != index
@@ -315,8 +315,8 @@ class TestPaths:
         demand = TrafficDemand(0, 4, 0.5e6)
         place_traffic(graph, RoutePath((0, 1, 2, 3, 4), True), demand)
         for src, dst in [(0, 1), (1, 2), (2, 3), (3, 4)]:
-            assert graph.link(src, dst).used_bandwidth == 0.5e6
-        assert graph.link(2, 0).used_bandwidth == 0.0
+            assert link_of(graph, src, dst).used_bandwidth == 0.5e6
+        assert link_of(graph, 2, 0).used_bandwidth == 0.0
         assert graph.nodes == t1().nodes
         for node_id in (1, 2, 3, 4):
             assert incoming_traffic(graph, node_id) == 0.5e6
@@ -351,7 +351,7 @@ class TestTopologyDocuments:
             "nodes": [{"id": 0, "processing_rate_bps": 1e8}, {"id": 1, "processing_rate_bps": 1e8}],
             "links": [{"src": 0, "dst": 1, "max_bandwidth_bps": 1e7}],
         }
-        link = graph_from_dict(doc).link(0, 1)
+        link = link_of(graph_from_dict(doc), 0, 1)
         assert link.used_bandwidth == 0.0
         assert link.reliability == 1.0
 

@@ -14,7 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import RewardRecord, node_pairs, records_of, rewards_of, route_of, sarsa_update
+from reference import (
+    RewardRecord,
+    node_pairs,
+    q_get,
+    q_set,
+    records_of,
+    rewards_of,
+    route_of,
+    sarsa_update,
+)
 from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import Hyperparameters, QTable, find_temp_path, update_table
 from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
@@ -65,7 +74,7 @@ def networks(draw):
 def tables(draw, graph):
     table = QTable.for_graph(graph)
     for link in graph.iter_links():
-        table.set(link.src, link.dst, draw(q_values))
+        q_set(table, link.src, link.dst, draw(q_values))
     return table
 
 
@@ -89,10 +98,10 @@ def duplex_cases(draw):
     if draw(st.booleans()):
         by_target = draw(st.lists(tie_values | q_values, min_size=n, max_size=n))
         for link in graph.iter_links():
-            table.set(link.src, link.dst, by_target[link.dst])
+            q_set(table, link.src, link.dst, by_target[link.dst])
     else:
         for link in graph.iter_links():
-            table.set(link.src, link.dst, draw(tie_values))
+            q_set(table, link.src, link.dst, draw(tie_values))
     src = draw(st.integers(min_value=0, max_value=n - 1))
     dst = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
     return graph, table, TrafficDemand(src, dst, 1e5)
@@ -105,7 +114,7 @@ def exact(rewards):
 
 def same_values(table, dense, graph):
     return all(
-        float(table.get(l.src, l.dst)).hex() == dense.get(l.src, l.dst).hex()
+        float(q_get(table, l.src, l.dst)).hex() == dense.get(l.src, l.dst).hex()
         for l in graph.iter_links()
     )
 
@@ -323,22 +332,35 @@ class TestUpdate:
 
 class TestEpisodes:
     @settings(max_examples=100, deadline=None)
-    @given(networks(), weight_sets, st.floats(min_value=0.0, max_value=0.5), seeds, st.booleans())
-    def test_learning_loop_matches_per_hop_reference(self, network, weights, epsilon, seed, lossy):
-        # Several episodes of select, execute, score and update both tables,
-        # each side with its own implementation and identically seeded
-        # random sources: the paths and every Q-value stay equal throughout.
+    @given(
+        networks(),
+        weight_sets,
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+        st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=50.0)),
+        seeds,
+        st.booleans(),
+    )
+    def test_learning_loop_matches_per_hop_reference(
+        self, network, weights, epsilon, terminal_q, seed, lossy
+    ):
+        # Episodes of select, execute, score and update both tables, each
+        # side with its own implementation and identically seeded random
+        # sources: the paths and every Q-value stay equal throughout.
+        # Selection is handed the episode before's path, as find_route does,
+        # so repeated greedy walks are served from their floors; terminal_q
+        # above 0 makes path values rise, and at 0 rivals tie.
         graph, demand = network
         assume(graph.out_neighbors(demand.src))
-        hyper = Hyperparameters(epsilon=epsilon, ttl=6)
+        hyper = Hyperparameters(epsilon=epsilon, ttl=6, terminal_q=terminal_q)
         table, global_table = QTable.for_graph(graph), QTable.for_graph(graph)
         dense = reference.DenseQTable.from_table(graph, table)
         dense_global = reference.DenseQTable.from_table(graph, global_table)
         rng, loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
         reference_rng, reference_loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
         scores = link_scores(graph, weights, demand)
-        for _ in range(8):
-            path = find_temp_path(demand, table, hyper, rng)
+        path = None
+        for _ in range(24):
+            path = find_temp_path(demand, table, hyper, rng, path)
             expected = reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
             assert route_of(path) == expected
             result = execute_path(graph, path.links, loss)

@@ -31,6 +31,8 @@ from reference import (
     graph_to_dict,
     incoming_traffic,
     node_pairs,
+    q_get,
+    q_set,
     rewards_of,
     sarsa_update,
 )
@@ -48,7 +50,7 @@ def routing_scenarios(draw):
     graph = build_graph(n, [(a, b, 1e7) for a, b in chosen])
     table = QTable.for_graph(graph)
     for link in graph.iter_links():
-        table.set(link.src, link.dst, draw(finite))
+        q_set(table, link.src, link.dst, draw(finite))
     src = draw(st.integers(min_value=0, max_value=n - 1))
     dst = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
     return graph, table, TrafficDemand(src, dst, 1e5)
@@ -93,7 +95,7 @@ def chain_table(length, initial):
     graph = build_graph(length + 1, [(i, i + 1, 1e7) for i in range(length)])
     table = QTable.for_graph(graph)
     for i, q in enumerate(initial):
-        table.set(i, i + 1, q)
+        q_set(table, i, i + 1, q)
     return table
 
 
@@ -154,19 +156,19 @@ class TestUpdateAggregation:
         for i, rec in enumerate(rewards[:-1]):
             succ = rewards[i + 1]
             writes.append((rec.src_id, rec.dst_id, sarsa_update(
-                snapshot.get(rec.src_id, rec.dst_id), rec.value,
-                snapshot.get(succ.src_id, succ.dst_id), alpha, gamma,
+                q_get(snapshot, rec.src_id, rec.dst_id), rec.value,
+                q_get(snapshot, succ.src_id, succ.dst_id), alpha, gamma,
             )))
         last = rewards[-1]
         if last.action_success:
             writes.append((last.src_id, last.dst_id, sarsa_update(
-                snapshot.get(last.src_id, last.dst_id), last.value, terminal_q, alpha, gamma,
+                q_get(snapshot, last.src_id, last.dst_id), last.value, terminal_q, alpha, gamma,
             )))
         else:
             writes.append((last.src_id, last.dst_id,
-                           snapshot.get(last.src_id, last.dst_id) + last.value))
+                           q_get(snapshot, last.src_id, last.dst_id) + last.value))
         for s, a, v in writes:
-            oracle.set(s, a, v)
+            q_set(oracle, s, a, v)
 
         assert batched == oracle
 
@@ -182,7 +184,7 @@ class TestUpdateAggregation:
         assert len(table.q) == len(index.targets) == len(rewards)
         assert all(math.isfinite(q) for q in table.q)
         for i in range(len(rewards)):
-            assert math.isfinite(table.get(i, i + 1))
+            assert math.isfinite(q_get(table, i, i + 1))
 
     @given(
         st.floats(min_value=-10.0, max_value=-0.1),
@@ -197,11 +199,11 @@ class TestUpdateAggregation:
         rewards = rewards_of(table.index, (RewardRecord(0, 1, False, value),))
         expected = 0.0
         for _ in range(repeats):
-            previous = table.get(0, 1)
+            previous = q_get(table, 0, 1)
             update_table(table, rewards, Hyperparameters(alpha=alpha, gamma=gamma))
             expected += value
-            assert table.get(0, 1) == expected
-            assert table.get(0, 1) < previous
+            assert q_get(table, 0, 1) == expected
+            assert q_get(table, 0, 1) < previous
 
 
 class TestRewardBounds:

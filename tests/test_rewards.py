@@ -28,7 +28,7 @@ from rlroute.rewards import (
     reward_utilization,
 )
 from rlroute.topologies import load_builtin
-from reference import records_of
+from reference import link_of, records_of
 from scenarios import chain_rewards, pair_document
 
 
@@ -226,7 +226,7 @@ class TestRecordValidation:
         # is refused by the scores: before any episode, and before a zero
         # capacity or rate is divided by.
         graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
-        state = graph.node(2) if field == "processing_rate" else graph.link(1, 2)
+        state = graph.node(2) if field == "processing_rate" else link_of(graph, 1, 2)
         setattr(state, field, value)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
@@ -237,7 +237,7 @@ class TestRecordValidation:
         graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
         demand = TrafficDemand(0, 2, 1e5)
         link_scores(graph, DEFAULT_WEIGHTS, demand)
-        graph.link(0, 1).used_bandwidth = -1.0
+        link_of(graph, 0, 1).used_bandwidth = -1.0
         with pytest.raises(ValueError, match=r"^link used bandwidth must be >= 0, got -1\.0$"):
             link_scores(graph, DEFAULT_WEIGHTS, demand)
 
