@@ -13,7 +13,8 @@ view of one action's reward, and records_of / rewards_of convert between it
 and EpisodeRewards; node_pairs and route_of give a path's node form;
 graph_to_dict writes the topology document graph_from_dict reads, and
 graph_from_dict and demands_from_list are the loaders' field-by-field form.
-q_get, q_set and link_of read and write a table cell or a link by its node
+find_route_every_episode is engine.find_route's loop without its settle
+rule: every episode of the budget runs. q_get, q_set and link_of read and write a table cell or a link by its node
 pair, which the learner never does: it works in link ids throughout.
 """
 
@@ -26,7 +27,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from rlroute.engine import QTable
+from rlroute import dataplane, engine
+from rlroute.engine import DEFAULT_HYPERPARAMETERS, EpisodeTrace, QTable, RouteResult
 from rlroute.network import (
     LinkIndex,
     LinkState,
@@ -38,6 +40,7 @@ from rlroute.network import (
     build_graph,
 )
 from rlroute.rewards import (
+    DEFAULT_WEIGHTS,
     MBPS,
     EpisodeRewards,
     QoSWeights,
@@ -471,3 +474,38 @@ def update_table(table: DenseQTable, rewards: Sequence[RewardRecord], hyper) -> 
     else:
         table.add(last.src_id, last.dst_id, last.value)
     return table
+
+
+def find_route_every_episode(
+    demand: TrafficDemand,
+    graph: NetworkGraph,
+    global_table,
+    weights=None,
+    hyper=None,
+    rng=None,
+    global_gamma=None,
+    loss=None,
+) -> RouteResult:
+    """engine.find_route as a loop that runs every episode of the budget:
+    select, execute, score and update, with no episode skipped."""
+    weights = DEFAULT_WEIGHTS if weights is None else weights
+    hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
+    global_hyper = DEFAULT_HYPERPARAMETERS
+    if global_gamma is not None:
+        global_hyper = replace(DEFAULT_HYPERPARAMETERS, gamma=global_gamma)
+    local_table = engine.init_local_table(graph, global_table)
+    # The engine's scoring, not this module's per-hop forms of the same names.
+    scores = engine.link_scores(graph, weights, demand)
+    traces = []
+    temp_path = None
+    for episode in range(1, hyper.episodes + 1):
+        temp_path = engine.find_temp_path(demand, local_table, hyper, rng, temp_path)
+        result = dataplane.execute_path(graph, temp_path.links, loss)
+        engine.update_table(local_table, engine.local_rewards_for_path(result, scores), hyper)
+        if global_table is not None:
+            engine.update_table(
+                global_table, engine.global_rewards_for_path(result, scores), global_hyper
+            )
+        traces.append(EpisodeTrace(episode, temp_path, len(result.records)))
+    final_path = engine.find_final_path(demand, local_table, hyper)
+    return RouteResult(final_path=final_path, traces=traces)

@@ -574,12 +574,11 @@ class TestFindRoute:
             records = records_of(graph.link_index(), rewards)
             assert [(r.src_id, r.dst_id) for r in records] == node_pairs(trace.temp_path)
 
-    def test_layers_are_called_once_per_episode_and_demand(self, monkeypatch):
-        # The benchmark's tracer times the learner by replacing these module
-        # globals, so find_route must keep calling each of them by name at
-        # call time: per episode one select, execute, local and global score
-        # and two updates (rewards passed positionally), per demand one init
-        # and one final. The final walk's own selection is not an episode's.
+    @staticmethod
+    def record_layers(monkeypatch):
+        """Replace the layer globals the benchmark's tracer replaces with
+        wrappers recording (layer, args, result) per call, the final
+        walk's own selection left out. Returns the list they append to."""
         calls = []
         in_final = []
 
@@ -609,28 +608,72 @@ class TestFindRoute:
             (engine, "find_final_path", "final"),
         ):
             monkeypatch.setattr(module, name, wrap(layer, getattr(module, name)))
+        return calls
+
+    EPISODE = ["select", "execute", "local", "global", "update", "update"]
+
+    def test_layers_are_called_once_per_episode_and_demand(self, monkeypatch):
+        # The benchmark's tracer times the learner by replacing these module
+        # globals, so find_route must keep calling each of them by name at
+        # call time: per episode that runs one select, execute, local and
+        # global score and two updates (rewards passed positionally), per
+        # demand one init and one final. The final walk's own selection is
+        # not an episode's. The first episode that changes neither table
+        # settles the demand: nothing runs after it but the final walk.
+        calls = self.record_layers(monkeypatch)
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
-        find_route(builtin_demands("t8")[0], graph, QTable.for_graph(graph),
-                   weights=make_weights(0, 0, 0, 1, 1))
+        result = find_route(builtin_demands("t8")[0], graph, QTable.for_graph(graph),
+                            weights=make_weights(0, 0, 0, 1, 1))
 
-        episode = ["select", "execute", "local", "global", "update", "update"]
-        assert [layer for layer, _, _ in calls] == ["init"] + episode * episodes + ["final"]
+        ran = (len(calls) - 2) // 6
+        assert 1 < ran < episodes
+        assert [layer for layer, _, _ in calls] == ["init"] + self.EPISODE * ran + ["final"]
         # What the tracer's counters read at each boundary.
-        for start in range(1, 1 + 6 * episodes, 6):
+        for start in range(1, 1 + 6 * ran, 6):
             select, execute, local, glob, update_local, update_global = calls[start:start + 6]
             assert isinstance(select[2].reached_destination, bool)
             assert len(execute[2].records) == select[2].hop_count
             assert len(local[2]) == len(glob[2]) == len(execute[2].records)
             assert update_local[1][1] is local[2]
             assert update_global[1][1] is glob[2]
+            settled = start == 1 + 6 * (ran - 1)
+            assert (update_local[2] or update_global[2]) is not settled
+        # Every later episode is the settling one under its own index.
+        settling = result.traces[ran - 1]
+        assert [t.episode_index for t in result.traces] == list(range(1, episodes + 1))
+        assert all(
+            t.temp_path is settling.temp_path and t.attempted_hops == settling.attempted_hops
+            for t in result.traces[ran:]
+        )
+
+    @pytest.mark.parametrize("epsilon, lossy", [(0.02, False), (0.0, True)])
+    def test_exploring_or_lossy_runs_make_every_call(self, monkeypatch, epsilon, lossy):
+        # Exploration and loss draw from their random sources every
+        # episode, so every episode runs, even after one that changed no
+        # Q-value. The t8 links drop 0.5% to 2% of packets.
+        calls = self.record_layers(monkeypatch)
+        graph = load_builtin("t8")
+        episodes = DEFAULT_HYPERPARAMETERS.episodes
+        find_route(builtin_demands("t8")[0], graph, QTable.for_graph(graph),
+                   weights=make_weights(0, 0, 0, 1, 1),
+                   hyper=Hyperparameters(epsilon=epsilon), rng=random.Random(3),
+                   loss=LossModel(seed=3) if lossy else None)
+
+        assert [layer for layer, _, _ in calls] == ["init"] + self.EPISODE * episodes + ["final"]
+        # Some episode before the last changed no Q-value.
+        updates = [result for layer, _, result in calls if layer == "update"]
+        changed = [local or glob for local, glob in zip(updates[::2], updates[1::2])]
+        assert not all(changed[:-1])
 
     def test_every_select_execute_and_score_goes_through_the_module(self, monkeypatch):
         # The benchmark's tracer counts these calls by replacing the module
-        # globals: per demand, one selection per episode plus the final
-        # walk's, served ones included, and one execution and one local
-        # scoring per episode.
+        # globals: per demand, one selection per episode that runs plus the
+        # final walk's, served ones included, and one execution and one
+        # local scoring per episode that runs. Episodes run up to the first
+        # that changes neither table, or to the end of the budget.
         counts = {}
+        changes = []
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -639,27 +682,42 @@ class TestFindRoute:
 
             return counted
 
+        update = engine.update_table
+
+        def recording(*args, **kwargs):
+            changes.append(update(*args, **kwargs))
+            return changes[-1]
+
         for module, name in (
             (engine, "find_temp_path"),
             (dataplane, "execute_path"),
             (engine, "local_rewards_for_path"),
         ):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(engine, "update_table", recording)
         graph = load_builtin("t8")
         global_table = QTable.for_graph(graph)
         episodes = DEFAULT_HYPERPARAMETERS.episodes
-        served = 0
+        served = settled = 0
         for demand in builtin_demands("t8"):
             counts.clear()
+            changes.clear()
             result = find_route(demand, graph, global_table, weights=make_weights(0, 0, 0, 1, 1))
+            ran = len(changes) // 2
             assert counts == {
-                "find_temp_path": episodes + 1,
-                "execute_path": episodes,
-                "local_rewards_for_path": episodes,
+                "find_temp_path": ran + 1,
+                "execute_path": ran,
+                "local_rewards_for_path": ran,
             }
-            paths = [trace.temp_path for trace in result.traces]
+            changed = [local or glob for local, glob in zip(changes[::2], changes[1::2])]
+            assert all(changed[:-1])
+            assert ran == episodes or not changed[-1]
+            assert len(result.traces) == episodes
+            settled += ran < episodes
+            paths = [trace.temp_path for trace in result.traces[:ran]]
             served += sum(a is b for a, b in zip(paths, paths[1:]))
         assert served > 0
+        assert settled > 0
 
     def test_without_global_table_learns_the_same(self):
         # A global table that nothing reads changes nothing the learner
@@ -695,6 +753,20 @@ class TestFindRoute:
             with pytest.raises(ValueError, match=r"^gamma must be an int or float, got True$"):
                 find_route(demand, graph, QTable.for_graph(graph), global_gamma=True)
 
+    def test_global_gamma_must_be_a_python_number(self):
+        graph = load_builtin("t1")
+        with pytest.raises(ValueError, match=r"^gamma must be an int or float, got \[0\.5\]$"):
+            find_route(TrafficDemand(0, 4, 1e5), graph, QTable.for_graph(graph),
+                       global_gamma=[0.5])
+
+    def test_global_gamma_without_a_global_table_is_refused(self):
+        # Only global updates read global_gamma.
+        graph = load_builtin("t1")
+        with pytest.raises(
+            ValueError, match=r"^global_gamma 0.5 needs a global_table: no global table reads it$"
+        ):
+            find_route(TrafficDemand(0, 4, 1e5), graph, None, global_gamma=0.5)
+
     def test_global_gamma_discounts_the_global_updates(self):
         # One gamma's hyperparameters are reused across demands; each call
         # must still learn with its own gamma.
@@ -715,6 +787,14 @@ class TestFindRoute:
         ]
         assert runs[0].final_path == runs[1].final_path
         assert [t.temp_path for t in runs[0].traces] == [t.temp_path for t in runs[1].traces]
+
+
+def test_hot_functions_keep_no_closure_cells():
+    # A comprehension or lambda reading a local makes it a closure cell of
+    # the whole function (Python 3.11), read through the cell on every use,
+    # in every greedy scan and SARSA pass.
+    for function in (find_temp_path, update_table, find_route):
+        assert function.__code__.co_cellvars == ()
 
 
 class TestFindFinalPath:

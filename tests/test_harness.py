@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlroute import engine, harness
+from rlroute import dataplane, engine, harness
 from rlroute.cli import main
 from rlroute.dataplane import LossModel
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
@@ -212,8 +212,10 @@ class TestRunSequence:
 
     def test_run_without_reuse_keeps_no_global_table(self, monkeypatch):
         # Nothing reads a global table unless local tables are seeded from
-        # it, so a run without reuse neither scores nor updates one.
-        calls = {"global": 0, "update": 0}
+        # it, so a run without reuse neither scores nor updates one: each
+        # episode that runs makes one update. Episodes after one that
+        # changed no Q-value do not run, yet each demand keeps its budget.
+        calls = {"execute": 0, "global": 0, "update": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -223,13 +225,17 @@ class TestRunSequence:
             return wrapper
 
         monkeypatch.setattr(
+            dataplane, "execute_path", counted("execute", dataplane.execute_path)
+        )
+        monkeypatch.setattr(
             engine, "global_rewards_for_path", counted("global", engine.global_rewards_for_path)
         )
         monkeypatch.setattr(engine, "update_table", counted("update", engine.update_table))
         report = run_sequence(ExperimentConfig(topology="t8", demands=builtin_demands("t8")))
         episodes = sum(o.episodes_run for o in report.outcomes)
         assert episodes == 9 * DEFAULT_HYPERPARAMETERS.episodes
-        assert calls == {"global": 0, "update": episodes}
+        assert calls["global"] == 0
+        assert calls["update"] == calls["execute"] < episodes
 
 
 class TestGammaStudy:

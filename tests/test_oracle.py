@@ -25,7 +25,7 @@ from reference import (
     sarsa_update,
 )
 from rlroute.dataplane import LossModel, execute_path
-from rlroute.engine import Hyperparameters, QTable, find_temp_path, update_table
+from rlroute.engine import Hyperparameters, QTable, find_route, find_temp_path, update_table
 from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
@@ -46,7 +46,7 @@ q_values = st.one_of(
 
 
 @st.composite
-def networks(draw):
+def networks(draw, reliabilities=st.floats(min_value=0.0, max_value=1.0)):
     """A random graph with random rates, loads (over-subscription included)
     and reliabilities, plus a demand over it."""
     n = draw(st.integers(min_value=2, max_value=8))
@@ -59,7 +59,7 @@ def networks(draw):
             b,
             draw(st.floats(min_value=1e5, max_value=1e8)),
             draw(st.floats(min_value=0.0, max_value=2e8)),
-            draw(st.floats(min_value=0.0, max_value=1.0)),
+            draw(reliabilities),
         )
         for a, b in chosen
     ]
@@ -329,6 +329,58 @@ class TestUpdate:
         update_table(table, rewards, hyper)
         assert [v.hex() for v in table.q] == [v.hex() for v in expected]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        duplex_cases(),
+        seeds,
+        st.lists(tie_values | q_values, min_size=9, max_size=9),
+        st.booleans(),
+        st.sampled_from([0.5, 1.0]) | st.floats(min_value=0.05, max_value=1.0),
+        st.sampled_from([0.0, 0.9]) | st.floats(min_value=0.0, max_value=1.0),
+        tie_values,
+    )
+    def test_update_reports_a_change_exactly_when_a_bit_changed(
+        self, case, seed, values, last_ok, alpha, gamma, terminal_q
+    ):
+        # The same rewards applied again: with alpha 1 a path's values stop
+        # moving after a few applications, and signed zeros in the table,
+        # rewards and bootstrap give writes that == calls equal.
+        graph, table, demand = case
+        path = find_temp_path(demand, table, Hyperparameters(epsilon=1.0), random.Random(seed))
+        assume(path.hop_count > 0)
+        rewards = EpisodeRewards(path.links, tuple(values[: path.hop_count]), last_ok)
+        hyper = Hyperparameters(alpha=alpha, gamma=gamma, terminal_q=terminal_q)
+        for _ in range(path.hop_count + 2):
+            before = [v.hex() for v in table.q]
+            changed = update_table(table, rewards, hyper)
+            assert changed is ([v.hex() for v in table.q] != before)
+
+    @pytest.mark.parametrize(
+        "stored, penalty, changed",
+        [
+            (0.0, -0.0, False),
+            (-0.0, -0.0, False),
+            (0.0, 0.0, False),
+            (-0.0, 0.0, True),  # -0.0 + 0.0 is 0.0, equal under ==
+            (1.0, 0.0, False),
+            (1.0, -1.0, True),
+        ],
+    )
+    def test_a_zero_of_the_other_sign_is_a_change(self, stored, penalty, changed):
+        graph = build_graph(2, [(0, 1, 1e6)])
+        table = QTable(graph.link_index(), [stored])
+        assert update_table(table, EpisodeRewards((0,), (penalty,), False), Hyperparameters()) is changed
+        assert table.q[0].hex() == (stored + penalty).hex()
+
+    def test_a_sign_change_before_the_last_entry_is_reported(self):
+        # Link 0 -> 1 gets 0.0 * -0.0 + 1.0 * (0.0 + 0.9 * 0.0) = 0.0 over
+        # -0.0; the failed last entry adds -0.0 to 0.0 and keeps its bits.
+        graph = build_graph(3, [(0, 1, 1e6), (1, 2, 1e6)])
+        table = QTable(graph.link_index(), [-0.0, 0.0])
+        rewards = EpisodeRewards((0, 1), (0.0, -0.0), False)
+        assert update_table(table, rewards, Hyperparameters(alpha=1.0)) is True
+        assert [v.hex() for v in table.q] == [(0.0).hex(), (0.0).hex()]
+
 
 class TestEpisodes:
     @settings(max_examples=100, deadline=None)
@@ -377,3 +429,56 @@ class TestEpisodes:
             )
             assert same_values(table, dense, graph)
             assert same_values(global_table, dense_global, graph)
+
+
+class TestSettledDemand:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        networks(reliabilities=st.just(1.0) | st.floats(min_value=0.0, max_value=1.0)).flatmap(
+            lambda net: st.tuples(st.just(net), tables(net[0]))
+        ),
+        weight_sets,
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.3)),
+        st.sampled_from([0.9, 1.0]),
+        st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=50.0)),
+        st.integers(min_value=1, max_value=60),
+        seeds,
+        st.booleans(),
+        st.booleans(),
+        st.none() | st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_find_route_matches_the_loop_that_runs_every_episode(
+        self, case, weights, epsilon, alpha, terminal_q, episodes, seed, lossy, reuse, gamma
+    ):
+        # A demand settled by an episode that changed no Q-value must end as
+        # running every episode would: the same traces, final path, global
+        # Q-values to the bit and random draws. Exploration and loss draw
+        # every episode, so they must run every episode; a local alpha of 1
+        # fixes the path's local values long before the global table (alpha
+        # 0.9) stops moving.
+        (graph, demand), start = case
+        assume(graph.out_neighbors(demand.src))
+        hyper = Hyperparameters(
+            epsilon=epsilon, alpha=alpha, ttl=6, episodes=episodes, terminal_q=terminal_q
+        )
+
+        def run(route):
+            table = start.copy() if reuse else None
+            rng, loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
+            result = route(
+                demand, graph, table, weights, hyper, rng, gamma if reuse else None, loss
+            )
+            traces = [
+                (t.episode_index, t.temp_path.source, t.temp_path.links,
+                 t.temp_path.reached_destination, t.attempted_hops)
+                for t in result.traces
+            ]
+            return (
+                traces,
+                result.final_path,
+                table and [v.hex() for v in table.q],
+                rng.getstate(),
+                loss and [loss.packet_lost(0.5) for _ in range(64)],
+            )
+
+        assert run(find_route) == run(reference.find_route_every_episode)
