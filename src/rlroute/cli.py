@@ -64,9 +64,8 @@ def _parse_gammas(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad gamma list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("--gammas needs at least one value")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise argparse.ArgumentTypeError(f"gamma {v} outside [0, 1]")
+    # Their range is ExperimentConfig's to check: run_gamma_study builds
+    # every group's config before any group runs.
     return values
 
 

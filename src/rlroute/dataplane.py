@@ -44,8 +44,7 @@ def control_messages(attempted_hops: int, episodes: int) -> tuple[int, int]:
 
 class ExecutionResult(NamedTuple):
     """What one episode's path attempt produced: the link ids of the
-    attempted hops, in order, and whether the packet was lost on the last.
-    It equals the plain tuple (records, lost)."""
+    attempted hops, in order, and whether the packet was lost on the last."""
 
     records: tuple[int, ...]
     lost: bool = False

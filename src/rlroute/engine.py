@@ -258,6 +258,8 @@ def find_temp_path(
     greedy walk repeating it gets floors, per hop the best Q-value of the
     node's other links into unvisited nodes (-inf if none). At epsilon 0, a
     previous strictly above every floor is returned unwalked (a tie walks).
+    previous itself is returned only as a repeat of it, unwalked or walked
+    with floors, so find_route reads that object as a repeated episode.
     """
     epsilon, destination = hyper.epsilon, demand.dst
     explore = epsilon > 0
@@ -412,8 +414,11 @@ def find_route(
     when given (it needs a global_table); per-demand customization (weights,
     hyper) touches only the local table. Packets are lost only to a given
     loss model. Selection gets the episode before's temp path, off whose
-    links the local table has not changed since. Returns the greedy final
-    path plus one trace per episode.
+    links the local table has not changed since. When it returns that path
+    object itself and no loss model is given, the episode repeats the one
+    before: it reuses that episode's execution result and rewards and runs
+    only the updates. Returns the greedy final path plus one trace per
+    episode.
 
     An episode settles the demand when epsilon is 0, no loss model is given
     and its updates leave every Q-value of both tables unchanged: each later
@@ -447,17 +452,20 @@ def find_route(
     temp_path = None
     episodes = hyper.episodes
     for episode in range(1, episodes + 1):
-        temp_path = find_temp_path(demand, local_table, hyper, rng, temp_path)
-        # Looked up on the module at call time, so wrapping it there sees every call.
-        result = dataplane.execute_path(graph, temp_path.links, loss)
-        local_rewards = local_rewards_for_path(result, scores)
-        if global_table is None:
-            changed = update_table(local_table, local_rewards, hyper)
-        else:
-            global_rewards = global_rewards_for_path(result, scores)
-            changed = update_table(local_table, local_rewards, hyper)
+        selected = find_temp_path(demand, local_table, hyper, rng, temp_path)
+        # The previous path object itself is a repeat; without loss draws it
+        # executes and scores as before, so its result and rewards stand.
+        if selected is not temp_path or loss is not None:
+            temp_path = selected
+            # Looked up on the module at call time, so wrapping it there sees every call.
+            result = dataplane.execute_path(graph, temp_path.links, loss)
+            attempted = len(result.records)
+            local_rewards = local_rewards_for_path(result, scores)
+            if global_table is not None:
+                global_rewards = global_rewards_for_path(result, scores)
+        changed = update_table(local_table, local_rewards, hyper)
+        if global_table is not None:
             changed = update_table(global_table, global_rewards, global_hyper) or changed
-        attempted = len(result.records)
         traces.append(tuple.__new__(EpisodeTrace, (episode, temp_path, attempted)))
         if may_settle and not changed:
             for later in range(episode + 1, episodes + 1):

@@ -60,11 +60,9 @@ class NodeState:
         rate = self.processing_rate
         if type(rate) is not float:
             check_float(rate, f"node {self.node_id}: processing_rate", TopologyError)
-        if not rate > 0:
-            raise TopologyError(
-                f"node {self.node_id}: processing_rate must be > 0, "
-                f"got {self.processing_rate}"
-            )
+        if not 0 < rate <= _FLOAT_MAX:
+            need = "be finite" if rate > 0 else "be > 0"
+            raise TopologyError(f"node {self.node_id}: processing_rate must {need}, got {rate}")
 
 
 @dataclass
@@ -100,15 +98,15 @@ class LinkState:
             link = f"link ({self.src},{self.dst})"
             for name in ("max_bandwidth", "used_bandwidth", "reliability"):
                 check_float(getattr(self, name), f"{link}: {name}", TopologyError)
-        if not self.max_bandwidth > 0:
+        if not 0 < self.max_bandwidth <= _FLOAT_MAX:
+            need = "be finite" if self.max_bandwidth > 0 else "be > 0"
             raise TopologyError(
-                f"link ({self.src},{self.dst}): max_bandwidth must be > 0, "
-                f"got {self.max_bandwidth}"
+                f"link ({self.src},{self.dst}): max_bandwidth must {need}, got {self.max_bandwidth}"
             )
-        if self.used_bandwidth < 0:
-            raise TopologyError(
-                f"link ({self.src},{self.dst}): used_bandwidth must be >= 0"
-            )
+        if not 0 <= self.used_bandwidth <= _FLOAT_MAX:
+            used = self.used_bandwidth
+            need = f"be finite, got {used}" if used > 0 else "be >= 0"
+            raise TopologyError(f"link ({self.src},{self.dst}): used_bandwidth must {need}")
         if not 0.0 <= self.reliability <= 1.0:
             raise TopologyError(
                 f"link ({self.src},{self.dst}): reliability {self.reliability} "

@@ -27,9 +27,8 @@ transmission reward reads its argument numerically in Mb/s.
 Every term but the hop reward depends on one link and on loads that change
 only between demands, when a routed demand's traffic is placed. LinkScores
 evaluates those terms for all links once per demand, so an episode's
-rewards only index lists by link id, and an episode that repeats an earlier
-one's hops and loss flag gets the rewards already computed. What no load
-enters is evaluated once per graph and set of weights (TermSet).
+rewards only index lists by link id. What no load enters is evaluated once
+per graph and set of weights (TermSet).
 
 Each input is checked once, where it enters: capacities, reliabilities and
 processing rates when a graph's TermSet is built, loads by link_scores on
@@ -39,7 +38,7 @@ every demand, and demand traffic by TrafficDemand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -226,11 +225,6 @@ class LinkScores:
     transmission, reliability, intensity and utilization are the local
     terms, the last two in their estimated form; hop[i] is the weighted hop
     reward of hop i + 1. global_reward is each link's whole global reward.
-
-    The terms are fixed for the demand, so an episode's rewards depend only
-    on its executed hops and loss flag: the reward functions keep the
-    EpisodeRewards computed for each such pair, keyed by the ExecutionResult
-    itself (a (records, lost) tuple), and hand a repeat the same one.
     """
 
     index: LinkIndex
@@ -243,8 +237,6 @@ class LinkScores:
     local_constant: float
     global_reward: list[float]
     global_constant: float
-    local_memo: dict = field(default_factory=dict, compare=False, repr=False)
-    global_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
@@ -318,17 +310,14 @@ def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> Epi
     not the demand's destination (a dead end or truncation); a failed hop is
     valued at -local_constant, the penalty that update rules accumulate.
     """
-    rewards = scores.local_memo.get(result)
-    if rewards is None:
-        links = _links_of(result)
-        hop, t, r = scores.hop, scores.transmission, scores.reliability
-        ie, ue, constant = scores.intensity, scores.utilization, scores.local_constant
-        values = [hop[i] + t[k] + r[k] + ie[k] + ue[k] - constant for i, k in enumerate(links)]
-        last_ok = not result.lost and scores.index.targets[links[-1]] == scores.destination
-        if not last_ok:
-            values[-1] = -constant
-        rewards = scores.local_memo[result] = EpisodeRewards(links, tuple(values), last_ok)
-    return rewards
+    links = _links_of(result)
+    hop, t, r = scores.hop, scores.transmission, scores.reliability
+    ie, ue, constant = scores.intensity, scores.utilization, scores.local_constant
+    values = [hop[i] + t[k] + r[k] + ie[k] + ue[k] - constant for i, k in enumerate(links)]
+    last_ok = not result.lost and scores.index.targets[links[-1]] == scores.destination
+    if not last_ok:
+        values[-1] = -constant
+    return EpisodeRewards(links, tuple(values), last_ok)
 
 
 def global_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> EpisodeRewards:
@@ -337,11 +326,8 @@ def global_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> Ep
     The last hop fails only on packet loss; reaching a dead end still yields
     a normal network-status reward. A failed hop is valued at -global_constant.
     """
-    rewards = scores.global_memo.get(result)
-    if rewards is None:
-        links = _links_of(result)
-        values = list(map(scores.global_reward.__getitem__, links))
-        if result.lost:
-            values[-1] = -scores.global_constant
-        rewards = scores.global_memo[result] = EpisodeRewards(links, tuple(values), not result.lost)
-    return rewards
+    links = _links_of(result)
+    values = list(map(scores.global_reward.__getitem__, links))
+    if result.lost:
+        values[-1] = -scores.global_constant
+    return EpisodeRewards(links, tuple(values), not result.lost)

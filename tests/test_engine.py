@@ -615,30 +615,49 @@ class TestFindRoute:
     def test_layers_are_called_once_per_episode_and_demand(self, monkeypatch):
         # The benchmark's tracer times the learner by replacing these module
         # globals, so find_route must keep calling each of them by name at
-        # call time: per episode that runs one select, execute, local and
-        # global score and two updates (rewards passed positionally), per
-        # demand one init and one final. The final walk's own selection is
-        # not an episode's. The first episode that changes neither table
-        # settles the demand: nothing runs after it but the final walk.
+        # call time: per demand one init and one final, and per episode that
+        # runs one select and two updates (rewards passed positionally).
+        # An episode executes and scores local and global rewards unless
+        # selection returned the episode before's path object itself; a
+        # repeat updates with that episode's rewards, the same objects. The
+        # final walk's own selection is not an episode's. The first episode
+        # that changes neither table settles the demand: nothing runs after
+        # it but the final walk.
         calls = self.record_layers(monkeypatch)
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
         result = find_route(builtin_demands("t8")[0], graph, QTable.for_graph(graph),
                             weights=make_weights(0, 0, 0, 1, 1))
 
-        ran = (len(calls) - 2) // 6
-        assert 1 < ran < episodes
-        assert [layer for layer, _, _ in calls] == ["init"] + self.EPISODE * ran + ["final"]
-        # What the tracer's counters read at each boundary.
-        for start in range(1, 1 + 6 * ran, 6):
-            select, execute, local, glob, update_local, update_global = calls[start:start + 6]
+        assert [layer for layer, _, _ in calls[:1] + calls[-1:]] == ["init", "final"]
+        episode_calls = calls[1:-1]
+        ran = executed = pos = 0
+        previous = local = glob = None
+        while pos < len(episode_calls):
+            select = episode_calls[pos]
+            assert select[0] == "select"
             assert isinstance(select[2].reached_destination, bool)
-            assert len(execute[2].records) == select[2].hop_count
-            assert len(local[2]) == len(glob[2]) == len(execute[2].records)
-            assert update_local[1][1] is local[2]
-            assert update_global[1][1] is glob[2]
-            settled = start == 1 + 6 * (ran - 1)
+            pos += 1
+            if select[2] is not previous:
+                execute, local_call, glob_call = episode_calls[pos:pos + 3]
+                assert [execute[0], local_call[0], glob_call[0]] == ["execute", "local", "global"]
+                # What the tracer's counters read at each boundary.
+                assert len(execute[2].records) == select[2].hop_count
+                assert local_call[1][0] is glob_call[1][0] is execute[2]
+                assert len(local_call[2]) == len(glob_call[2]) == len(execute[2].records)
+                local, glob = local_call[2], glob_call[2]
+                executed += 1
+                pos += 3
+            update_local, update_global = episode_calls[pos:pos + 2]
+            assert [update_local[0], update_global[0]] == ["update", "update"]
+            assert update_local[1][1] is local
+            assert update_global[1][1] is glob
+            pos += 2
+            ran += 1
+            settled = pos == len(episode_calls)
             assert (update_local[2] or update_global[2]) is not settled
+            previous = select[2]
+        assert 1 < executed < ran < episodes
         # Every later episode is the settling one under its own index.
         settling = result.traces[ran - 1]
         assert [t.episode_index for t in result.traces] == list(range(1, episodes + 1))
@@ -670,8 +689,9 @@ class TestFindRoute:
         # The benchmark's tracer counts these calls by replacing the module
         # globals: per demand, one selection per episode that runs plus the
         # final walk's, served ones included, and one execution and one
-        # local scoring per episode that runs. Episodes run up to the first
-        # that changes neither table, or to the end of the budget.
+        # local scoring per episode that runs and did not get the episode
+        # before's path object back from selection. Episodes run up to the
+        # first that changes neither table, or to the end of the budget.
         counts = {}
         changes = []
 
@@ -704,18 +724,19 @@ class TestFindRoute:
             changes.clear()
             result = find_route(demand, graph, global_table, weights=make_weights(0, 0, 0, 1, 1))
             ran = len(changes) // 2
+            paths = [trace.temp_path for trace in result.traces[:ran]]
+            repeats = sum(a is b for a, b in zip(paths, paths[1:]))
             assert counts == {
                 "find_temp_path": ran + 1,
-                "execute_path": ran,
-                "local_rewards_for_path": ran,
+                "execute_path": ran - repeats,
+                "local_rewards_for_path": ran - repeats,
             }
             changed = [local or glob for local, glob in zip(changes[::2], changes[1::2])]
             assert all(changed[:-1])
             assert ran == episodes or not changed[-1]
             assert len(result.traces) == episodes
             settled += ran < episodes
-            paths = [trace.temp_path for trace in result.traces[:ran]]
-            served += sum(a is b for a, b in zip(paths, paths[1:]))
+            served += repeats
         assert served > 0
         assert settled > 0
 

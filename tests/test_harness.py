@@ -213,9 +213,11 @@ class TestRunSequence:
     def test_run_without_reuse_keeps_no_global_table(self, monkeypatch):
         # Nothing reads a global table unless local tables are seeded from
         # it, so a run without reuse neither scores nor updates one: each
-        # episode that runs makes one update. Episodes after one that
-        # changed no Q-value do not run, yet each demand keeps its budget.
-        calls = {"execute": 0, "global": 0, "update": 0}
+        # episode that runs makes one select and one update, and executes
+        # unless selection returned the episode before's path object
+        # itself. Episodes after one that changed no Q-value do not run,
+        # yet each demand keeps its budget.
+        calls = {"select": 0, "repeat": 0, "execute": 0, "global": 0, "update": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -224,6 +226,16 @@ class TestRunSequence:
 
             return wrapper
 
+        select = engine.find_temp_path
+
+        def selecting(*args, **kwargs):
+            # find_route passes the previous path fifth; the final walk does not.
+            calls["select"] += 1
+            path = select(*args, **kwargs)
+            calls["repeat"] += len(args) == 5 and path is args[4]
+            return path
+
+        monkeypatch.setattr(engine, "find_temp_path", selecting)
         monkeypatch.setattr(
             dataplane, "execute_path", counted("execute", dataplane.execute_path)
         )
@@ -235,7 +247,10 @@ class TestRunSequence:
         episodes = sum(o.episodes_run for o in report.outcomes)
         assert episodes == 9 * DEFAULT_HYPERPARAMETERS.episodes
         assert calls["global"] == 0
-        assert calls["update"] == calls["execute"] < episodes
+        # One final walk per demand selects too.
+        assert calls["select"] - 9 == calls["update"] < episodes
+        assert calls["repeat"] > 0
+        assert calls["execute"] == calls["update"] - calls["repeat"]
 
 
 class TestGammaStudy:
@@ -538,6 +553,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: global_gamma {gamma} outside [0, 1]\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("gamma", ["1.5", "nan"])
+    def test_gamma_list_out_of_range(self, gamma, tmp_path, capsys, monkeypatch):
+        # The study builds every group's config before any group runs, so
+        # a bad gamma anywhere in the list is refused with nothing routed.
+        routed = []
+        monkeypatch.setattr(harness, "find_route", lambda *args, **kwargs: routed.append(args))
+        out_dir = tmp_path / "study"
+        argv = ["gamma-study", "--topology", "t3", "--demands", self.demand_file(tmp_path),
+                "--gammas", f"0.5,{gamma}", "--out", str(out_dir)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: global_gamma {gamma} outside [0, 1]\n"
+        assert captured.out == ""
+        assert routed == []
+        assert not out_dir.exists()
 
     def test_load_errors_name_the_file(self, tmp_path, capsys):
         topology = tmp_path / "net.json"

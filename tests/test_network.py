@@ -196,6 +196,26 @@ class TestValidation:
         assert (link.max_bandwidth, link.used_bandwidth, link.reliability) == (1e7, 1e6, 1.0)
         assert node.processing_rate == 1e6
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda v: NodeState(0, v), "node 0: processing_rate"),
+            (lambda v: LinkState(0, 1, v), "link (0,1): max_bandwidth"),
+            (lambda v: LinkState(0, 1, 1e7, v), "link (0,1): used_bandwidth"),
+        ],
+        ids=["rate", "capacity", "load"],
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_link_and_node_numbers_must_be_finite(self, make, field, value):
+        # The loaders refuse these already; a graph built in code would
+        # otherwise write "max_bandwidth_bps": Infinity, which is not JSON.
+        with pytest.raises(TopologyError, match=rf"^{re.escape(field)} must be "):
+            make(value)
+
+    def test_built_graph_refuses_an_infinite_capacity(self):
+        with pytest.raises(TopologyError, match=r"^link \(0,1\): max_bandwidth must be finite, got inf$"):
+            build_graph(2, [(0, 1, math.inf), (1, 0, 1e7)])
+
     def test_demand_rejects_infinite_traffic(self):
         with pytest.raises(ValueError, match="demand traffic must be > 0 and finite, got inf"):
             TrafficDemand(0, 4, math.inf)

@@ -1,7 +1,6 @@
 """The learner's hot path against the per-hop reference forms in reference.py.
 
-Per-demand link scores (repeated episodes served from their memo),
-link-indexed Q-tables and CSR selection must give exactly what per-hop QoS
+Per-demand link scores, link-indexed Q-tables and CSR selection must give exactly what per-hop QoS
 snapshots, record-based composite rewards and a dense NaN-masked table
 give: equal bits, not approximately equal values.
 """
@@ -142,8 +141,8 @@ class TestLinkScores:
         scores = link_scores(graph, weights, demand)
         expected_local = exact(reference.local_rewards_for_path(records, weights, demand))
         expected_global = exact(reference.global_rewards_for_path(records, DEFAULT_WEIGHTS))
-        # A repeated episode, scored from the demand's memo, gets the same
-        # bits as the first; an equal result is a repeat too.
+        # Scoring leaves the demand's scores as they were: the same or an
+        # equal result scored again gets the same bits.
         for again in (result, result._replace()):
             assert exact(records_of(index, local_rewards_for_path(again, scores))) == expected_local
             assert exact(records_of(index, global_rewards_for_path(again, scores))) == expected_global
@@ -152,7 +151,7 @@ class TestLinkScores:
     @given(networks(), weight_sets, seeds, st.booleans())
     def test_lost_and_clean_runs_of_one_path_score_apart(self, network, weights, seed, lost_first):
         # Same hops, different loss flag: each result gets its own rewards,
-        # whichever the demand's scores saw first.
+        # whichever is scored first.
         graph, demand = network
         path = find_temp_path(
             demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6),
