@@ -417,8 +417,9 @@ def find_route(
     links the local table has not changed since. When it returns that path
     object itself and no loss model is given, the episode repeats the one
     before: it reuses that episode's execution result and rewards and runs
-    only the updates. Returns the greedy final path plus one trace per
-    episode.
+    only the updates. With a loss model every episode executes, and one
+    whose result equals the episode before's reuses that episode's rewards.
+    Returns the greedy final path plus one trace per episode.
 
     An episode settles the demand when epsilon is 0, no loss model is given
     and its updates leave every Q-value of both tables unchanged: each later
@@ -449,7 +450,7 @@ def find_route(
     # are fixed for all of its episodes.
     scores = link_scores(graph, weights, demand)
     traces: list[EpisodeTrace] = []
-    temp_path = None
+    temp_path = result = None
     episodes = hyper.episodes
     for episode in range(1, episodes + 1):
         selected = find_temp_path(demand, local_table, hyper, rng, temp_path)
@@ -458,11 +459,14 @@ def find_route(
         if selected is not temp_path or loss is not None:
             temp_path = selected
             # Looked up on the module at call time, so wrapping it there sees every call.
-            result = dataplane.execute_path(graph, temp_path.links, loss)
-            attempted = len(result.records)
-            local_rewards = local_rewards_for_path(result, scores)
-            if global_table is not None:
-                global_rewards = global_rewards_for_path(result, scores)
+            executed = dataplane.execute_path(graph, temp_path.links, loss)
+            # Under loss draws, an execution equal to the one before scores as it did.
+            if loss is None or executed != result:
+                result = executed
+                attempted = len(result.records)
+                local_rewards = local_rewards_for_path(result, scores)
+                if global_table is not None:
+                    global_rewards = global_rewards_for_path(result, scores)
         changed = update_table(local_table, local_rewards, hyper)
         if global_table is not None:
             changed = update_table(global_table, global_rewards, global_hyper) or changed

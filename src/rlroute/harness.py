@@ -17,12 +17,16 @@ wall-clock data, so identical configs produce byte-identical report.json.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass, replace
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .dataplane import LossModel, control_messages
 from .engine import (
@@ -38,6 +42,7 @@ from .rewards import DEFAULT_WEIGHTS, QoSWeights
 from .topologies import resolve_topology
 
 DEFAULT_SEED = 1
+_FLOAT_MAX = sys.float_info.max
 # "off" runs with no loss model, "bernoulli" with a dataplane.LossModel.
 LOSS_MODES = ("off", "bernoulli")
 
@@ -70,6 +75,38 @@ class ExperimentConfig:
                 raise ValueError(f"global_gamma {gamma} outside [0, 1]")
             if not self.use_global:
                 raise ValueError(f"global_gamma {gamma} needs use_global: no global table reads it")
+
+
+# The to_dict methods below are the one statement of the report schema. They
+# take a payload's large leaves, each graph's links block and each demand's
+# temp_path_lengths, from a leaves object: _PLAIN gives the plain lists and
+# dicts to_dict returns; the report writer passes a _Leaves, whose _Leaf
+# objects it formats itself rather than through json's pure-Python
+# indenting encoder.
+
+# The per-link columns of every report: the JSON "links" blocks and the
+# links CSVs. Topology files have their own schema (see network.graph_from_dict).
+_LINK_COLUMNS = ("src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "utilization")
+
+
+def _link_rows(graph: NetworkGraph) -> list[list]:
+    return [
+        [link.src, link.dst, link.max_bandwidth, link.used_bandwidth, link.utilization]
+        for link in graph.iter_links()
+    ]
+
+
+class _PlainLeaves:
+    """A payload's large leaves as plain data."""
+
+    def links(self, graph: NetworkGraph) -> list[dict]:
+        return [dict(zip(_LINK_COLUMNS, row)) for row in _link_rows(graph)]
+
+    def cells(self, values: Sequence) -> list:
+        return list(values)
+
+
+_PLAIN = _PlainLeaves()
 
 
 @dataclass(frozen=True)
@@ -108,7 +145,7 @@ class DemandOutcome:
     def convergence_cost(self) -> int:
         return self.converged_episode if self.converged_episode is not None else self.episodes_run
 
-    def to_dict(self) -> dict:
+    def to_dict(self, leaves=_PLAIN) -> dict:
         return {
             "index": self.demand_index,
             "src": self.demand.src,
@@ -118,7 +155,7 @@ class DemandOutcome:
             "final_path": list(self.final_path.nodes) if self.final_path is not None else None,
             "converged_episode": self.converged_episode,
             "episodes_run": self.episodes_run,
-            "temp_path_lengths": list(self.temp_path_lengths),
+            "temp_path_lengths": leaves.cells(self.temp_path_lengths),
             "messages_with_aggregation": self.messages_with_aggregation,
             "messages_without_aggregation": self.messages_without_aggregation,
         }
@@ -150,7 +187,7 @@ class ExperimentReport:
     def total_messages_without_aggregation(self) -> int:
         return sum(o.messages_without_aggregation for o in self.outcomes)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, leaves=_PLAIN) -> dict:
         cfg = self.config
         return {
             "topology": cfg.topology,
@@ -160,7 +197,7 @@ class ExperimentReport:
             "global_gamma": cfg.global_gamma,
             "weights": asdict(cfg.weights),
             "hyperparameters": asdict(cfg.hyper),
-            "demands": [o.to_dict() for o in self.outcomes],
+            "demands": [o.to_dict(leaves) for o in self.outcomes],
             "totals": {
                 "routed_demands": sum(1 for o in self.outcomes if o.routed),
                 "convergence_episodes": self.total_convergence_episodes,
@@ -168,25 +205,9 @@ class ExperimentReport:
                 "messages_with_aggregation": self.total_messages_with_aggregation,
                 "messages_without_aggregation": self.total_messages_without_aggregation,
             },
-            "links": _links_json(self.graph),
+            "links": leaves.links(self.graph),
             "max_link_utilization": self.max_link_utilization,
         }
-
-
-# The per-link columns of every report: the JSON "links" blocks and the
-# links CSVs. Topology files have their own schema (see network.graph_from_dict).
-_LINK_COLUMNS = ("src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "utilization")
-
-
-def _link_rows(graph: NetworkGraph) -> list[list]:
-    return [
-        [link.src, link.dst, link.max_bandwidth, link.used_bandwidth, link.utilization]
-        for link in graph.iter_links()
-    ]
-
-
-def _links_json(graph: NetworkGraph) -> list[dict]:
-    return [dict(zip(_LINK_COLUMNS, row)) for row in _link_rows(graph)]
 
 
 def run_sequence(config: ExperimentConfig) -> ExperimentReport:
@@ -257,12 +278,14 @@ class GammaStudyReport:
     def group_reports(self) -> list[ExperimentReport]:
         return [self.control] + self.runs
 
-    def to_dict(self) -> dict:
+    def to_dict(self, leaves=_PLAIN) -> dict:
         return {
             "topology": self.control.config.topology,
             "seed": self.control.config.seed,
-            "control": self.control.to_dict(),
-            "runs": [{"gamma": r.config.global_gamma, "report": r.to_dict()} for r in self.runs],
+            "control": self.control.to_dict(leaves),
+            "runs": [
+                {"gamma": r.config.global_gamma, "report": r.to_dict(leaves)} for r in self.runs
+            ],
             "totals": [
                 {"group": label, "convergence_episodes": report.total_convergence_episodes}
                 for label, report in zip(self.group_labels(), self.group_reports())
@@ -327,9 +350,12 @@ class ComparisonReport:
     def baseline_max_link_utilization(self) -> float:
         return self.baseline_graph.max_link_utilization()
 
-    def to_dict(self) -> dict:
+    def to_dict(self, leaves=_PLAIN) -> dict:
+        # Each graph's max utilization is computed once and written twice.
+        learned = self.learned.to_dict(leaves)
+        baseline = self.baseline_max_link_utilization
         return {
-            "learned": self.learned.to_dict(),
+            "learned": learned,
             "baseline": {
                 "paths": [
                     {
@@ -341,12 +367,12 @@ class ComparisonReport:
                     }
                     for demand, path in self.baseline_paths
                 ],
-                "links": _links_json(self.baseline_graph),
-                "max_link_utilization": self.baseline_max_link_utilization,
+                "links": leaves.links(self.baseline_graph),
+                "max_link_utilization": baseline,
             },
             "max_link_utilization": {
-                "learned": self.learned.max_link_utilization,
-                "baseline": self.baseline_max_link_utilization,
+                "learned": learned["max_link_utilization"],
+                "baseline": baseline,
             },
         }
 
@@ -363,20 +389,139 @@ def compare_baseline(config: ExperimentConfig) -> ComparisonReport:
     return ComparisonReport(learned=learned, baseline_graph=graph, baseline_paths=paths)
 
 
+# Report writing. report.json is json.dumps(payload, indent=2,
+# sort_keys=True) plus a newline, and each CSV is what csv.writer writes
+# from its rows, byte for byte. A plain int or finite float, which both
+# write as its repr, is formatted once and joined directly; any other cell
+# goes through json or csv itself.
+
+
+def _texts(values: Sequence) -> Optional[list[str]]:
+    """Each value's repr, the text both json and csv write for a plain int
+    or a finite float; None unless every value is one."""
+    for value in values:
+        kind = type(value)
+        if kind is not int and not (kind is float and -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            return None
+    return list(map(repr, values))
+
+
+def _csv_line(row: Sequence, texts: Optional[list[str]]) -> str:
+    """row as csv.writer writes it, given texts, its _texts or None."""
+    if texts is not None:
+        return ",".join(texts) + "\r\n"
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(row)
+    return buffer.getvalue()
+
+
+def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
+    return [_csv_line(row, _texts(row)) for row in rows]
+
+
+class _Leaf:
+    """A list that _write_json formats itself, given as the json texts of
+    its cells: with columns, rows of cells, each row an object keyed by the
+    columns; without, bare cells."""
+
+    __slots__ = ("texts", "columns")
+
+    def __init__(self, texts: list, columns: Optional[Sequence[str]] = None):
+        self.texts, self.columns = texts, columns
+
+    def json(self, indent: str) -> str:
+        """The list as json.dumps(indent=2, sort_keys=True) writes it on a
+        line that starts with indent."""
+        if not self.texts:
+            return "[]"
+        inner = indent + "  "
+        if self.columns is None:
+            return f"[\n{inner}" + f",\n{inner}".join(self.texts) + f"\n{indent}]"
+        columns = self.columns
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        fields = ",\n".join(
+            f"{inner}  {json.dumps(columns[i]).replace('%', '%%')}: %s" for i in order
+        )
+        row, pick = f"{inner}{{\n{fields}\n{inner}}}", itemgetter(*order)
+        return "[\n" + ",\n".join([row % pick(texts) for texts in self.texts]) + f"\n{indent}]"
+
+
+class _Leaves:
+    """A payload's large leaves as _Leaf objects. A graph's link cells are
+    formatted once per _Leaves, for its links block and its links CSV."""
+
+    def __init__(self) -> None:
+        self._tables: dict[int, tuple[list, list]] = {}
+
+    def link_table(self, graph: NetworkGraph) -> tuple[list[list[str]], list[str]]:
+        """graph's links as (the json texts of each row's cells, its CSV
+        lines). A row of plain ints and finite floats (_texts) shares one
+        list of texts between them."""
+        try:
+            return self._tables[id(graph)]
+        except KeyError:
+            pass
+        texts, lines = [], []
+        for row in _link_rows(graph):
+            cells = _texts(row)
+            lines.append(_csv_line(row, cells))
+            texts.append(list(map(json.dumps, row)) if cells is None else cells)
+        table = self._tables[id(graph)] = texts, lines
+        return table
+
+    def links(self, graph: NetworkGraph) -> _Leaf:
+        return _Leaf(self.link_table(graph)[0], _LINK_COLUMNS)
+
+    def cells(self, values: Sequence) -> _Leaf:
+        texts = _texts(values)
+        return _Leaf(list(map(json.dumps, values)) if texts is None else texts)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True) plus a newline,
+    byte for byte, formatting each _Leaf in payload itself. json.dumps
+    writes the rest with a marker string in each leaf's place; the text is
+    written piece by piece, each leaf's list where its marker stood. A marker
+    is retried with another suffix until no string of the payload's
+    own (say, a topology path) writes its text too."""
+    leaves: list[_Leaf] = []
+    for suffix in count():
+        marker = f"\0{suffix}"
+
+        def default(value):
+            if type(value) is not _Leaf:
+                return json.JSONEncoder().default(value)  # raises TypeError
+            leaves.append(value)
+            return marker
+
+        leaves.clear()
+        text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+        pieces = text.split(json.dumps(marker))
+        if len(pieces) == len(leaves) + 1:
+            break
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(pieces[0])
+        for leaf, before, after in zip(leaves, pieces, pieces[1:]):
+            line = before[before.rfind("\n") + 1:]
+            fh.write(leaf.json(line[:len(line) - len(line.lstrip(" "))]))
+            fh.write(after)
+        fh.write("\n")
+
+
 def _emit(out_dir: str | Path, payload: dict, tables: dict[str, tuple]) -> list[Path]:
     """Write payload as report.json, then each table as a CSV named by its
-    key from a (header, rows) pair, in order. Returns the written paths."""
+    key from a (header, CSV lines) pair, in order. Returns the written
+    paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(report_path, payload)
     paths = [report_path]
-    for name, (header, rows) in tables.items():
+    for name, (header, lines) in tables.items():
         path = out / name
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(_csv_line(header, None))
+            fh.write("".join(lines))
         paths.append(path)
     return paths
 
@@ -392,30 +537,41 @@ def _episode_cell(episode: Optional[int]):
     return "" if episode is None else episode
 
 
+def _length_lines(outcome: DemandOutcome) -> list[str]:
+    """The outcome's temp_path_lengths.csv lines: its demand cells, then
+    each episode and its temp path's length. Plain cells (_texts) are
+    joined once per demand for all of its lines."""
+    cells, lengths = _demand_cells(outcome), outcome.temp_path_lengths
+    head, texts = _texts(cells), _texts(lengths)
+    if head is None or texts is None:
+        return _csv_lines(cells + [episode, length] for episode, length in enumerate(lengths, 1))
+    head = ",".join(head)
+    return [f"{head},{episode},{text}\r\n" for episode, text in enumerate(texts, 1)]
+
+
 def emit_reports(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     """Write report.json, links.csv, temp_path_lengths.csv, convergence.csv.
 
     An empty run still produces all four files, CSVs as header rows only.
     Returns the written paths.
     """
-    lengths = (
-        _demand_cells(outcome) + [episode, length]
-        for outcome in report.outcomes
-        for episode, length in enumerate(outcome.temp_path_lengths, start=1)
-    )
     convergence = (
         _demand_cells(outcome) + [_episode_cell(outcome.converged_episode), outcome.episodes_run]
         for outcome in report.outcomes
     )
+    leaves = _Leaves()
     return _emit(
         out_dir,
-        report.to_dict(),
+        report.to_dict(leaves),
         {
-            "links.csv": (_LINK_COLUMNS, _link_rows(report.graph)),
-            "temp_path_lengths.csv": (_DEMAND_COLUMNS + ["episode", "length"], lengths),
+            "links.csv": (_LINK_COLUMNS, leaves.link_table(report.graph)[1]),
+            "temp_path_lengths.csv": (
+                _DEMAND_COLUMNS + ["episode", "length"],
+                [line for outcome in report.outcomes for line in _length_lines(outcome)],
+            ),
             "convergence.csv": (
                 _DEMAND_COLUMNS + ["converged_episode", "episodes_run"],
-                convergence,
+                _csv_lines(convergence),
             ),
         },
     )
@@ -433,16 +589,17 @@ def emit_gamma_reports(study: GammaStudyReport, out_dir: str | Path) -> list[Pat
     ]
     rows.append(["total", "", ""] + [report.total_convergence_episodes for report in reports])
     header = _DEMAND_COLUMNS + study.group_labels()
-    return _emit(out_dir, study.to_dict(), {"convergence.csv": (header, rows)})
+    return _emit(out_dir, study.to_dict(_Leaves()), {"convergence.csv": (header, _csv_lines(rows))})
 
 
 def emit_comparison_reports(comparison: ComparisonReport, out_dir: str | Path) -> list[Path]:
     """Write report.json plus per-link load tables for both routers."""
+    leaves = _Leaves()
     return _emit(
         out_dir,
-        comparison.to_dict(),
+        comparison.to_dict(leaves),
         {
-            "links.csv": (_LINK_COLUMNS, _link_rows(comparison.learned.graph)),
-            "links_baseline.csv": (_LINK_COLUMNS, _link_rows(comparison.baseline_graph)),
+            "links.csv": (_LINK_COLUMNS, leaves.link_table(comparison.learned.graph)[1]),
+            "links_baseline.csv": (_LINK_COLUMNS, leaves.link_table(comparison.baseline_graph)[1]),
         },
     )

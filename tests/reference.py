@@ -16,10 +16,17 @@ graph_from_dict and demands_from_list are the loaders' field-by-field form.
 find_route_every_episode is engine.find_route's loop without its settle
 rule: every episode of the budget runs. q_get, q_set and link_of read and write a table cell or a link by its node
 pair, which the learner never does: it works in link ids throughout.
+report_json and csv_text are the report files as json and csv.writer write
+them, from to_dict and from the rows each CSV holds (link_rows,
+length_rows, convergence_rows); the harness formats most of their cells
+itself.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -509,3 +516,63 @@ def find_route_every_episode(
         traces.append(EpisodeTrace(episode, temp_path, len(result.records)))
     final_path = engine.find_final_path(demand, local_table, hyper)
     return RouteResult(final_path=final_path, traces=traces)
+
+
+def report_json(report) -> str:
+    """A report's report.json: its to_dict as json writes it, plus a newline."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header: Sequence, rows) -> str:
+    """header and rows as csv.writer writes them."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def link_rows(graph: NetworkGraph) -> list[list]:
+    """links.csv's rows: src, dst, max_bandwidth_bps, used_bandwidth_bps,
+    utilization."""
+    return [
+        [l.src, l.dst, l.max_bandwidth, l.used_bandwidth, l.utilization]
+        for l in graph.iter_links()
+    ]
+
+
+def _demand_cells(outcome) -> list:
+    return [outcome.demand_index, outcome.demand.src, outcome.demand.dst]
+
+
+def length_rows(report) -> list[list]:
+    """temp_path_lengths.csv's rows: the demand's index, src and dst, then
+    the episode and its temp path length."""
+    return [
+        _demand_cells(o) + [episode, length]
+        for o in report.outcomes
+        for episode, length in enumerate(o.temp_path_lengths, start=1)
+    ]
+
+
+def convergence_rows(report) -> list[list]:
+    """A run's convergence.csv rows: the demand's index, src and dst, its
+    converged episode (blank when it never settled) and episodes run."""
+    return [
+        _demand_cells(o)
+        + ["" if o.converged_episode is None else o.converged_episode, o.episodes_run]
+        for o in report.outcomes
+    ]
+
+
+def gamma_convergence_rows(study) -> list[list]:
+    """A gamma study's convergence.csv rows: per demand its index, src and
+    dst, then each group's converged episode (blank when it never settled);
+    then a total row of each group's convergence episodes."""
+    reports = study.group_reports()
+    rows = [
+        _demand_cells(outcome)
+        + ["" if (e := r.outcomes[i].converged_episode) is None else e for r in reports]
+        for i, outcome in enumerate(study.control.outcomes)
+    ]
+    return rows + [["total", "", ""] + [r.total_convergence_episodes for r in reports]]

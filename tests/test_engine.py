@@ -669,8 +669,10 @@ class TestFindRoute:
     @pytest.mark.parametrize("epsilon, lossy", [(0.02, False), (0.0, True)])
     def test_exploring_or_lossy_runs_make_every_call(self, monkeypatch, epsilon, lossy):
         # Exploration and loss draw from their random sources every
-        # episode, so every episode runs, even after one that changed no
-        # Q-value. The t8 links drop 0.5% to 2% of packets.
+        # episode, so every episode runs and executes, even after one that
+        # changed no Q-value. The t8 links drop 0.5% to 2% of packets. A
+        # lossy episode whose execution equals the one before's updates with
+        # that episode's rewards, the same objects, and scores nothing.
         calls = self.record_layers(monkeypatch)
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
@@ -679,7 +681,16 @@ class TestFindRoute:
                    hyper=Hyperparameters(epsilon=epsilon), rng=random.Random(3),
                    loss=LossModel(seed=3) if lossy else None)
 
-        assert [layer for layer, _, _ in calls] == ["init"] + self.EPISODE * episodes + ["final"]
+        executions = [result for layer, _, result in calls if layer == "execute"]
+        assert len(executions) == episodes
+        scored = [True] + [not lossy or a != b for a, b in zip(executions, executions[1:])]
+        expected = ["init"]
+        for fresh in scored:
+            expected += self.EPISODE if fresh else ["select", "execute", "update", "update"]
+        assert [layer for layer, _, _ in calls] == expected + ["final"]
+        assert all(scored) is not lossy
+        applied = [args[1] for layer, args, _ in calls if layer == "update"][::2]
+        assert [a is not b for a, b in zip(applied, applied[1:])] == scored[1:]
         # Some episode before the last changed no Q-value.
         updates = [result for layer, _, result in calls if layer == "update"]
         changed = [local or glob for local, glob in zip(updates[::2], updates[1::2])]

@@ -32,6 +32,7 @@ from rlroute.harness import (
 from rlroute.network import TrafficDemand, build_graph, check_path
 from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
+import reference
 from reference import graph_to_dict, link_of, node_pairs
 from scenarios import OVERFLOWING_TOPOLOGIES
 
@@ -276,6 +277,34 @@ class TestGammaStudy:
         with pytest.raises(ValueError, match=r"global_gamma 1.5 outside \[0, 1\]"):
             run_gamma_study(t3_config(), [0.5, 1.5])
         assert calls == []
+
+    def test_lossy_study_writes_what_scoring_every_episode_writes(self, monkeypatch, tmp_path):
+        # Under loss every episode executes; one whose result equals the
+        # episode before's reuses that episode's rewards. The study's files
+        # are those of a loop that scores every episode, from fewer reward
+        # calls. The t8 links drop 0.5% to 2% of packets.
+        config = ExperimentConfig(
+            topology="t8", demands=builtin_demands("t8"), weights=make_weights(0, 0, 0, 1, 1),
+            loss_mode="bernoulli",
+        )
+        scored = []
+        for name in ("local_rewards_for_path", "global_rewards_for_path"):
+            def counted(*args, score=getattr(engine, name)):
+                scored.append(args)
+                return score(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+
+        def study(out):
+            scored.clear()
+            emit_gamma_reports(run_gamma_study(config, [0.3, 0.9]), out)
+            return {p.name: p.read_bytes() for p in out.iterdir()}, len(scored)
+
+        files, calls = study(tmp_path / "engine")
+        monkeypatch.setattr(harness, "find_route", reference.find_route_every_episode)
+        expected, every = study(tmp_path / "reference")
+        assert files == expected
+        assert calls < every
 
 
 class TestBaselineMinHop:
