@@ -16,17 +16,15 @@ wall-clock data, so identical configs produce byte-identical report.json.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 import sys
 from collections import deque
 from dataclasses import asdict, dataclass, replace
 from itertools import count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dataplane import LossModel, control_messages
 from .engine import (
@@ -81,29 +79,25 @@ class ExperimentConfig:
 # take a payload's large leaves, each graph's links block and each demand's
 # temp_path_lengths, from a leaves object: _PLAIN gives the plain lists and
 # dicts to_dict returns; the report writer passes a _Leaves, whose _Leaf
-# objects it formats itself rather than through json's pure-Python
-# indenting encoder.
+# objects it formats and checks itself (see _texts) rather than through
+# json's pure-Python indenting encoder.
 
-# The per-link columns of every report: the JSON "links" blocks and the
-# links CSVs. Topology files have their own schema (see network.graph_from_dict).
+# The per-link columns of every report, the JSON "links" blocks and the
+# links CSVs, and the LinkState attributes they hold. Topology files have
+# their own schema (see network.graph_from_dict).
 _LINK_COLUMNS = ("src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "utilization")
-
-
-def _link_rows(graph: NetworkGraph) -> list[list]:
-    return [
-        [link.src, link.dst, link.max_bandwidth, link.used_bandwidth, link.utilization]
-        for link in graph.iter_links()
-    ]
+_LINK_FIELDS = ("src", "dst", "max_bandwidth", "used_bandwidth", "utilization")
 
 
 class _PlainLeaves:
     """A payload's large leaves as plain data."""
 
     def links(self, graph: NetworkGraph) -> list[dict]:
-        return [dict(zip(_LINK_COLUMNS, row)) for row in _link_rows(graph)]
+        rows = map(attrgetter(*_LINK_FIELDS), graph.iter_links())
+        return [dict(zip(_LINK_COLUMNS, row)) for row in rows]
 
-    def cells(self, values: Sequence) -> list:
-        return list(values)
+    def lengths(self, outcome: DemandOutcome) -> list:
+        return list(outcome.temp_path_lengths)
 
 
 _PLAIN = _PlainLeaves()
@@ -114,7 +108,8 @@ class DemandOutcome:
     """One demand's results: the final path (None if the demand was
     unroutable), when the learner converged (None if it never settled), the
     per-episode temp-path lengths, and the hops the data plane attempted
-    over all episodes."""
+    over all episodes. The index, episode and hops are Python ints (see
+    network.check_int), as reports write them."""
 
     demand_index: int
     demand: TrafficDemand
@@ -122,6 +117,12 @@ class DemandOutcome:
     converged_episode: Optional[int]
     temp_path_lengths: tuple[int, ...]
     attempted_hops: int
+
+    def __post_init__(self) -> None:
+        check_int(self.demand_index, "demand index")
+        if self.converged_episode is not None:
+            check_int(self.converged_episode, f"demand {self.demand_index}: converged_episode")
+        check_int(self.attempted_hops, f"demand {self.demand_index}: attempted_hops")
 
     @property
     def routed(self) -> bool:
@@ -155,7 +156,7 @@ class DemandOutcome:
             "final_path": list(self.final_path.nodes) if self.final_path is not None else None,
             "converged_episode": self.converged_episode,
             "episodes_run": self.episodes_run,
-            "temp_path_lengths": leaves.cells(self.temp_path_lengths),
+            "temp_path_lengths": leaves.lengths(self),
             "messages_with_aggregation": self.messages_with_aggregation,
             "messages_without_aggregation": self.messages_without_aggregation,
         }
@@ -390,33 +391,28 @@ def compare_baseline(config: ExperimentConfig) -> ComparisonReport:
 
 
 # Report writing. report.json is json.dumps(payload, indent=2,
-# sort_keys=True) plus a newline, and each CSV is what csv.writer writes
-# from its rows, byte for byte. A plain int or finite float, which both
-# write as its repr, is formatted once and joined directly; any other cell
-# goes through json or csv itself.
+# sort_keys=True, allow_nan=False) plus a newline, and each CSV is what
+# csv.writer writes from its rows, byte for byte. Links blocks and
+# temp_path_lengths take _texts' number rule; the other CSV cells are ints
+# construction checked. No cell needs quoting: a line joins them by commas.
 
 
-def _texts(values: Sequence) -> Optional[list[str]]:
-    """Each value's repr, the text both json and csv write for a plain int
-    or a finite float; None unless every value is one."""
+def _texts(values: Sequence, name: Callable[[int], str]) -> list[str]:
+    """Each value's text as a report number, the text both json and csv
+    write for it: a Python int's repr, or a finite float's float.__repr__
+    (a subclass such as numpy.float64 included). Any other value is refused
+    with a ValueError naming name(i), i its position: json would write a
+    bool as true, NaN and the infinities as no JSON, and others not at all."""
     for value in values:
         kind = type(value)
         if kind is not int and not (kind is float and -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            return None
-    return list(map(repr, values))
-
-
-def _csv_line(row: Sequence, texts: Optional[list[str]]) -> str:
-    """row as csv.writer writes it, given texts, its _texts or None."""
-    if texts is not None:
-        return ",".join(texts) + "\r\n"
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow(row)
-    return buffer.getvalue()
-
-
-def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
-    return [_csv_line(row, _texts(row)) for row in rows]
+            break
+    else:
+        return list(map(repr, values))
+    for i, value in enumerate(values):
+        if type(value) is not int and not (isinstance(value, float) and abs(value) <= _FLOAT_MAX):
+            raise ValueError(f"{name(i)} must be an int or a finite float, got {value!r}")
+    return [repr(value) if type(value) is int else float.__repr__(value) for value in values]
 
 
 class _Leaf:
@@ -453,37 +449,42 @@ class _Leaves:
     def __init__(self) -> None:
         self._tables: dict[int, tuple[list, list]] = {}
 
-    def link_table(self, graph: NetworkGraph) -> tuple[list[list[str]], list[str]]:
-        """graph's links as (the json texts of each row's cells, its CSV
-        lines). A row of plain ints and finite floats (_texts) shares one
-        list of texts between them."""
+    def link_table(self, graph: NetworkGraph) -> tuple[list[tuple[str, ...]], list[str]]:
+        """graph's links as (each row's cell texts, its CSV lines), read a
+        column at a time: each container made per link is more work for the
+        garbage collector. A refusal names the link and column."""
         try:
             return self._tables[id(graph)]
         except KeyError:
             pass
-        texts, lines = [], []
-        for row in _link_rows(graph):
-            cells = _texts(row)
-            lines.append(_csv_line(row, cells))
-            texts.append(list(map(json.dumps, row)) if cells is None else cells)
-        table = self._tables[id(graph)] = texts, lines
+        links = list(graph.iter_links())
+        columns = [
+            _texts(
+                list(map(attrgetter(field), links)),
+                lambda i, column=column: f"link ({links[i].src},{links[i].dst}): {column}",
+            )
+            for field, column in zip(_LINK_FIELDS, _LINK_COLUMNS)
+        ]
+        texts = list(zip(*columns))
+        table = self._tables[id(graph)] = texts, [",".join(row) + "\r\n" for row in texts]
         return table
 
     def links(self, graph: NetworkGraph) -> _Leaf:
         return _Leaf(self.link_table(graph)[0], _LINK_COLUMNS)
 
-    def cells(self, values: Sequence) -> _Leaf:
-        texts = _texts(values)
-        return _Leaf(list(map(json.dumps, values)) if texts is None else texts)
+    @staticmethod
+    def lengths(outcome: DemandOutcome) -> _Leaf:
+        name = f"demand {outcome.demand_index}: temp_path_lengths"
+        return _Leaf(_texts(outcome.temp_path_lengths, lambda i: f"{name}[{i}]"))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write json.dumps(payload, indent=2, sort_keys=True) plus a newline,
-    byte for byte, formatting each _Leaf in payload itself. json.dumps
-    writes the rest with a marker string in each leaf's place; the text is
-    written piece by piece, each leaf's list where its marker stood. A marker
-    is retried with another suffix until no string of the payload's
-    own (say, a topology path) writes its text too."""
+    """Write json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    plus a newline, byte for byte, formatting each _Leaf in payload itself.
+    json.dumps writes the rest with a marker string in each leaf's place;
+    the text is written piece by piece, each leaf's list where its marker
+    stood. A marker is retried with another suffix until no string of the
+    payload's own (say, a topology path) writes its text too."""
     leaves: list[_Leaf] = []
     for suffix in count():
         marker = f"\0{suffix}"
@@ -495,7 +496,7 @@ def _write_json(path: Path, payload: dict) -> None:
             return marker
 
         leaves.clear()
-        text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=default)
         pieces = text.split(json.dumps(marker))
         if len(pieces) == len(leaves) + 1:
             break
@@ -509,9 +510,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _emit(out_dir: str | Path, payload: dict, tables: dict[str, tuple]) -> list[Path]:
-    """Write payload as report.json, then each table as a CSV named by its
-    key from a (header, CSV lines) pair, in order. Returns the written
-    paths."""
+    """Write payload as report.json, then each (header, CSV lines) table as
+    the CSV its key names, in order. Returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
@@ -520,7 +520,7 @@ def _emit(out_dir: str | Path, payload: dict, tables: dict[str, tuple]) -> list[
     for name, (header, lines) in tables.items():
         path = out / name
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(_csv_line(header, None))
+            fh.write(",".join(header) + "\r\n")
             fh.write("".join(lines))
         paths.append(path)
     return paths
@@ -529,23 +529,20 @@ def _emit(out_dir: str | Path, payload: dict, tables: dict[str, tuple]) -> list[
 _DEMAND_COLUMNS = ["demand_index", "src", "dst"]
 
 
-def _demand_cells(outcome: DemandOutcome) -> list:
-    return [outcome.demand_index, outcome.demand.src, outcome.demand.dst]
+def _demand_text(outcome: DemandOutcome) -> str:
+    return f"{outcome.demand_index},{outcome.demand.src},{outcome.demand.dst}"
 
 
-def _episode_cell(episode: Optional[int]):
-    return "" if episode is None else episode
+def _convergence_line(outcome: DemandOutcome, counts: Sequence[Optional[int]]) -> str:
+    """A convergence.csv line: outcome's demand cells, then counts (None blank)."""
+    cells = ["" if count is None else repr(count) for count in counts]
+    return ",".join([_demand_text(outcome)] + cells) + "\r\n"
 
 
 def _length_lines(outcome: DemandOutcome) -> list[str]:
     """The outcome's temp_path_lengths.csv lines: its demand cells, then
-    each episode and its temp path's length. Plain cells (_texts) are
-    joined once per demand for all of its lines."""
-    cells, lengths = _demand_cells(outcome), outcome.temp_path_lengths
-    head, texts = _texts(cells), _texts(lengths)
-    if head is None or texts is None:
-        return _csv_lines(cells + [episode, length] for episode, length in enumerate(lengths, 1))
-    head = ",".join(head)
+    each episode and its temp path's length."""
+    head, texts = _demand_text(outcome), _Leaves.lengths(outcome).texts
     return [f"{head},{episode},{text}\r\n" for episode, text in enumerate(texts, 1)]
 
 
@@ -555,10 +552,6 @@ def emit_reports(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     An empty run still produces all four files, CSVs as header rows only.
     Returns the written paths.
     """
-    convergence = (
-        _demand_cells(outcome) + [_episode_cell(outcome.converged_episode), outcome.episodes_run]
-        for outcome in report.outcomes
-    )
     leaves = _Leaves()
     return _emit(
         out_dir,
@@ -571,7 +564,10 @@ def emit_reports(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
             ),
             "convergence.csv": (
                 _DEMAND_COLUMNS + ["converged_episode", "episodes_run"],
-                _csv_lines(convergence),
+                [
+                    _convergence_line(outcome, (outcome.converged_episode, outcome.episodes_run))
+                    for outcome in report.outcomes
+                ],
             ),
         },
     )
@@ -582,14 +578,14 @@ def emit_gamma_reports(study: GammaStudyReport, out_dir: str | Path) -> list[Pat
     one row per demand, and a Total row where an unconverged demand is
     charged its full episode budget."""
     reports = study.group_reports()
-    rows = [
-        _demand_cells(outcome)
-        + [_episode_cell(report.outcomes[i].converged_episode) for report in reports]
+    lines = [
+        _convergence_line(outcome, [r.outcomes[i].converged_episode for r in reports])
         for i, outcome in enumerate(study.control.outcomes)
     ]
-    rows.append(["total", "", ""] + [report.total_convergence_episodes for report in reports])
+    totals = [repr(r.total_convergence_episodes) for r in reports]
+    lines.append(",".join(["total", "", ""] + totals) + "\r\n")
     header = _DEMAND_COLUMNS + study.group_labels()
-    return _emit(out_dir, study.to_dict(_Leaves()), {"convergence.csv": (header, _csv_lines(rows))})
+    return _emit(out_dir, study.to_dict(_Leaves()), {"convergence.csv": (header, lines)})
 
 
 def emit_comparison_reports(comparison: ComparisonReport, out_dir: str | Path) -> list[Path]:

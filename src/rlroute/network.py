@@ -115,7 +115,11 @@ class LinkState:
 
     @property
     def utilization(self) -> float:
-        return self.used_bandwidth / self.max_bandwidth
+        """used / max bandwidth; ValueError naming the link unless max > 0."""
+        capacity = self.max_bandwidth
+        if capacity > 0.0:  # float against float, which CPython compares fastest
+            return self.used_bandwidth / capacity
+        raise ValueError(f"link ({self.src},{self.dst}): max_bandwidth must be > 0, got {capacity}")
 
 
 @dataclass(frozen=True)
