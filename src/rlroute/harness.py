@@ -221,7 +221,12 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
     continues. A demand naming a node the graph lacks fails the run before
     the first demand is routed.
     """
-    graph = resolve_topology(config.topology)
+    return _run_sequence(config, resolve_topology(config.topology))
+
+
+def _run_sequence(config: ExperimentConfig, graph: NetworkGraph) -> ExperimentReport:
+    """run_sequence on graph, a fresh load of config.topology; each routed
+    demand's traffic is placed on it."""
     for index, demand in enumerate(config.demands, start=1):
         for node in (demand.src, demand.dst):
             if not graph.has_node(node):
@@ -297,11 +302,16 @@ class GammaStudyReport:
 def run_gamma_study(base: ExperimentConfig, gammas: Sequence[float]) -> GammaStudyReport:
     """Same topology, demands, and seed for every group; test groups turn on
     global-table reuse and apply their gamma to global updates only. Every
-    group's config is built, and so checked, before the first group runs."""
+    group's config is built, and so checked, before the first group runs.
+    The topology is loaded once; each test group runs on a copy of it made
+    before the control places any traffic."""
     control = replace(base, use_global=False, global_gamma=None)
     groups = [replace(base, use_global=True, global_gamma=gamma) for gamma in gammas]
+    graph = resolve_topology(base.topology)
+    copies = [graph.copy() for _ in groups]
     return GammaStudyReport(
-        control=run_sequence(control), runs=[run_sequence(config) for config in groups]
+        control=_run_sequence(control, graph),
+        runs=[_run_sequence(config, copy) for config, copy in zip(groups, copies)],
     )
 
 
@@ -379,15 +389,18 @@ class ComparisonReport:
 
 
 def compare_baseline(config: ExperimentConfig) -> ComparisonReport:
-    learned = run_sequence(config)
+    """Run the learner on the loaded topology and the baseline on a copy of
+    it made before the learner places any traffic."""
     graph = resolve_topology(config.topology)
+    baseline_graph = graph.copy()
+    learned = _run_sequence(config, graph)
     paths: list[tuple[TrafficDemand, RoutePath]] = []
     for demand in config.demands:
-        path = baseline_min_hop(graph, demand)
+        path = baseline_min_hop(baseline_graph, demand)
         if path.reached_destination:
-            place_traffic(graph, path, demand)
+            place_traffic(baseline_graph, path, demand)
         paths.append((demand, path))
-    return ComparisonReport(learned=learned, baseline_graph=graph, baseline_paths=paths)
+    return ComparisonReport(learned=learned, baseline_graph=baseline_graph, baseline_paths=paths)
 
 
 # Report writing. report.json is json.dumps(payload, indent=2,
@@ -443,11 +456,13 @@ class _Leaf:
 
 
 class _Leaves:
-    """A payload's large leaves as _Leaf objects. A graph's link cells are
-    formatted once per _Leaves, for its links block and its links CSV."""
+    """A payload's large leaves as _Leaf objects. A graph's link cells and
+    an outcome's temp-path lengths are formatted once per _Leaves, for
+    report.json and for their CSV."""
 
     def __init__(self) -> None:
         self._tables: dict[int, tuple[list, list]] = {}
+        self._lengths: dict[int, list[str]] = {}
 
     def link_table(self, graph: NetworkGraph) -> tuple[list[tuple[str, ...]], list[str]]:
         """graph's links as (each row's cell texts, its CSV lines), read a
@@ -472,10 +487,18 @@ class _Leaves:
     def links(self, graph: NetworkGraph) -> _Leaf:
         return _Leaf(self.link_table(graph)[0], _LINK_COLUMNS)
 
-    @staticmethod
-    def lengths(outcome: DemandOutcome) -> _Leaf:
-        name = f"demand {outcome.demand_index}: temp_path_lengths"
-        return _Leaf(_texts(outcome.temp_path_lengths, lambda i: f"{name}[{i}]"))
+    def length_texts(self, outcome: DemandOutcome) -> list[str]:
+        """outcome's temp_path_lengths as texts; a refusal names the demand."""
+        texts = self._lengths.get(id(outcome))
+        if texts is None:
+            name = f"demand {outcome.demand_index}: temp_path_lengths"
+            texts = self._lengths[id(outcome)] = _texts(
+                outcome.temp_path_lengths, lambda i: f"{name}[{i}]"
+            )
+        return texts
+
+    def lengths(self, outcome: DemandOutcome) -> _Leaf:
+        return _Leaf(self.length_texts(outcome))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -539,10 +562,10 @@ def _convergence_line(outcome: DemandOutcome, counts: Sequence[Optional[int]]) -
     return ",".join([_demand_text(outcome)] + cells) + "\r\n"
 
 
-def _length_lines(outcome: DemandOutcome) -> list[str]:
+def _length_lines(outcome: DemandOutcome, leaves: _Leaves) -> list[str]:
     """The outcome's temp_path_lengths.csv lines: its demand cells, then
     each episode and its temp path's length."""
-    head, texts = _demand_text(outcome), _Leaves.lengths(outcome).texts
+    head, texts = _demand_text(outcome), leaves.length_texts(outcome)
     return [f"{head},{episode},{text}\r\n" for episode, text in enumerate(texts, 1)]
 
 
@@ -560,7 +583,7 @@ def emit_reports(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
             "links.csv": (_LINK_COLUMNS, leaves.link_table(report.graph)[1]),
             "temp_path_lengths.csv": (
                 _DEMAND_COLUMNS + ["episode", "length"],
-                [line for outcome in report.outcomes for line in _length_lines(outcome)],
+                [line for outcome in report.outcomes for line in _length_lines(outcome, leaves)],
             ),
             "convergence.csv": (
                 _DEMAND_COLUMNS + ["converged_episode", "episodes_run"],

@@ -146,7 +146,8 @@ class TrafficDemand:
 class RoutePath:
     """A simple (loop-free) node sequence, validated on construction: the
     form a path takes where it leaves the learner (its final path) or
-    enters from outside (traffic placement, the baseline router)."""
+    enters from outside (traffic placement, the baseline router). Its nodes
+    are Python ints (see check_int), as reports write them."""
 
     nodes: tuple[int, ...]
     reached_destination: bool = False
@@ -154,6 +155,8 @@ class RoutePath:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("a path must contain at least its start node")
+        for node in self.nodes:
+            check_int(node, f"path {list(self.nodes)}: node")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError(f"path {list(self.nodes)} repeats a node")
 
@@ -274,8 +277,19 @@ class NetworkGraph:
         return iter(self._index.links)
 
     def copy(self) -> "NetworkGraph":
-        links = {(l.src, l.dst): replace(l) for l in self._index.links}
-        return NetworkGraph([replace(n) for n in self._nodes], links)
+        """A graph with the same nodes and links at their current values,
+        each rebuilt through its checked constructor, so one holding an
+        invalid value is refused. The link set never changes, so the copy
+        shares this graph's numbering (out, targets, sources and ids)."""
+        clone = NetworkGraph.__new__(NetworkGraph)
+        clone._nodes = [NodeState(n.node_id, n.processing_rate) for n in self._nodes]
+        links = [
+            LinkState(l.src, l.dst, l.max_bandwidth, l.used_bandwidth, l.reliability)
+            for l in self._index.links
+        ]
+        clone._index = replace(self._index, links=links)
+        clone._cache = {}
+        return clone
 
     def max_link_utilization(self) -> float:
         return max((l.utilization for l in self._index.links), default=0.0)

@@ -24,7 +24,12 @@ from rlroute.engine import (
     update_table,
 )
 from rlroute.network import RoutePath, TrafficDemand, build_graph
-from rlroute.rewards import EpisodeRewards, make_weights
+from rlroute.rewards import (
+    EpisodeRewards,
+    global_rewards_for_path,
+    local_rewards_for_path,
+    make_weights,
+)
 from rlroute.topologies import builtin_demands, load_builtin
 from reference import (
     AbsentLinkError,
@@ -824,8 +829,10 @@ class TestFindRoute:
 def test_hot_functions_keep_no_closure_cells():
     # A comprehension or lambda reading a local makes it a closure cell of
     # the whole function (Python 3.11), read through the cell on every use,
-    # in every greedy scan and SARSA pass.
-    for function in (find_temp_path, update_table, find_route):
+    # in every greedy scan, SARSA pass and reward scoring.
+    for function in (
+        find_temp_path, update_table, find_route, local_rewards_for_path, global_rewards_for_path
+    ):
         assert function.__code__.co_cellvars == ()
 
 

@@ -267,16 +267,37 @@ class TestGammaStudy:
         assert len(study.group_reports()) == 2
 
     def test_bad_gamma_refused_before_any_group_runs(self, monkeypatch):
+        # Neither the topology load nor any demand's routing has started.
         calls = []
+        for name in ("resolve_topology", "find_route"):
+            def recording(*args, fn=getattr(harness, name), name=name, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        def recording(config):
-            calls.append(config.global_gamma)
-            return run_sequence(config)
-
-        monkeypatch.setattr(harness, "run_sequence", recording)
+            monkeypatch.setattr(harness, name, recording)
         with pytest.raises(ValueError, match=r"global_gamma 1.5 outside \[0, 1\]"):
             run_gamma_study(t3_config(), [0.5, 1.5])
         assert calls == []
+
+    def test_topology_is_loaded_once_per_study(self, monkeypatch):
+        # Every group runs on its own graph: the control's placements do not
+        # reach the test groups, whose reports equal separate runs'.
+        loads = []
+
+        def counted(source):
+            loads.append(source)
+            return resolve_topology(source)
+
+        monkeypatch.setattr(harness, "resolve_topology", counted)
+        config = ExperimentConfig(
+            topology="t8", demands=builtin_demands("t8"), weights=make_weights(0, 0, 0, 1, 1)
+        )
+        study = run_gamma_study(config, [0.3, 0.6, 0.9, 1.0])
+        assert loads == ["t8"]
+        graphs = [report.graph for report in study.group_reports()]
+        assert len({id(graph) for graph in graphs}) == 5
+        for report in study.group_reports():
+            assert report.to_dict() == run_sequence(report.config).to_dict()
 
     def test_lossy_study_writes_what_scoring_every_episode_writes(self, monkeypatch, tmp_path):
         # Under loss every episode executes; one whose result equals the
@@ -404,9 +425,10 @@ class TestCompareBaseline:
     def test_harness_layers_are_called_once_per_demand(self, monkeypatch):
         # The benchmark's tracer times the harness by replacing these module
         # globals, so compare_baseline must keep calling each of them by
-        # name: one topology load per router, per demand one learned route,
-        # one convergence check and one baseline route, and one placement
-        # per routed path of either router.
+        # name: one topology load (the baseline routes on a copy of the
+        # graph), per demand one learned route, one convergence check and
+        # one baseline route, and one placement per routed path of either
+        # router.
         calls = {}
 
         def wrap(name, fn):
@@ -430,7 +452,7 @@ class TestCompareBaseline:
         )
         assert routed > 0
         assert calls == {
-            "resolve_topology": 2,
+            "resolve_topology": 1,
             "find_route": len(demands),
             "detect_convergence": len(demands),
             "baseline_min_hop": len(demands),

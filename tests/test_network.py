@@ -232,6 +232,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             RoutePath(())
 
+    @pytest.mark.parametrize("node", [True, np.int64(1), 1.0])
+    def test_path_nodes_must_be_python_ints(self, node):
+        # Reports write a final path's nodes as they are: a bool as true.
+        message = re.escape(f"path [0, {node!r}]: node must be an int, got {node!r}")
+        with pytest.raises(ValueError, match=message):
+            RoutePath((0, node), True)
+
 
 class TestBuildGraph:
     def test_t1_example(self):
@@ -278,6 +285,29 @@ class TestBuildGraph:
         assert link_of(graph, 0, 1).used_bandwidth == 0.0
         assert graph.node(1).processing_rate == DEFAULT_PROCESSING_RATE
         assert clone != graph
+
+    def test_copy_shares_the_numbering_and_rebuilds_nodes_and_links(self):
+        graph = t1()
+        link_of(graph, 0, 1).used_bandwidth = 2e6
+        clone = graph.copy()
+        index, copied = graph.link_index(), clone.link_index()
+        for name in ("out", "targets", "sources", "ids"):
+            assert getattr(copied, name) is getattr(index, name)
+        assert clone == graph
+        assert all(a is not b for a, b in zip(copied.links, index.links))
+        assert all(a is not b for a, b in zip(clone.nodes, graph.nodes))
+        assert clone.nodes is not graph.nodes and copied.links is not index.links
+
+    def test_copy_refuses_an_invalid_value(self):
+        # A copy builds every node and link through its checked constructor.
+        graph = t1()
+        link_of(graph, 2, 3).used_bandwidth = -1.0
+        with pytest.raises(TopologyError, match=r"link \(2,3\): used_bandwidth must be >= 0"):
+            graph.copy()
+        link_of(graph, 2, 3).used_bandwidth = 0.0
+        graph.node(4).processing_rate = True
+        with pytest.raises(TopologyError, match="node 4: processing_rate must be an int or float"):
+            graph.copy()
 
     def test_max_link_utilization(self):
         graph = build_graph(3, [(0, 1, 1e7, 2e6), (1, 2, 1e7, 9e6)])
