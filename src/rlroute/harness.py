@@ -20,11 +20,12 @@ import json
 import random
 import sys
 from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import count
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .dataplane import LossModel, control_messages
 from .engine import (
@@ -43,15 +44,20 @@ DEFAULT_SEED = 1
 _FLOAT_MAX = sys.float_info.max
 # "off" runs with no loss model, "bernoulli" with a dataplane.LossModel.
 LOSS_MODES = ("off", "bernoulli")
+# The ExperimentConfig fields whose type alone its constructor checks.
+_CONFIG_TYPES = {
+    "topology": str, "weights": QoSWeights, "hyper": Hyperparameters, "use_global": bool
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run depends on. topology is a builtin id or a file
-    path; demands are handled strictly in the given order. global_gamma
-    discounts global-table updates, so it needs use_global. seed is a
-    Python int and global_gamma a Python int or float (see
-    network.check_int and check_float), as reports write them."""
+    """Everything one run depends on, each field's type checked at
+    construction. topology is a builtin id or a file path; demands are
+    handled strictly in the given order. global_gamma discounts global-table
+    updates, so it needs use_global. seed is a Python int and global_gamma a
+    Python int or float (see network.check_int and check_float), as reports
+    write them."""
 
     topology: str
     demands: Sequence[TrafficDemand]
@@ -63,6 +69,14 @@ class ExperimentConfig:
     loss_mode: str = "off"
 
     def __post_init__(self) -> None:
+        for name, kind in _CONFIG_TYPES.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not isinstance(self.demands, Sequence):
+            raise ValueError(f"demands must be a sequence, got {self.demands!r}")
+        for index, demand in enumerate(self.demands, start=1):
+            if not isinstance(demand, TrafficDemand):
+                raise ValueError(f"demand {index} must be a TrafficDemand, got {demand!r}")
         check_int(self.seed, "seed")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
@@ -315,37 +329,34 @@ def run_gamma_study(base: ExperimentConfig, gammas: Sequence[float]) -> GammaStu
     )
 
 
-def _in_neighbors(graph: NetworkGraph) -> dict[int, list[int]]:
-    """Each node's in-neighbors in link-id order, cached per graph."""
-    index, reverse = graph.link_index(), {}
-    for src, dst in zip(index.sources, index.targets):
-        reverse.setdefault(dst, []).append(src)
-    return reverse
-
-
 def baseline_min_hop(graph: NetworkGraph, demand: TrafficDemand) -> RoutePath:
-    """Breadth-first shortest path by hop count, every tie broken toward the
-    lowest node id. Unreachable destination yields a zero-hop unfinished
-    path, mirroring the learner's unroutable shape."""
-    dist = {demand.dst: 0}
-    reverse = graph.cached(_in_neighbors)
-    queue = deque([demand.dst])
-    while queue:
+    """Breadth-first shortest path by hop count, forward from the source over
+    the link index. Each node keeps its first parent and out-links are
+    scanned in id order, so this is the lexicographically smallest shortest
+    path: every tie goes to the lowest node id. An unreachable destination
+    yields a zero-hop unfinished path, mirroring the learner's unroutable
+    shape; a node the graph lacks is refused with a ValueError."""
+    src, dst = demand.src, demand.dst
+    for node in (src, dst):
+        if not graph.has_node(node):
+            raise ValueError(f"demand {src}->{dst} references unknown node {node}")
+    index = graph.link_index()
+    out, targets = index.out, index.targets
+    parent = {src: src}
+    queue = deque([src])
+    while queue and dst not in parent:
         node = queue.popleft()
-        for prev in reverse.get(node, ()):
-            if prev not in dist:
-                dist[prev] = dist[node] + 1
-                queue.append(prev)
-    if demand.src not in dist:
-        return RoutePath((demand.src,), False)
-    nodes = [demand.src]
-    current = demand.src
-    while current != demand.dst:
-        current = next(
-            v for v in graph.out_neighbors(current) if dist.get(v) == dist[current] - 1
-        )
-        nodes.append(current)
-    return RoutePath(tuple(nodes), True)
+        for k in out[node]:
+            target = targets[k]
+            if target not in parent:
+                parent[target] = node
+                queue.append(target)
+    if dst not in parent:
+        return RoutePath((src,), False)
+    nodes = [dst]
+    while nodes[-1] != src:
+        nodes.append(parent[nodes[-1]])
+    return RoutePath(tuple(reversed(nodes)), True)
 
 
 @dataclass

@@ -45,9 +45,9 @@ def check_float(value, name: str, error: type[ValueError] = ValueError) -> None:
 class NodeState:
     """One network node. Its incoming traffic is not stored: it is the sum
     of its inbound links' used bandwidth. The processing rate, a Python int
-    or float (see check_float), is read, and checked, the first time the
-    graph is scored under a set of weights (rewards.TermSet); the rewards do
-    not see it reassigned after that.
+    or float (see check_float), finite and > 0 at construction; the rewards
+    read and re-check it the first time the graph is scored under a set of
+    weights (rewards.TermSet), and do not see it reassigned after that.
     """
 
     node_id: int
@@ -70,12 +70,13 @@ class LinkState:
     """One directed link.
 
     Its numbers are Python ints or floats (see check_float), as reports
-    write them. used_bandwidth may exceed max_bandwidth: over-subscription
-    is an observable (and penalized) state, not a construction error. Loads
-    are read, and checked, per demand. max_bandwidth and reliability are
-    read, and checked, the first time the graph is scored under a set of
-    weights (rewards.TermSet); the rewards do not see one reassigned after
-    that.
+    write them, refused at construction unless finite, max_bandwidth > 0,
+    used_bandwidth >= 0 and reliability in [0, 1]. used_bandwidth may
+    exceed max_bandwidth: over-subscription is an observable (and
+    penalized) state. The rewards re-check loads per demand, and read and
+    re-check max_bandwidth and reliability the first time the graph is
+    scored under a set of weights (rewards.TermSet); they do not see one
+    reassigned after that.
     """
 
     src: int
@@ -255,9 +256,9 @@ class NetworkGraph:
     def cached(self, build: Callable[..., _T], *args: Hashable) -> _T:
         """build(self, *args), computed on the first call with these args
         and kept for the graph's lifetime. build and args are the key, so
-        pass a module-level function, not a fresh lambda; rewards.TermSet and
-        the baseline's in-neighbor lists are built this way. A build that
-        raises keeps nothing, so the next call builds again.
+        pass a module-level function, not a fresh lambda, as rewards.TermSet
+        does. A build that raises keeps nothing, so the next call builds
+        again.
 
         Only for what depends on nothing but args and the fixed part of the
         graph: its link set, link capacities and reliabilities and node

@@ -30,9 +30,10 @@ evaluates those terms for all links once per demand, so an episode's
 rewards only index lists by link id. What no load enters is evaluated once
 per graph and set of weights (TermSet).
 
-Each input is checked once, where it enters: capacities, reliabilities and
-processing rates when a graph's TermSet is built, loads by link_scores on
-every demand, and demand traffic by TrafficDemand.
+Every number is checked where it enters, by the NodeState, LinkState and
+TrafficDemand constructors. What a built graph can have reassigned is
+checked again here: capacities, reliabilities and processing rates when its
+TermSet is built, and loads by link_scores on every demand.
 """
 
 from __future__ import annotations
@@ -176,8 +177,8 @@ class TermSet:
 
     Capacities, reliabilities and processing rates are fixed after
     construction (only place_traffic writes to a graph, and it writes
-    loads), so they are read and checked here, once; one reassigned on a
-    built graph after its first scoring is not seen.
+    loads), so they are read, and checked again, here, once; one reassigned
+    on a built graph after its first scoring is not seen.
     """
 
     targets: np.ndarray
