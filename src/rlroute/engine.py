@@ -427,8 +427,7 @@ def find_route(
     path and update nothing again, so its trace, a copy of the settling
     episode's under its own index, is appended without running it.
     """
-    if not (graph.has_node(demand.src) and graph.has_node(demand.dst)):
-        raise ValueError(f"demand {demand.src}->{demand.dst} references unknown nodes")
+    graph.check_endpoints(demand)
     if not graph.link_index().out[demand.src]:
         raise UnroutableDemandError(f"node {demand.src} has no outgoing links")
     weights = DEFAULT_WEIGHTS if weights is None else weights

@@ -54,10 +54,11 @@ _CONFIG_TYPES = {
 class ExperimentConfig:
     """Everything one run depends on, each field's type checked at
     construction. topology is a builtin id or a file path; demands are
-    handled strictly in the given order. global_gamma discounts global-table
-    updates, so it needs use_global. seed is a Python int and global_gamma a
-    Python int or float (see network.check_int and check_float), as reports
-    write them."""
+    handled strictly in the given order and kept as a tuple, so a list the
+    caller changes later changes no config. global_gamma discounts
+    global-table updates, so it needs use_global. seed is a Python int and
+    global_gamma a Python int or float (see network.check_int and
+    check_float), as reports write them."""
 
     topology: str
     demands: Sequence[TrafficDemand]
@@ -74,6 +75,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not isinstance(self.demands, Sequence):
             raise ValueError(f"demands must be a sequence, got {self.demands!r}")
+        object.__setattr__(self, "demands", tuple(self.demands))
         for index, demand in enumerate(self.demands, start=1):
             if not isinstance(demand, TrafficDemand):
                 raise ValueError(f"demand {index} must be a TrafficDemand, got {demand!r}")
@@ -242,11 +244,7 @@ def _run_sequence(config: ExperimentConfig, graph: NetworkGraph) -> ExperimentRe
     """run_sequence on graph, a fresh load of config.topology; each routed
     demand's traffic is placed on it."""
     for index, demand in enumerate(config.demands, start=1):
-        for node in (demand.src, demand.dst):
-            if not graph.has_node(node):
-                raise ValueError(
-                    f"demand {index} ({demand.src}->{demand.dst}) references unknown node {node}"
-                )
+        graph.check_endpoints(demand, index)
     # Packet loss draws from a stream of its own: seeded with config.seed
     # itself, it would repeat the exploration stream's draws.
     loss = LossModel(f"loss {config.seed}") if config.loss_mode == "bernoulli" else None
@@ -336,10 +334,8 @@ def baseline_min_hop(graph: NetworkGraph, demand: TrafficDemand) -> RoutePath:
     path: every tie goes to the lowest node id. An unreachable destination
     yields a zero-hop unfinished path, mirroring the learner's unroutable
     shape; a node the graph lacks is refused with a ValueError."""
+    graph.check_endpoints(demand)
     src, dst = demand.src, demand.dst
-    for node in (src, dst):
-        if not graph.has_node(node):
-            raise ValueError(f"demand {src}->{dst} references unknown node {node}")
     index = graph.link_index()
     out, targets = index.out, index.targets
     parent = {src: src}

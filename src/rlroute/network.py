@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from pathlib import Path
-from typing import IO, Callable, Hashable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
@@ -41,86 +41,92 @@ def check_float(value, name: str, error: type[ValueError] = ValueError) -> None:
         raise error(f"{name} must be an int or float, got {value!r}")
 
 
-@dataclass
-class NodeState:
-    """One network node. Its incoming traffic is not stored: it is the sum
-    of its inbound links' used bandwidth. The processing rate, a Python int
-    or float (see check_float), finite and > 0 at construction; the rewards
-    read and re-check it the first time the graph is scored under a set of
-    weights (rewards.TermSet), and do not see it reassigned after that.
-    """
-
+class _NodeFields(NamedTuple):
     node_id: int
     processing_rate: float
 
-    def __post_init__(self) -> None:
-        check_int(self.node_id, "node id", TopologyError)
-        if self.node_id < 0:
-            raise TopologyError(f"node id {self.node_id} is negative")
-        rate = self.processing_rate
-        if type(rate) is not float:
-            check_float(rate, f"node {self.node_id}: processing_rate", TopologyError)
-        if not 0 < rate <= _FLOAT_MAX:
-            need = "be finite" if rate > 0 else "be > 0"
-            raise TopologyError(f"node {self.node_id}: processing_rate must {need}, got {rate}")
 
+class NodeState(_NodeFields):
+    """One network node, immutable. Its incoming traffic is not stored: it
+    is the sum of its inbound links' used bandwidth. The processing rate is
+    a Python int or float (see check_float), finite and > 0.
 
-@dataclass
-class LinkState:
-    """One directed link.
-
-    Its numbers are Python ints or floats (see check_float), as reports
-    write them, refused at construction unless finite, max_bandwidth > 0,
-    used_bandwidth >= 0 and reliability in [0, 1]. used_bandwidth may
-    exceed max_bandwidth: over-subscription is an observable (and
-    penalized) state. The rewards re-check loads per demand, and read and
-    re-check max_bandwidth and reliability the first time the graph is
-    scored under a set of weights (rewards.TermSet); they do not see one
-    reassigned after that.
+    A NamedTuple with a checking __new__, not a frozen dataclass, whose
+    field assignments made loading a 400-node topology about 35% slower.
+    _make, and so _replace, builds through the checks too.
     """
 
+    __slots__ = ()
+
+    def __new__(cls, node_id, processing_rate):
+        check_int(node_id, "node id", TopologyError)
+        if node_id < 0:
+            raise TopologyError(f"node id {node_id} is negative")
+        if type(processing_rate) is not float:
+            check_float(processing_rate, f"node {node_id}: processing_rate", TopologyError)
+        if not 0 < processing_rate <= _FLOAT_MAX:
+            need = "be finite" if processing_rate > 0 else "be > 0"
+            raise TopologyError(
+                f"node {node_id}: processing_rate must {need}, got {processing_rate}"
+            )
+        return tuple.__new__(cls, (node_id, processing_rate))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class _LinkFields(NamedTuple):
     src: int
     dst: int
     max_bandwidth: float
-    used_bandwidth: float = 0.0
-    reliability: float = 1.0
+    used_bandwidth: float
+    reliability: float
 
-    def __post_init__(self) -> None:
+
+class LinkState(_LinkFields):
+    """One directed link, immutable: a NamedTuple with a checking __new__,
+    as NodeState is.
+
+    Its numbers are Python ints or floats (see check_float), as reports
+    write them, refused unless finite, max_bandwidth > 0, used_bandwidth
+    >= 0 and reliability in [0, 1]. used_bandwidth may exceed
+    max_bandwidth: over-subscription is an observable (and penalized)
+    state. Only the load changes as traffic is placed, and place_traffic
+    does that by building a new link in this one's place.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src, dst, max_bandwidth, used_bandwidth=0.0, reliability=1.0):
         # Tested inline first: a topology builds one LinkState per link.
-        if type(self.src) is not int or type(self.dst) is not int:
-            check_int(self.src, "link src", TopologyError)
-            check_int(self.dst, "link dst", TopologyError)
-        if self.src == self.dst:
-            raise TopologyError(f"link ({self.src},{self.dst}): self loops are not allowed")
+        if type(src) is not int or type(dst) is not int:
+            check_int(src, "link src", TopologyError)
+            check_int(dst, "link dst", TopologyError)
+        if src == dst:
+            raise TopologyError(f"link ({src},{dst}): self loops are not allowed")
         # Tested inline first, as the ids are; the loaders pass floats.
-        if not (
-            type(self.max_bandwidth) is type(self.used_bandwidth) is type(self.reliability) is float
-        ):
-            link = f"link ({self.src},{self.dst})"
-            for name in ("max_bandwidth", "used_bandwidth", "reliability"):
-                check_float(getattr(self, name), f"{link}: {name}", TopologyError)
-        if not 0 < self.max_bandwidth <= _FLOAT_MAX:
-            need = "be finite" if self.max_bandwidth > 0 else "be > 0"
+        if not type(max_bandwidth) is type(used_bandwidth) is type(reliability) is float:
+            link = f"link ({src},{dst})"
+            check_float(max_bandwidth, f"{link}: max_bandwidth", TopologyError)
+            check_float(used_bandwidth, f"{link}: used_bandwidth", TopologyError)
+            check_float(reliability, f"{link}: reliability", TopologyError)
+        if not 0 < max_bandwidth <= _FLOAT_MAX:
+            need = "be finite" if max_bandwidth > 0 else "be > 0"
             raise TopologyError(
-                f"link ({self.src},{self.dst}): max_bandwidth must {need}, got {self.max_bandwidth}"
+                f"link ({src},{dst}): max_bandwidth must {need}, got {max_bandwidth}"
             )
-        if not 0 <= self.used_bandwidth <= _FLOAT_MAX:
-            used = self.used_bandwidth
-            need = f"be finite, got {used}" if used > 0 else "be >= 0"
-            raise TopologyError(f"link ({self.src},{self.dst}): used_bandwidth must {need}")
-        if not 0.0 <= self.reliability <= 1.0:
-            raise TopologyError(
-                f"link ({self.src},{self.dst}): reliability {self.reliability} "
-                f"outside [0, 1]"
-            )
+        if not 0 <= used_bandwidth <= _FLOAT_MAX:
+            need = f"be finite, got {used_bandwidth}" if used_bandwidth > 0 else "be >= 0"
+            raise TopologyError(f"link ({src},{dst}): used_bandwidth must {need}")
+        if not 0.0 <= reliability <= 1.0:
+            raise TopologyError(f"link ({src},{dst}): reliability {reliability} outside [0, 1]")
+        return tuple.__new__(cls, (src, dst, max_bandwidth, used_bandwidth, reliability))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def utilization(self) -> float:
-        """used / max bandwidth; ValueError naming the link unless max > 0."""
-        capacity = self.max_bandwidth
-        if capacity > 0.0:  # float against float, which CPython compares fastest
-            return self.used_bandwidth / capacity
-        raise ValueError(f"link ({self.src},{self.dst}): max_bandwidth must be > 0, got {capacity}")
+        """used / max bandwidth."""
+        return self.used_bandwidth / self.max_bandwidth
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,8 @@ class LinkIndex:
     targets: list[int]
     sources: list[int] = field(compare=False)
     ids: dict[tuple[int, int], int] = field(compare=False)
-    # The graph's LinkState objects by id; their loads are read, not copied.
+    # The graph's links by id. place_traffic replaces links in this list
+    # itself, so readers of the index see every load placed.
     links: list[LinkState] = field(compare=False)
 
 
@@ -228,8 +235,16 @@ class NetworkGraph:
     def node(self, node_id: int) -> NodeState:
         return self._nodes[node_id]
 
-    def has_node(self, node_id: int) -> bool:
-        return 0 <= node_id < len(self._nodes)
+    def check_endpoints(self, demand: TrafficDemand, index: int | None = None) -> None:
+        """ValueError naming the first of demand's endpoints that is not a
+        node of the graph. The message names the demand as "demand 0->99"
+        or, given its 1-based position in a sequence, "demand 2 (0->99)"."""
+        for node in (demand.src, demand.dst):
+            if not 0 <= node < len(self._nodes):
+                name = f"{demand.src}->{demand.dst}"
+                if index is not None:
+                    name = f"{index} ({name})"
+                raise ValueError(f"demand {name} references unknown node {node}")
 
     def has_link(self, src: int, dst: int) -> bool:
         return (src, dst) in self._index.ids
@@ -263,8 +278,8 @@ class NetworkGraph:
         Only for what depends on nothing but args and the fixed part of the
         graph: its link set, link capacities and reliabilities and node
         processing rates, none of which change after construction. Loads do
-        change (place_traffic writes them), so nothing derived from a load
-        may be cached here.
+        change (place_traffic replaces links), so nothing derived from a
+        load may be cached here. Copies of a graph share its store.
         """
         key = (build, *args)
         try:
@@ -278,18 +293,14 @@ class NetworkGraph:
         return iter(self._index.links)
 
     def copy(self) -> "NetworkGraph":
-        """A graph with the same nodes and links at their current values,
-        each rebuilt through its checked constructor, so one holding an
-        invalid value is refused. The link set never changes, so the copy
-        shares this graph's numbering (out, targets, sources and ids)."""
+        """A graph with the same nodes and links. Both are immutable and the
+        link set never changes, so the copy shares this graph's nodes,
+        LinkState objects, numbering and cached store; only the links list,
+        where place_traffic replaces links, is its own."""
         clone = NetworkGraph.__new__(NetworkGraph)
-        clone._nodes = [NodeState(n.node_id, n.processing_rate) for n in self._nodes]
-        links = [
-            LinkState(l.src, l.dst, l.max_bandwidth, l.used_bandwidth, l.reliability)
-            for l in self._index.links
-        ]
-        clone._index = replace(self._index, links=links)
-        clone._cache = {}
+        clone._nodes = self._nodes
+        clone._index = replace(self._index, links=self._index.links.copy())
+        clone._cache = self._cache
         return clone
 
     def max_link_utilization(self) -> float:
@@ -320,7 +331,7 @@ def build_graph(
     Finite loads can still overflow: TopologyError when a node's incoming
     traffic (its inbound links' used bandwidth summed) / processing rate or
     a link's used / max is not finite, or when a link's global reward at
-    these loads is not. The given nodes and links are not written to.
+    these loads is not.
     """
     if isinstance(nodes, int):
         node_list = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(nodes)]
@@ -374,11 +385,12 @@ def check_path(graph: NetworkGraph, path: RoutePath) -> tuple[int, ...]:
 
 
 def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -> NetworkGraph:
-    """Place demand.traffic along path: every path link's used_bandwidth
-    grows by the demand's rate, and nothing else changes. The path must be
-    valid in graph, must have reached its destination, and must connect the
-    demand's endpoints.
-    """
+    """Place demand.traffic along path, which must be valid in graph, must
+    have reached its destination and must connect the demand's endpoints:
+    each path link is replaced, in the graph's links list, by one whose
+    used_bandwidth is greater by the demand's rate. Every new link is built
+    through the checks before any is placed, so a load that overflows is
+    refused, naming its link, with the path's loads unchanged."""
     link_ids = check_path(graph, path)
     if not path.reached_destination:
         raise ValueError("refusing to place traffic on a path that did not reach its destination")
@@ -387,9 +399,10 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
             f"path {list(path.nodes)} does not connect demand "
             f"{demand.src}->{demand.dst}"
         )
-    links = graph.link_index().links
-    for k in link_ids:
-        links[k].used_bandwidth += demand.traffic
+    links, traffic = graph.link_index().links, demand.traffic
+    placed = [links[k]._replace(used_bandwidth=links[k].used_bandwidth + traffic) for k in link_ids]
+    for k, link in zip(link_ids, placed):
+        links[k] = link
     return graph
 
 

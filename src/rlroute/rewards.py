@@ -31,9 +31,9 @@ rewards only index lists by link id. What no load enters is evaluated once
 per graph and set of weights (TermSet).
 
 Every number is checked where it enters, by the NodeState, LinkState and
-TrafficDemand constructors. What a built graph can have reassigned is
-checked again here: capacities, reliabilities and processing rates when its
-TermSet is built, and loads by link_scores on every demand.
+TrafficDemand constructors, and a built node or link is immutable, so
+nothing is checked again here. Only sums can still overflow; link_scores
+refuses a non-finite one, naming its link.
 """
 
 from __future__ import annotations
@@ -121,12 +121,6 @@ class EpisodeRewards:
         return len(self.links)
 
 
-def _check(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise ValueError(message) with the first of values where ok fails."""
-    if np.count_nonzero(ok) != ok.size:
-        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
-
-
 # The term functions below are the formulas alone; their inputs are checked
 # where they enter, as the module docstring says. All but reward_hop and
 # reward_transmission also take numpy arrays: elementwise + - * / round
@@ -175,10 +169,9 @@ class TermSet:
     the first and the last hop, which link_scores extends to bound the local
     rewards.
 
-    Capacities, reliabilities and processing rates are fixed after
-    construction (only place_traffic writes to a graph, and it writes
-    loads), so they are read, and checked again, here, once; one reassigned
-    on a built graph after its first scoring is not seen.
+    Capacities, reliabilities and processing rates are fixed at
+    construction, and copies of a graph share its cached store, so a study
+    builds one TermSet per set of weights for all of its copies.
     """
 
     targets: np.ndarray
@@ -197,9 +190,6 @@ def _term_set(graph: NetworkGraph, weights: QoSWeights) -> TermSet:
     max_bandwidth = np.array([l.max_bandwidth for l in index.links])
     rates = [n.processing_rate for n in graph.nodes]
     rate = np.array(rates)
-    _check((0.0 <= reliability) & (reliability <= 1.0), reliability, "reliability outside [0, 1]")
-    _check(max_bandwidth > 0, max_bandwidth, "link max bandwidth must be > 0")
-    _check(rate > 0, rate, "receiver processing rate must be > 0")
     transmission = np.array([reward_transmission(r / MBPS) for r in rates])
     # hop[i] is the reward of hop i + 1; a simple path has at most
     # num_nodes - 1 hops.
@@ -249,18 +239,17 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
 
     Local terms use weights and the demand's traffic; the global reward uses
     the framework default weights and the current forms. Only the loads are
-    read per call, and refused unless every one is >= 0; the rest comes from
-    the graph's TermSet for these weights, built and checked on the first
-    call with them. Raises ValueError naming the first link whose local or
-    global reward sums to a non-finite value. One test of the total of all
-    sums clears the usual case; only a total that is not finite (a NaN, an
-    inf, or finite sums that overflow) runs the exact per-link test.
+    read per call; the rest comes from the TermSet for these weights that
+    the graph shares with its copies, built on the first call with them.
+    Raises ValueError naming the first link whose local or global reward
+    sums to a non-finite value. One test of the total of all sums clears
+    the usual case; only a total that is not finite (a NaN, an inf, or
+    finite sums that overflow) runs the exact per-link test.
     """
     terms = graph.cached(_term_set, weights)
     index = graph.link_index()
     targets = terms.targets
     used = np.array([l.used_bandwidth for l in index.links])
-    _check(used >= 0, used, "link used bandwidth must be >= 0")
     # Each node's inbound loads, summed in link-id order.
     incoming = np.bincount(targets, weights=used, minlength=graph.num_nodes)
     w, g = weights, DEFAULT_WEIGHTS

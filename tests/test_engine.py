@@ -539,10 +539,12 @@ class TestFindRoute:
         with pytest.raises(UnroutableDemandError):
             find_route(TrafficDemand(0, 1, 1e5), graph, QTable.for_graph(graph))
 
-    def test_unknown_endpoint_raises(self):
+    @pytest.mark.parametrize("src, dst, node", [(0, 9, 9), (-1, 4, -1)])
+    def test_unknown_endpoint_raises_naming_it(self, src, dst, node):
         graph = load_builtin("t1")
-        with pytest.raises(ValueError):
-            find_route(TrafficDemand(0, 9, 1e5), graph, QTable.for_graph(graph))
+        message = rf"^demand {src}->{dst} references unknown node {node}$"
+        with pytest.raises(ValueError, match=message):
+            find_route(TrafficDemand(src, dst, 1e5), graph, QTable.for_graph(graph))
 
     def test_global_table_learns_as_side_effect(self):
         graph = load_builtin("t1")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlroute import dataplane, engine, harness
+from rlroute import dataplane, engine, harness, rewards
 from rlroute.cli import main
 from rlroute.dataplane import LossModel
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
@@ -89,6 +89,15 @@ class TestExperimentConfig:
         # fail deep inside a study with an error naming no field.
         with pytest.raises(ValueError, match=rf"^{message}"):
             t3_config(**{field: value})
+
+    def test_demands_are_kept_as_a_tuple(self):
+        # A dict appended to the caller's list afterwards is not a demand
+        # of the config, which its checks never saw.
+        demands = [TrafficDemand(0, 2, 1e5)]
+        config = t3_config(demands=demands)
+        demands.append({"src": 0, "dst": 1, "traffic": 1e5})
+        assert config.demands == (TrafficDemand(0, 2, 1e5),)
+        assert [outcome.routed for outcome in run_sequence(config).outcomes] == [True]
 
     @pytest.mark.parametrize(
         "seed", [None, True, 1.0, np.int64(1)], ids=["None", "bool", "float", "int64"]
@@ -322,6 +331,25 @@ class TestGammaStudy:
         assert len({id(graph) for graph in graphs}) == 5
         for report in study.group_reports():
             assert report.to_dict() == run_sequence(report.config).to_dict()
+
+    def test_groups_share_one_term_set(self, monkeypatch):
+        # Every group's graph is a copy of one load, and copies share what
+        # the graph caches, so the load-free reward terms are built once.
+        built, term_set = [], rewards._term_set
+
+        def counted(graph, weights):
+            built.append(weights)
+            return term_set(graph, weights)
+
+        monkeypatch.setattr(rewards, "_term_set", counted)
+        config = ExperimentConfig(
+            topology="t8",
+            demands=builtin_demands("t8"),
+            weights=make_weights(0, 0, 0, 1, 1),
+            hyper=Hyperparameters(episodes=1),
+        )
+        run_gamma_study(config, [0.3, 0.5, 0.7, 0.9])
+        assert built == [config.weights]
 
     def test_lossy_study_writes_what_scoring_every_episode_writes(self, monkeypatch, tmp_path):
         # Under loss every episode executes; one whose result equals the

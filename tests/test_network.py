@@ -27,7 +27,7 @@ from rlroute.network import (
     load_topology,
     place_traffic,
 )
-from rlroute.rewards import link_scores, make_weights, reward_intensity
+from rlroute.rewards import DEFAULT_WEIGHTS, _term_set, link_scores, make_weights, reward_intensity
 from rlroute.topologies import (
     BUILTIN_DEMAND_SETS,
     BUILTIN_TOPOLOGIES,
@@ -124,6 +124,28 @@ class TestValidation:
     def test_link_rejects_reliability_outside_unit_interval(self):
         with pytest.raises(TopologyError):
             LinkState(0, 1, 1e6, 0.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "state, field",
+        [(NodeState(0, 1e6), name) for name in ("node_id", "processing_rate")]
+        + [
+            (LinkState(0, 1, 1e6), name)
+            for name in ("src", "dst", "max_bandwidth", "used_bandwidth", "reliability")
+        ],
+        ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+    )
+    def test_a_built_node_or_link_cannot_be_reassigned(self, state, field):
+        # The rewards read each value once per graph, not again per demand.
+        with pytest.raises(AttributeError):
+            setattr(state, field, getattr(state, field))
+
+    def test_replace_builds_through_the_checks(self):
+        link = LinkState(0, 1, 1e6)
+        assert link._replace(used_bandwidth=2e6) == LinkState(0, 1, 1e6, 2e6)
+        with pytest.raises(TopologyError, match=r"^link \(0,1\): used_bandwidth must be >= 0$"):
+            link._replace(used_bandwidth=-1.0)
+        with pytest.raises(TopologyError, match=r"^node 0: processing_rate must be > 0, got 0\.0$"):
+            NodeState(0, 1e6)._replace(processing_rate=0.0)
 
     def test_link_allows_oversubscription(self):
         # Used above max is a observable state, not a construction error.
@@ -278,36 +300,33 @@ class TestBuildGraph:
         ]
 
     def test_copy_is_independent(self):
+        # Traffic placed on either graph does not reach the other.
         graph = t1()
         clone = graph.copy()
-        link_of(clone, 0, 1).used_bandwidth = 5e6
-        clone.node(1).processing_rate = 5e6
+        place_traffic(clone, RoutePath((0, 1), True), TrafficDemand(0, 1, 5e6))
+        place_traffic(graph, RoutePath((1, 2), True), TrafficDemand(1, 2, 1e6))
+        assert link_of(clone, 0, 1).used_bandwidth == 5e6
+        assert link_of(clone, 1, 2).used_bandwidth == 0.0
         assert link_of(graph, 0, 1).used_bandwidth == 0.0
-        assert graph.node(1).processing_rate == DEFAULT_PROCESSING_RATE
+        assert link_of(graph, 1, 2).used_bandwidth == 1e6
         assert clone != graph
 
-    def test_copy_shares_the_numbering_and_rebuilds_nodes_and_links(self):
+    def test_copy_shares_nodes_links_numbering_and_cached_store(self):
+        # Nodes and links are immutable, so a copy shares them; only its
+        # links list, where placement replaces links, is its own.
         graph = t1()
-        link_of(graph, 0, 1).used_bandwidth = 2e6
+        place_traffic(graph, RoutePath((0, 1), True), TrafficDemand(0, 1, 2e6))
         clone = graph.copy()
         index, copied = graph.link_index(), clone.link_index()
         for name in ("out", "targets", "sources", "ids"):
             assert getattr(copied, name) is getattr(index, name)
         assert clone == graph
-        assert all(a is not b for a, b in zip(copied.links, index.links))
-        assert all(a is not b for a, b in zip(clone.nodes, graph.nodes))
-        assert clone.nodes is not graph.nodes and copied.links is not index.links
-
-    def test_copy_refuses_an_invalid_value(self):
-        # A copy builds every node and link through its checked constructor.
-        graph = t1()
-        link_of(graph, 2, 3).used_bandwidth = -1.0
-        with pytest.raises(TopologyError, match=r"link \(2,3\): used_bandwidth must be >= 0"):
-            graph.copy()
-        link_of(graph, 2, 3).used_bandwidth = 0.0
-        graph.node(4).processing_rate = True
-        with pytest.raises(TopologyError, match="node 4: processing_rate must be an int or float"):
-            graph.copy()
+        assert clone.nodes is graph.nodes
+        assert all(a is b for a, b in zip(copied.links, index.links))
+        assert copied.links is not index.links
+        terms = clone.cached(_term_set, DEFAULT_WEIGHTS)
+        assert graph.cached(_term_set, DEFAULT_WEIGHTS) is terms
+        assert clone.copy().cached(_term_set, DEFAULT_WEIGHTS) is terms
 
     def test_max_link_utilization(self):
         graph = build_graph(3, [(0, 1, 1e7, 2e6), (1, 2, 1e7, 9e6)])
@@ -330,7 +349,7 @@ class TestBuildGraph:
         assert graph.link_index() is index
         # A copy numbers the same links; loads do not enter the comparison.
         clone = graph.copy()
-        link_of(clone, 0, 1).used_bandwidth = 5e5
+        place_traffic(clone, RoutePath((0, 1), True), TrafficDemand(0, 1, 5e5))
         assert clone.link_index() == index
         assert clone.link_index() is not index
         assert build_graph(3, [(0, 1, 1e6)]).link_index() != index
@@ -371,6 +390,17 @@ class TestPaths:
         for node_id in (1, 2, 3, 4):
             assert incoming_traffic(graph, node_id) == 0.5e6
         assert incoming_traffic(graph, 0) == 0.0
+
+    def test_place_traffic_refuses_an_overflowing_load_and_changes_no_load(self):
+        # Every new link of the path is built, and checked, before any is
+        # placed: the first link's new load is not placed either.
+        graph = build_graph(3, [(0, 1, 1e7), (1, 2, 1e7, 1.7e308)])
+        before = list(graph.iter_links())
+        message = r"^link \(1,2\): used_bandwidth must be finite, got inf$"
+        with pytest.raises(TopologyError, match=message):
+            place_traffic(graph, RoutePath((0, 1, 2), True), TrafficDemand(0, 2, 1e308))
+        assert all(a is b for a, b in zip(graph.iter_links(), before))
+        assert [l.used_bandwidth for l in graph.iter_links()] == [0.0, 1.7e308]
 
     def test_place_traffic_rejects_unreached_path(self):
         with pytest.raises(ValueError, match="did not reach"):

@@ -5,7 +5,6 @@ compared against the implementation; tolerances cover only IEEE rounding.
 """
 
 import math
-import re
 import sys
 import warnings
 
@@ -28,7 +27,7 @@ from rlroute.rewards import (
     reward_utilization,
 )
 from rlroute.topologies import load_builtin
-from reference import link_of, records_of
+from reference import records_of
 from scenarios import chain_rewards, pair_document
 
 
@@ -210,36 +209,6 @@ class TestRecordValidation:
     def test_hop_index_must_be_positive(self):
         with pytest.raises(ValueError):
             reward_hop(0)
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("reliability", 1.2, "reliability outside [0, 1], got 1.2"),
-            ("max_bandwidth", 0.0, "link max bandwidth must be > 0, got 0.0"),
-            ("processing_rate", 0.0, "receiver processing rate must be > 0, got 0.0"),
-            ("used_bandwidth", -1.0, "link used bandwidth must be >= 0, got -1.0"),
-        ],
-        ids=["reliability", "capacity", "rate", "load"],
-    )
-    def test_a_bad_input_is_refused_naming_its_value(self, field, value, message):
-        # A value reassigned on a built graph, past its construction checks,
-        # is refused by the scores: before any episode, and before a zero
-        # capacity or rate is divided by.
-        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
-        state = graph.node(2) if field == "processing_rate" else link_of(graph, 1, 2)
-        setattr(state, field, value)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 2, 1e5))
-
-    def test_a_load_set_negative_after_the_first_scoring_is_refused(self):
-        # The graph keeps its load-free terms after the first demand; its
-        # loads are read and checked again on every demand.
-        graph = build_graph(3, [(0, 1, 10e6), (1, 2, 10e6)])
-        demand = TrafficDemand(0, 2, 1e5)
-        link_scores(graph, DEFAULT_WEIGHTS, demand)
-        link_of(graph, 0, 1).used_bandwidth = -1.0
-        with pytest.raises(ValueError, match=r"^link used bandwidth must be >= 0, got -1\.0$"):
-            link_scores(graph, DEFAULT_WEIGHTS, demand)
 
 
 class TestRewardSums:
