@@ -8,7 +8,7 @@ sort_keys=True) and csv.writer write, byte for byte: with awkward numbers
 non-ASCII topology paths, no demands and demands that ran no episode. A
 cell json cannot write as a number (NaN, an infinity, a bool, another type)
 is refused by every writer, naming the link or demand, before any file is
-written.
+written; a capacity that is not > 0 is refused by the link itself.
 """
 
 import json
@@ -17,6 +17,7 @@ import re
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,14 @@ from rlroute.harness import (
     run_gamma_study,
     run_sequence,
 )
-from rlroute.network import LinkState, NodeState, RoutePath, TrafficDemand, build_graph
+from rlroute.network import (
+    LinkState,
+    NodeState,
+    RoutePath,
+    TopologyError,
+    TrafficDemand,
+    build_graph,
+)
 from reference import (
     convergence_rows,
     csv_text,
@@ -256,6 +264,25 @@ def assert_refused(kind, spoil, message, tmp_path):
     assert not (tmp_path / "after").exists()
 
 
+NOT_JSON_NUMBERS = [
+    math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"), True, False,
+    np.int64(3), Fraction(1, 3),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("load", NOT_JSON_NUMBERS, ids=repr)
+def test_a_load_json_cannot_write_is_refused(kind, load, tmp_path):
+    def spoil(graph, report):
+        link = graph.link_index().links[0]
+        with pytest.raises(TopologyError, match=re.escape("link (0,1): used_bandwidth must be")):
+            link._replace(used_bandwidth=load)
+        # A record built past those checks is still refused by the writer.
+        graph.link_index().links[0] = tuple.__new__(LinkState, (0, 1, link.max_bandwidth, load, 1.0))
+
+    assert_refused(kind, spoil, "link (0,1): used_bandwidth_bps must be", tmp_path)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("length", [math.nan, math.inf, True, None, "2", np.int64(2)], ids=repr)
 def test_a_temp_path_length_json_cannot_write_is_refused(kind, length, tmp_path):
@@ -265,6 +292,34 @@ def test_a_temp_path_length_json_cannot_write_is_refused(kind, length, tmp_path)
         report.outcomes[1] = replace(outcome, temp_path_lengths=lengths)
 
     assert_refused(kind, spoil, "demand 2: temp_path_lengths[1] must be", tmp_path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "capacity, message",
+    [
+        (0, "max_bandwidth must be > 0, got 0"),
+        (0.0, "max_bandwidth must be > 0, got 0.0"),
+        (-0.0, "max_bandwidth must be > 0, got -0.0"),
+        (-1e6, "max_bandwidth must be > 0, got -1000000.0"),
+        (np.float64(0.0), "max_bandwidth must be > 0, got 0.0"),
+        # Refused as not > 0 or as not finite, whichever is read first.
+        (math.nan, "max_bandwidth"),
+    ],
+)
+def test_a_capacity_not_above_zero_is_refused(kind, capacity, message, tmp_path):
+    # A built link cannot take such a capacity, so the refusal is the link's
+    # own, and the study's graph and every file written stay as they were.
+    study, emit, graph, report = written_study(kind)
+    emit(study, tmp_path / "before")
+    with pytest.raises(TopologyError, match=re.escape(f"link (0,1): {message}")):
+        graph.link_index().links[0]._replace(max_bandwidth=capacity)
+    emit(study, tmp_path / "after")
+    before = sorted(p.relative_to(tmp_path / "before") for p in (tmp_path / "before").rglob("*"))
+    assert before == sorted(p.relative_to(tmp_path / "after") for p in (tmp_path / "after").rglob("*"))
+    for name in before:
+        if (tmp_path / "before" / name).is_file():
+            assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
