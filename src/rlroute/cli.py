@@ -204,8 +204,7 @@ def _cmd_validate_topology(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"invalid topology: {exc}", file=sys.stderr)
         return 1
-    links = list(graph.iter_links())
-    print(f"topology ok: {graph.num_nodes} nodes, {len(links)} links")
+    print(f"topology ok: {graph.num_nodes} nodes, {len(graph.link_index().targets)} links")
     print(f"max link utilization: {graph.max_link_utilization():.4f}")
     return 0
 

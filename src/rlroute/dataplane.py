@@ -61,8 +61,8 @@ def execute_path(
     drops the packet; the losing hop is kept as the last record and the
     result is flagged lost."""
     if loss is not None:
-        states = graph.link_index().links
+        reliability = graph.link_index().reliability
         for hop, k in enumerate(links, start=1):
-            if loss.packet_lost(states[k].reliability):
+            if loss.packet_lost(reliability[k]):
                 return ExecutionResult(links[:hop], True)
     return tuple.__new__(ExecutionResult, (links, False))

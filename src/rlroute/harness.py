@@ -23,7 +23,7 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import count
-from operator import attrgetter, itemgetter
+from operator import itemgetter, truediv
 from pathlib import Path
 from typing import Optional
 
@@ -99,18 +99,25 @@ class ExperimentConfig:
 # json's pure-Python indenting encoder.
 
 # The per-link columns of every report, the JSON "links" blocks and the
-# links CSVs, and the LinkState attributes they hold. Topology files have
-# their own schema (see network.graph_from_dict).
+# links CSVs. Topology files have their own schema (see
+# network.graph_from_dict).
 _LINK_COLUMNS = ("src", "dst", "max_bandwidth_bps", "used_bandwidth_bps", "utilization")
-_LINK_FIELDS = ("src", "dst", "max_bandwidth", "used_bandwidth", "utilization")
+
+
+def _link_columns(graph: NetworkGraph) -> tuple[list, ...]:
+    """graph's links as the lists of _LINK_COLUMNS, indexed by link id, read
+    from the graph's columns. Utilization is used / max, computed as
+    LinkState.utilization computes it."""
+    index, loads = graph.link_index(), graph.loads
+    utilization = list(map(truediv, loads, index.max_bandwidth))
+    return index.sources, index.targets, index.max_bandwidth, loads, utilization
 
 
 class _PlainLeaves:
     """A payload's large leaves as plain data."""
 
     def links(self, graph: NetworkGraph) -> list[dict]:
-        rows = map(attrgetter(*_LINK_FIELDS), graph.iter_links())
-        return [dict(zip(_LINK_COLUMNS, row)) for row in rows]
+        return [dict(zip(_LINK_COLUMNS, row)) for row in zip(*_link_columns(graph))]
 
     def lengths(self, outcome: DemandOutcome) -> list:
         return list(outcome.temp_path_lengths)
@@ -473,19 +480,18 @@ class _Leaves:
 
     def link_table(self, graph: NetworkGraph) -> tuple[list[tuple[str, ...]], list[str]]:
         """graph's links as (each row's cell texts, its CSV lines), read a
-        column at a time: each container made per link is more work for the
-        garbage collector. A refusal names the link and column."""
+        column at a time from the graph's own columns: each container made
+        per link is more work for the garbage collector. A refusal names the
+        link and column."""
         try:
             return self._tables[id(graph)]
         except KeyError:
             pass
-        links = list(graph.iter_links())
+        index = graph.link_index()
+        sources, targets = index.sources, index.targets
         columns = [
-            _texts(
-                list(map(attrgetter(field), links)),
-                lambda i, column=column: f"link ({links[i].src},{links[i].dst}): {column}",
-            )
-            for field, column in zip(_LINK_FIELDS, _LINK_COLUMNS)
+            _texts(values, lambda i, column=column: f"link ({sources[i]},{targets[i]}): {column}")
+            for values, column in zip(_link_columns(graph), _LINK_COLUMNS)
         ]
         texts = list(zip(*columns))
         table = self._tables[id(graph)] = texts, [",".join(row) + "\r\n" for row in texts]

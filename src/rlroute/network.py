@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
+from operator import truediv
 from pathlib import Path
 from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
@@ -82,43 +84,57 @@ class _LinkFields(NamedTuple):
     reliability: float
 
 
-class LinkState(_LinkFields):
-    """One directed link, immutable: a NamedTuple with a checking __new__,
-    as NodeState is.
+def _check_link(src, dst, max_bandwidth, used_bandwidth, reliability) -> None:
+    """TopologyError naming the link unless src and dst are distinct Python
+    ints and its numbers are Python ints or floats (see check_float), finite,
+    with max_bandwidth > 0, used_bandwidth >= 0 and reliability in [0, 1].
+    The one statement of a link's construction checks: LinkState, build_graph
+    and the topology loader call it."""
+    # Tested inline first: a topology checks every link.
+    if type(src) is not int or type(dst) is not int:
+        check_int(src, "link src", TopologyError)
+        check_int(dst, "link dst", TopologyError)
+    if src == dst:
+        raise TopologyError(f"link ({src},{dst}): self loops are not allowed")
+    # Tested inline first, as the ids are; the loaders pass floats.
+    if not type(max_bandwidth) is type(used_bandwidth) is type(reliability) is float:
+        link = f"link ({src},{dst})"
+        check_float(max_bandwidth, f"{link}: max_bandwidth", TopologyError)
+        check_float(used_bandwidth, f"{link}: used_bandwidth", TopologyError)
+        check_float(reliability, f"{link}: reliability", TopologyError)
+    if not 0 < max_bandwidth <= _FLOAT_MAX:
+        need = "be finite" if max_bandwidth > 0 else "be > 0"
+        raise TopologyError(
+            f"link ({src},{dst}): max_bandwidth must {need}, got {max_bandwidth}"
+        )
+    _check_load(src, dst, used_bandwidth)
+    if not 0.0 <= reliability <= 1.0:
+        raise TopologyError(f"link ({src},{dst}): reliability {reliability} outside [0, 1]")
 
-    Its numbers are Python ints or floats (see check_float), as reports
-    write them, refused unless finite, max_bandwidth > 0, used_bandwidth
-    >= 0 and reliability in [0, 1]. used_bandwidth may exceed
-    max_bandwidth: over-subscription is an observable (and penalized)
-    state. Only the load changes as traffic is placed, and place_traffic
-    does that by building a new link in this one's place.
+
+def _check_load(src: int, dst: int, used_bandwidth) -> None:
+    """TopologyError naming link (src, dst) unless used_bandwidth, a number,
+    is finite and >= 0: _check_link's load check, which place_traffic runs on
+    each new load."""
+    if not 0 <= used_bandwidth <= _FLOAT_MAX:
+        need = f"be finite, got {used_bandwidth}" if used_bandwidth > 0 else "be >= 0"
+        raise TopologyError(f"link ({src},{dst}): used_bandwidth must {need}")
+
+
+class LinkState(_LinkFields):
+    """One directed link's record, immutable: a NamedTuple with a checking
+    __new__, as NodeState is, whose checks are _check_link's.
+
+    A graph does not hold these: it keeps its links as columns (see
+    LinkIndex and NetworkGraph.loads), and iter_links builds one record per
+    link from them. used_bandwidth may exceed max_bandwidth:
+    over-subscription is an observable (and penalized) state.
     """
 
     __slots__ = ()
 
     def __new__(cls, src, dst, max_bandwidth, used_bandwidth=0.0, reliability=1.0):
-        # Tested inline first: a topology builds one LinkState per link.
-        if type(src) is not int or type(dst) is not int:
-            check_int(src, "link src", TopologyError)
-            check_int(dst, "link dst", TopologyError)
-        if src == dst:
-            raise TopologyError(f"link ({src},{dst}): self loops are not allowed")
-        # Tested inline first, as the ids are; the loaders pass floats.
-        if not type(max_bandwidth) is type(used_bandwidth) is type(reliability) is float:
-            link = f"link ({src},{dst})"
-            check_float(max_bandwidth, f"{link}: max_bandwidth", TopologyError)
-            check_float(used_bandwidth, f"{link}: used_bandwidth", TopologyError)
-            check_float(reliability, f"{link}: reliability", TopologyError)
-        if not 0 < max_bandwidth <= _FLOAT_MAX:
-            need = "be finite" if max_bandwidth > 0 else "be > 0"
-            raise TopologyError(
-                f"link ({src},{dst}): max_bandwidth must {need}, got {max_bandwidth}"
-            )
-        if not 0 <= used_bandwidth <= _FLOAT_MAX:
-            need = f"be finite, got {used_bandwidth}" if used_bandwidth > 0 else "be >= 0"
-            raise TopologyError(f"link ({src},{dst}): used_bandwidth must {need}")
-        if not 0.0 <= reliability <= 1.0:
-            raise TopologyError(f"link ({src},{dst}): reliability {reliability} outside [0, 1]")
+        _check_link(src, dst, max_bandwidth, used_bandwidth, reliability)
         return tuple.__new__(cls, (src, dst, max_bandwidth, used_bandwidth, reliability))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -127,6 +143,10 @@ class LinkState(_LinkFields):
     def utilization(self) -> float:
         """used / max bandwidth."""
         return self.used_bandwidth / self.max_bandwidth
+
+
+# A link's record from numbers already checked, past LinkState's checks.
+_link_record = partial(tuple.__new__, LinkState)
 
 
 @dataclass(frozen=True)
@@ -174,22 +194,25 @@ class RoutePath:
 
 @dataclass(frozen=True)
 class LinkIndex:
-    """Dense link ids.
+    """A graph's links, numbered, as id-indexed columns: everything about
+    them but their loads, which change as traffic is placed and which each
+    graph holds itself (NetworkGraph.loads). Built with the graph; nothing
+    writes to it after, so a graph shares it with all of its copies.
 
     Link k is the k-th link in (src, dst) order, the iter_links order, so
     out[u], the ids of the links leaving node u, ascend and so do their
     targets. The ids in out are the int objects of ids' values, so a path
-    that holds them holds no ints of its own. Two indexes are equal when
-    they number the same link set.
+    that holds them holds no ints of its own. max_bandwidth and reliability
+    hold each link's numbers as given, checked on entry (see LinkState).
+    Two indexes are equal when they number the same link set.
     """
 
     out: list[tuple[int, ...]]
     targets: list[int]
     sources: list[int] = field(compare=False)
     ids: dict[tuple[int, int], int] = field(compare=False)
-    # The graph's links by id. place_traffic replaces links in this list
-    # itself, so readers of the index see every load placed.
-    links: list[LinkState] = field(compare=False)
+    max_bandwidth: list[float] = field(compare=False)
+    reliability: list[float] = field(compare=False)
 
 
 class MissingLinkError(KeyError):
@@ -201,27 +224,19 @@ class MissingLinkError(KeyError):
 
 
 class NetworkGraph:
-    """Directed graph of NodeState / LinkState.
+    """Directed graph of NodeState and links.
 
     Node ids are dense 0..N-1. At most one link exists per ordered (src, dst)
-    pair. The links are held once, in the graph's LinkIndex, numbered at
-    construction. Construct through build_graph or load_topology.
+    pair. A link's fixed numbers are held once, in the LinkIndex the graph
+    shares with its copies; loads[k] is link k's used bandwidth, a Python
+    int or float as given, and the only state that changes: place_traffic
+    writes it. Construct through build_graph or load_topology.
     """
 
-    def __init__(self, nodes: list[NodeState], links: dict[tuple[int, int], LinkState]):
+    def __init__(self, nodes: list[NodeState], index: LinkIndex, loads: list[float]):
         self._nodes = nodes
-        keys = sorted(links)
-        ids = {key: k for k, key in enumerate(keys)}
-        out: list[list[int]] = [[] for _ in nodes]
-        for (src, _), k in ids.items():
-            out[src].append(k)
-        self._index = LinkIndex(
-            out=[tuple(ks) for ks in out],
-            targets=[dst for _, dst in keys],
-            sources=[src for src, _ in keys],
-            ids=ids,
-            links=[links[key] for key in keys],
-        )
+        self._index = index
+        self.loads = loads
         self._cache: dict = {}
 
     @property
@@ -231,9 +246,6 @@ class NetworkGraph:
     @property
     def nodes(self) -> list[NodeState]:
         return self._nodes
-
-    def node(self, node_id: int) -> NodeState:
-        return self._nodes[node_id]
 
     def check_endpoints(self, demand: TrafficDemand, index: int | None = None) -> None:
         """ValueError naming the first of demand's endpoints that is not a
@@ -264,8 +276,9 @@ class NetworkGraph:
         return [targets[k] for k in self._index.out[node_id]]
 
     def link_index(self) -> LinkIndex:
-        """The graph's links and their numbering, which Q-tables and reward
-        scores share. Built with the graph: its link set never changes."""
+        """The graph's links, their numbering and fixed numbers, which
+        Q-tables, reward scores and copies of the graph share. Built with
+        the graph: its link set never changes."""
         return self._index
 
     def cached(self, build: Callable[..., _T], *args: Hashable) -> _T:
@@ -276,10 +289,10 @@ class NetworkGraph:
         again.
 
         Only for what depends on nothing but args and the fixed part of the
-        graph: its link set, link capacities and reliabilities and node
-        processing rates, none of which change after construction. Loads do
-        change (place_traffic replaces links), so nothing derived from a
-        load may be cached here. Copies of a graph share its store.
+        graph: its nodes and its LinkIndex, none of which change after
+        construction. Loads do change (place_traffic writes them), so
+        nothing derived from a load may be cached here. Copies of a graph
+        share its store.
         """
         key = (build, *args)
         try:
@@ -289,30 +302,38 @@ class NetworkGraph:
             return value
 
     def iter_links(self) -> Iterator[LinkState]:
-        """All links in id order, which is (src, dst) order."""
-        return iter(self._index.links)
+        """All links in id order, which is (src, dst) order, each a LinkState
+        record built from the columns at the time it is yielded. Its numbers
+        were checked where they entered, so the records are not checked
+        again."""
+        index = self._index
+        rows = zip(index.sources, index.targets, index.max_bandwidth, self.loads, index.reliability)
+        return map(_link_record, rows)
 
     def copy(self) -> "NetworkGraph":
-        """A graph with the same nodes and links. Both are immutable and the
-        link set never changes, so the copy shares this graph's nodes,
-        LinkState objects, numbering and cached store; only the links list,
-        where place_traffic replaces links, is its own."""
-        clone = NetworkGraph.__new__(NetworkGraph)
-        clone._nodes = self._nodes
-        clone._index = replace(self._index, links=self._index.links.copy())
+        """A graph with the same nodes and links. Only loads change, so the
+        copy shares this graph's nodes, LinkIndex and cached store; its
+        loads list, which place_traffic writes, is its own."""
+        clone = NetworkGraph(self._nodes, self._index, self.loads.copy())
         clone._cache = self._cache
         return clone
 
     def max_link_utilization(self) -> float:
-        return max((l.utilization for l in self._index.links), default=0.0)
+        return max(map(truediv, self.loads, self._index.max_bandwidth), default=0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkGraph):
             return NotImplemented
-        return self._nodes == other._nodes and self._index.links == other._index.links
+        a, b = self._index, other._index
+        return (
+            self._nodes == other._nodes
+            and self.loads == other.loads
+            and (a.sources, a.targets, a.max_bandwidth, a.reliability)
+            == (b.sources, b.targets, b.max_bandwidth, b.reliability)
+        )
 
     def __repr__(self) -> str:
-        return f"NetworkGraph(nodes={len(self._nodes)}, links={len(self._index.links)})"
+        return f"NetworkGraph(nodes={len(self._nodes)}, links={len(self.loads)})"
 
 
 LinkSpec = Union[LinkState, tuple]
@@ -333,45 +354,65 @@ def build_graph(
     a link's used / max is not finite, or when a link's global reward at
     these loads is not.
     """
+    rows = [spec if isinstance(spec, LinkState) else LinkState(*spec) for spec in links]
+    return _graph(nodes, rows)
+
+
+def _graph(nodes: Union[int, Iterable[NodeState]], rows: list[tuple]) -> NetworkGraph:
+    """build_graph for links given as (src, dst, max_bw, used_bw,
+    reliability) rows that passed _check_link, as the topology loader gives
+    them: the checks on the node and link sets, and on sums of loads."""
     if isinstance(nodes, int):
-        node_list = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(nodes)]
+        nodes = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(nodes)]
     else:
-        node_list = sorted(list(nodes), key=lambda n: n.node_id)
-        ids = [n.node_id for n in node_list]
-        if ids != list(range(len(node_list))):
+        nodes = sorted(list(nodes), key=lambda n: n.node_id)
+        ids = [n.node_id for n in nodes]
+        if ids != list(range(len(nodes))):
             raise TopologyError(f"node ids must be dense 0..N-1, got {ids}")
-
-    link_map: dict[tuple[int, int], LinkState] = {}
-    for spec in links:
-        link = spec if isinstance(spec, LinkState) else LinkState(*spec)
-        key = (link.src, link.dst)
+    n = len(nodes)
+    by_key: dict[tuple[int, int], tuple] = {}
+    for row in rows:
+        key = row[:2]
         for end in key:
-            if not 0 <= end < len(node_list):
-                raise TopologyError(
-                    f"link ({link.src},{link.dst}): endpoint {end} is not a node id"
-                )
-        if key in link_map:
-            raise TopologyError(f"duplicate link ({link.src},{link.dst})")
-        link_map[key] = link
+            if not 0 <= end < n:
+                raise TopologyError(f"link ({row[0]},{row[1]}): endpoint {end} is not a node id")
+        if key in by_key:
+            raise TopologyError(f"duplicate link ({row[0]},{row[1]})")
+        by_key[key] = row
+    keys = sorted(by_key)
+    ids = {key: k for k, key in enumerate(keys)}
+    out: list[list[int]] = [[] for _ in nodes]
+    for (src, _), k in ids.items():
+        out[src].append(k)
+    columns = zip(*map(by_key.__getitem__, keys))
+    sources, targets, max_bandwidth, loads, reliability = (
+        [list(column) for column in columns] or [[] for _ in range(5)]
+    )
+    index = LinkIndex(
+        out=[tuple(ks) for ks in out],
+        targets=targets,
+        sources=sources,
+        ids=ids,
+        max_bandwidth=max_bandwidth,
+        reliability=reliability,
+    )
 
-    graph = NetworkGraph(node_list, link_map)
     # Summed in link-id order, as rewards.link_scores sums them.
-    incoming = [0.0] * len(node_list)
-    for link in graph.iter_links():
-        incoming[link.dst] += link.used_bandwidth
-    intensity = [total / node.processing_rate for total, node in zip(incoming, node_list)]
-    for node, total, ratio in zip(node_list, incoming, intensity):
+    incoming = [0.0] * n
+    for dst, used in zip(targets, loads):
+        incoming[dst] += used
+    intensity = [total / node.processing_rate for total, node in zip(incoming, nodes)]
+    for node, total, ratio in zip(nodes, incoming, intensity):
         if not isfinite(ratio):
             raise TopologyError(f"node {node.node_id}: incoming traffic {total} / rate overflows")
-    for link in graph.iter_links():
-        utilization = link.utilization
+    for src, dst, utilization in zip(sources, targets, map(truediv, loads, max_bandwidth)):
         if not isfinite(utilization):
-            raise TopologyError(f"link ({link.src},{link.dst}): used / max bandwidth overflows")
+            raise TopologyError(f"link ({src},{dst}): used / max bandwidth overflows")
         # The link's global reward adds 1 - intensity at its receiver and
         # 1 - utilization, so it is finite exactly when their sum is.
-        if not isfinite(intensity[link.dst] + utilization):
-            raise TopologyError(f"link ({link.src},{link.dst}): global reward overflows")
-    return graph
+        if not isfinite(intensity[dst] + utilization):
+            raise TopologyError(f"link ({src},{dst}): global reward overflows")
+    return NetworkGraph(nodes, index, loads)
 
 
 def check_path(graph: NetworkGraph, path: RoutePath) -> tuple[int, ...]:
@@ -387,10 +428,9 @@ def check_path(graph: NetworkGraph, path: RoutePath) -> tuple[int, ...]:
 def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -> NetworkGraph:
     """Place demand.traffic along path, which must be valid in graph, must
     have reached its destination and must connect the demand's endpoints:
-    each path link is replaced, in the graph's links list, by one whose
-    used_bandwidth is greater by the demand's rate. Every new link is built
-    through the checks before any is placed, so a load that overflows is
-    refused, naming its link, with the path's loads unchanged."""
+    each path link's entry in graph.loads grows by the demand's rate. Every
+    new load is computed and checked before any is written, so a load that
+    overflows is refused, naming its link, with the path's loads unchanged."""
     link_ids = check_path(graph, path)
     if not path.reached_destination:
         raise ValueError("refusing to place traffic on a path that did not reach its destination")
@@ -399,10 +439,12 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
             f"path {list(path.nodes)} does not connect demand "
             f"{demand.src}->{demand.dst}"
         )
-    links, traffic = graph.link_index().links, demand.traffic
-    placed = [links[k]._replace(used_bandwidth=links[k].used_bandwidth + traffic) for k in link_ids]
-    for k, link in zip(link_ids, placed):
-        links[k] = link
+    loads, traffic = graph.loads, demand.traffic
+    placed = [loads[k] + traffic for k in link_ids]
+    for src, dst, used in zip(path.nodes, path.nodes[1:], placed):
+        _check_load(src, dst, used)
+    for k, used in zip(link_ids, placed):
+        loads[k] = used
     return graph
 
 
@@ -450,7 +492,9 @@ def graph_from_dict(document: dict) -> NetworkGraph:
     well-formed entry, an object with int ids and float numbers all within
     +-_FLOAT_MAX, takes one inline test. Only an entry that fails it runs the
     per-field checkers, which name what it got wrong or convert its JSON
-    ints. NodeState, LinkState and build_graph check the rest."""
+    ints. NodeState, _check_link and build_graph's checks do the rest, and
+    the links go into the graph's columns as checked, with no LinkState
+    built."""
     if not isinstance(document, dict):
         raise TopologyError("topology document must be a JSON object")
     for section in ("nodes", "links"):
@@ -490,11 +534,12 @@ def graph_from_dict(document: dict) -> NetworkGraph:
             used = float(_want_number(entry, where, "used_bandwidth_bps", default=0.0))
             rel = float(_want_number(entry, where, "reliability", default=1.0))
         try:
-            links.append(LinkState(src, dst, max_bw, used, rel))
+            _check_link(src, dst, max_bw, used, rel)
         except TopologyError as exc:
             raise TopologyError(f"links[{i}]: {exc}") from None
+        links.append((src, dst, max_bw, used, rel))
 
-    return build_graph(nodes, links)
+    return _graph(nodes, links)
 
 
 def demands_from_list(document, source: str) -> list[TrafficDemand]:

@@ -30,10 +30,11 @@ evaluates those terms for all links once per demand, so an episode's
 rewards only index lists by link id. What no load enters is evaluated once
 per graph and set of weights (TermSet).
 
-Every number is checked where it enters, by the NodeState, LinkState and
-TrafficDemand constructors, and a built node or link is immutable, so
-nothing is checked again here. Only sums can still overflow; link_scores
-refuses a non-finite one, naming its link.
+Every number is checked where it enters: by the NodeState and TrafficDemand
+constructors and by the link checks LinkState and the topology loader share.
+After construction only a graph's loads change, through place_traffic,
+which checks each new load, so nothing is checked again here. Only sums can
+still overflow; link_scores refuses a non-finite one, naming its link.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ class TermSet:
 
 def _term_set(graph: NetworkGraph, weights: QoSWeights) -> TermSet:
     index = graph.link_index()
-    reliability = np.array([l.reliability for l in index.links])
-    max_bandwidth = np.array([l.max_bandwidth for l in index.links])
+    reliability = np.array(index.reliability)
+    max_bandwidth = np.array(index.max_bandwidth)
     rates = [n.processing_rate for n in graph.nodes]
     rate = np.array(rates)
     transmission = np.array([reward_transmission(r / MBPS) for r in rates])
@@ -249,7 +250,7 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
     terms = graph.cached(_term_set, weights)
     index = graph.link_index()
     targets = terms.targets
-    used = np.array([l.used_bandwidth for l in index.links])
+    used = np.array(graph.loads)
     # Each node's inbound loads, summed in link-id order.
     incoming = np.bincount(targets, weights=used, minlength=graph.num_nodes)
     w, g = weights, DEFAULT_WEIGHTS

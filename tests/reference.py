@@ -14,8 +14,9 @@ and EpisodeRewards; node_pairs and route_of give a path's node form;
 graph_to_dict writes the topology document graph_from_dict reads, and
 graph_from_dict and demands_from_list are the loaders' field-by-field form.
 find_route_every_episode is engine.find_route's loop without its settle
-rule: every episode of the budget runs. q_get, q_set and link_of read and write a table cell or a link by its node
-pair, which the learner never does: it works in link ids throughout.
+rule: every episode of the budget runs. q_get, q_set and link_of read and
+write a table cell or a link by its node pair, which the learner never does:
+it works in link ids throughout; node reads a node's record by its id.
 report_json and csv_text are the report files as json and csv.writer write
 them, from to_dict and from the rows each CSV holds (link_rows,
 length_rows, convergence_rows); the harness formats most of their cells
@@ -82,8 +83,15 @@ def q_set(table: QTable, state: int, action: int, value: float) -> None:
 
 
 def link_of(graph: NetworkGraph, src: int, dst: int) -> LinkState:
-    """The graph's own LinkState of (src, dst); a KeyError if there is none."""
-    return graph.link_index().links[graph.link_ids((src, dst))[0]]
+    """The LinkState record of the graph's link (src, dst), read from its
+    columns now; a KeyError if there is none."""
+    k = graph.link_ids((src, dst))[0]
+    return list(graph.iter_links())[k]
+
+
+def node(graph: NetworkGraph, node_id: int) -> NodeState:
+    """The graph's NodeState of node_id."""
+    return graph.nodes[node_id]
 
 
 def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
@@ -275,8 +283,8 @@ def incoming_traffic(graph: NetworkGraph, node_id: int) -> float:
 def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> HopQoSRecord:
     """Read one hop's QoS state without touching it."""
     link = link_of(graph, src, dst)
-    sender = graph.node(src)
-    receiver = graph.node(dst)
+    sender = node(graph, src)
+    receiver = node(graph, dst)
     return HopQoSRecord(
         hop_index=hop_index,
         src_id=src,

@@ -312,18 +312,20 @@ class TestBuildGraph:
         assert clone != graph
 
     def test_copy_shares_nodes_links_numbering_and_cached_store(self):
-        # Nodes and links are immutable, so a copy shares them; only its
-        # links list, where placement replaces links, is its own.
+        # Only loads change, so a copy shares the nodes and the link index,
+        # capacities and reliabilities included; only its loads list, which
+        # placement writes, is its own.
         graph = t1()
         place_traffic(graph, RoutePath((0, 1), True), TrafficDemand(0, 1, 2e6))
         clone = graph.copy()
-        index, copied = graph.link_index(), clone.link_index()
-        for name in ("out", "targets", "sources", "ids"):
-            assert getattr(copied, name) is getattr(index, name)
+        assert clone.link_index() is graph.link_index()
         assert clone == graph
         assert clone.nodes is graph.nodes
-        assert all(a is b for a, b in zip(copied.links, index.links))
-        assert copied.links is not index.links
+        assert clone.loads == graph.loads
+        assert clone.loads is not graph.loads
+        place_traffic(clone, RoutePath((1, 2), True), TrafficDemand(1, 2, 1e6))
+        assert clone.loads != graph.loads
+        assert clone.link_index() is graph.link_index()
         terms = clone.cached(_term_set, DEFAULT_WEIGHTS)
         assert graph.cached(_term_set, DEFAULT_WEIGHTS) is terms
         assert clone.copy().cached(_term_set, DEFAULT_WEIGHTS) is terms
@@ -341,17 +343,20 @@ class TestBuildGraph:
         graph = build_graph(4, [(2, 0, 1e6), (0, 3, 1e6), (0, 1, 1e6), (3, 2, 1e6)])
         index = graph.link_index()
         links = list(graph.iter_links())
-        assert list(zip(index.sources, index.targets)) == [(l.src, l.dst) for l in links]
-        assert all(a is b for a, b in zip(index.links, links))
+        columns = index.sources, index.targets, index.max_bandwidth, graph.loads, index.reliability
+        assert list(zip(*columns)) == links
         assert index.out == [(0, 1), (), (2,), (3,)]
         assert index.ids == {(0, 1): 0, (0, 3): 1, (2, 0): 2, (3, 2): 3}
         # Cached: links never change after construction.
         assert graph.link_index() is index
-        # A copy numbers the same links; loads do not enter the comparison.
+        # A copy shares the index; loads do not enter an index comparison.
         clone = graph.copy()
         place_traffic(clone, RoutePath((0, 1), True), TrafficDemand(0, 1, 5e5))
-        assert clone.link_index() == index
-        assert clone.link_index() is not index
+        assert clone.link_index() is index
+        reloaded = build_graph(4, links)
+        place_traffic(reloaded, RoutePath((0, 1), True), TrafficDemand(0, 1, 5e5))
+        assert reloaded.link_index() == index
+        assert reloaded.link_index() is not index
         assert build_graph(3, [(0, 1, 1e6)]).link_index() != index
 
 
@@ -392,14 +397,15 @@ class TestPaths:
         assert incoming_traffic(graph, 0) == 0.0
 
     def test_place_traffic_refuses_an_overflowing_load_and_changes_no_load(self):
-        # Every new link of the path is built, and checked, before any is
-        # placed: the first link's new load is not placed either.
+        # Every new load of the path is computed, and checked, before any
+        # is written: the first link's new load is not written either.
         graph = build_graph(3, [(0, 1, 1e7), (1, 2, 1e7, 1.7e308)])
-        before = list(graph.iter_links())
+        loads = graph.loads
         message = r"^link \(1,2\): used_bandwidth must be finite, got inf$"
         with pytest.raises(TopologyError, match=message):
             place_traffic(graph, RoutePath((0, 1, 2), True), TrafficDemand(0, 2, 1e308))
-        assert all(a is b for a, b in zip(graph.iter_links(), before))
+        assert graph.loads is loads
+        assert loads == [0.0, 1.7e308]
         assert [l.used_bandwidth for l in graph.iter_links()] == [0.0, 1.7e308]
 
     def test_place_traffic_rejects_unreached_path(self):

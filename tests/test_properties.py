@@ -35,6 +35,7 @@ from reference import (
     RewardRecord,
     graph_to_dict,
     incoming_traffic,
+    node,
     node_pairs,
     q_get,
     q_set,
@@ -251,7 +252,7 @@ class TestIncomingTraffic:
         scores = link_scores(graph, make_weights(0, 0, 0, 1, 0), demand)
         assert scores.intensity == [
             reward_intensity(
-                incoming_traffic(graph, dst), graph.node(dst).processing_rate, demand.traffic
+                incoming_traffic(graph, dst), node(graph, dst).processing_rate, demand.traffic
             )
             for dst in graph.link_index().targets
         ]
@@ -331,6 +332,26 @@ class TestSerialization:
         )
         restored = graph_from_dict(graph_to_dict(graph))
         assert restored == graph
+
+
+class TestLinkColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(placed_graphs(), st.data())
+    def test_iter_links_rebuilds_the_graph_before_and_after_placement(self, graph, data):
+        # iter_links yields every link's numbers from the graph's columns,
+        # so building a graph from them gives the graph back, and does so
+        # again once a routed demand's traffic is placed.
+        assert build_graph(graph.nodes, graph.iter_links()) == graph
+        n = graph.num_nodes
+        src = data.draw(st.integers(min_value=0, max_value=n - 1))
+        dst = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
+        demand = TrafficDemand(src, dst, data.draw(st.floats(min_value=1e-3, max_value=1e5)))
+        path = baseline_min_hop(graph, demand)
+        if path.reached_destination:
+            before = build_graph(graph.nodes, graph.iter_links())
+            place_traffic(graph, path, demand)
+            assert before != graph
+        assert build_graph(graph.nodes, graph.iter_links()) == graph
 
 
 def load_generator():

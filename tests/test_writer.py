@@ -46,6 +46,7 @@ from rlroute.network import (
     TopologyError,
     TrafficDemand,
     build_graph,
+    place_traffic,
 )
 from reference import (
     convergence_rows,
@@ -224,6 +225,21 @@ def test_topology_paths_that_write_a_marker_text():
         assert emitted(emit_reports, report)["report.json"] == report_json(report)
 
 
+def test_an_int_load_stays_an_int_through_iter_links_and_the_writer(tmp_path):
+    # A graph keeps each load as given: int loads grown by an int rate stay
+    # ints, and reports write them as ints.
+    demand = TrafficDemand(0, 2, 3)
+    graph = build_graph(3, [(0, 1, 10, 2), (1, 2, 10, 0)])
+    place_traffic(graph, RoutePath((0, 1, 2), True), demand)
+    assert graph.loads == [5, 3]
+    assert [type(link.used_bandwidth) for link in graph.iter_links()] == [int, int]
+    config = ExperimentConfig(topology="t3", demands=[demand])
+    outcome = DemandOutcome(1, demand, RoutePath((0, 1, 2), True), None, (), 0)
+    emit_reports(ExperimentReport(config, [outcome], graph), tmp_path)
+    assert '"used_bandwidth_bps": 5,\n' in (tmp_path / "report.json").read_text()
+    assert (tmp_path / "links.csv").read_text().splitlines()[1:] == ["0,1,10,5,0.5", "1,2,10,3,0.3"]
+
+
 def _refuse_constant(text):
     raise ValueError(f"{text} is not a JSON number")
 
@@ -274,11 +290,11 @@ NOT_JSON_NUMBERS = [
 @pytest.mark.parametrize("load", NOT_JSON_NUMBERS, ids=repr)
 def test_a_load_json_cannot_write_is_refused(kind, load, tmp_path):
     def spoil(graph, report):
-        link = graph.link_index().links[0]
+        link = next(graph.iter_links())
         with pytest.raises(TopologyError, match=re.escape("link (0,1): used_bandwidth must be")):
             link._replace(used_bandwidth=load)
-        # A record built past those checks is still refused by the writer.
-        graph.link_index().links[0] = tuple.__new__(LinkState, (0, 1, link.max_bandwidth, load, 1.0))
+        # A load written past those checks is still refused by the writer.
+        graph.loads[0] = load
 
     assert_refused(kind, spoil, "link (0,1): used_bandwidth_bps must be", tmp_path)
 
@@ -313,7 +329,7 @@ def test_a_capacity_not_above_zero_is_refused(kind, capacity, message, tmp_path)
     study, emit, graph, report = written_study(kind)
     emit(study, tmp_path / "before")
     with pytest.raises(TopologyError, match=re.escape(f"link (0,1): {message}")):
-        graph.link_index().links[0]._replace(max_bandwidth=capacity)
+        next(graph.iter_links())._replace(max_bandwidth=capacity)
     emit(study, tmp_path / "after")
     before = sorted(p.relative_to(tmp_path / "before") for p in (tmp_path / "before").rglob("*"))
     assert before == sorted(p.relative_to(tmp_path / "after") for p in (tmp_path / "after").rglob("*"))
@@ -324,10 +340,12 @@ def test_a_capacity_not_above_zero_is_refused(kind, capacity, message, tmp_path)
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_overflowing_utilization_is_refused(kind, tmp_path):
-    # build_graph refuses such a link; one swapped into a built graph's
-    # links list is still refused where the writer reads its utilization.
+    # build_graph refuses such a link; one written into a built graph's
+    # columns past its checks is still refused where the writer reads its
+    # utilization.
     def spoil(graph, report):
-        graph.link_index().links[0] = LinkState(0, 1, 1e-10, 1e308)
+        graph.link_index().max_bandwidth[0] = 1e-10
+        graph.loads[0] = 1e308
 
     assert_refused(kind, spoil, "link (0,1): utilization must be an int or a finite float", tmp_path)
 
@@ -335,7 +353,8 @@ def test_an_overflowing_utilization_is_refused(kind, tmp_path):
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_overflowing_numpy_utilization_warns_and_is_refused(kind, tmp_path):
     def spoil(graph, report):
-        graph.link_index().links[0] = LinkState(0, 1, np.float64(1e-10), np.float64(1e308))
+        graph.link_index().max_bandwidth[0] = np.float64(1e-10)
+        graph.loads[0] = np.float64(1e308)
 
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert_refused(kind, spoil, "link (0,1): utilization must be", tmp_path)
