@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from math import isfinite
 from operator import truediv
 from pathlib import Path
@@ -43,53 +42,23 @@ def check_float(value, name: str, error: type[ValueError] = ValueError) -> None:
         raise error(f"{name} must be an int or float, got {value!r}")
 
 
-class _NodeFields(NamedTuple):
-    node_id: int
-    processing_rate: float
-
-
-class NodeState(_NodeFields):
-    """One network node, immutable. Its incoming traffic is not stored: it
-    is the sum of its inbound links' used bandwidth. The processing rate is
-    a Python int or float (see check_float), finite and > 0.
-
-    A NamedTuple with a checking __new__, not a frozen dataclass, whose
-    field assignments made loading a 400-node topology about 35% slower.
-    _make, and so _replace, builds through the checks too.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, node_id, processing_rate):
-        check_int(node_id, "node id", TopologyError)
-        if node_id < 0:
-            raise TopologyError(f"node id {node_id} is negative")
-        if type(processing_rate) is not float:
-            check_float(processing_rate, f"node {node_id}: processing_rate", TopologyError)
-        if not 0 < processing_rate <= _FLOAT_MAX:
-            need = "be finite" if processing_rate > 0 else "be > 0"
-            raise TopologyError(
-                f"node {node_id}: processing_rate must {need}, got {processing_rate}"
-            )
-        return tuple.__new__(cls, (node_id, processing_rate))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-
-class _LinkFields(NamedTuple):
-    src: int
-    dst: int
-    max_bandwidth: float
-    used_bandwidth: float
-    reliability: float
+def _check_rate(node_id: int, rate) -> None:
+    """TopologyError naming node_id unless rate, its processing rate, is a
+    Python int or float (see check_float), finite and > 0. build_graph and
+    the topology loader call it."""
+    if type(rate) is not float:
+        check_float(rate, f"node {node_id}: processing_rate", TopologyError)
+    if not 0 < rate <= _FLOAT_MAX:
+        need = "be finite" if rate > 0 else "be > 0"
+        raise TopologyError(f"node {node_id}: processing_rate must {need}, got {rate}")
 
 
 def _check_link(src, dst, max_bandwidth, used_bandwidth, reliability) -> None:
     """TopologyError naming the link unless src and dst are distinct Python
     ints and its numbers are Python ints or floats (see check_float), finite,
     with max_bandwidth > 0, used_bandwidth >= 0 and reliability in [0, 1].
-    The one statement of a link's construction checks: LinkState, build_graph
-    and the topology loader call it."""
+    The one statement of a link's construction checks: build_graph and the
+    topology loader call it."""
     # Tested inline first: a topology checks every link.
     if type(src) is not int or type(dst) is not int:
         check_int(src, "link src", TopologyError)
@@ -121,32 +90,24 @@ def _check_load(src: int, dst: int, used_bandwidth) -> None:
         raise TopologyError(f"link ({src},{dst}): used_bandwidth must {need}")
 
 
-class LinkState(_LinkFields):
-    """One directed link's record, immutable: a NamedTuple with a checking
-    __new__, as NodeState is, whose checks are _check_link's.
-
-    A graph does not hold these: it keeps its links as columns (see
-    LinkIndex and NetworkGraph.loads), and iter_links builds one record per
-    link from them. used_bandwidth may exceed max_bandwidth:
-    over-subscription is an observable (and penalized) state.
+class LinkState(NamedTuple):
+    """One directed link's numbers as a plain record, unchecked. A graph
+    does not hold these: it keeps its links as columns (see LinkIndex and
+    NetworkGraph.loads), and iter_links builds one record per link from
+    them. used_bandwidth may exceed max_bandwidth: over-subscription is an
+    observable (and penalized) state.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, src, dst, max_bandwidth, used_bandwidth=0.0, reliability=1.0):
-        _check_link(src, dst, max_bandwidth, used_bandwidth, reliability)
-        return tuple.__new__(cls, (src, dst, max_bandwidth, used_bandwidth, reliability))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    src: int
+    dst: int
+    max_bandwidth: float
+    used_bandwidth: float = 0.0
+    reliability: float = 1.0
 
     @property
     def utilization(self) -> float:
         """used / max bandwidth."""
         return self.used_bandwidth / self.max_bandwidth
-
-
-# A link's record from numbers already checked, past LinkState's checks.
-_link_record = partial(tuple.__new__, LinkState)
 
 
 @dataclass(frozen=True)
@@ -203,7 +164,7 @@ class LinkIndex:
     out[u], the ids of the links leaving node u, ascend and so do their
     targets. The ids in out are the int objects of ids' values, so a path
     that holds them holds no ints of its own. max_bandwidth and reliability
-    hold each link's numbers as given, checked on entry (see LinkState).
+    hold each link's numbers as given, checked on entry (see _check_link).
     Two indexes are equal when they number the same link set.
     """
 
@@ -215,44 +176,34 @@ class LinkIndex:
     reliability: list[float] = field(compare=False)
 
 
-class MissingLinkError(KeyError):
-    """A node pair that is not a link of the graph."""
-
-    def __init__(self, src: int, dst: int):
-        super().__init__(f"no link ({src},{dst}) in graph")
-        self.src, self.dst = src, dst
-
-
 class NetworkGraph:
-    """Directed graph of NodeState and links.
+    """Directed graph held as columns.
 
-    Node ids are dense 0..N-1. At most one link exists per ordered (src, dst)
-    pair. A link's fixed numbers are held once, in the LinkIndex the graph
-    shares with its copies; loads[k] is link k's used bandwidth, a Python
-    int or float as given, and the only state that changes: place_traffic
-    writes it. Construct through build_graph or load_topology.
+    Node ids are dense 0..N-1, and rates[i] is node i's processing rate, a
+    tuple that copies of the graph share. At most one link exists per
+    ordered (src, dst) pair. A link's fixed numbers are held once, in the
+    LinkIndex the graph shares with its copies; loads[k] is link k's used
+    bandwidth, a Python int or float as given, and the only state that
+    changes: place_traffic writes it. Construct through build_graph or
+    load_topology.
     """
 
-    def __init__(self, nodes: list[NodeState], index: LinkIndex, loads: list[float]):
-        self._nodes = nodes
+    def __init__(self, rates: tuple[float, ...], index: LinkIndex, loads: list[float]):
+        self.rates = rates
         self._index = index
         self.loads = loads
         self._cache: dict = {}
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def nodes(self) -> list[NodeState]:
-        return self._nodes
+        return len(self.rates)
 
     def check_endpoints(self, demand: TrafficDemand, index: int | None = None) -> None:
         """ValueError naming the first of demand's endpoints that is not a
         node of the graph. The message names the demand as "demand 0->99"
         or, given its 1-based position in a sequence, "demand 2 (0->99)"."""
         for node in (demand.src, demand.dst):
-            if not 0 <= node < len(self._nodes):
+            if not 0 <= node < len(self.rates):
                 name = f"{demand.src}->{demand.dst}"
                 if index is not None:
                     name = f"{index} ({name})"
@@ -262,13 +213,15 @@ class NetworkGraph:
         return (src, dst) in self._index.ids
 
     def link_ids(self, nodes: Sequence[int]) -> tuple[int, ...]:
-        """The ids of the links joining consecutive nodes, in order. Raises
-        MissingLinkError, a KeyError, naming the first pair with no link."""
+        """The ids of the links joining consecutive nodes, in order: how a
+        node path that enters from outside the learner becomes link ids.
+        ValueError naming the path and its first pair with no link."""
         ids = self._index.ids
         try:
             return tuple(map(ids.__getitem__, zip(nodes, nodes[1:])))
         except KeyError as exc:
-            raise MissingLinkError(*exc.args[0]) from None
+            src, dst = exc.args[0]
+            raise ValueError(f"path {list(nodes)} uses missing link ({src},{dst})") from None
 
     def out_neighbors(self, node_id: int) -> list[int]:
         """Next-hop candidates from node_id, in ascending id order."""
@@ -289,7 +242,7 @@ class NetworkGraph:
         again.
 
         Only for what depends on nothing but args and the fixed part of the
-        graph: its nodes and its LinkIndex, none of which change after
+        graph: its rates and its LinkIndex, neither of which changes after
         construction. Loads do change (place_traffic writes them), so
         nothing derived from a load may be cached here. Copies of a graph
         share its store.
@@ -303,18 +256,16 @@ class NetworkGraph:
 
     def iter_links(self) -> Iterator[LinkState]:
         """All links in id order, which is (src, dst) order, each a LinkState
-        record built from the columns at the time it is yielded. Its numbers
-        were checked where they entered, so the records are not checked
-        again."""
+        record built from the columns at the time it is yielded."""
         index = self._index
         rows = zip(index.sources, index.targets, index.max_bandwidth, self.loads, index.reliability)
-        return map(_link_record, rows)
+        return map(LinkState._make, rows)
 
     def copy(self) -> "NetworkGraph":
         """A graph with the same nodes and links. Only loads change, so the
-        copy shares this graph's nodes, LinkIndex and cached store; its
+        copy shares this graph's rates, LinkIndex and cached store; its
         loads list, which place_traffic writes, is its own."""
-        clone = NetworkGraph(self._nodes, self._index, self.loads.copy())
+        clone = NetworkGraph(self.rates, self._index, self.loads.copy())
         clone._cache = self._cache
         return clone
 
@@ -326,50 +277,54 @@ class NetworkGraph:
             return NotImplemented
         a, b = self._index, other._index
         return (
-            self._nodes == other._nodes
+            self.rates == other.rates
             and self.loads == other.loads
             and (a.sources, a.targets, a.max_bandwidth, a.reliability)
             == (b.sources, b.targets, b.max_bandwidth, b.reliability)
         )
 
     def __repr__(self) -> str:
-        return f"NetworkGraph(nodes={len(self._nodes)}, links={len(self.loads)})"
+        return f"NetworkGraph(nodes={len(self.rates)}, links={len(self.loads)})"
 
 
-LinkSpec = Union[LinkState, tuple]
-
-
-def build_graph(
-    nodes: Union[int, Iterable[NodeState]],
-    links: Iterable[LinkSpec] = (),
-) -> NetworkGraph:
+def build_graph(nodes: int | Sequence[float], links: Iterable[tuple] = ()) -> NetworkGraph:
     """Build a validated NetworkGraph.
 
-    nodes: either a node count (every node gets DEFAULT_PROCESSING_RATE) or
-    an iterable of NodeState with dense ids 0..N-1.
-    links: LinkState instances or tuples (src, dst, max_bw[, used_bw[, reliability]]).
+    nodes: either a node count, a Python int >= 0 (every node gets
+    DEFAULT_PROCESSING_RATE), or node i's processing rate at position i.
+    links: tuples (src, dst, max_bw[, used_bw[, reliability]]), such as the
+    LinkState records iter_links yields.
 
     Finite loads can still overflow: TopologyError when a node's incoming
     traffic (its inbound links' used bandwidth summed) / processing rate or
     a link's used / max is not finite, or when a link's global reward at
     these loads is not.
     """
-    rows = [spec if isinstance(spec, LinkState) else LinkState(*spec) for spec in links]
-    return _graph(nodes, rows)
-
-
-def _graph(nodes: Union[int, Iterable[NodeState]], rows: list[tuple]) -> NetworkGraph:
-    """build_graph for links given as (src, dst, max_bw, used_bw,
-    reliability) rows that passed _check_link, as the topology loader gives
-    them: the checks on the node and link sets, and on sums of loads."""
-    if isinstance(nodes, int):
-        nodes = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(nodes)]
+    if isinstance(nodes, Sequence):
+        rates = tuple(nodes)
+        for node_id, rate in enumerate(rates):
+            _check_rate(node_id, rate)
     else:
-        nodes = sorted(list(nodes), key=lambda n: n.node_id)
-        ids = [n.node_id for n in nodes]
-        if ids != list(range(len(nodes))):
-            raise TopologyError(f"node ids must be dense 0..N-1, got {ids}")
-    n = len(nodes)
+        check_int(nodes, "node count", TopologyError)
+        if nodes < 0:
+            raise TopologyError(f"node count must be >= 0, got {nodes}")
+        rates = (DEFAULT_PROCESSING_RATE,) * nodes
+    rows = []
+    for i, spec in enumerate(links):
+        if not (isinstance(spec, tuple) and 3 <= len(spec) <= 5):
+            raise TopologyError(f"links[{i}]: expected a tuple of 3 to 5 values, got {spec!r}")
+        row = LinkState(*spec)
+        _check_link(*row)
+        rows.append(row)
+    return _graph(rates, rows)
+
+
+def _graph(rates: tuple[float, ...], rows: list[tuple]) -> NetworkGraph:
+    """build_graph for checked rates and for links given as (src, dst,
+    max_bw, used_bw, reliability) rows that passed _check_link, as the
+    topology loader gives them: the checks on the link set, and on sums of
+    loads."""
+    n = len(rates)
     by_key: dict[tuple[int, int], tuple] = {}
     for row in rows:
         key = row[:2]
@@ -381,7 +336,7 @@ def _graph(nodes: Union[int, Iterable[NodeState]], rows: list[tuple]) -> Network
         by_key[key] = row
     keys = sorted(by_key)
     ids = {key: k for k, key in enumerate(keys)}
-    out: list[list[int]] = [[] for _ in nodes]
+    out: list[list[int]] = [[] for _ in rates]
     for (src, _), k in ids.items():
         out[src].append(k)
     columns = zip(*map(by_key.__getitem__, keys))
@@ -401,10 +356,10 @@ def _graph(nodes: Union[int, Iterable[NodeState]], rows: list[tuple]) -> Network
     incoming = [0.0] * n
     for dst, used in zip(targets, loads):
         incoming[dst] += used
-    intensity = [total / node.processing_rate for total, node in zip(incoming, nodes)]
-    for node, total, ratio in zip(nodes, incoming, intensity):
+    intensity = list(map(truediv, incoming, rates))
+    for node_id, (total, ratio) in enumerate(zip(incoming, intensity)):
         if not isfinite(ratio):
-            raise TopologyError(f"node {node.node_id}: incoming traffic {total} / rate overflows")
+            raise TopologyError(f"node {node_id}: incoming traffic {total} / rate overflows")
     for src, dst, utilization in zip(sources, targets, map(truediv, loads, max_bandwidth)):
         if not isfinite(utilization):
             raise TopologyError(f"link ({src},{dst}): used / max bandwidth overflows")
@@ -412,17 +367,7 @@ def _graph(nodes: Union[int, Iterable[NodeState]], rows: list[tuple]) -> Network
         # 1 - utilization, so it is finite exactly when their sum is.
         if not isfinite(intensity[dst] + utilization):
             raise TopologyError(f"link ({src},{dst}): global reward overflows")
-    return NetworkGraph(nodes, index, loads)
-
-
-def check_path(graph: NetworkGraph, path: RoutePath) -> tuple[int, ...]:
-    """The ids of path's links; ValueError unless every consecutive pair of
-    path is a graph link."""
-    try:
-        return graph.link_ids(path.nodes)
-    except MissingLinkError as exc:
-        missing = f"({exc.src},{exc.dst})"
-        raise ValueError(f"path {list(path.nodes)} uses missing link {missing}") from None
+    return NetworkGraph(rates, index, loads)
 
 
 def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -> NetworkGraph:
@@ -431,7 +376,7 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
     each path link's entry in graph.loads grows by the demand's rate. Every
     new load is computed and checked before any is written, so a load that
     overflows is refused, naming its link, with the path's loads unchanged."""
-    link_ids = check_path(graph, path)
+    link_ids = graph.link_ids(path.nodes)
     if not path.reached_destination:
         raise ValueError("refusing to place traffic on a path that did not reach its destination")
     if path.nodes[0] != demand.src or path.nodes[-1] != demand.dst:
@@ -492,9 +437,10 @@ def graph_from_dict(document: dict) -> NetworkGraph:
     well-formed entry, an object with int ids and float numbers all within
     +-_FLOAT_MAX, takes one inline test. Only an entry that fails it runs the
     per-field checkers, which name what it got wrong or convert its JSON
-    ints. NodeState, _check_link and build_graph's checks do the rest, and
-    the links go into the graph's columns as checked, with no LinkState
-    built."""
+    ints. Node ids must be dense 0..N-1, in any order, each given once;
+    _check_rate, _check_link and build_graph's checks do the rest, naming
+    the entry, and the rates and links go into the graph's columns as
+    checked."""
     if not isinstance(document, dict):
         raise TopologyError("topology document must be a JSON object")
     for section in ("nodes", "links"):
@@ -502,7 +448,8 @@ def graph_from_dict(document: dict) -> NetworkGraph:
             raise TopologyError(f"{section}: required list missing")
     hi = _FLOAT_MAX
 
-    nodes = []
+    n = len(document["nodes"])
+    rates: list = [None] * n
     for i, entry in enumerate(document["nodes"]):
         get = entry.get if type(entry) is dict else _NO_FIELDS
         node_id, rate = get("id"), get("processing_rate_bps")
@@ -513,10 +460,15 @@ def graph_from_dict(document: dict) -> NetworkGraph:
                 raise TopologyError(f"{where}: expected an object")
             node_id = _want_int(entry, where, "id")
             rate = float(_want_number(entry, where, "processing_rate_bps"))
+        if not 0 <= node_id < n or rates[node_id] is not None:
+            raise TopologyError(
+                f"nodes[{i}]: node ids must be dense 0..{n - 1}, each once, got {node_id}"
+            )
         try:
-            nodes.append(NodeState(node_id, rate))
+            _check_rate(node_id, rate)
         except TopologyError as exc:
             raise TopologyError(f"nodes[{i}]: {exc}") from None
+        rates[node_id] = rate
 
     links = []
     for i, entry in enumerate(document["links"]):
@@ -539,7 +491,7 @@ def graph_from_dict(document: dict) -> NetworkGraph:
             raise TopologyError(f"links[{i}]: {exc}") from None
         links.append((src, dst, max_bw, used, rel))
 
-    return _graph(nodes, links)
+    return _graph(tuple(rates), links)
 
 
 def demands_from_list(document, source: str) -> list[TrafficDemand]:

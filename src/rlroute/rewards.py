@@ -30,8 +30,8 @@ evaluates those terms for all links once per demand, so an episode's
 rewards only index lists by link id. What no load enters is evaluated once
 per graph and set of weights (TermSet).
 
-Every number is checked where it enters: by the NodeState and TrafficDemand
-constructors and by the link checks LinkState and the topology loader share.
+Every number is checked where it enters: by the TrafficDemand constructor
+and by the rate and link checks build_graph and the topology loader share.
 After construction only a graph's loads change, through place_traffic,
 which checks each new load, so nothing is checked again here. Only sums can
 still overflow; link_scores refuses a non-finite one, naming its link.
@@ -189,7 +189,7 @@ def _term_set(graph: NetworkGraph, weights: QoSWeights) -> TermSet:
     index = graph.link_index()
     reliability = np.array(index.reliability)
     max_bandwidth = np.array(index.max_bandwidth)
-    rates = [n.processing_rate for n in graph.nodes]
+    rates = graph.rates
     rate = np.array(rates)
     transmission = np.array([reward_transmission(r / MBPS) for r in rates])
     # hop[i] is the reward of hop i + 1; a simple path has at most

@@ -16,7 +16,7 @@ graph_from_dict and demands_from_list are the loaders' field-by-field form.
 find_route_every_episode is engine.find_route's loop without its settle
 rule: every episode of the budget runs. q_get, q_set and link_of read and
 write a table cell or a link by its node pair, which the learner never does:
-it works in link ids throughout; node reads a node's record by its id.
+it works in link ids throughout.
 report_json and csv_text are the report files as json and csv.writer write
 them, from to_dict and from the rows each CSV holds (link_rows,
 length_rows, convergence_rows); the harness formats most of their cells
@@ -41,10 +41,11 @@ from rlroute.network import (
     LinkIndex,
     LinkState,
     NetworkGraph,
-    NodeState,
     RoutePath,
     TopologyError,
     TrafficDemand,
+    _check_link,
+    _check_rate,
     build_graph,
 )
 from rlroute.rewards import (
@@ -84,14 +85,9 @@ def q_set(table: QTable, state: int, action: int, value: float) -> None:
 
 def link_of(graph: NetworkGraph, src: int, dst: int) -> LinkState:
     """The LinkState record of the graph's link (src, dst), read from its
-    columns now; a KeyError if there is none."""
+    columns now; a ValueError if there is none."""
     k = graph.link_ids((src, dst))[0]
     return list(graph.iter_links())[k]
-
-
-def node(graph: NetworkGraph, node_id: int) -> NodeState:
-    """The graph's NodeState of node_id."""
-    return graph.nodes[node_id]
 
 
 def sarsa_update(q_sa: float, reward: float, q_next: float, alpha: float, gamma: float) -> float:
@@ -103,8 +99,8 @@ def graph_to_dict(graph: NetworkGraph) -> dict:
     """The topology document of graph; graph_from_dict reads it back."""
     return {
         "nodes": [
-            {"id": n.node_id, "processing_rate_bps": n.processing_rate}
-            for n in graph.nodes
+            {"id": node_id, "processing_rate_bps": rate}
+            for node_id, rate in enumerate(graph.rates)
         ],
         "links": [
             {
@@ -154,17 +150,23 @@ def graph_from_dict(document: dict) -> NetworkGraph:
         if section not in document or not isinstance(document[section], list):
             raise TopologyError(f"{section}: required list missing")
 
-    nodes = []
+    n = len(document["nodes"])
+    rates = {}
     for i, entry in enumerate(document["nodes"]):
         where = f"nodes[{i}]"
         if not isinstance(entry, dict):
             raise TopologyError(f"{where}: expected an object")
         node_id = _want_int(entry, where, "id")
-        rate = _want_number(entry, where, "processing_rate_bps")
+        rate = float(_want_number(entry, where, "processing_rate_bps"))
+        if node_id not in range(n) or node_id in rates:
+            raise TopologyError(
+                f"{where}: node ids must be dense 0..{n - 1}, each once, got {node_id}"
+            )
         try:
-            nodes.append(NodeState(node_id, float(rate)))
+            _check_rate(node_id, rate)
         except TopologyError as exc:
             raise TopologyError(f"{where}: {exc}") from None
+        rates[node_id] = rate
 
     links = []
     for i, entry in enumerate(document["links"]):
@@ -176,12 +178,14 @@ def graph_from_dict(document: dict) -> NetworkGraph:
         max_bw = _want_number(entry, where, "max_bandwidth_bps")
         used = _want_number(entry, where, "used_bandwidth_bps", default=0.0)
         rel = _want_number(entry, where, "reliability", default=1.0)
+        link = (src, dst, float(max_bw), float(used), float(rel))
         try:
-            links.append(LinkState(src, dst, float(max_bw), float(used), float(rel)))
+            _check_link(*link)
         except TopologyError as exc:
             raise TopologyError(f"{where}: {exc}") from None
+        links.append(link)
 
-    return build_graph(nodes, links)
+    return build_graph([rates[node_id] for node_id in range(n)], links)
 
 
 def demands_from_list(document, source: str) -> list[TrafficDemand]:
@@ -283,14 +287,12 @@ def incoming_traffic(graph: NetworkGraph, node_id: int) -> float:
 def snapshot_qos(graph: NetworkGraph, src: int, dst: int, hop_index: int) -> HopQoSRecord:
     """Read one hop's QoS state without touching it."""
     link = link_of(graph, src, dst)
-    sender = node(graph, src)
-    receiver = node(graph, dst)
     return HopQoSRecord(
         hop_index=hop_index,
         src_id=src,
         dst_id=dst,
-        sender_processing_rate=sender.processing_rate,
-        receiver_processing_rate=receiver.processing_rate,
+        sender_processing_rate=graph.rates[src],
+        receiver_processing_rate=graph.rates[dst],
         receiver_incoming_traffic=incoming_traffic(graph, dst),
         link_max_bandwidth=link.max_bandwidth,
         link_used_bandwidth=link.used_bandwidth,

@@ -2,7 +2,7 @@
 and topology documents whose finite loads overflow once derived."""
 
 from rlroute.dataplane import execute_path
-from rlroute.network import DEFAULT_PROCESSING_RATE, NodeState, TrafficDemand, build_graph
+from rlroute.network import DEFAULT_PROCESSING_RATE, TrafficDemand, build_graph
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
     global_rewards_for_path,
@@ -34,13 +34,12 @@ def chain_rewards(
     receiver carries the rest, incoming - used. lost drops the packet on
     the last hop.
     """
-    nodes = [NodeState(i, DEFAULT_PROCESSING_RATE) for i in range(hops - 1)]
-    nodes += [NodeState(hops - 1, sender), NodeState(hops, receiver)]
+    rates = [DEFAULT_PROCESSING_RATE] * (hops - 1) + [sender, receiver]
     links = [(i, i + 1, 10e6) for i in range(hops - 1)] + [(hops - 1, hops, max_bw, used, rel)]
     if incoming is not None:
-        nodes.append(NodeState(hops + 1, DEFAULT_PROCESSING_RATE))
+        rates.append(DEFAULT_PROCESSING_RATE)
         links.append((hops + 1, hops, 10e6, incoming - used))
-    graph = build_graph(nodes, links)
+    graph = build_graph(rates, links)
     demand = TrafficDemand(0, hops, traffic)
     result = execute_path(graph, graph.link_ids(range(hops + 1)))
     if lost:

@@ -27,7 +27,7 @@ from rlroute.harness import (
     run_gamma_study,
     run_sequence,
 )
-from rlroute.network import TrafficDemand, build_graph, check_path, place_traffic
+from rlroute.network import TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
     make_weights,
     reward_hop,
@@ -177,7 +177,7 @@ def test_criterion_05_temp_paths_loop_free_within_ttl():
         assert path.nodes[0] == src
         assert len(set(path.nodes)) == len(path.nodes)
         assert path.hop_count <= hyper.ttl
-        check_path(graph, path)
+        graph.link_ids(path.nodes)
         assert path.reached_destination == (path.nodes[-1] == dst)
         checked += 1
     assert checked >= 1000

@@ -1,7 +1,7 @@
 """Path execution, QoS snapshots, loss handling, message accounting."""
 
 from reference import execute_path as reference_execute_path
-from reference import node, node_pairs, snapshot_qos
+from reference import node_pairs, snapshot_qos
 from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import EpisodeTrace
 from rlroute.network import RoutePath, build_graph
@@ -33,7 +33,7 @@ class TestSnapshot:
         assert rec.link_max_bandwidth == 10e6
         assert rec.link_used_bandwidth == 2e6
         assert rec.link_reliability == 0.9
-        assert rec.sender_processing_rate == node(graph, 0).processing_rate
+        assert rec.sender_processing_rate == graph.rates[0]
         assert rec.receiver_incoming_traffic == 2e6
 
     def test_idle_t1_first_hop(self):

@@ -29,7 +29,7 @@ from rlroute.harness import (
     run_gamma_study,
     run_sequence,
 )
-from rlroute.network import TrafficDemand, build_graph, check_path
+from rlroute.network import TrafficDemand, build_graph
 from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
 import reference
@@ -442,7 +442,7 @@ def assert_min_hop_matches_networkx(graph):
             if nx.has_path(digraph, src, dst):
                 assert path.reached_destination
                 assert (path.nodes[0], path.nodes[-1]) == (src, dst)
-                check_path(graph, path)
+                graph.link_ids(path.nodes)
                 assert path.hop_count == nx.shortest_path_length(digraph, src, dst)
                 assert path.nodes == tuple(min(nx.all_shortest_paths(digraph, src, dst)))
             else:

@@ -16,12 +16,10 @@ from rlroute.network import (
     DEFAULT_PROCESSING_RATE,
     LinkState,
     NetworkGraph,
-    NodeState,
     RoutePath,
     TopologyError,
     TrafficDemand,
     build_graph,
-    check_path,
     demands_from_list,
     graph_from_dict,
     load_topology,
@@ -111,45 +109,41 @@ def corrupted_documents(draw):
 class TestValidation:
     def test_node_rejects_nonpositive_rate(self):
         with pytest.raises(TopologyError):
-            NodeState(0, 0.0)
+            build_graph([1e6, 0.0])
 
     def test_link_rejects_self_loop(self):
         with pytest.raises(TopologyError):
-            LinkState(3, 3, 1e6)
+            build_graph(4, [(3, 3, 1e6)])
 
     def test_link_rejects_nonpositive_capacity(self):
         with pytest.raises(TopologyError):
-            LinkState(0, 1, 0.0)
+            build_graph(2, [(0, 1, 0.0)])
 
     def test_link_rejects_reliability_outside_unit_interval(self):
         with pytest.raises(TopologyError):
-            LinkState(0, 1, 1e6, 0.0, 1.5)
+            build_graph(2, [(0, 1, 1e6, 0.0, 1.5)])
 
-    @pytest.mark.parametrize(
-        "state, field",
-        [(NodeState(0, 1e6), name) for name in ("node_id", "processing_rate")]
-        + [
-            (LinkState(0, 1, 1e6), name)
-            for name in ("src", "dst", "max_bandwidth", "used_bandwidth", "reliability")
-        ],
-        ids=lambda value: value if isinstance(value, str) else type(value).__name__,
-    )
-    def test_a_built_node_or_link_cannot_be_reassigned(self, state, field):
-        # The rewards read each value once per graph, not again per demand.
-        with pytest.raises(AttributeError):
-            setattr(state, field, getattr(state, field))
+    def test_a_graph_s_rates_cannot_be_written(self):
+        # The rewards read each rate once per graph, not again per demand.
+        graph = build_graph([1e6, 2e6])
+        assert graph.rates == (1e6, 2e6)
+        with pytest.raises(TypeError):
+            graph.rates[0] = 3e6
 
     def test_replace_builds_through_the_checks(self):
+        # A record is plain; a replaced one is checked when a graph is built
+        # with it.
         link = LinkState(0, 1, 1e6)
-        assert link._replace(used_bandwidth=2e6) == LinkState(0, 1, 1e6, 2e6)
+        graph = build_graph(2, [link._replace(used_bandwidth=2e6)])
+        assert list(graph.iter_links()) == [LinkState(0, 1, 1e6, 2e6)]
         with pytest.raises(TopologyError, match=r"^link \(0,1\): used_bandwidth must be >= 0$"):
-            link._replace(used_bandwidth=-1.0)
+            build_graph(2, [link._replace(used_bandwidth=-1.0)])
         with pytest.raises(TopologyError, match=r"^node 0: processing_rate must be > 0, got 0\.0$"):
-            NodeState(0, 1e6)._replace(processing_rate=0.0)
+            build_graph([0.0])
 
     def test_link_allows_oversubscription(self):
         # Used above max is a observable state, not a construction error.
-        link = LinkState(0, 1, 1e6, 2e6)
+        link = next(build_graph(2, [(0, 1, 1e6, 2e6)]).iter_links())
         assert link.utilization == 2.0
 
     def test_demand_rejects_equal_endpoints(self):
@@ -182,11 +176,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "make, field",
         [
-            (lambda v: NodeState(v, 1e6), "node id"),
-            (lambda v: LinkState(v, 1, 1e6), "link src"),
-            (lambda v: LinkState(0, v, 1e6), "link dst"),
+            (lambda v: build_graph(2, [(v, 1, 1e6)]), "link src"),
+            (lambda v: build_graph(2, [(0, v, 1e6)]), "link dst"),
         ],
-        ids=["node", "link-src", "link-dst"],
+        ids=["link-src", "link-dst"],
     )
     @pytest.mark.parametrize("value", [0.0, True, np.int64(0)], ids=["float", "bool", "int64"])
     def test_ids_must_be_python_ints(self, make, field, value):
@@ -198,10 +191,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "make, field",
         [
-            (lambda v: NodeState(0, v), "node 0: processing_rate"),
-            (lambda v: LinkState(0, 1, v), "link (0,1): max_bandwidth"),
-            (lambda v: LinkState(0, 1, 1e7, v), "link (0,1): used_bandwidth"),
-            (lambda v: LinkState(0, 1, 1e7, 0.0, v), "link (0,1): reliability"),
+            (lambda v: build_graph([v]), "node 0: processing_rate"),
+            (lambda v: build_graph(2, [(0, 1, v)]), "link (0,1): max_bandwidth"),
+            (lambda v: build_graph(2, [(0, 1, 1e7, v)]), "link (0,1): used_bandwidth"),
+            (lambda v: build_graph(2, [(0, 1, 1e7, 0.0, v)]), "link (0,1): reliability"),
         ],
         ids=["rate", "capacity", "load", "reliability"],
     )
@@ -213,17 +206,17 @@ class TestValidation:
             make(value)
 
     def test_link_and_node_numbers_may_be_ints_or_numpy_float64(self):
-        link = LinkState(0, 1, 10_000_000, np.float64(1e6), 1)
-        node = NodeState(0, np.float64(1e6))
+        graph = build_graph([np.float64(1e6), 1], [(0, 1, 10_000_000, np.float64(1e6), 1)])
+        link = next(graph.iter_links())
         assert (link.max_bandwidth, link.used_bandwidth, link.reliability) == (1e7, 1e6, 1.0)
-        assert node.processing_rate == 1e6
+        assert graph.rates == (1e6, 1)
 
     @pytest.mark.parametrize(
         "make, field",
         [
-            (lambda v: NodeState(0, v), "node 0: processing_rate"),
-            (lambda v: LinkState(0, 1, v), "link (0,1): max_bandwidth"),
-            (lambda v: LinkState(0, 1, 1e7, v), "link (0,1): used_bandwidth"),
+            (lambda v: build_graph([v]), "node 0: processing_rate"),
+            (lambda v: build_graph(2, [(0, 1, v)]), "link (0,1): max_bandwidth"),
+            (lambda v: build_graph(2, [(0, 1, 1e7, v)]), "link (0,1): used_bandwidth"),
         ],
         ids=["rate", "capacity", "load"],
     )
@@ -233,6 +226,49 @@ class TestValidation:
         # otherwise write "max_bandwidth_bps": Infinity, which is not JSON.
         with pytest.raises(TopologyError, match=rf"^{re.escape(field)} must be "):
             make(value)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (-3, "node count must be >= 0, got -3"),
+            (True, "node count must be an int, got True"),
+            (2.0, "node count must be an int, got 2.0"),
+        ],
+        ids=["negative", "bool", "float"],
+    )
+    def test_node_count_must_be_an_int_at_least_zero(self, nodes, message):
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build_graph(nodes, [])
+
+    @pytest.mark.parametrize(
+        "spec", [(0, 1), (0, 1, 1e6, 0.0, 1.0, 0.0), [0, 1, 1e6]], ids=["short", "long", "list"]
+    )
+    def test_link_spec_must_be_a_tuple_of_three_to_five_values(self, spec):
+        message = f"links[1]: expected a tuple of 3 to 5 values, got {spec!r}"
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build_graph(2, [(1, 0, 1e6), spec])
+
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("nodes", "processing_rate_bps", 0.0, "node 1: processing_rate must be > 0, got 0.0"),
+            ("links", "max_bandwidth_bps", 0.0, "link (1,0): max_bandwidth must be > 0, got 0.0"),
+            ("links", "reliability", 1.5, "link (1,0): reliability 1.5 outside [0, 1]"),
+        ],
+        ids=["rate", "capacity", "reliability"],
+    )
+    def test_loader_and_build_graph_refuse_alike(self, section, field, value, message):
+        # The loader runs build_graph's rate and link checks and names the
+        # entry they refuse.
+        document = graph_to_dict(build_graph(2, [(0, 1, 1e6), (1, 0, 1e6)]))
+        document[section][1][field] = value
+        with pytest.raises(TopologyError) as loaded:
+            graph_from_dict(document)
+        assert str(loaded.value) == f"{section}[1]: {message}"
+        rates = [node["processing_rate_bps"] for node in document["nodes"]]
+        links = [tuple(link.values()) for link in document["links"]]
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build_graph(rates, links)
 
     def test_built_graph_refuses_an_infinite_capacity(self):
         with pytest.raises(TopologyError, match=r"^link \(0,1\): max_bandwidth must be finite, got inf$"):
@@ -274,9 +310,21 @@ class TestBuildGraph:
         assert graph.out_neighbors(0) == [1, 2, 3]
         assert graph.out_neighbors(3) == []
 
-    def test_rejects_sparse_node_ids(self):
-        with pytest.raises(TopologyError, match="dense"):
-            build_graph([NodeState(0, 1e6), NodeState(2, 1e6)], [])
+    @pytest.mark.parametrize(
+        "ids, bad", [((0, 2), 1), ((1, 1), 1), ((-1, 0), 0)], ids=["sparse", "repeated", "negative"]
+    )
+    def test_rejects_sparse_node_ids(self, ids, bad):
+        # Node ids index the rates; the loader names the first entry whose
+        # id is not one of the dense ids 0..N-1 or repeats one.
+        document = {"nodes": [{"id": i, "processing_rate_bps": 1e6} for i in ids], "links": []}
+        message = f"nodes[{bad}]: node ids must be dense 0..1, each once, got {ids[bad]}"
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            graph_from_dict(document)
+
+    def test_loader_takes_node_ids_in_any_order(self):
+        document = graph_to_dict(build_graph([1e6, 2e6, 3e6]))
+        document["nodes"].reverse()
+        assert graph_from_dict(document).rates == (1e6, 2e6, 3e6)
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(TopologyError, match="endpoint"):
@@ -312,15 +360,15 @@ class TestBuildGraph:
         assert clone != graph
 
     def test_copy_shares_nodes_links_numbering_and_cached_store(self):
-        # Only loads change, so a copy shares the nodes and the link index,
-        # capacities and reliabilities included; only its loads list, which
-        # placement writes, is its own.
+        # Only loads change, so a copy shares the node rates and the link
+        # index, capacities and reliabilities included; only its loads list,
+        # which placement writes, is its own.
         graph = t1()
         place_traffic(graph, RoutePath((0, 1), True), TrafficDemand(0, 1, 2e6))
         clone = graph.copy()
         assert clone.link_index() is graph.link_index()
         assert clone == graph
-        assert clone.nodes is graph.nodes
+        assert clone.rates is graph.rates
         assert clone.loads == graph.loads
         assert clone.loads is not graph.loads
         place_traffic(clone, RoutePath((1, 2), True), TrafficDemand(1, 2, 1e6))
@@ -336,7 +384,7 @@ class TestBuildGraph:
         assert build_graph(2, []).max_link_utilization() == 0.0
 
     def test_missing_link_lookup_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^path \[0, 4\] uses missing link \(0,4\)$"):
             link_of(t1(), 0, 4)
 
     def test_link_index_numbers_links_in_iteration_order(self):
@@ -370,17 +418,17 @@ class TestPaths:
         # resolved to link ids here, and the first missing pair is named.
         graph = build_graph(4, [(0, 1, 10e6), (1, 2, 10e6), (2, 3, 10e6)])
         assert graph.link_ids((0, 1, 2, 3)) == (0, 1, 2)
-        with pytest.raises(KeyError, match=r"no link \(2,0\) in graph"):
+        with pytest.raises(ValueError, match=r"^path \[1, 2, 0, 3\] uses missing link \(2,0\)$"):
             graph.link_ids((1, 2, 0, 3))
-        with pytest.raises(ValueError, match=r"path \[1, 2, 0\] uses missing link \(2,0\)"):
-            check_path(graph, RoutePath((1, 2, 0)))
+        with pytest.raises(ValueError, match=r"^path \[1, 2, 0\] uses missing link \(2,0\)$"):
+            place_traffic(graph, RoutePath((1, 2, 0), True), TrafficDemand(1, 0, 1e5))
 
-    def test_check_path_accepts_t1_chain(self):
-        check_path(t1(), RoutePath((0, 1, 2, 3, 4), True))
+    def test_link_ids_accepts_t1_chain(self):
+        assert t1().link_ids(RoutePath((0, 1, 2, 3, 4), True).nodes) == (0, 1, 3, 4)
 
-    def test_check_path_rejects_missing_link(self):
+    def test_link_ids_rejects_missing_link(self):
         with pytest.raises(ValueError, match="missing link"):
-            check_path(t1(), RoutePath((0, 2, 3), True))
+            t1().link_ids(RoutePath((0, 2, 3), True).nodes)
 
     def test_place_traffic_t1_chain(self):
         # 0.5 Mb/s along 0-1-2-3-4 grows every path link's load and nothing
@@ -391,7 +439,7 @@ class TestPaths:
         for src, dst in [(0, 1), (1, 2), (2, 3), (3, 4)]:
             assert link_of(graph, src, dst).used_bandwidth == 0.5e6
         assert link_of(graph, 2, 0).used_bandwidth == 0.0
-        assert graph.nodes == t1().nodes
+        assert graph.rates == t1().rates
         for node_id in (1, 2, 3, 4):
             assert incoming_traffic(graph, node_id) == 0.5e6
         assert incoming_traffic(graph, 0) == 0.0

@@ -25,7 +25,7 @@ from reference import (
 )
 from rlroute.dataplane import LossModel, execute_path
 from rlroute.engine import Hyperparameters, QTable, find_route, find_temp_path, update_table
-from rlroute.network import NodeState, RoutePath, TrafficDemand, build_graph, place_traffic
+from rlroute.network import RoutePath, TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
     EpisodeRewards,
@@ -49,7 +49,7 @@ def networks(draw, reliabilities=st.floats(min_value=0.0, max_value=1.0)):
     """A random graph with random rates, loads (over-subscription included)
     and reliabilities, plus a demand over it."""
     n = draw(st.integers(min_value=2, max_value=8))
-    nodes = [NodeState(i, draw(st.floats(min_value=1e5, max_value=1e9))) for i in range(n)]
+    rates = [draw(st.floats(min_value=1e5, max_value=1e9)) for _ in range(n)]
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
     links = [
@@ -62,7 +62,7 @@ def networks(draw, reliabilities=st.floats(min_value=0.0, max_value=1.0)):
         )
         for a, b in chosen
     ]
-    graph = build_graph(nodes, links)
+    graph = build_graph(rates, links)
     src = draw(st.integers(min_value=0, max_value=n - 1))
     dst = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
     traffic = draw(st.floats(min_value=1.0, max_value=1e8))

@@ -21,21 +21,13 @@ from rlroute.engine import (
     update_table,
 )
 from rlroute.harness import ExperimentConfig, baseline_min_hop, compare_baseline, run_sequence
-from rlroute.network import (
-    NodeState,
-    TrafficDemand,
-    build_graph,
-    check_path,
-    graph_from_dict,
-    place_traffic,
-)
+from rlroute.network import TrafficDemand, build_graph, graph_from_dict, place_traffic
 from rlroute.rewards import link_scores, make_weights, reward_intensity
 from rlroute.topologies import load_demands
 from reference import (
     RewardRecord,
     graph_to_dict,
     incoming_traffic,
-    node,
     node_pairs,
     q_get,
     q_set,
@@ -71,8 +63,7 @@ def placed_graphs(draw):
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
     rate = st.floats(min_value=1e-3, max_value=1e5)
-    nodes = [NodeState(i, 1.0) for i in range(n)]
-    graph = build_graph(nodes, [(a, b, 1e7, draw(rate | st.just(0.0))) for a, b in chosen])
+    graph = build_graph([1.0] * n, [(a, b, 1e7, draw(rate | st.just(0.0))) for a, b in chosen])
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         src = draw(st.integers(min_value=0, max_value=n - 1))
         dst = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
@@ -135,7 +126,7 @@ class TestPathSelection:
         assert len(set(path.nodes)) == len(path.nodes)
         assert path.hop_count <= ttl
         # The ids selection chose are the links joining its nodes.
-        assert path.links == check_path(graph, path) == graph.link_ids(path.nodes)
+        assert path.links == graph.link_ids(path.nodes)
         assert path.reached_destination == (path.nodes[-1] == demand.dst)
 
 
@@ -252,7 +243,7 @@ class TestIncomingTraffic:
         scores = link_scores(graph, make_weights(0, 0, 0, 1, 0), demand)
         assert scores.intensity == [
             reward_intensity(
-                incoming_traffic(graph, dst), node(graph, dst).processing_rate, demand.traffic
+                incoming_traffic(graph, dst), graph.rates[dst], demand.traffic
             )
             for dst in graph.link_index().targets
         ]
@@ -272,7 +263,7 @@ class TestBaselineOptimality:
             assert path.reached_destination
             assert path.hop_count == shortest
             assert len(set(path.nodes)) == len(path.nodes)
-            check_path(graph, path)
+            graph.link_ids(path.nodes)
 
 
 class TestMessageAccounting:
@@ -341,17 +332,17 @@ class TestLinkColumns:
         # iter_links yields every link's numbers from the graph's columns,
         # so building a graph from them gives the graph back, and does so
         # again once a routed demand's traffic is placed.
-        assert build_graph(graph.nodes, graph.iter_links()) == graph
+        assert build_graph(graph.rates, graph.iter_links()) == graph
         n = graph.num_nodes
         src = data.draw(st.integers(min_value=0, max_value=n - 1))
         dst = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda d: d != src))
         demand = TrafficDemand(src, dst, data.draw(st.floats(min_value=1e-3, max_value=1e5)))
         path = baseline_min_hop(graph, demand)
         if path.reached_destination:
-            before = build_graph(graph.nodes, graph.iter_links())
+            before = build_graph(graph.rates, graph.iter_links())
             place_traffic(graph, path, demand)
             assert before != graph
-        assert build_graph(graph.nodes, graph.iter_links()) == graph
+        assert build_graph(graph.rates, graph.iter_links()) == graph
 
 
 def load_generator():

@@ -8,7 +8,8 @@ sort_keys=True) and csv.writer write, byte for byte: with awkward numbers
 non-ASCII topology paths, no demands and demands that ran no episode. A
 cell json cannot write as a number (NaN, an infinity, a bool, another type)
 is refused by every writer, naming the link or demand, before any file is
-written; a capacity that is not > 0 is refused by the link itself.
+written; a capacity that is not > 0 is refused by the link check of
+build_graph.
 """
 
 import json
@@ -41,7 +42,6 @@ from rlroute.harness import (
 )
 from rlroute.network import (
     LinkState,
-    NodeState,
     RoutePath,
     TopologyError,
     TrafficDemand,
@@ -101,7 +101,7 @@ def graphs(draw):
             load, total = 0.0, incoming[b]
         incoming[b] = total
         links.append(LinkState(a, b, capacity, load))
-    return build_graph([NodeState(i, sys.float_info.max) for i in range(n)], links)
+    return build_graph([sys.float_info.max] * n, links)
 
 
 demands = st.tuples(node_ids, node_ids, positive).filter(lambda t: t[0] != t[1]).map(
@@ -292,7 +292,7 @@ def test_a_load_json_cannot_write_is_refused(kind, load, tmp_path):
     def spoil(graph, report):
         link = next(graph.iter_links())
         with pytest.raises(TopologyError, match=re.escape("link (0,1): used_bandwidth must be")):
-            link._replace(used_bandwidth=load)
+            build_graph(graph.rates, [link._replace(used_bandwidth=load)])
         # A load written past those checks is still refused by the writer.
         graph.loads[0] = load
 
@@ -324,12 +324,14 @@ def test_a_temp_path_length_json_cannot_write_is_refused(kind, length, tmp_path)
     ],
 )
 def test_a_capacity_not_above_zero_is_refused(kind, capacity, message, tmp_path):
-    # A built link cannot take such a capacity, so the refusal is the link's
-    # own, and the study's graph and every file written stay as they were.
+    # A graph cannot be built with such a capacity, so the refusal is the
+    # link check's, and the study's graph and every file written stay as
+    # they were.
     study, emit, graph, report = written_study(kind)
     emit(study, tmp_path / "before")
+    link = next(graph.iter_links())._replace(max_bandwidth=capacity)
     with pytest.raises(TopologyError, match=re.escape(f"link (0,1): {message}")):
-        next(graph.iter_links())._replace(max_bandwidth=capacity)
+        build_graph(graph.rates, [link])
     emit(study, tmp_path / "after")
     before = sorted(p.relative_to(tmp_path / "before") for p in (tmp_path / "before").rglob("*"))
     assert before == sorted(p.relative_to(tmp_path / "after") for p in (tmp_path / "after").rglob("*"))
