@@ -249,9 +249,10 @@ def find_temp_path(
 
     A greedy step scans the node's out-links in id order, keeping the best
     so far: a link replaces it only if its Q-value is strictly higher, and
-    only then is its target looked up in visited. Every Q-value is finite
-    (QTable holds no other), so this keeps the highest-valued unvisited
-    link, the first of equal values.
+    only then is its target looked up in visited, a list of one flag per
+    node id made for the call. Every Q-value is finite (QTable holds no
+    other), so this keeps the highest-valued unvisited link, the first of
+    equal values.
 
     previous: the path the call before returned for this demand and
     hyperparameters; only its links' Q-values may have changed since. A
@@ -276,7 +277,8 @@ def find_temp_path(
                 break
         else:
             return previous
-    visited = {source}
+    visited = [False] * len(out_links)
+    visited[source] = True
     links = []
     for _ in range(hyper.ttl):
         # Link ids leaving current, in ascending target order.
@@ -287,7 +289,7 @@ def find_temp_path(
             # closure cells, read through cells by every greedy scan.
             unvisited = []
             for k in out:
-                if targets[k] not in visited:
+                if not visited[targets[k]]:
                     unvisited.append(k)
             out = unvisited
             if out and rng.random() < epsilon:
@@ -297,13 +299,13 @@ def find_temp_path(
             # to the lowest id; every finite value beats -inf.
             best = -inf
             for k in out:
-                if q[k] > best and targets[k] not in visited:
+                if q[k] > best and not visited[targets[k]]:
                     chosen, best = k, q[k]
             if chosen < 0:
                 break
         current = targets[chosen]
         links.append(chosen)
-        visited.add(current)
+        visited[current] = True
         if current == destination:
             break
     links = tuple(links)
@@ -314,12 +316,12 @@ def find_temp_path(
         return previous
     # Hop j's floor: the best of u_j's other links not into u_0..u_j. A
     # comprehension here would make q a closure cell and slow every scan.
-    floors, visited = [], set()
+    floors, visited = [], [False] * len(out_links)
     for u, chosen in zip((source, *map(targets.__getitem__, links)), links):
-        visited.add(u)
+        visited[u] = True
         best = -inf
         for k in out_links[u]:
-            if k != chosen and q[k] > best and targets[k] not in visited:
+            if k != chosen and q[k] > best and not visited[targets[k]]:
                 best = q[k]
         floors.append(best)
     return tuple.__new__(TempPath, (source, links, current == destination, index, tuple(floors)))
@@ -329,11 +331,21 @@ def find_final_path(
     demand: TrafficDemand,
     table: QTable,
     hyper: Hyperparameters,
+    previous: Optional[TempPath] = None,
 ) -> RoutePath:
     """Greedy path extraction: find_temp_path with epsilon forced to 0,
-    deterministic under the lowest-id tie-break, as a validated RoutePath."""
+    deterministic under the lowest-id tie-break, as a validated RoutePath.
+
+    previous: the last temp path selected from table, since which only its
+    links' Q-values may have changed. One carrying floors is passed on to
+    find_temp_path, which returns it unwalked while it stays strictly above
+    every floor; one without floors is dropped, so that a walk repeating it
+    computes no floors that nothing reads.
+    """
     greedy = hyper if hyper.epsilon == 0 else replace(hyper, epsilon=0.0)
-    path = find_temp_path(demand, table, greedy)
+    if previous is not None and previous.floors is None:
+        previous = None
+    path = find_temp_path(demand, table, greedy, None, previous)
     return RoutePath(path.nodes, path.reached_destination)
 
 
@@ -419,7 +431,8 @@ def find_route(
     before: it reuses that episode's execution result and rewards and runs
     only the updates. With a loss model every episode executes, and one
     whose result equals the episode before's reuses that episode's rewards.
-    Returns the greedy final path plus one trace per episode.
+    Returns the greedy final path plus one trace per episode; the final
+    walk gets the last episode's temp path as previous.
 
     An episode settles the demand when epsilon is 0, no loss model is given
     and its updates leave every Q-value of both tables unchanged: each later
@@ -474,7 +487,7 @@ def find_route(
             for later in range(episode + 1, episodes + 1):
                 traces.append(tuple.__new__(EpisodeTrace, (later, temp_path, attempted)))
             break
-    final_path = find_final_path(demand, local_table, hyper)
+    final_path = find_final_path(demand, local_table, hyper, temp_path)
     return RouteResult(final_path=final_path, traces=traces)
 
 
@@ -485,6 +498,8 @@ def detect_convergence(traces: Sequence[EpisodeTrace]) -> Optional[int]:
     None when there is no such suffix: the last episode did not reach, or
     the only stable "suffix" is the final episode by itself. A lone final
     episode shows no repetition, so it only counts when it IS the whole run.
+    Temp paths are compared by identity first: a repeated or settled
+    episode's trace holds the same TempPath object as the one before.
     """
     if not traces:
         return None
@@ -493,7 +508,8 @@ def detect_convergence(traces: Sequence[EpisodeTrace]) -> Optional[int]:
         return None
     start_pos = len(traces) - 1
     for pos in range(len(traces) - 2, -1, -1):
-        if traces[pos].temp_path != last:
+        path = traces[pos].temp_path
+        if path is not last and path != last:
             break
         start_pos = pos
     if len(traces) - start_pos < 2 and start_pos != 0:

@@ -23,7 +23,7 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import count
-from operator import itemgetter, truediv
+from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 from typing import Optional
 
@@ -280,8 +280,8 @@ def _run_sequence(config: ExperimentConfig, graph: NetworkGraph) -> ExperimentRe
             demand=demand,
             final_path=final_path,
             converged_episode=detect_convergence(traces),
-            temp_path_lengths=tuple(t.temp_path.hop_count for t in traces),
-            attempted_hops=sum(t.attempted_hops for t in traces),
+            temp_path_lengths=tuple(map(attrgetter("temp_path.hop_count"), traces)),
+            attempted_hops=sum(map(attrgetter("attempted_hops"), traces)),
         )
         if outcome.routed:
             place_traffic(graph, final_path, demand)
@@ -472,10 +472,12 @@ class _Leaf:
 class _Leaves:
     """A payload's large leaves as _Leaf objects. A graph's link cells and
     an outcome's temp-path lengths are formatted once per _Leaves, for
-    report.json and for their CSV."""
+    report.json and for their CSV, and the cells of a LinkIndex's own
+    columns (src, dst, max_bandwidth_bps) once for all graphs sharing it."""
 
     def __init__(self) -> None:
         self._tables: dict[int, tuple[list, list]] = {}
+        self._fixed: dict[int, list[list[str]]] = {}
         self._lengths: dict[int, list[str]] = {}
 
     def link_table(self, graph: NetworkGraph) -> tuple[list[tuple[str, ...]], list[str]]:
@@ -489,10 +491,15 @@ class _Leaves:
             pass
         index = graph.link_index()
         sources, targets = index.sources, index.targets
-        columns = [
-            _texts(values, lambda i, column=column: f"link ({sources[i]},{targets[i]}): {column}")
-            for values, column in zip(_link_columns(graph), _LINK_COLUMNS)
-        ]
+
+        def column_texts(values: list, column: str) -> list[str]:
+            return _texts(values, lambda i: f"link ({sources[i]},{targets[i]}): {column}")
+
+        values = _link_columns(graph)
+        fixed = self._fixed.get(id(index))
+        if fixed is None:
+            fixed = self._fixed[id(index)] = list(map(column_texts, values[:3], _LINK_COLUMNS))
+        columns = fixed + list(map(column_texts, values[3:], _LINK_COLUMNS[3:]))
         texts = list(zip(*columns))
         table = self._tables[id(graph)] = texts, [",".join(row) + "\r\n" for row in texts]
         return table

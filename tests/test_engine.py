@@ -758,6 +758,42 @@ class TestFindRoute:
         assert served > 0
         assert settled > 0
 
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_a_settled_demand_s_final_path_is_its_last_temp_path_served(self, monkeypatch, reuse):
+        # A settling episode changed no Q-value, so the table the final walk
+        # reads is the one its temp path was selected from, and that path
+        # (a repeat, so it carries floors) is what the final walk returns:
+        # the path object itself, served without a walk.
+        selections, changes = [], []
+        select, update = engine.find_temp_path, engine.update_table
+
+        def selecting(*args, **kwargs):
+            selections.append(select(*args, **kwargs))
+            return selections[-1]
+
+        def recording(*args, **kwargs):
+            changes.append(update(*args, **kwargs))
+            return changes[-1]
+
+        monkeypatch.setattr(engine, "find_temp_path", selecting)
+        monkeypatch.setattr(engine, "update_table", recording)
+        graph = load_builtin("t8")
+        global_table = QTable.for_graph(graph) if reuse else None
+        settled = 0
+        for demand in builtin_demands("t8"):
+            selections.clear()
+            changes.clear()
+            result = find_route(demand, graph, global_table)
+            if reuse:
+                changes = [local or glob for local, glob in zip(changes[::2], changes[1::2])]
+            if changes[-1]:
+                continue
+            settled += 1
+            last = result.traces[-1].temp_path
+            assert result.final_path == RoutePath(last.nodes, last.reached_destination)
+            assert last.floors is not None and selections[-1] is last
+        assert settled > 0
+
     def test_without_global_table_learns_the_same(self):
         # A global table that nothing reads changes nothing the learner
         # does: the same traces and final path, and the same random draws,
@@ -861,6 +897,36 @@ class TestFindFinalPath:
         hyper = Hyperparameters(epsilon=1.0)
         path = find_final_path(TrafficDemand(0, 4, 1e5), QTable.for_graph(graph), hyper)
         assert path.nodes == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "value, served, nodes",
+        [(-1.6, True, (0, 1, 2, 3)), (-1.8, False, (0, 1, 2, 3)), (-2.0, False, (0, 2, 3))],
+        ids=["above", "at", "below"],
+    )
+    def test_previous_gives_the_walk_s_path(self, value, served, nodes):
+        # The last update wrote link 0-1 of the path 0-1-2-3, whose floor
+        # there is -1.8 (0-2). Strictly above it the previous path is
+        # served, reading only its own links' Q-values; at or below it the
+        # walk reads the rivals and decides, the tie at -1.8 to the lower
+        # target. Either way the final path is the one a walk without
+        # previous finds.
+        graph = load_builtin("t2")
+        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
+        previous = repeated(demand, table)
+        assert previous.floors[0] == -1.8
+        q_set(table, 0, 1, value)
+        reads = []
+
+        class Reading(list):
+            def __getitem__(self, k):
+                reads.append(k)
+                return list.__getitem__(self, k)
+
+        table.q = Reading(table.q)
+        with_previous = find_final_path(demand, table, DEFAULT_HYPERPARAMETERS, previous)
+        assert (set(reads) <= set(previous.links)) is served
+        without = find_final_path(demand, table, DEFAULT_HYPERPARAMETERS)
+        assert with_previous == without == RoutePath(nodes, True)
 
     def test_identical_calls_identical_outputs(self):
         graph = load_builtin("t2")

@@ -250,8 +250,10 @@ class TestRunSequence:
         # episode that runs makes one select and one update, and executes
         # unless selection returned the episode before's path object
         # itself. Episodes after one that changed no Q-value do not run,
-        # yet each demand keeps its budget.
+        # yet each demand keeps its budget. The final walk also gets the
+        # last path, so a repeat is counted only for an episode's selection.
         calls = {"select": 0, "repeat": 0, "execute": 0, "global": 0, "update": 0}
+        in_final = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -260,16 +262,24 @@ class TestRunSequence:
 
             return wrapper
 
-        select = engine.find_temp_path
+        select, final = engine.find_temp_path, engine.find_final_path
 
         def selecting(*args, **kwargs):
-            # find_route passes the previous path fifth; the final walk does not.
+            # find_route passes the previous path fifth.
             calls["select"] += 1
             path = select(*args, **kwargs)
-            calls["repeat"] += len(args) == 5 and path is args[4]
+            calls["repeat"] += not in_final and len(args) == 5 and path is args[4]
             return path
 
+        def finishing(*args, **kwargs):
+            in_final.append(True)
+            try:
+                return final(*args, **kwargs)
+            finally:
+                in_final.pop()
+
         monkeypatch.setattr(engine, "find_temp_path", selecting)
+        monkeypatch.setattr(engine, "find_final_path", finishing)
         monkeypatch.setattr(
             dataplane, "execute_path", counted("execute", dataplane.execute_path)
         )

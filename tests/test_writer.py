@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlroute import harness
 from rlroute.cli import main
 from rlroute.harness import (
     ComparisonReport,
@@ -269,6 +270,34 @@ def written_study(kind):
 
 
 KINDS = ["sequence", "gamma", "comparison"]
+
+
+@pytest.mark.parametrize("kind", ["gamma", "comparison"])
+def test_graphs_sharing_a_link_index_format_its_columns_once(kind, tmp_path, monkeypatch):
+    # A gamma study's groups and a comparison's two graphs share one
+    # LinkIndex; its src, dst and capacity cells are formatted once per
+    # write, each graph's loads and utilizations once per graph.
+    study = run_gamma_study(T3, [0.3, 0.5]) if kind == "gamma" else compare_baseline(T3)
+    graphs = (
+        [study.control.graph] + [run.graph for run in study.runs]
+        if kind == "gamma"
+        else [study.learned.graph, study.baseline_graph]
+    )
+    index = graphs[0].link_index()
+    assert all(graph.link_index() is index for graph in graphs)
+    formatted = []
+    texts = harness._texts
+
+    def recording(values, name):
+        formatted.append(values)
+        return texts(values, name)
+
+    monkeypatch.setattr(harness, "_texts", recording)
+    (emit_gamma_reports if kind == "gamma" else emit_comparison_reports)(study, tmp_path)
+    for column in (index.sources, index.targets, index.max_bandwidth):
+        assert sum(values is column for values in formatted) == 1
+    for graph in graphs:
+        assert sum(values is graph.loads for values in formatted) == 1
 
 
 def assert_refused(kind, spoil, message, tmp_path):
