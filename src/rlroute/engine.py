@@ -88,6 +88,14 @@ class Hyperparameters:
 DEFAULT_HYPERPARAMETERS = Hyperparameters()
 
 
+def check_global_gamma(gamma) -> None:
+    """ValueError naming global_gamma unless gamma is a Python int or float
+    in [0, 1]: find_route's and ExperimentConfig's one check of it."""
+    check_float(gamma, "global_gamma")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"global_gamma {gamma} outside [0, 1]")
+
+
 @lru_cache(typed=True)
 def _global_hyperparameters(gamma: float) -> Hyperparameters:
     """The framework defaults with gamma as gamma, built once per gamma;
@@ -101,10 +109,11 @@ class QTable:
 
     Only links have cells, so a (state, action) pair without a link has
     none. Every Q-value is finite: the constructor and store() refuse any
-    other, and selection relies on it.
+    other, and selection relies on it. The constructor copies q.
     """
 
-    def __init__(self, index: LinkIndex, q: list[float]):
+    def __init__(self, index: LinkIndex, q: Sequence[float]):
+        q = list(q)
         if len(q) != len(index.targets):
             raise ValueError(f"{len(q)} Q-values for {len(index.targets)} links")
         self.index = index
@@ -447,7 +456,7 @@ def find_route(
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
     global_hyper = DEFAULT_HYPERPARAMETERS
     if global_gamma is not None:
-        check_float(global_gamma, "gamma")
+        check_global_gamma(global_gamma)
         if global_table is None:
             raise ValueError(
                 f"global_gamma {global_gamma} needs a global_table: no global table reads it"

@@ -33,10 +33,11 @@ from .engine import (
     Hyperparameters,
     QTable,
     UnroutableDemandError,
+    check_global_gamma,
     detect_convergence,
     find_route,
 )
-from .network import NetworkGraph, RoutePath, TrafficDemand, check_float, check_int, place_traffic
+from .network import NetworkGraph, RoutePath, TrafficDemand, check_int, place_traffic
 from .rewards import DEFAULT_WEIGHTS, QoSWeights
 from .topologies import resolve_topology
 
@@ -58,7 +59,7 @@ class ExperimentConfig:
     caller changes later changes no config. global_gamma discounts
     global-table updates, so it needs use_global. seed is a Python int and
     global_gamma a Python int or float (see network.check_int and
-    check_float), as reports write them."""
+    engine.check_global_gamma), as reports write them."""
 
     topology: str
     demands: Sequence[TrafficDemand]
@@ -84,9 +85,7 @@ class ExperimentConfig:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         gamma = self.global_gamma
         if gamma is not None:
-            check_float(gamma, "global_gamma")
-            if not 0.0 <= gamma <= 1.0:
-                raise ValueError(f"global_gamma {gamma} outside [0, 1]")
+            check_global_gamma(gamma)
             if not self.use_global:
                 raise ValueError(f"global_gamma {gamma} needs use_global: no global table reads it")
 

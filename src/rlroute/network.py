@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 from math import isfinite
 from operator import truediv
 from pathlib import Path
-from typing import IO, Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
 
 _FLOAT_MAX = sys.float_info.max
-
-_T = TypeVar("_T")
 
 
 class TopologyError(ValueError):
@@ -155,44 +153,57 @@ class RoutePath:
 
 @dataclass(frozen=True)
 class LinkIndex:
-    """A graph's links, numbered, as id-indexed columns: everything about
-    them but their loads, which change as traffic is placed and which each
-    graph holds itself (NetworkGraph.loads). Built with the graph; nothing
-    writes to it after, so a graph shares it with all of its copies.
+    """A graph's nodes and numbered links as columns: all but the loads,
+    which each graph holds itself (NetworkGraph.loads). Built with the graph
+    and shared with all of its copies.
 
-    Link k is the k-th link in (src, dst) order, the iter_links order, so
-    out[u], the ids of the links leaving node u, ascend and so do their
-    targets. The ids in out are the int objects of ids' values, so a path
-    that holds them holds no ints of its own. max_bandwidth and reliability
-    hold each link's numbers as given, checked on entry (see _check_link).
-    Two indexes are equal when they number the same link set.
+    rates[i] is node i's processing rate. Link k is the k-th link in (src,
+    dst) order, the iter_links order, so out[u], the ids of the links
+    leaving node u, ascend and so do their targets; a path that holds ids
+    from out holds no ints of its own. max_bandwidth and reliability hold
+    each link's numbers as given, checked on entry (see _check_link).
+    terms, the rewards.TermSet of each set of weights scored with, is the
+    only thing written after construction. Two indexes are equal when they
+    number the same link set.
     """
 
     out: list[tuple[int, ...]]
     targets: list[int]
     sources: list[int] = field(compare=False)
-    ids: dict[tuple[int, int], int] = field(compare=False)
     max_bandwidth: list[float] = field(compare=False)
     reliability: list[float] = field(compare=False)
+    rates: tuple[float, ...] = field(compare=False)
+    terms: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def link_id(self, src: int, dst: int) -> int | None:
+        """The id of link (src, dst), found among out[src]; None when there
+        is none. An endpoint that is not an int node id has none: it never
+        indexes out, so a negative id cannot wrap around."""
+        if type(src) is int and type(dst) is int and 0 <= src < len(self.out):
+            for k in self.out[src]:
+                if self.targets[k] == dst:
+                    return k
+        return None
 
 
 class NetworkGraph:
-    """Directed graph held as columns.
-
-    Node ids are dense 0..N-1, and rates[i] is node i's processing rate, a
-    tuple that copies of the graph share. At most one link exists per
-    ordered (src, dst) pair. A link's fixed numbers are held once, in the
-    LinkIndex the graph shares with its copies; loads[k] is link k's used
-    bandwidth, a Python int or float as given, and the only state that
-    changes: place_traffic writes it. Construct through build_graph or
-    load_topology.
+    """Directed graph held as columns: the LinkIndex it shares with its
+    copies, which holds its nodes' rates and its links' fixed numbers, and
+    its own loads. Node ids are dense 0..N-1. At most one link exists per
+    ordered (src, dst) pair. loads[k] is link k's used bandwidth, a Python
+    int or float as given, and the only state that changes: place_traffic
+    writes it. Construct through build_graph or load_topology.
     """
 
-    def __init__(self, rates: tuple[float, ...], index: LinkIndex, loads: list[float]):
-        self.rates = rates
+    __slots__ = ("_index", "loads")
+
+    def __init__(self, index: LinkIndex, loads: list[float]):
         self._index = index
         self.loads = loads
-        self._cache: dict = {}
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        return self._index.rates
 
     @property
     def num_nodes(self) -> int:
@@ -210,18 +221,17 @@ class NetworkGraph:
                 raise ValueError(f"demand {name} references unknown node {node}")
 
     def has_link(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._index.ids
+        return self._index.link_id(src, dst) is not None
 
     def link_ids(self, nodes: Sequence[int]) -> tuple[int, ...]:
         """The ids of the links joining consecutive nodes, in order: how a
         node path that enters from outside the learner becomes link ids.
         ValueError naming the path and its first pair with no link."""
-        ids = self._index.ids
-        try:
-            return tuple(map(ids.__getitem__, zip(nodes, nodes[1:])))
-        except KeyError as exc:
-            src, dst = exc.args[0]
-            raise ValueError(f"path {list(nodes)} uses missing link ({src},{dst})") from None
+        ids = tuple(map(self._index.link_id, nodes, nodes[1:]))
+        if None in ids:
+            i = ids.index(None)
+            raise ValueError(f"path {list(nodes)} uses missing link ({nodes[i]},{nodes[i + 1]})")
+        return ids
 
     def out_neighbors(self, node_id: int) -> list[int]:
         """Next-hop candidates from node_id, in ascending id order."""
@@ -229,30 +239,10 @@ class NetworkGraph:
         return [targets[k] for k in self._index.out[node_id]]
 
     def link_index(self) -> LinkIndex:
-        """The graph's links, their numbering and fixed numbers, which
-        Q-tables, reward scores and copies of the graph share. Built with
-        the graph: its link set never changes."""
+        """The graph's nodes, links, their numbering and fixed numbers,
+        which Q-tables, reward scores and copies of the graph share. Built
+        with the graph: its node and link sets never change."""
         return self._index
-
-    def cached(self, build: Callable[..., _T], *args: Hashable) -> _T:
-        """build(self, *args), computed on the first call with these args
-        and kept for the graph's lifetime. build and args are the key, so
-        pass a module-level function, not a fresh lambda, as rewards.TermSet
-        does. A build that raises keeps nothing, so the next call builds
-        again.
-
-        Only for what depends on nothing but args and the fixed part of the
-        graph: its rates and its LinkIndex, neither of which changes after
-        construction. Loads do change (place_traffic writes them), so
-        nothing derived from a load may be cached here. Copies of a graph
-        share its store.
-        """
-        key = (build, *args)
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = build(self, *args)
-            return value
 
     def iter_links(self) -> Iterator[LinkState]:
         """All links in id order, which is (src, dst) order, each a LinkState
@@ -263,11 +253,9 @@ class NetworkGraph:
 
     def copy(self) -> "NetworkGraph":
         """A graph with the same nodes and links. Only loads change, so the
-        copy shares this graph's rates, LinkIndex and cached store; its
-        loads list, which place_traffic writes, is its own."""
-        clone = NetworkGraph(self.rates, self._index, self.loads.copy())
-        clone._cache = self._cache
-        return clone
+        copy shares this graph's LinkIndex; its loads list, which
+        place_traffic writes, is its own."""
+        return NetworkGraph(self._index, self.loads.copy())
 
     def max_link_utilization(self) -> float:
         return max(map(truediv, self.loads, self._index.max_bandwidth), default=0.0)
@@ -335,9 +323,8 @@ def _graph(rates: tuple[float, ...], rows: list[tuple]) -> NetworkGraph:
             raise TopologyError(f"duplicate link ({row[0]},{row[1]})")
         by_key[key] = row
     keys = sorted(by_key)
-    ids = {key: k for k, key in enumerate(keys)}
     out: list[list[int]] = [[] for _ in rates]
-    for (src, _), k in ids.items():
+    for k, (src, _) in enumerate(keys):
         out[src].append(k)
     columns = zip(*map(by_key.__getitem__, keys))
     sources, targets, max_bandwidth, loads, reliability = (
@@ -347,9 +334,9 @@ def _graph(rates: tuple[float, ...], rows: list[tuple]) -> NetworkGraph:
         out=[tuple(ks) for ks in out],
         targets=targets,
         sources=sources,
-        ids=ids,
         max_bandwidth=max_bandwidth,
         reliability=reliability,
+        rates=rates,
     )
 
     # Summed in link-id order, as rewards.link_scores sums them.
@@ -367,7 +354,7 @@ def _graph(rates: tuple[float, ...], rows: list[tuple]) -> NetworkGraph:
         # 1 - utilization, so it is finite exactly when their sum is.
         if not isfinite(intensity[dst] + utilization):
             raise TopologyError(f"link ({src},{dst}): global reward overflows")
-    return NetworkGraph(rates, index, loads)
+    return NetworkGraph(index, loads)
 
 
 def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -> NetworkGraph:

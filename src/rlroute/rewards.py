@@ -28,7 +28,7 @@ Every term but the hop reward depends on one link and on loads that change
 only between demands, when a routed demand's traffic is placed. LinkScores
 evaluates those terms for all links once per demand, so an episode's
 rewards only index lists by link id. What no load enters is evaluated once
-per graph and set of weights (TermSet).
+per LinkIndex, which a graph's copies share, and set of weights (TermSet).
 
 Every number is checked where it enters: by the TrafficDemand constructor
 and by the rate and link checks build_graph and the topology loader share.
@@ -161,18 +161,19 @@ def reward_utilization(used, max_bandwidth, extra: float = 0.0):
 @dataclass(frozen=True)
 class TermSet:
     """What link_scores reads of a graph under one set of weights that no
-    load enters, built by NetworkGraph.cached on the first scoring with
-    these weights: each link's target, each node's processing rate, each
-    link's capacity and the global reward's (default-weighted) reliability
-    term, as numpy arrays; the weighted hop (by position), transmission and
+    load enters, built by link_scores on the first scoring with these
+    weights: each link's target, each node's processing rate, each link's
+    capacity and the global reward's (default-weighted) reliability term,
+    as numpy arrays; the weighted hop (by position), transmission and
     reliability terms, as the lists every LinkScores with these weights
     shares; and partial, each link's hop + transmission + reliability for
     the first and the last hop, which link_scores extends to bound the local
     rewards.
 
     Capacities, reliabilities and processing rates are fixed at
-    construction, and copies of a graph share its cached store, so a study
-    builds one TermSet per set of weights for all of its copies.
+    construction, and a graph's copies share its LinkIndex, which keeps the
+    TermSet of each set of weights (LinkIndex.terms), so a study builds one
+    TermSet per set of weights for all of its copies.
     """
 
     targets: np.ndarray
@@ -185,16 +186,15 @@ class TermSet:
     partial: np.ndarray
 
 
-def _term_set(graph: NetworkGraph, weights: QoSWeights) -> TermSet:
-    index = graph.link_index()
+def _term_set(index: LinkIndex, weights: QoSWeights) -> TermSet:
     reliability = np.array(index.reliability)
     max_bandwidth = np.array(index.max_bandwidth)
-    rates = graph.rates
+    rates = index.rates
     rate = np.array(rates)
     transmission = np.array([reward_transmission(r / MBPS) for r in rates])
     # hop[i] is the reward of hop i + 1; a simple path has at most
     # num_nodes - 1 hops.
-    hop = np.array([reward_hop(i) for i in range(1, graph.num_nodes)])
+    hop = np.array([reward_hop(i) for i in range(1, len(rates))])
     # A sum that overflows is reported by link_scores, naming the link.
     with np.errstate(over="ignore", invalid="ignore"):
         hop = weights.hop_count * hop
@@ -240,15 +240,18 @@ def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand)
 
     Local terms use weights and the demand's traffic; the global reward uses
     the framework default weights and the current forms. Only the loads are
-    read per call; the rest comes from the TermSet for these weights that
-    the graph shares with its copies, built on the first call with them.
+    read per call; the rest comes from the TermSet for these weights in the
+    graph's LinkIndex, which its copies share: built through _term_set on
+    the first call with these weights and kept in LinkIndex.terms.
     Raises ValueError naming the first link whose local or global reward
     sums to a non-finite value. One test of the total of all sums clears
     the usual case; only a total that is not finite (a NaN, an inf, or
     finite sums that overflow) runs the exact per-link test.
     """
-    terms = graph.cached(_term_set, weights)
     index = graph.link_index()
+    terms = index.terms.get(weights)
+    if terms is None:
+        terms = index.terms[weights] = _term_set(index, weights)
     targets = terms.targets
     used = np.array(graph.loads)
     # Each node's inbound loads, summed in link-id order.

@@ -66,12 +66,17 @@ class AbsentLinkError(KeyError):
     """Raised on any read or write of a Q-table cell with no underlying link."""
 
 
+def pair_link_id(index: LinkIndex, src: int, dst: int) -> int:
+    """The id of link (src, dst) in index; AbsentLinkError if there is none."""
+    k = index.link_id(src, dst)
+    if k is None:
+        raise AbsentLinkError(f"no link ({src},{dst}); Q-value is absent")
+    return k
+
+
 def q_link_id(table: QTable, state: int, action: int) -> int:
     """The id of link (state, action) in table's index."""
-    try:
-        return table.index.ids[(state, action)]
-    except KeyError:
-        raise AbsentLinkError(f"no link ({state},{action}); Q-value is absent") from None
+    return pair_link_id(table.index, state, action)
 
 
 def q_get(table: QTable, state: int, action: int) -> float:
@@ -233,7 +238,7 @@ def rewards_of(index: LinkIndex, records: Sequence[RewardRecord]) -> EpisodeRewa
     if any(not r.action_success for r in records[:-1]):
         raise ValueError("only the last action of an episode may be failed")
     return EpisodeRewards(
-        tuple(index.ids[(r.src_id, r.dst_id)] for r in records),
+        tuple(pair_link_id(index, r.src_id, r.dst_id) for r in records),
         tuple(r.value for r in records),
         records[-1].action_success,
     )

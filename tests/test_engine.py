@@ -94,7 +94,7 @@ class TestQTable:
                 if (i, j) in link_pairs:
                     assert q_get(table, i, j) == 0.0
                 else:
-                    assert (i, j) not in table.index.ids
+                    assert not graph.has_link(i, j)
                     with pytest.raises(AbsentLinkError):
                         q_get(table, i, j)
 
@@ -128,6 +128,21 @@ class TestQTable:
         with pytest.raises(ValueError, match="4 Q-values for 5 links"):
             QTable(index, [0.0] * 4)
         assert QTable(index, [-1.0] * 5).q == [-1.0] * 5
+
+    def test_constructor_copies_the_values_it_is_given(self):
+        # A table owns its list: NaN written later into the caller's list
+        # reaches no table, and a tuple becomes a list the learner can copy.
+        graph = load_builtin("t1")
+        demand = TrafficDemand(0, 4, 1e5)
+        given = [-1.0] * 5
+        table = QTable(graph.link_index(), given)
+        given[:] = [math.nan] * 5
+        assert table.q == [-1.0] * 5
+        assert find_route(demand, graph, table).final_path.reached_destination
+        table = QTable(graph.link_index(), (-1.0,) * 5)
+        assert type(table.q) is list
+        assert find_route(demand, graph, table).final_path.reached_destination
+        assert table.q != [-1.0] * 5
 
     def test_copy_is_deep(self):
         table = QTable.for_graph(load_builtin("t1"))
@@ -317,7 +332,7 @@ class TestFindTempPath:
             TrafficDemand(0, 299, 1e5), QTable.for_graph(graph), Hyperparameters(ttl=299)
         )
         assert path.reached_destination
-        assert all(k is index.ids[pair] for k, pair in zip(path.links, node_pairs(path)))
+        assert all(any(k is j for j in index.out[u]) for k, u in zip(path.links, path.nodes))
 
     def test_temp_paths_compare_by_source_links_and_flag(self):
         t1, copy = load_builtin("t1"), load_builtin("t1")
@@ -825,14 +840,26 @@ class TestFindRoute:
         demand = TrafficDemand(0, 4, 1e5)
         for gamma in (1, 1.0):
             find_route(demand, graph, QTable.for_graph(graph), global_gamma=gamma)
-            with pytest.raises(ValueError, match=r"^gamma must be an int or float, got True$"):
+            with pytest.raises(
+                ValueError, match=r"^global_gamma must be an int or float, got True$"
+            ):
                 find_route(demand, graph, QTable.for_graph(graph), global_gamma=True)
 
     def test_global_gamma_must_be_a_python_number(self):
         graph = load_builtin("t1")
-        with pytest.raises(ValueError, match=r"^gamma must be an int or float, got \[0\.5\]$"):
+        with pytest.raises(
+            ValueError, match=r"^global_gamma must be an int or float, got \[0\.5\]$"
+        ):
             find_route(TrafficDemand(0, 4, 1e5), graph, QTable.for_graph(graph),
                        global_gamma=[0.5])
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.5, math.nan])
+    def test_global_gamma_out_of_range_is_refused_naming_it(self, gamma):
+        # Worded as ExperimentConfig words it.
+        graph = load_builtin("t1")
+        with pytest.raises(ValueError, match=rf"^global_gamma {gamma} outside \[0, 1\]$"):
+            find_route(TrafficDemand(0, 4, 1e5), graph, QTable.for_graph(graph),
+                       global_gamma=gamma)
 
     def test_global_gamma_without_a_global_table_is_refused(self):
         # Only global updates read global_gamma.

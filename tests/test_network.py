@@ -1,5 +1,6 @@
 """Graph model, traffic placement, and topology document round-trips."""
 
+import gc
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from rlroute import network
 from rlroute.network import (
     DEFAULT_PROCESSING_RATE,
+    LinkIndex,
     LinkState,
     NetworkGraph,
     RoutePath,
@@ -25,7 +27,7 @@ from rlroute.network import (
     load_topology,
     place_traffic,
 )
-from rlroute.rewards import DEFAULT_WEIGHTS, _term_set, link_scores, make_weights, reward_intensity
+from rlroute.rewards import DEFAULT_WEIGHTS, link_scores, make_weights, reward_intensity
 from rlroute.topologies import (
     BUILTIN_DEMAND_SETS,
     BUILTIN_TOPOLOGIES,
@@ -359,24 +361,34 @@ class TestBuildGraph:
         assert link_of(graph, 1, 2).used_bandwidth == 1e6
         assert clone != graph
 
-    def test_copy_shares_nodes_links_numbering_and_cached_store(self):
-        # Only loads change, so a copy shares the node rates and the link
-        # index, capacities and reliabilities included; only its loads list,
-        # which placement writes, is its own.
+    def test_copy_shares_the_link_index_and_its_term_sets(self):
+        # Only loads change, so a copy shares the link index, node rates,
+        # capacities, reliabilities and term sets included; only its loads
+        # list, which placement writes, is its own.
         graph = t1()
         place_traffic(graph, RoutePath((0, 1), True), TrafficDemand(0, 1, 2e6))
         clone = graph.copy()
         assert clone.link_index() is graph.link_index()
         assert clone == graph
-        assert clone.rates is graph.rates
+        assert clone.rates is graph.rates is graph.link_index().rates
         assert clone.loads == graph.loads
         assert clone.loads is not graph.loads
         place_traffic(clone, RoutePath((1, 2), True), TrafficDemand(1, 2, 1e6))
         assert clone.loads != graph.loads
         assert clone.link_index() is graph.link_index()
-        terms = clone.cached(_term_set, DEFAULT_WEIGHTS)
-        assert graph.cached(_term_set, DEFAULT_WEIGHTS) is terms
-        assert clone.copy().cached(_term_set, DEFAULT_WEIGHTS) is terms
+        index = graph.link_index()
+        assert index.terms == {}
+        demand = TrafficDemand(0, 4, 1e5)
+        link_scores(clone, DEFAULT_WEIGHTS, demand)
+        terms = index.terms[DEFAULT_WEIGHTS]
+        link_scores(graph, DEFAULT_WEIGHTS, demand)
+        link_scores(clone.copy(), DEFAULT_WEIGHTS, demand)
+        assert list(index.terms) == [DEFAULT_WEIGHTS]
+        assert index.terms[DEFAULT_WEIGHTS] is terms
+        # A graph holds its index and its loads, and nothing else.
+        assert not hasattr(graph, "__dict__")
+        with pytest.raises(AttributeError):
+            graph.cached = None
 
     def test_max_link_utilization(self):
         graph = build_graph(3, [(0, 1, 1e7, 2e6), (1, 2, 1e7, 9e6)])
@@ -394,7 +406,8 @@ class TestBuildGraph:
         columns = index.sources, index.targets, index.max_bandwidth, graph.loads, index.reliability
         assert list(zip(*columns)) == links
         assert index.out == [(0, 1), (), (2,), (3,)]
-        assert index.ids == {(0, 1): 0, (0, 3): 1, (2, 0): 2, (3, 2): 3}
+        ids = {(link.src, link.dst): graph.link_ids((link.src, link.dst))[0] for link in links}
+        assert ids == {(0, 1): 0, (0, 3): 1, (2, 0): 2, (3, 2): 3}
         # Cached: links never change after construction.
         assert graph.link_index() is index
         # A copy shares the index; loads do not enter an index comparison.
@@ -406,6 +419,63 @@ class TestBuildGraph:
         assert reloaded.link_index() == index
         assert reloaded.link_index() is not index
         assert build_graph(3, [(0, 1, 1e6)]).link_index() != index
+
+
+class TestPairLookup:
+    # A link is found among its source's out-links: no pair-to-id table
+    # is kept beside the columns.
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_has_link_holds_exactly_for_the_links(self, seed):
+        graph = graph_from_dict(float_document(30, seed)[0])
+        links = {(link.src, link.dst) for link in graph.iter_links()}
+        nodes = range(graph.num_nodes)
+        assert {(u, v) for u in nodes for v in nodes if graph.has_link(u, v)} == links
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_link_s_pair_gives_its_id(self, seed):
+        graph = graph_from_dict(float_document(30, seed)[0])
+        for k, link in enumerate(graph.iter_links()):
+            assert graph.link_ids((link.src, link.dst)) == (k,)
+
+    @pytest.mark.parametrize(
+        "src, dst",
+        # Each but (0, -1) and the out-of-range ones would find a t1 link if
+        # it indexed out or compared as given: -3 wraps to node 2, which
+        # links to 3, and True and 1.0 equal 1.
+        [(-3, 3), (0, -1), (5, 0), (0, 5), (True, 2), (0, True), (1.0, 2), (0, 1.0)],
+        ids=["negative-src", "negative-dst", "src-out-of-range", "dst-out-of-range",
+             "bool-src", "bool-dst", "float-src", "float-dst"],
+    )
+    def test_an_endpoint_that_is_not_an_int_node_id_is_no_link(self, src, dst):
+        graph = t1()
+        assert graph.has_link(src, dst) is False
+        message = f"path [{src!r}, {dst!r}] uses missing link ({src},{dst})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph.link_ids((src, dst))
+
+    def test_a_loaded_graph_s_containers_grow_with_its_nodes_not_its_links(self):
+        def document(num_nodes, degree):
+            links = [(u, (u + d) % num_nodes) for u in range(num_nodes) for d in range(1, degree + 1)]
+            return {
+                "nodes": [{"id": i, "processing_rate_bps": 1e8} for i in range(num_nodes)],
+                "links": [{"src": u, "dst": v, "max_bandwidth_bps": 1e7} for u, v in links],
+            }
+
+        def containers(graph):
+            # Lists, tuples, dicts and sets reachable from the graph, each once.
+            seen, stack = {id(graph)}, [graph]
+            while stack:
+                for ref in gc.get_referents(stack.pop()):
+                    if isinstance(ref, (list, tuple, dict, set, LinkIndex)) and id(ref) not in seen:
+                        seen.add(id(ref))
+                        stack.append(ref)
+            return len(seen)
+
+        sparse = containers(graph_from_dict(document(40, 2)))
+        assert containers(graph_from_dict(document(40, 8))) == sparse
+        # One tuple of out-link ids per node.
+        assert containers(graph_from_dict(document(80, 2))) == sparse + 40
 
 
 class TestPaths:
