@@ -23,10 +23,12 @@ Successful entries follow the standard update
 with Q(s',a') read in performed-action order and the terminal successful
 action bootstrapping from Hyperparameters.terminal_q (default 0).
 
-A demand's episodes stop early, with the same result, once they can only
-repeat: with no exploration and no packet loss, an episode whose updates
-change no Q-value of either table is what every later episode would be
-(see find_route).
+An episode's rewards are a function of its execution alone, so an episode
+is scored only when its execution differs from the episode before's; an
+equal one reuses that episode's rewards. A demand's episodes stop early,
+with the same result, once they can only repeat: with no exploration and no
+packet loss, an episode whose updates change no Q-value of either table is
+what every later episode would be (see find_route).
 """
 
 from __future__ import annotations
@@ -268,8 +270,9 @@ def find_temp_path(
     greedy walk repeating it gets floors, per hop the best Q-value of the
     node's other links into unvisited nodes (-inf if none). At epsilon 0, a
     previous strictly above every floor is returned unwalked (a tie walks).
-    previous itself is returned only as a repeat of it, unwalked or walked
-    with floors, so find_route reads that object as a repeated episode.
+    previous itself is returned only as a repeat of it, so a caller may skip
+    re-executing that object; a repeat may also come back as a new, equal
+    path (the first time a walk repeats, carrying floors).
     """
     epsilon, destination = hyper.epsilon, demand.dst
     explore = epsilon > 0
@@ -346,14 +349,11 @@ def find_final_path(
     deterministic under the lowest-id tie-break, as a validated RoutePath.
 
     previous: the last temp path selected from table, since which only its
-    links' Q-values may have changed. One carrying floors is passed on to
-    find_temp_path, which returns it unwalked while it stays strictly above
-    every floor; one without floors is dropped, so that a walk repeating it
-    computes no floors that nothing reads.
+    links' Q-values may have changed. It is passed on to find_temp_path,
+    which returns one carrying floors unwalked while it stays strictly above
+    every floor.
     """
     greedy = hyper if hyper.epsilon == 0 else replace(hyper, epsilon=0.0)
-    if previous is not None and previous.floors is None:
-        previous = None
     path = find_temp_path(demand, table, greedy, None, previous)
     return RoutePath(path.nodes, path.reached_destination)
 
@@ -420,7 +420,7 @@ def find_route(
     hyper: Optional[Hyperparameters] = None,
     rng: Optional[random.Random] = None,
     global_gamma: Optional[float] = None,
-    loss: Optional[dataplane.LossModel] = None,
+    loss: Optional[random.Random] = None,
 ) -> RouteResult:
     """Learn a path for one demand over graph.
 
@@ -433,17 +433,18 @@ def find_route(
     table starts at 0 and nothing global is scored or kept. Global updates
     use the framework default hyperparameters, with global_gamma as gamma
     when given (it needs a global_table); per-demand customization (weights,
-    hyper) touches only the local table. Packets are lost only to a given
-    loss model. Selection gets the episode before's temp path, off whose
-    links the local table has not changed since. When it returns that path
-    object itself and no loss model is given, the episode repeats the one
-    before: it reuses that episode's execution result and rewards and runs
-    only the updates. With a loss model every episode executes, and one
-    whose result equals the episode before's reuses that episode's rewards.
-    Returns the greedy final path plus one trace per episode; the final
-    walk gets the last episode's temp path as previous.
+    hyper) touches only the local table. Packets are lost only with a loss
+    stream, which the data plane draws once per attempted hop (see
+    dataplane.execute_path). Selection gets the episode before's temp path,
+    off whose links the local table has not changed since. An episode is
+    scored exactly when its ExecutionResult differs from the episode
+    before's; one equal to it reuses that episode's rewards and runs only
+    the updates. Without a loss stream, a selection that returns the
+    previous path object itself is not executed either, since it would
+    execute as before. Returns the greedy final path plus one trace per
+    episode; the final walk gets the last episode's temp path as previous.
 
-    An episode settles the demand when epsilon is 0, no loss model is given
+    An episode settles the demand when epsilon is 0, no loss stream is given
     and its updates leave every Q-value of both tables unchanged: each later
     episode would select from the same table, execute and score the same
     path and update nothing again, so its trace, a copy of the settling
@@ -476,13 +477,13 @@ def find_route(
     for episode in range(1, episodes + 1):
         selected = find_temp_path(demand, local_table, hyper, rng, temp_path)
         # The previous path object itself is a repeat; without loss draws it
-        # executes and scores as before, so its result and rewards stand.
+        # would execute as before, so executing it is skipped.
         if selected is not temp_path or loss is not None:
             temp_path = selected
             # Looked up on the module at call time, so wrapping it there sees every call.
             executed = dataplane.execute_path(graph, temp_path.links, loss)
-            # Under loss draws, an execution equal to the one before scores as it did.
-            if loss is None or executed != result:
+            # An execution equal to the one before scores as it did.
+            if executed != result:
                 result = executed
                 attempted = len(result.records)
                 local_rewards = local_rewards_for_path(result, scores)

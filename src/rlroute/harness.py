@@ -27,7 +27,7 @@ from operator import attrgetter, itemgetter, truediv
 from pathlib import Path
 from typing import Optional
 
-from .dataplane import LossModel, control_messages
+from .dataplane import control_messages
 from .engine import (
     DEFAULT_HYPERPARAMETERS,
     Hyperparameters,
@@ -43,7 +43,8 @@ from .topologies import resolve_topology
 
 DEFAULT_SEED = 1
 _FLOAT_MAX = sys.float_info.max
-# "off" runs with no loss model, "bernoulli" with a dataplane.LossModel.
+# "off" runs without loss draws; "bernoulli" gives the data plane a loss
+# stream, which loses each hop with probability 1 - the link's reliability.
 LOSS_MODES = ("off", "bernoulli")
 # The ExperimentConfig fields whose type alone its constructor checks.
 _CONFIG_TYPES = {
@@ -237,7 +238,7 @@ def run_sequence(config: ExperimentConfig) -> ExperimentReport:
     """Route every demand in order, placing traffic after each success.
 
     One RNG lives for the whole sequence, with loss_mode "bernoulli" one
-    loss model, and with use_global one global table; each demand gets its
+    loss stream, and with use_global one global table; each demand gets its
     own local table, seeded from the global one when there is one. A demand
     whose source has no outgoing links is recorded as unrouted and the run
     continues. A demand naming a node the graph lacks fails the run before
@@ -253,7 +254,7 @@ def _run_sequence(config: ExperimentConfig, graph: NetworkGraph) -> ExperimentRe
         graph.check_endpoints(demand, index)
     # Packet loss draws from a stream of its own: seeded with config.seed
     # itself, it would repeat the exploration stream's draws.
-    loss = LossModel(f"loss {config.seed}") if config.loss_mode == "bernoulli" else None
+    loss = random.Random(f"loss {config.seed}") if config.loss_mode == "bernoulli" else None
     # Only a run that seeds local tables from it needs a global table.
     global_table = QTable.for_graph(graph) if config.use_global else None
     rng = random.Random(config.seed)

@@ -318,12 +318,14 @@ def route_of(path) -> RoutePath:
 
 
 def execute_path(graph: NetworkGraph, path, loss=None) -> tuple[HopQoSRecord, ...]:
-    """Snapshot each hop of path, read as its node pairs, as it is reached;
-    stop after the hop the loss model drops, flagging its record."""
+    """Snapshot each hop of path, read as its node pairs, as it is reached.
+    With a loss stream each hop draws loss.random() once and is lost when
+    the draw is at least its link's reliability: stop after that hop,
+    flagging its record."""
     records: list[HopQoSRecord] = []
     for hop_index, (src, dst) in enumerate(node_pairs(path), start=1):
         record = snapshot_qos(graph, src, dst, hop_index)
-        if loss is not None and loss.packet_lost(record.link_reliability):
+        if loss is not None and loss.random() >= record.link_reliability:
             records.append(replace(record, has_lost=True))
             break
         records.append(record)

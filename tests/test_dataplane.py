@@ -1,8 +1,10 @@
 """Path execution, QoS snapshots, loss handling, message accounting."""
 
+import random
+
 from reference import execute_path as reference_execute_path
 from reference import node_pairs, snapshot_qos
-from rlroute.dataplane import LossModel, execute_path
+from rlroute.dataplane import execute_path
 from rlroute.engine import EpisodeTrace
 from rlroute.network import RoutePath, build_graph
 from rlroute.topologies import load_builtin
@@ -55,7 +57,7 @@ class TestExecutePath:
         links = graph.link_ids(path.nodes)
         result = execute_path(graph, links)
         assert not result.lost
-        # Without a loss model the ids selection chose are the records.
+        # Without a loss stream the ids selection chose are the records.
         assert result.records is links
         assert result == (links, False)
         assert attempted(graph, result) == [(0, 1), (1, 2), (2, 3)]
@@ -74,7 +76,7 @@ class TestExecutePath:
     def test_execution_never_mutates_graph(self):
         graph = chain_graph()
         before = graph.copy()
-        execute_path(graph, graph.link_ids((0, 1, 2, 3)), LossModel(seed=0))
+        execute_path(graph, graph.link_ids((0, 1, 2, 3)), random.Random(0))
         assert graph == before
 
     def test_zero_hop_path(self):
@@ -87,15 +89,25 @@ class TestExecutePath:
 
 class TestLoss:
     def test_bernoulli_extremes(self):
-        loss = LossModel(seed=1)
-        assert not any(loss.packet_lost(1.0) for _ in range(100))
-        assert all(loss.packet_lost(0.0) for _ in range(100))
+        # Every draw in [0, 1) is below reliability 1 and at least 0, so a
+        # reliable link never loses the packet and an unreliable one always
+        # does, each hop drawing once.
+        graph = build_graph(3, [(0, 1, 1e7, 0, 1.0), (1, 2, 1e7, 0, 1.0)])
+        unreliable = build_graph(3, [(0, 1, 1e7, 0, 0.0), (1, 2, 1e7, 0, 0.0)])
+        links = graph.link_ids((0, 1, 2))
+        loss, draws = random.Random(1), random.Random(1)
+        for _ in range(50):
+            assert execute_path(graph, links, loss) == (links, False)
+            assert execute_path(unreliable, links, loss) == (links[:1], True)
+            for _ in range(3):
+                draws.random()
+        assert loss.getstate() == draws.getstate()
 
     def test_loss_truncates_and_flags_last_record(self):
         # Reliability 0 on the second link forces the drop at hop 2.
         graph = build_graph(4, [(0, 1, 1e7, 0, 1.0), (1, 2, 1e7, 0, 0.0), (2, 3, 1e7, 0, 1.0)])
         path = RoutePath((0, 1, 2, 3), True)
-        result = execute_path(graph, graph.link_ids(path.nodes), loss=LossModel(seed=7))
+        result = execute_path(graph, graph.link_ids(path.nodes), loss=random.Random(7))
         assert attempted(graph, result) == [(0, 1), (1, 2)]
         assert result.lost
         # Counts follow the two attempted hops, not the path's three.
@@ -107,15 +119,15 @@ class TestLoss:
         links = graph.link_ids(path.nodes)
         outcomes = set()
         for seed in range(50):
-            result = execute_path(graph, links, loss=LossModel(seed=seed))
+            result = execute_path(graph, links, loss=random.Random(seed))
             # The attempted hops are a prefix of the path; delivery stops at
             # the lost hop, so only a lost execution may end early.
             assert result.records == links[: len(result.records)]
             hops = attempted(graph, result)
             assert result.lost or len(hops) == 2
-            # The loss model is consulted per hop exactly as the per-hop
-            # snapshot walk consults it, so the same seed loses the same hop.
-            records = reference_execute_path(graph, path, LossModel(seed=seed))
+            # The loss stream is drawn per hop exactly as the per-hop
+            # snapshot walk draws it, so the same seed loses the same hop.
+            records = reference_execute_path(graph, path, random.Random(seed))
             assert hops == [(r.src_id, r.dst_id) for r in records]
             assert result.lost == records[-1].has_lost
             outcomes.add((len(hops), result.lost))

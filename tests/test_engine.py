@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rlroute import dataplane, engine
-from rlroute.dataplane import LossModel
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
     EpisodeTrace,
@@ -525,6 +524,25 @@ class TestUpdateTable:
         assert all(math.isfinite(v) for v in table.q)
         assert q_get(table, 0, 1) == q_get(table, 1, 2) == -1e308
 
+    def test_an_overflow_after_an_entry_changed_is_refused_naming_the_link(self):
+        # Once an entry has changed the rest are updated without testing for
+        # a change; an overflow among them is still refused. (0,1) changes
+        # to -1 + -1e308, then (1,2) bootstraps from (2,3): -1e308 + -1e308.
+        table = QTable.for_graph(self.t1())
+        q_set(table, 1, 2, -1e308)
+        q_set(table, 2, 3, -1e308)
+        hyper = Hyperparameters(alpha=1.0, gamma=1.0)
+        rewards = rewards_of(table.index, [
+            RewardRecord(0, 1, True, -1.0),
+            RewardRecord(1, 2, True, -1e308),
+            RewardRecord(2, 3, True, -1.0),
+        ])
+        with pytest.raises(ValueError, match=r"^Q-value for \(1,2\) must be finite, got -inf$"):
+            update_table(table, rewards, hyper)
+        assert all(math.isfinite(v) for v in table.q)
+        assert q_get(table, 0, 1) == -1.0 + -1e308
+        assert q_get(table, 1, 2) == q_get(table, 2, 3) == -1e308
+
 
 class TestFindRoute:
     def test_one_episode_on_t1_finds_unique_path(self):
@@ -586,8 +604,15 @@ class TestFindRoute:
             TrafficDemand(0, 3, 1e5), graph, QTable.for_graph(graph), hyper=hyper
         )
         assert [t.episode_index for t in result.traces] == list(range(1, 11))
-        assert len(applied) == len(result.traces)
-        for trace, rewards in zip(result.traces, applied):
+        # Without loss an execution is its path's links, so an episode is
+        # scored exactly when its path differs from the episode before's;
+        # any other updates with the rewards scored last.
+        scored = iter(applied)
+        before = None
+        for trace in result.traces:
+            if trace.temp_path != before:
+                rewards = next(scored)
+            before = trace.temp_path
             n = len(rewards)
             assert trace.attempted_hops == n == trace.temp_path.hop_count <= hyper.ttl
             assert trace.messages_with_aggregation == n + 1
@@ -595,6 +620,7 @@ class TestFindRoute:
             assert rewards.links == trace.temp_path.links
             records = records_of(graph.link_index(), rewards)
             assert [(r.src_id, r.dst_id) for r in records] == node_pairs(trace.temp_path)
+        assert next(scored, None) is None
 
     @staticmethod
     def record_layers(monkeypatch):
@@ -639,12 +665,13 @@ class TestFindRoute:
         # globals, so find_route must keep calling each of them by name at
         # call time: per demand one init and one final, and per episode that
         # runs one select and two updates (rewards passed positionally).
-        # An episode executes and scores local and global rewards unless
-        # selection returned the episode before's path object itself; a
-        # repeat updates with that episode's rewards, the same objects. The
-        # final walk's own selection is not an episode's. The first episode
-        # that changes neither table settles the demand: nothing runs after
-        # it but the final walk.
+        # An episode executes unless selection returned the episode before's
+        # path object itself, and scores local and global rewards only when
+        # its execution differs from the one before's; otherwise it updates
+        # with the rewards scored last, the same objects. The final walk's
+        # own selection is not an episode's. The first episode that changes
+        # neither table settles the demand: nothing runs after it but the
+        # final walk.
         calls = self.record_layers(monkeypatch)
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
@@ -653,23 +680,29 @@ class TestFindRoute:
 
         assert [layer for layer, _, _ in calls[:1] + calls[-1:]] == ["init", "final"]
         episode_calls = calls[1:-1]
-        ran = executed = pos = 0
-        previous = local = glob = None
+        ran = executed = scored = pos = 0
+        previous = execution = local = glob = None
         while pos < len(episode_calls):
             select = episode_calls[pos]
             assert select[0] == "select"
             assert isinstance(select[2].reached_destination, bool)
             pos += 1
             if select[2] is not previous:
-                execute, local_call, glob_call = episode_calls[pos:pos + 3]
-                assert [execute[0], local_call[0], glob_call[0]] == ["execute", "local", "global"]
+                execute = episode_calls[pos]
+                assert execute[0] == "execute"
                 # What the tracer's counters read at each boundary.
                 assert len(execute[2].records) == select[2].hop_count
-                assert local_call[1][0] is glob_call[1][0] is execute[2]
-                assert len(local_call[2]) == len(glob_call[2]) == len(execute[2].records)
-                local, glob = local_call[2], glob_call[2]
                 executed += 1
-                pos += 3
+                pos += 1
+                if execute[2] != execution:
+                    execution = execute[2]
+                    local_call, glob_call = episode_calls[pos:pos + 2]
+                    assert [local_call[0], glob_call[0]] == ["local", "global"]
+                    assert local_call[1][0] is glob_call[1][0] is execution
+                    assert len(local_call[2]) == len(glob_call[2]) == len(execution.records)
+                    local, glob = local_call[2], glob_call[2]
+                    scored += 1
+                    pos += 2
             update_local, update_global = episode_calls[pos:pos + 2]
             assert [update_local[0], update_global[0]] == ["update", "update"]
             assert update_local[1][1] is local
@@ -679,7 +712,7 @@ class TestFindRoute:
             settled = pos == len(episode_calls)
             assert (update_local[2] or update_global[2]) is not settled
             previous = select[2]
-        assert 1 < executed < ran < episodes
+        assert 1 < scored < executed < ran < episodes
         # Every later episode is the settling one under its own index.
         settling = result.traces[ran - 1]
         assert [t.episode_index for t in result.traces] == list(range(1, episodes + 1))
@@ -692,25 +725,25 @@ class TestFindRoute:
     def test_exploring_or_lossy_runs_make_every_call(self, monkeypatch, epsilon, lossy):
         # Exploration and loss draw from their random sources every
         # episode, so every episode runs and executes, even after one that
-        # changed no Q-value. The t8 links drop 0.5% to 2% of packets. A
-        # lossy episode whose execution equals the one before's updates with
-        # that episode's rewards, the same objects, and scores nothing.
+        # changed no Q-value. The t8 links drop 0.5% to 2% of packets. An
+        # episode whose execution equals the one before's updates with that
+        # episode's rewards, the same objects, and scores nothing.
         calls = self.record_layers(monkeypatch)
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
         find_route(builtin_demands("t8")[0], graph, QTable.for_graph(graph),
                    weights=make_weights(0, 0, 0, 1, 1),
                    hyper=Hyperparameters(epsilon=epsilon), rng=random.Random(3),
-                   loss=LossModel(seed=3) if lossy else None)
+                   loss=random.Random(3) if lossy else None)
 
         executions = [result for layer, _, result in calls if layer == "execute"]
         assert len(executions) == episodes
-        scored = [True] + [not lossy or a != b for a, b in zip(executions, executions[1:])]
+        scored = [True] + [a != b for a, b in zip(executions, executions[1:])]
         expected = ["init"]
         for fresh in scored:
             expected += self.EPISODE if fresh else ["select", "execute", "update", "update"]
         assert [layer for layer, _, _ in calls] == expected + ["final"]
-        assert all(scored) is not lossy
+        assert not all(scored)
         applied = [args[1] for layer, args, _ in calls if layer == "update"][::2]
         assert [a is not b for a, b in zip(applied, applied[1:])] == scored[1:]
         # Some episode before the last changed no Q-value.
@@ -721,10 +754,12 @@ class TestFindRoute:
     def test_every_select_execute_and_score_goes_through_the_module(self, monkeypatch):
         # The benchmark's tracer counts these calls by replacing the module
         # globals: per demand, one selection per episode that runs plus the
-        # final walk's, served ones included, and one execution and one
-        # local scoring per episode that runs and did not get the episode
-        # before's path object back from selection. Episodes run up to the
-        # first that changes neither table, or to the end of the budget.
+        # final walk's, served ones included, one execution per episode that
+        # runs and did not get the episode before's path object back from
+        # selection, and one local scoring per episode whose path differs
+        # from the episode before's (without loss an execution is its
+        # path's links). Episodes run up to the first that changes neither
+        # table, or to the end of the budget.
         counts = {}
         changes = []
 
@@ -751,7 +786,7 @@ class TestFindRoute:
         graph = load_builtin("t8")
         global_table = QTable.for_graph(graph)
         episodes = DEFAULT_HYPERPARAMETERS.episodes
-        served = settled = 0
+        served = settled = unscored = 0
         for demand in builtin_demands("t8"):
             counts.clear()
             changes.clear()
@@ -759,10 +794,11 @@ class TestFindRoute:
             ran = len(changes) // 2
             paths = [trace.temp_path for trace in result.traces[:ran]]
             repeats = sum(a is b for a, b in zip(paths, paths[1:]))
+            scored = 1 + sum(a != b for a, b in zip(paths, paths[1:]))
             assert counts == {
                 "find_temp_path": ran + 1,
                 "execute_path": ran - repeats,
-                "local_rewards_for_path": ran - repeats,
+                "local_rewards_for_path": scored,
             }
             changed = [local or glob for local, glob in zip(changes[::2], changes[1::2])]
             assert all(changed[:-1])
@@ -770,8 +806,11 @@ class TestFindRoute:
             assert len(result.traces) == episodes
             settled += ran < episodes
             served += repeats
+            unscored += ran - repeats - scored
         assert served > 0
         assert settled > 0
+        # Some executed episodes repeat the path before as a new, equal object.
+        assert unscored > 0
 
     @pytest.mark.parametrize("reuse", [False, True])
     def test_a_settled_demand_s_final_path_is_its_last_temp_path_served(self, monkeypatch, reuse):
@@ -815,22 +854,22 @@ class TestFindRoute:
         # both for exploration and for packet loss (t2 links drop 5%).
         def run(global_table):
             graph = load_builtin("t2")
-            loss = LossModel(seed=3)
+            loss = random.Random(3)
             rng = random.Random(5)
             result = find_route(
                 TrafficDemand(0, 4, 1e5), graph, global_table,
                 hyper=Hyperparameters(epsilon=0.3), rng=rng, loss=loss,
             )
-            return result, rng.getstate(), [loss.packet_lost(0.5) for _ in range(64)]
+            return result, rng.getstate(), loss.getstate()
 
-        result, rng_state, loss_draws = run(None)
-        expected, expected_rng_state, expected_loss_draws = run(
+        result, rng_state, loss_state = run(None)
+        expected, expected_rng_state, expected_loss_state = run(
             QTable.for_graph(load_builtin("t2"))
         )
         assert result.traces == expected.traces
         assert result.final_path == expected.final_path
         assert rng_state == expected_rng_state
-        assert loss_draws == expected_loss_draws
+        assert loss_state == expected_loss_state
         assert any(t.attempted_hops < t.temp_path.hop_count for t in result.traces)
 
     def test_global_gamma_true_refused_after_gamma_1(self):
@@ -894,9 +933,10 @@ class TestFindRoute:
 def test_hot_functions_keep_no_closure_cells():
     # A comprehension or lambda reading a local makes it a closure cell of
     # the whole function (Python 3.11), read through the cell on every use,
-    # in every greedy scan, SARSA pass and reward scoring.
+    # in every greedy scan, SARSA pass, reward scoring and per-hop loss draw.
     for function in (
-        find_temp_path, update_table, find_route, local_rewards_for_path, global_rewards_for_path
+        find_temp_path, update_table, find_route, local_rewards_for_path, global_rewards_for_path,
+        dataplane.execute_path,
     ):
         assert function.__code__.co_cellvars == ()
 

@@ -42,6 +42,27 @@ CASES = {
         },
         "5819b15d185ae93df746c7347799aa47721c6f7ef316be6f0b2e28ab6437c2d2",
     ),
+    # The cases above run at epsilon 0 without loss; these two pin the
+    # per-hop loss draws, then the same draws interleaved with exploration.
+    "gamma-study-lossy": (
+        ["gamma-study", "--topology", "t8", "--weights", "0,0,0,1,1", "--loss-mode", "bernoulli"],
+        {
+            "report.json": "45e59ddc40f6a4db8806a120f90a4d88f9c3f94520a96d4b8ed500ca0dab079f",
+            "convergence.csv": "0a38d1c3cb89b00cc55c906569b58240b8eb9c14f4091391b14d92eadcb886bf",
+        },
+        "ddf4642bf836e6466c9f9481784bbe2ab951d1be0e9213c7055cbc7642d371ae",
+    ),
+    "gamma-study-lossy-exploring": (
+        [
+            "gamma-study", "--topology", "t8", "--weights", "0,0,0,1,1", "--loss-mode", "bernoulli",
+            "--epsilon", "0.1",
+        ],
+        {
+            "report.json": "549de27f2da6ee1553efd05a4dd7f1b2d472df4396b092e67af8c902530336f8",
+            "convergence.csv": "a52784e81a2ca65965fac7566e37d793bbba0fd6669a795f01c198f9e8e9375b",
+        },
+        "9ac2b68738187d135ea2ff1f7f711ee8e623dbe7705b01c6583de23c0c6caee6",
+    ),
 }
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from rlroute import dataplane, engine, harness, rewards
 from rlroute.cli import main
-from rlroute.dataplane import LossModel
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
 from rlroute.harness import (
     ComparisonReport,
@@ -203,16 +202,17 @@ class TestRunSequence:
         assert cut_short > 0
 
     def test_loss_and_exploration_draw_independent_streams(self, monkeypatch):
-        # Seeded with the run seed itself, the loss model would draw the
+        # Seeded with the run seed itself, the loss stream would draw the
         # exploration stream's numbers; a lossy run must still reproduce.
+        # The stream's state is recorded where each demand receives it.
         states = []
+        route = harness.find_route
 
-        class Recording(LossModel):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                states.append(self._rng.getstate())
+        def recording(*args, loss, **kwargs):
+            states.append(loss.getstate())
+            return route(*args, loss=loss, **kwargs)
 
-        monkeypatch.setattr(harness, "LossModel", Recording)
+        monkeypatch.setattr(harness, "find_route", recording)
         demands = [TrafficDemand(0, 3, 2e5), TrafficDemand(0, 4, 3e5), TrafficDemand(1, 4, 5e5)]
         config = ExperimentConfig(
             topology="t2", demands=demands, hyper=Hyperparameters(epsilon=0.2),
@@ -220,7 +220,8 @@ class TestRunSequence:
         )
         first = run_sequence(config).to_dict()
         assert run_sequence(config).to_dict() == first
-        assert states[0] == states[1]
+        assert len(states) == 2 * len(demands)
+        assert states[0] == states[len(demands)]
         loss = random.Random()
         loss.setstate(states[0])
         exploration = random.Random(config.seed)
@@ -727,6 +728,43 @@ class TestCli:
     def test_validate_topology_ok(self, capsys):
         assert main(["validate-topology", "--topology", "t7"]) == 0
         assert "16 nodes, 52 links" in capsys.readouterr().out
+
+    def test_validate_topology_missing_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate-topology", "--topology", "nosuch.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "invalid topology: 'nosuch.json' is neither a builtin topology id "
+            "(T1, T2, T3, T4, T7, T8) nor an existing file\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "gammas, message",
+        [("0.3,x", "bad gamma list '0.3,x'"), (",", "--gammas needs at least one value")],
+    )
+    def test_bad_gamma_lists_refused(self, gammas, message, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "find_route", lambda *args, **kwargs: pytest.fail("routed"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gamma-study", "--topology", "t8", "--gammas", gammas])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --gammas: {message}\n")
+
+    def test_run_reports_a_demand_from_a_node_without_out_links(self, tmp_path, capsys):
+        # Node 2 of this chain has no out-links: its demand is recorded as
+        # unrouted and the run goes on to the next.
+        topology = tmp_path / "net.json"
+        topology.write_text(json.dumps(graph_to_dict(build_graph(
+            3, [(0, 1, 1e7, 0.0, 1.0), (1, 2, 1e7, 0.0, 1.0)]
+        ))))
+        demands = tmp_path / "demands.json"
+        demands.write_text(json.dumps([
+            {"src": 2, "dst": 0, "traffic_bps": 1e5}, {"src": 0, "dst": 2, "traffic_bps": 1e5},
+        ]))
+        assert main(["run", "--topology", str(topology), "--demands", str(demands)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "demand 2->0: not routed"
+        assert lines[1].startswith("demand 0->2: 0->1->2 (")
 
     def test_validate_topology_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

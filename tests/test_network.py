@@ -671,6 +671,24 @@ class TestDemandFiles:
         assert len(builtin_demands("t7")) > 0
         assert all(isinstance(d.src, int) for d in builtin_demands("t8"))
 
+    def test_ids_without_bundled_data_are_refused(self):
+        # A topology id is refused with the ids that exist, and so is a
+        # builtin topology that ships without a demand set.
+        with pytest.raises(
+            ValueError, match=r"^unknown builtin topology 't5'; choose from T1, T2, T3, T4, T7, T8$"
+        ):
+            load_builtin("t5")
+        with pytest.raises(ValueError, match=r"^no bundled demand set for 't1'; available: T7, T8$"):
+            builtin_demands("t1")
+
+    def test_a_missing_topology_file_is_refused_naming_the_builtin_ids(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError, match=(
+            r"^'nosuch\.json' is neither a builtin topology id \(T1, T2, T3, T4, T7, T8\) "
+            r"nor an existing file$"
+        )):
+            resolve_topology("nosuch.json")
+
     @pytest.mark.parametrize(
         "entry, message",
         [

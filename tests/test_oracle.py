@@ -23,7 +23,7 @@ from reference import (
     route_of,
     sarsa_update,
 )
-from rlroute.dataplane import LossModel, execute_path
+from rlroute.dataplane import execute_path
 from rlroute.engine import Hyperparameters, QTable, find_route, find_temp_path, update_table
 from rlroute.network import RoutePath, TrafficDemand, build_graph, place_traffic
 from rlroute.rewards import (
@@ -130,8 +130,8 @@ class TestLinkScores:
             random.Random(seed),
         )
         assume(path.hop_count > 0)
-        result = execute_path(graph, path.links, LossModel(seed) if lossy else None)
-        records = reference.execute_path(graph, path, LossModel(seed) if lossy else None)
+        result = execute_path(graph, path.links, random.Random(seed) if lossy else None)
+        records = reference.execute_path(graph, path, random.Random(seed) if lossy else None)
         index = graph.link_index()
         assert [(index.sources[k], index.targets[k]) for k in result.records] == [
             (r.src_id, r.dst_id) for r in records
@@ -406,8 +406,8 @@ class TestEpisodes:
         table, global_table = QTable.for_graph(graph), QTable.for_graph(graph)
         dense = reference.DenseQTable.from_table(graph, table)
         dense_global = reference.DenseQTable.from_table(graph, global_table)
-        rng, loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
-        reference_rng, reference_loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
+        rng, loss = random.Random(seed), (random.Random(seed + 1) if lossy else None)
+        reference_rng, reference_loss = random.Random(seed), (random.Random(seed + 1) if lossy else None)
         scores = link_scores(graph, weights, demand)
         path = None
         for _ in range(24):
@@ -463,7 +463,7 @@ class TestSettledDemand:
 
         def run(route):
             table = start.copy() if reuse else None
-            rng, loss = random.Random(seed), (LossModel(seed + 1) if lossy else None)
+            rng, loss = random.Random(seed), (random.Random(seed + 1) if lossy else None)
             result = route(
                 demand, graph, table, weights, hyper, rng, gamma if reuse else None, loss
             )
@@ -477,7 +477,7 @@ class TestSettledDemand:
                 result.final_path,
                 table and [v.hex() for v in table.q],
                 rng.getstate(),
-                loss and [loss.packet_lost(0.5) for _ in range(64)],
+                loss and loss.getstate(),
             )
 
         assert run(find_route) == run(reference.find_route_every_episode)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlroute.dataplane import LossModel, execute_path
+from rlroute.dataplane import execute_path
 from rlroute.engine import (
     DEFAULT_HYPERPARAMETERS,
     EpisodeTrace,
@@ -301,7 +301,7 @@ class TestMessageAccounting:
              for l, reliability in zip(base.iter_links(), reliabilities)],
         )
         path = find_temp_path(demand, table, Hyperparameters(epsilon=0.3), rng=random.Random(seed))
-        result = execute_path(graph, path.links, LossModel(seed))
+        result = execute_path(graph, path.links, random.Random(seed))
         n = len(result.records)
         assert result.records == path.links[:n]
         assert n >= 1 or path.hop_count == 0

@@ -226,6 +226,15 @@ def test_topology_paths_that_write_a_marker_text():
         assert emitted(emit_reports, report)["report.json"] == report_json(report)
 
 
+def test_an_object_neither_json_nor_a_leaf_is_refused(tmp_path):
+    # The writer formats only its own leaves; any other object json cannot
+    # write is refused as json.dumps refuses it, before a file is opened.
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match=r"^Object of type object is not JSON serializable$"):
+        harness._write_json(path, {"links": object()})
+    assert not path.exists()
+
+
 def test_an_int_load_stays_an_int_through_iter_links_and_the_writer(tmp_path):
     # A graph keeps each load as given: int loads grown by an int rate stay
     # ints, and reports write them as ints.
