@@ -59,11 +59,10 @@ def _parse_weights(text: str) -> QoSWeights:
 
 def _parse_gammas(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
+        # An empty entry is refused too: float("") raises.
+        values = tuple(map(float, text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad gamma list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("--gammas needs at least one value")
     # Their range is ExperimentConfig's to check: run_gamma_study builds
     # every group's config before any group runs.
     return values

@@ -98,10 +98,9 @@ def check_global_gamma(gamma) -> None:
         raise ValueError(f"global_gamma {gamma} outside [0, 1]")
 
 
-@lru_cache(typed=True)
+@lru_cache
 def _global_hyperparameters(gamma: float) -> Hyperparameters:
-    """The framework defaults with gamma as gamma, built once per gamma;
-    typed, so True (== 1, same hash) is refused, not served 1's entry."""
+    """The framework defaults with gamma as gamma, built once per gamma."""
     return replace(DEFAULT_HYPERPARAMETERS, gamma=gamma)
 
 
@@ -110,8 +109,9 @@ class QTable:
     state being the link's source node and the action its target.
 
     Only links have cells, so a (state, action) pair without a link has
-    none. Every Q-value is finite: the constructor and store() refuse any
-    other, and selection relies on it. The constructor copies q.
+    none. Every Q-value is a finite Python int or float: the constructor and
+    store() refuse any other, and selection relies on it. The constructor
+    copies q.
     """
 
     def __init__(self, index: LinkIndex, q: Sequence[float]):
@@ -121,8 +121,7 @@ class QTable:
         self.index = index
         self.q = q
         for k, value in enumerate(q):
-            if not isfinite(value):
-                self.store(k, value)  # raises, naming the link
+            self.store(k, value)  # refuses a bad value, naming the link
 
     @classmethod
     def _of(cls, index: LinkIndex, q: list[float]) -> "QTable":
@@ -138,10 +137,18 @@ class QTable:
         return cls._of(index, [0.0] * len(index.targets))
 
     def store(self, k: int, value: float) -> None:
-        """Write the Q-value of link id k, refusing non-finite values."""
-        if not isfinite(value):
-            state, action = self.index.sources[k], self.index.targets[k]
-            raise ValueError(f"Q-value for ({state},{action}) must be finite, got {value}")
+        """Write the Q-value of link id k, refusing a value that is not a
+        Python int or float (see check_float) or not finite, naming the link."""
+        if type(value) is not float or not isfinite(value):
+            name = f"Q-value for ({self.index.sources[k]},{self.index.targets[k]})"
+            check_float(value, name)
+            try:
+                finite = isfinite(value)
+            except OverflowError:
+                # Not printed: an int of over 4,300 digits cannot be.
+                raise ValueError(f"{name} must be finite, got an int beyond every float") from None
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
         self.q[k] = value
 
     def copy(self) -> "QTable":
@@ -161,15 +168,13 @@ class TempPath(NamedTuple):
     ids of the links taken, in order, and whether the last one reaches the
     destination. Selection never revisits a node, so it is simple by
     construction and is not validated again. Two temp paths are equal when
-    their source, links and reached flag are; index only names the links,
-    and floors (set on a greedy repeat) only serve find_temp_path.
+    their source, links and reached flag are; index only names the links.
     """
 
     source: int
     links: tuple[int, ...]
     reached_destination: bool
     index: LinkIndex
-    floors: Optional[tuple[float, ...]] = None
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -245,7 +250,6 @@ def find_temp_path(
     table: QTable,
     hyper: Hyperparameters,
     rng: Optional[random.Random] = None,
-    previous: Optional[TempPath] = None,
 ) -> TempPath:
     """Select one episode's loop-free action sequence.
 
@@ -264,15 +268,6 @@ def find_temp_path(
     node id made for the call. Every Q-value is finite (QTable holds no
     other), so this keeps the highest-valued unvisited link, the first of
     equal values.
-
-    previous: the path the call before returned for this demand and
-    hyperparameters; only its links' Q-values may have changed since. A
-    greedy walk repeating it gets floors, per hop the best Q-value of the
-    node's other links into unvisited nodes (-inf if none). At epsilon 0, a
-    previous strictly above every floor is returned unwalked (a tie walks).
-    previous itself is returned only as a repeat of it, so a caller may skip
-    re-executing that object; a repeat may also come back as a new, equal
-    path (the first time a walk repeats, carrying floors).
     """
     epsilon, destination = hyper.epsilon, demand.dst
     explore = epsilon > 0
@@ -281,14 +276,6 @@ def find_temp_path(
     index = table.index
     out_links, targets, q = index.out, index.targets, table.q
     source = current = demand.src
-    if explore or previous is None or previous.source != source or previous.index is not index:
-        previous = None
-    if previous is not None and previous.floors is not None:
-        for k, floor in zip(previous.links, previous.floors):
-            if q[k] <= floor:
-                break
-        else:
-            return previous
     visited = [False] * len(out_links)
     visited[source] = True
     links = []
@@ -320,41 +307,43 @@ def find_temp_path(
         visited[current] = True
         if current == destination:
             break
-    links = tuple(links)
     # As namedtuple's _make does: the generated __new__ parses arguments first.
-    if previous is None or links != previous.links:
-        return tuple.__new__(TempPath, (source, links, current == destination, index, None))
-    if previous.floors is not None:
-        return previous
+    return tuple.__new__(TempPath, (source, tuple(links), current == destination, index))
+
+
+def _floors(path: TempPath, q: list[float]) -> list[float]:
+    """Per hop of path, the best Q-value among the hop node's other links
+    into nodes the path has not visited by then (-inf if none). While each
+    of path's links stays strictly above its floor (see _above_floors), a
+    greedy walk from path's source takes path again."""
+    out_links, targets = path.index.out, path.index.targets
     # Hop j's floor: the best of u_j's other links not into u_0..u_j. A
     # comprehension here would make q a closure cell and slow every scan.
     floors, visited = [], [False] * len(out_links)
-    for u, chosen in zip((source, *map(targets.__getitem__, links)), links):
+    for u, chosen in zip(path.nodes, path.links):
         visited[u] = True
         best = -inf
         for k in out_links[u]:
             if k != chosen and q[k] > best and not visited[targets[k]]:
                 best = q[k]
         floors.append(best)
-    return tuple.__new__(TempPath, (source, links, current == destination, index, tuple(floors)))
+    return floors
 
 
-def find_final_path(
-    demand: TrafficDemand,
-    table: QTable,
-    hyper: Hyperparameters,
-    previous: Optional[TempPath] = None,
-) -> RoutePath:
+def _above_floors(links: tuple[int, ...], floors: list[float], q: list[float]) -> bool:
+    """Whether every link's Q-value is strictly above its hop's floor: a tie
+    is not, so the lowest-id tie-break is always a walk's to decide."""
+    for k, floor in zip(links, floors):
+        if q[k] <= floor:
+            return False
+    return True
+
+
+def find_final_path(demand: TrafficDemand, table: QTable, hyper: Hyperparameters) -> RoutePath:
     """Greedy path extraction: find_temp_path with epsilon forced to 0,
-    deterministic under the lowest-id tie-break, as a validated RoutePath.
-
-    previous: the last temp path selected from table, since which only its
-    links' Q-values may have changed. It is passed on to find_temp_path,
-    which returns one carrying floors unwalked while it stays strictly above
-    every floor.
-    """
+    deterministic under the lowest-id tie-break, as a validated RoutePath."""
     greedy = hyper if hyper.epsilon == 0 else replace(hyper, epsilon=0.0)
-    path = find_temp_path(demand, table, greedy, None, previous)
+    path = find_temp_path(demand, table, greedy)
     return RoutePath(path.nodes, path.reached_destination)
 
 
@@ -435,14 +424,17 @@ def find_route(
     when given (it needs a global_table); per-demand customization (weights,
     hyper) touches only the local table. Packets are lost only with a loss
     stream, which the data plane draws once per attempted hop (see
-    dataplane.execute_path). Selection gets the episode before's temp path,
-    off whose links the local table has not changed since. An episode is
-    scored exactly when its ExecutionResult differs from the episode
-    before's; one equal to it reuses that episode's rewards and runs only
-    the updates. Without a loss stream, a selection that returns the
-    previous path object itself is not executed either, since it would
-    execute as before. Returns the greedy final path plus one trace per
-    episode; the final walk gets the last episode's temp path as previous.
+    dataplane.execute_path). Every episode that runs executes, and is scored
+    exactly when its ExecutionResult differs from the episode before's; one
+    equal to it reuses that episode's rewards and runs only the updates.
+    Returns the greedy final path plus one trace per episode.
+
+    Serving a repeated walk: an update writes only the links an episode
+    attempted, so between two episodes only the temp path's links change in
+    the local table. At epsilon 0, a walk that repeats the temp path gives
+    it floors (see _floors); while each of its links stays strictly above
+    its floor, no rival can win a hop, so an episode takes the temp path,
+    the same object, without a walk, and so does the final path.
 
     An episode settles the demand when epsilon is 0, no loss stream is given
     and its updates leave every Q-value of both tables unchanged: each later
@@ -463,32 +455,36 @@ def find_route(
                 f"global_gamma {global_gamma} needs a global_table: no global table reads it"
             )
         global_hyper = _global_hyperparameters(global_gamma)
+    greedy = hyper.epsilon == 0
     # With neither exploration nor loss draws, an episode is a function of
     # the tables alone.
-    may_settle = hyper.epsilon == 0 and loss is None
+    may_settle = greedy and loss is None
 
     local_table = init_local_table(graph, global_table)
+    q = local_table.q
     # Executing paths never changes the graph, so one demand's reward terms
     # are fixed for all of its episodes.
     scores = link_scores(graph, weights, demand)
     traces: list[EpisodeTrace] = []
-    temp_path = result = None
+    temp_path = floors = result = None
     episodes = hyper.episodes
     for episode in range(1, episodes + 1):
-        selected = find_temp_path(demand, local_table, hyper, rng, temp_path)
-        # The previous path object itself is a repeat; without loss draws it
-        # would execute as before, so executing it is skipped.
-        if selected is not temp_path or loss is not None:
-            temp_path = selected
-            # Looked up on the module at call time, so wrapping it there sees every call.
-            executed = dataplane.execute_path(graph, temp_path.links, loss)
-            # An execution equal to the one before scores as it did.
-            if executed != result:
-                result = executed
-                attempted = len(result.records)
-                local_rewards = local_rewards_for_path(result, scores)
-                if global_table is not None:
-                    global_rewards = global_rewards_for_path(result, scores)
+        if floors is None or not _above_floors(temp_path.links, floors, q):
+            selected = find_temp_path(demand, local_table, hyper, rng)
+            # Every walk starts at the source, so equal links are a repeat.
+            if temp_path is None or selected.links != temp_path.links:
+                temp_path, floors = selected, None
+            elif greedy and floors is None:
+                floors = _floors(temp_path, q)
+        # Looked up on the module at call time, so wrapping it there sees every call.
+        executed = dataplane.execute_path(graph, temp_path.links, loss)
+        # An execution equal to the one before scores as it did.
+        if executed != result:
+            result = executed
+            attempted = len(result.records)
+            local_rewards = local_rewards_for_path(result, scores)
+            if global_table is not None:
+                global_rewards = global_rewards_for_path(result, scores)
         changed = update_table(local_table, local_rewards, hyper)
         if global_table is not None:
             changed = update_table(global_table, global_rewards, global_hyper) or changed
@@ -497,7 +493,10 @@ def find_route(
             for later in range(episode + 1, episodes + 1):
                 traces.append(tuple.__new__(EpisodeTrace, (later, temp_path, attempted)))
             break
-    final_path = find_final_path(demand, local_table, hyper, temp_path)
+    if floors is not None and _above_floors(temp_path.links, floors, q):
+        final_path = RoutePath(temp_path.nodes, temp_path.reached_destination)
+    else:
+        final_path = find_final_path(demand, local_table, hyper)
     return RouteResult(final_path=final_path, traces=traces)
 
 

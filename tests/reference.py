@@ -14,7 +14,7 @@ and EpisodeRewards; node_pairs and route_of give a path's node form;
 graph_to_dict writes the topology document graph_from_dict reads, and
 graph_from_dict and demands_from_list are the loaders' field-by-field form.
 find_route_every_episode is engine.find_route's loop without its settle
-rule: every episode of the budget runs. q_get, q_set and link_of read and
+rule or its serving: every episode of the budget runs and walks. q_get, q_set and link_of read and
 write a table cell or a link by its node pair, which the learner never does:
 it works in link ids throughout.
 report_json and csv_text are the report files as json and csv.writer write
@@ -511,7 +511,8 @@ def find_route_every_episode(
     loss=None,
 ) -> RouteResult:
     """engine.find_route as a loop that runs every episode of the budget:
-    select, execute, score and update, with no episode skipped."""
+    walk, execute, score and update, with no episode skipped or served, and
+    a final walk."""
     weights = DEFAULT_WEIGHTS if weights is None else weights
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
     global_hyper = DEFAULT_HYPERPARAMETERS
@@ -521,9 +522,8 @@ def find_route_every_episode(
     # The engine's scoring, not this module's per-hop forms of the same names.
     scores = engine.link_scores(graph, weights, demand)
     traces = []
-    temp_path = None
     for episode in range(1, hyper.episodes + 1):
-        temp_path = engine.find_temp_path(demand, local_table, hyper, rng, temp_path)
+        temp_path = engine.find_temp_path(demand, local_table, hyper, rng)
         result = dataplane.execute_path(graph, temp_path.links, loss)
         engine.update_table(local_table, engine.local_rewards_for_path(result, scores), hyper)
         if global_table is not None:

@@ -111,16 +111,32 @@ class TestQTable:
         with pytest.raises(ValueError):
             q_set(table, 0, 1, float("nan"))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_constructor_refuses_non_finite_values(self, value):
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (-math.inf, "must be finite, got -inf"),
+            (10**400, "must be finite, got an int beyond every float"),
+            (10**5000, "must be finite, got an int beyond every float"),
+            (True, "must be an int or float, got True"),
+            ("0.5", "must be an int or float, got '0.5'"),
+            (None, "must be an int or float, got None"),
+        ],
+        ids=["nan", "inf", "-inf", "huge-int", "unprintable-int", "bool", "str", "None"],
+    )
+    def test_constructor_refuses_non_finite_values(self, value, problem):
         # Selection compares against -inf and skips NaN, so a table must
-        # never hold either; the message names the link as store() does.
+        # never hold either, nor a value that is not a number or that no
+        # float holds; the message names the link as store() does.
         index = load_builtin("t1").link_index()
         q = [0.0] * len(index.targets)
         q[2] = value
-        message = f"Q-value for ({index.sources[2]},{index.targets[2]}) must be finite, got {value}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        message = f"Q-value for ({index.sources[2]},{index.targets[2]}) {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             QTable(index, q)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QTable.for_graph(load_builtin("t1")).store(2, value)
 
     def test_constructor_refuses_a_value_count_other_than_the_links(self):
         index = load_builtin("t1").link_index()
@@ -346,30 +362,54 @@ class TestFindTempPath:
         assert path != path._replace(source=1)
 
 
-def repeated(demand, table, hyper=DEFAULT_HYPERPARAMETERS):
-    """A greedy path walked twice, the second walk given the first, as
-    find_route hands each episode the one before: it carries floors."""
-    first = find_temp_path(demand, table, hyper)
-    again = find_temp_path(demand, table, hyper, previous=first)
-    assert again == first and again is not first
-    assert first.floors is None and again.floors is not None
-    return again
+def walk_with_floors(demand, table):
+    """A greedy walk and the floors find_route takes for it once a walk
+    repeats it."""
+    path = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS)
+    return path, engine._floors(path, table.q)
+
+
+def recorded_walks(monkeypatch):
+    """Wrap engine.find_temp_path, the final walk's included; returns the
+    list of paths it walks."""
+    walks = []
+    select = engine.find_temp_path
+
+    def recording(*args, **kwargs):
+        walks.append(select(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(engine, "find_temp_path", recording)
+    return walks
 
 
 class TestRememberedWalk:
-    def test_strictly_above_every_floor_serves_previous_itself(self):
+    def test_floors_are_each_hop_s_best_rival_into_an_unvisited_node(self):
         graph = load_builtin("t2")
         table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
-        previous = repeated(demand, table)
-        assert previous.nodes == (0, 1, 2, 3)
+        path, floors = walk_with_floors(demand, table)
+        assert path.nodes == (0, 1, 2, 3)
         # Per hop the best rival into a node not yet visited: 0-2, 1-4, 2-4.
-        assert previous.floors == (-1.8, -1.2, -1.3)
-        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
-        # Served without a walk: a rival written against the contract (only
-        # the path's own links may change) is not even read.
-        q_set(table, 0, 2, 5.0)
-        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
-        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS).nodes == (0, 2, 3)
+        assert floors == [-1.8, -1.2, -1.3]
+        assert engine._above_floors(path.links, floors, table.q)
+
+    @pytest.mark.parametrize(
+        "value, served, nodes",
+        [(-1.6, True, (0, 1, 2, 3)), (-1.8, False, (0, 1, 2, 3)), (-2.0, False, (0, 2, 3))],
+        ids=["above", "at", "below"],
+    )
+    def test_a_path_is_served_only_strictly_above_its_floors(self, value, served, nodes):
+        # The last update wrote link 0-1 of the path 0-1-2-3, whose floor
+        # there is -1.8 (0-2). Strictly above it the path is served; at or
+        # below it a walk decides, the tie at -1.8 to the lower target.
+        # Served, the path is the one a walk finds.
+        graph = load_builtin("t2")
+        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
+        path, floors = walk_with_floors(demand, table)
+        assert floors[0] == -1.8
+        q_set(table, 0, 1, value)
+        assert engine._above_floors(path.links, floors, table.q) is served
+        assert find_final_path(demand, table, DEFAULT_HYPERPARAMETERS) == RoutePath(nodes, True)
 
     def test_a_tie_with_a_lower_target_rival_walks_and_the_rival_wins(self):
         # 0-2 beats 0-1 until an update lowers it to exactly 0-1's value:
@@ -378,68 +418,89 @@ class TestRememberedWalk:
         graph = build_graph(4, [(0, 1, 1e6), (0, 2, 1e6), (1, 3, 1e6), (2, 3, 1e6)])
         table = table_from(graph, {(0, 1): -0.5, (0, 2): 0.25})
         demand = TrafficDemand(0, 3, 1e5)
-        previous = repeated(demand, table)
-        assert previous.nodes == (0, 2, 3) and previous.floors == (-0.5, -math.inf)
+        path, floors = walk_with_floors(demand, table)
+        assert path.nodes == (0, 2, 3) and floors == [-0.5, -math.inf]
         q_set(table, 0, 2, -0.5)
-        path = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous)
-        assert path.nodes == (0, 1, 3)
-        assert path.floors is None
+        assert not engine._above_floors(path.links, floors, table.q)
+        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS).nodes == (0, 1, 3)
 
     def test_a_higher_rival_into_a_visited_node_does_not_stop_serving(self):
         graph = load_builtin("t2")
         table = table_from(graph, {**LOCAL_T2, (1, 0): 9.0, (2, 1): 9.0, (2, 0): 9.0})
         demand = TrafficDemand(0, 3, 1e5)
-        previous = repeated(demand, table)
-        assert previous.nodes == (0, 1, 2, 3)
-        assert previous.floors == (-1.8, -1.2, -1.3)
-        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
+        path, floors = walk_with_floors(demand, table)
+        assert path.nodes == (0, 1, 2, 3)
+        assert floors == [-1.8, -1.2, -1.3]
+        assert engine._above_floors(path.links, floors, table.q)
 
-    def test_exploration_serves_nothing_and_draws_the_same(self):
+    def test_a_walk_that_leaves_the_path_drops_its_floors(self, monkeypatch):
+        # Updates scripted per episode, each writing only links the episode
+        # attempted. The repeated path 0-2-3 gets floors (0, -inf); once 0-2
+        # falls to -1 the walk takes 0-1-3, whose 1-3 then falls below 1-4.
+        # Served from 0-2-3's floors, 0-1-3 would pass; walked, 0-1-4-3 wins.
+        graph = build_graph(5, [
+            (0, 1, 1e6), (0, 2, 1e6), (1, 3, 1e6), (1, 4, 1e6), (2, 3, 1e6), (4, 3, 1e6),
+        ])
+        start = table_from(graph, {(0, 2): 1.0})
+        script = iter([{}, {(0, 2): -1.0}, {(0, 1): 5.0, (1, 3): -2.0}, {}])
+
+        def scripted(table, rewards, hyper):
+            if table is start:  # the global table, seeding the local one
+                return True
+            for (s, a), value in next(script).items():
+                assert graph.link_ids((s, a))[0] in rewards.links
+                q_set(table, s, a, value)
+            return True
+
+        monkeypatch.setattr(engine, "update_table", scripted)
+        result = find_route(TrafficDemand(0, 3, 1e5), graph, start,
+                            hyper=Hyperparameters(episodes=4))
+        assert [t.temp_path.nodes for t in result.traces] == [
+            (0, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 4, 3),
+        ]
+
+    def test_exploration_serves_nothing(self, monkeypatch):
+        # Every episode of an exploring run walks, and so does its final
+        # path; greedy, the same demand is served once its walk repeats.
+        walks = recorded_walks(monkeypatch)
         graph = load_builtin("t2")
-        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
-        previous = repeated(demand, table)
+        demand = TrafficDemand(0, 3, 1e5)
         hyper = Hyperparameters(epsilon=0.3)
-        with_previous, without = random.Random(5), random.Random(5)
-        for _ in range(200):
-            path = find_temp_path(demand, table, hyper, with_previous, previous)
-            assert path == find_temp_path(demand, table, hyper, without)
-            assert path is not previous and path.floors is None
-            assert with_previous.getstate() == without.getstate()
+        find_route(demand, graph, None, hyper=hyper, rng=random.Random(5))
+        assert len(walks) == hyper.episodes + 1
+        walks.clear()
+        find_route(demand, graph, None)
+        assert len(walks) < hyper.episodes
 
-    def test_dead_end_and_ttl_endings_are_served_again(self):
+    def test_dead_end_and_ttl_endings_are_served_again(self, monkeypatch):
+        # Once a walk repeats, each later episode and the final path are
+        # served, though every episode fails and adds its penalty to the
+        # path's last link: it stays above its floor.
+        walks = recorded_walks(monkeypatch)
         dead_end = load_builtin("t4")
         table = QTable.for_graph(dead_end)
-        q_set(table, 0, 5, 1.0)
-        demand = TrafficDemand(0, 4, 1e5)
-        previous = repeated(demand, table)
-        assert previous.nodes == (0, 5) and not previous.reached_destination
-        assert find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=previous) is previous
+        q_set(table, 0, 5, 100.0)
+        hyper = Hyperparameters(episodes=6)
+        result = find_route(TrafficDemand(0, 4, 1e5), dead_end, table, hyper=hyper)
+        assert len(walks) == 2
+        assert all(t.temp_path is walks[0] for t in result.traces)
+        assert result.final_path == RoutePath((0, 5), False)
 
+        walks.clear()
         chain = build_graph(6, [(i, i + 1, 1e6) for i in range(5)])
-        table, demand = QTable.for_graph(chain), TrafficDemand(0, 5, 1e5)
-        hyper = Hyperparameters(ttl=2)
-        previous = repeated(demand, table, hyper)
-        assert previous.nodes == (0, 1, 2) and not previous.reached_destination
-        assert previous.floors == (-math.inf, -math.inf)
-        assert find_temp_path(demand, table, hyper, previous=previous) is previous
+        hyper = Hyperparameters(ttl=2, episodes=6)
+        result = find_route(TrafficDemand(0, 5, 1e5), chain, None, hyper=hyper)
+        assert len(walks) == 2
+        assert engine._floors(walks[0], QTable.for_graph(chain).q) == [-math.inf, -math.inf]
+        assert result.final_path == RoutePath((0, 1, 2), False)
 
-    def test_a_path_of_another_source_or_index_is_ignored(self):
-        graph = load_builtin("t2")
-        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
-        previous = repeated(demand, table)
-        other_index = table_from(load_builtin("t2"), LOCAL_T2)
-        path = find_temp_path(demand, other_index, DEFAULT_HYPERPARAMETERS, previous=previous)
-        assert path == previous and path is not previous and path.floors is None
-        other_source = TrafficDemand(1, 3, 1e5)
-        path = find_temp_path(other_source, table, DEFAULT_HYPERPARAMETERS, previous=previous)
-        assert path.source == 1 and path.floors is None
-
-    def test_floors_are_left_out_of_equality_hash_and_repr(self):
+    def test_equal_walks_have_equal_hashes_and_reprs(self):
         graph = load_builtin("t2")
         table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
         first = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS)
-        again = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS, previous=first)
-        assert again == first and hash(again) == hash(first) and repr(again) == repr(first)
+        again = find_temp_path(demand, table, DEFAULT_HYPERPARAMETERS)
+        assert again == first and again is not first
+        assert hash(again) == hash(first) and repr(again) == repr(first)
 
 
 class TestUpdateTable:
@@ -658,51 +719,59 @@ class TestFindRoute:
             monkeypatch.setattr(module, name, wrap(layer, getattr(module, name)))
         return calls
 
-    EPISODE = ["select", "execute", "local", "global", "update", "update"]
+    EPISODE = ["execute", "local", "global", "update", "update"]
 
     def test_layers_are_called_once_per_episode_and_demand(self, monkeypatch):
         # The benchmark's tracer times the learner by replacing these module
         # globals, so find_route must keep calling each of them by name at
-        # call time: per demand one init and one final, and per episode that
-        # runs one select and two updates (rewards passed positionally).
-        # An episode executes unless selection returned the episode before's
-        # path object itself, and scores local and global rewards only when
-        # its execution differs from the one before's; otherwise it updates
-        # with the rewards scored last, the same objects. The final walk's
-        # own selection is not an episode's. The first episode that changes
-        # neither table settles the demand: nothing runs after it but the
-        # final walk.
+        # call time: per demand one init, and per episode that runs one
+        # execution and two updates (rewards passed positionally). An
+        # episode walks unless find_route serves it the path before, and
+        # scores local and global rewards only when its execution differs
+        # from the one before's; otherwise it updates with the rewards scored
+        # last, the same objects. The first episode that changes neither
+        # table settles the demand: nothing runs after it, and its path,
+        # served, is the final path without a final walk.
         calls = self.record_layers(monkeypatch)
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
         result = find_route(builtin_demands("t8")[0], graph, QTable.for_graph(graph),
                             weights=make_weights(0, 0, 0, 1, 1))
 
-        assert [layer for layer, _, _ in calls[:1] + calls[-1:]] == ["init", "final"]
-        episode_calls = calls[1:-1]
-        ran = executed = scored = pos = 0
-        previous = execution = local = glob = None
+        layers = [layer for layer, _, _ in calls]
+        assert layers[0] == "init" and "final" not in layers
+        episode_calls = calls[1:]
+        ran = walked = scored = pos = 0
+        execution = local = glob = None
+        repeated = False
         while pos < len(episode_calls):
-            select = episode_calls[pos]
-            assert select[0] == "select"
-            assert isinstance(select[2].reached_destination, bool)
-            pos += 1
-            if select[2] is not previous:
-                execute = episode_calls[pos]
-                assert execute[0] == "execute"
-                # What the tracer's counters read at each boundary.
-                assert len(execute[2].records) == select[2].hop_count
-                executed += 1
+            path = result.traces[ran].temp_path
+            if episode_calls[pos][0] == "select":
+                selected = episode_calls[pos][2]
+                # A walk that repeats the path before keeps that object.
+                repeated = selected is not path
+                if repeated:
+                    assert selected == path and path is result.traces[ran - 1].temp_path
+                walked += 1
                 pos += 1
-                if execute[2] != execution:
-                    execution = execute[2]
-                    local_call, glob_call = episode_calls[pos:pos + 2]
-                    assert [local_call[0], glob_call[0]] == ["local", "global"]
-                    assert local_call[1][0] is glob_call[1][0] is execution
-                    assert len(local_call[2]) == len(glob_call[2]) == len(execution.records)
-                    local, glob = local_call[2], glob_call[2]
-                    scored += 1
-                    pos += 2
+            else:
+                # Only a path that a walk has repeated is served.
+                assert repeated and path is result.traces[ran - 1].temp_path
+            execute = episode_calls[pos]
+            assert execute[0] == "execute"
+            assert execute[1][1] is path.links
+            # What the tracer's counters read at each boundary.
+            assert len(execute[2].records) == path.hop_count
+            pos += 1
+            if execute[2] != execution:
+                execution = execute[2]
+                local_call, glob_call = episode_calls[pos:pos + 2]
+                assert [local_call[0], glob_call[0]] == ["local", "global"]
+                assert local_call[1][0] is glob_call[1][0] is execution
+                assert len(local_call[2]) == len(glob_call[2]) == len(execution.records)
+                local, glob = local_call[2], glob_call[2]
+                scored += 1
+                pos += 2
             update_local, update_global = episode_calls[pos:pos + 2]
             assert [update_local[0], update_global[0]] == ["update", "update"]
             assert update_local[1][1] is local
@@ -711,8 +780,7 @@ class TestFindRoute:
             ran += 1
             settled = pos == len(episode_calls)
             assert (update_local[2] or update_global[2]) is not settled
-            previous = select[2]
-        assert 1 < scored < executed < ran < episodes
+        assert 1 < scored < walked < ran < episodes
         # Every later episode is the settling one under its own index.
         settling = result.traces[ran - 1]
         assert [t.episode_index for t in result.traces] == list(range(1, episodes + 1))
@@ -720,6 +788,7 @@ class TestFindRoute:
             t.temp_path is settling.temp_path and t.attempted_hops == settling.attempted_hops
             for t in result.traces[ran:]
         )
+        assert result.final_path == RoutePath(path.nodes, path.reached_destination)
 
     @pytest.mark.parametrize("epsilon, lossy", [(0.02, False), (0.0, True)])
     def test_exploring_or_lossy_runs_make_every_call(self, monkeypatch, epsilon, lossy):
@@ -727,7 +796,9 @@ class TestFindRoute:
         # episode, so every episode runs and executes, even after one that
         # changed no Q-value. The t8 links drop 0.5% to 2% of packets. An
         # episode whose execution equals the one before's updates with that
-        # episode's rewards, the same objects, and scores nothing.
+        # episode's rewards, the same objects, and scores nothing. Each
+        # exploring episode walks, and so does its final path; a greedy
+        # one is served the path before once a walk has repeated it.
         calls = self.record_layers(monkeypatch)
         graph = load_builtin("t8")
         episodes = DEFAULT_HYPERPARAMETERS.episodes
@@ -736,13 +807,20 @@ class TestFindRoute:
                    hyper=Hyperparameters(epsilon=epsilon), rng=random.Random(3),
                    loss=random.Random(3) if lossy else None)
 
+        layers = [layer for layer, _, _ in calls]
         executions = [result for layer, _, result in calls if layer == "execute"]
         assert len(executions) == episodes
         scored = [True] + [a != b for a, b in zip(executions, executions[1:])]
         expected = ["init"]
         for fresh in scored:
-            expected += self.EPISODE if fresh else ["select", "execute", "update", "update"]
-        assert [layer for layer, _, _ in calls] == expected + ["final"]
+            expected += self.EPISODE if fresh else ["execute", "update", "update"]
+        final = layers[-1] == "final"
+        assert [layer for layer in layers if layer != "select"] == expected + ["final"] * final
+        assert all(
+            after == "execute" for layer, after in zip(layers, layers[1:]) if layer == "select"
+        )
+        walks = layers.count("select")
+        assert (walks == episodes and final) if epsilon else 1 < walks < episodes
         assert not all(scored)
         applied = [args[1] for layer, args, _ in calls if layer == "update"][::2]
         assert [a is not b for a, b in zip(applied, applied[1:])] == scored[1:]
@@ -753,13 +831,12 @@ class TestFindRoute:
 
     def test_every_select_execute_and_score_goes_through_the_module(self, monkeypatch):
         # The benchmark's tracer counts these calls by replacing the module
-        # globals: per demand, one selection per episode that runs plus the
-        # final walk's, served ones included, one execution per episode that
-        # runs and did not get the episode before's path object back from
-        # selection, and one local scoring per episode whose path differs
-        # from the episode before's (without loss an execution is its
-        # path's links). Episodes run up to the first that changes neither
-        # table, or to the end of the budget.
+        # globals: per demand, one execution per episode that runs, one
+        # walk per episode that find_route does not serve plus one per
+        # final walk (at most one), and one local scoring per episode whose
+        # path differs from the episode before's (without loss an execution
+        # is its path's links). Episodes run up to the first that changes
+        # neither table, or to the end of the budget.
         counts = {}
         changes = []
 
@@ -780,6 +857,7 @@ class TestFindRoute:
             (engine, "find_temp_path"),
             (dataplane, "execute_path"),
             (engine, "local_rewards_for_path"),
+            (engine, "find_final_path"),
         ):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         monkeypatch.setattr(engine, "update_table", recording)
@@ -793,49 +871,48 @@ class TestFindRoute:
             result = find_route(demand, graph, global_table, weights=make_weights(0, 0, 0, 1, 1))
             ran = len(changes) // 2
             paths = [trace.temp_path for trace in result.traces[:ran]]
-            repeats = sum(a is b for a, b in zip(paths, paths[1:]))
             scored = 1 + sum(a != b for a, b in zip(paths, paths[1:]))
-            assert counts == {
-                "find_temp_path": ran + 1,
-                "execute_path": ran - repeats,
-                "local_rewards_for_path": scored,
-            }
+            finals = counts.get("find_final_path", 0)
+            walks = counts["find_temp_path"] - finals
+            assert counts["execute_path"] == ran
+            assert counts["local_rewards_for_path"] == scored
+            assert scored <= walks <= ran and finals <= 1
             changed = [local or glob for local, glob in zip(changes[::2], changes[1::2])]
             assert all(changed[:-1])
             assert ran == episodes or not changed[-1]
             assert len(result.traces) == episodes
             settled += ran < episodes
-            served += repeats
-            unscored += ran - repeats - scored
+            served += ran - walks
+            unscored += ran - scored
         assert served > 0
         assert settled > 0
-        # Some executed episodes repeat the path before as a new, equal object.
+        # Some executed episodes repeat the path before and score nothing.
         assert unscored > 0
 
     @pytest.mark.parametrize("reuse", [False, True])
     def test_a_settled_demand_s_final_path_is_its_last_temp_path_served(self, monkeypatch, reuse):
-        # A settling episode changed no Q-value, so the table the final walk
-        # reads is the one its temp path was selected from, and that path
-        # (a repeat, so it carries floors) is what the final walk returns:
-        # the path object itself, served without a walk.
-        selections, changes = [], []
-        select, update = engine.find_temp_path, engine.update_table
+        # A settling episode changed no Q-value, so the table the final path
+        # is taken from is the one its temp path was served or walked from.
+        # On t8 every settling path is served, so it is the final path, and
+        # no final walk runs.
+        finals, changes = [], []
+        final, update = engine.find_final_path, engine.update_table
 
-        def selecting(*args, **kwargs):
-            selections.append(select(*args, **kwargs))
-            return selections[-1]
+        def finishing(*args, **kwargs):
+            finals.append(final(*args, **kwargs))
+            return finals[-1]
 
         def recording(*args, **kwargs):
             changes.append(update(*args, **kwargs))
             return changes[-1]
 
-        monkeypatch.setattr(engine, "find_temp_path", selecting)
+        monkeypatch.setattr(engine, "find_final_path", finishing)
         monkeypatch.setattr(engine, "update_table", recording)
         graph = load_builtin("t8")
         global_table = QTable.for_graph(graph) if reuse else None
         settled = 0
         for demand in builtin_demands("t8"):
-            selections.clear()
+            finals.clear()
             changes.clear()
             result = find_route(demand, graph, global_table)
             if reuse:
@@ -845,7 +922,7 @@ class TestFindRoute:
             settled += 1
             last = result.traces[-1].temp_path
             assert result.final_path == RoutePath(last.nodes, last.reached_destination)
-            assert last.floors is not None and selections[-1] is last
+            assert not finals
         assert settled > 0
 
     def test_without_global_table_learns_the_same(self):
@@ -936,7 +1013,7 @@ def test_hot_functions_keep_no_closure_cells():
     # in every greedy scan, SARSA pass, reward scoring and per-hop loss draw.
     for function in (
         find_temp_path, update_table, find_route, local_rewards_for_path, global_rewards_for_path,
-        dataplane.execute_path,
+        dataplane.execute_path, engine._floors, engine._above_floors,
     ):
         assert function.__code__.co_cellvars == ()
 
@@ -964,36 +1041,6 @@ class TestFindFinalPath:
         hyper = Hyperparameters(epsilon=1.0)
         path = find_final_path(TrafficDemand(0, 4, 1e5), QTable.for_graph(graph), hyper)
         assert path.nodes == (0, 1, 2, 3, 4)
-
-    @pytest.mark.parametrize(
-        "value, served, nodes",
-        [(-1.6, True, (0, 1, 2, 3)), (-1.8, False, (0, 1, 2, 3)), (-2.0, False, (0, 2, 3))],
-        ids=["above", "at", "below"],
-    )
-    def test_previous_gives_the_walk_s_path(self, value, served, nodes):
-        # The last update wrote link 0-1 of the path 0-1-2-3, whose floor
-        # there is -1.8 (0-2). Strictly above it the previous path is
-        # served, reading only its own links' Q-values; at or below it the
-        # walk reads the rivals and decides, the tie at -1.8 to the lower
-        # target. Either way the final path is the one a walk without
-        # previous finds.
-        graph = load_builtin("t2")
-        table, demand = table_from(graph, LOCAL_T2), TrafficDemand(0, 3, 1e5)
-        previous = repeated(demand, table)
-        assert previous.floors[0] == -1.8
-        q_set(table, 0, 1, value)
-        reads = []
-
-        class Reading(list):
-            def __getitem__(self, k):
-                reads.append(k)
-                return list.__getitem__(self, k)
-
-        table.q = Reading(table.q)
-        with_previous = find_final_path(demand, table, DEFAULT_HYPERPARAMETERS, previous)
-        assert (set(reads) <= set(previous.links)) is served
-        without = find_final_path(demand, table, DEFAULT_HYPERPARAMETERS)
-        assert with_previous == without == RoutePath(nodes, True)
 
     def test_identical_calls_identical_outputs(self):
         graph = load_builtin("t2")

@@ -248,12 +248,11 @@ class TestRunSequence:
     def test_run_without_reuse_keeps_no_global_table(self, monkeypatch):
         # Nothing reads a global table unless local tables are seeded from
         # it, so a run without reuse neither scores nor updates one: each
-        # episode that runs makes one select and one update, and executes
-        # unless selection returned the episode before's path object
-        # itself. Episodes after one that changed no Q-value do not run,
-        # yet each demand keeps its budget. The final walk also gets the
-        # last path, so a repeat is counted only for an episode's selection.
-        calls = {"select": 0, "repeat": 0, "execute": 0, "global": 0, "update": 0}
+        # episode that runs makes one execution and one update, and walks
+        # unless find_route serves it the path before. Episodes after one
+        # that changed no Q-value do not run, yet each demand keeps its
+        # budget. The final walk's selection is not an episode's.
+        calls = {"select": 0, "execute": 0, "global": 0, "update": 0}
         in_final = []
 
         def counted(name, fn):
@@ -266,11 +265,8 @@ class TestRunSequence:
         select, final = engine.find_temp_path, engine.find_final_path
 
         def selecting(*args, **kwargs):
-            # find_route passes the previous path fifth.
-            calls["select"] += 1
-            path = select(*args, **kwargs)
-            calls["repeat"] += not in_final and len(args) == 5 and path is args[4]
-            return path
+            calls["select"] += not in_final
+            return select(*args, **kwargs)
 
         def finishing(*args, **kwargs):
             in_final.append(True)
@@ -292,10 +288,7 @@ class TestRunSequence:
         episodes = sum(o.episodes_run for o in report.outcomes)
         assert episodes == 9 * DEFAULT_HYPERPARAMETERS.episodes
         assert calls["global"] == 0
-        # One final walk per demand selects too.
-        assert calls["select"] - 9 == calls["update"] < episodes
-        assert calls["repeat"] > 0
-        assert calls["execute"] == calls["update"] - calls["repeat"]
+        assert 0 < calls["select"] < calls["execute"] == calls["update"] < episodes
 
 
 class TestGammaStudy:
@@ -741,7 +734,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "gammas, message",
-        [("0.3,x", "bad gamma list '0.3,x'"), (",", "--gammas needs at least one value")],
+        [
+            ("0.3,x", "bad gamma list '0.3,x'"),
+            (",", "bad gamma list ','"),
+            ("0.3,,0.5", "bad gamma list '0.3,,0.5'"),
+            ("0.3,", "bad gamma list '0.3,'"),
+        ],
     )
     def test_bad_gamma_lists_refused(self, gammas, message, capsys, monkeypatch):
         monkeypatch.setattr(harness, "find_route", lambda *args, **kwargs: pytest.fail("routed"))

@@ -397,9 +397,7 @@ class TestEpisodes:
         # Episodes of select, execute, score and update both tables, each
         # side with its own implementation and identically seeded random
         # sources: the paths and every Q-value stay equal throughout.
-        # Selection is handed the episode before's path, as find_route does,
-        # so repeated greedy walks are served from their floors; terminal_q
-        # above 0 makes path values rise, and at 0 rivals tie.
+        # terminal_q above 0 makes path values rise, and at 0 rivals tie.
         graph, demand = network
         assume(graph.out_neighbors(demand.src))
         hyper = Hyperparameters(epsilon=epsilon, ttl=6, terminal_q=terminal_q)
@@ -409,9 +407,8 @@ class TestEpisodes:
         rng, loss = random.Random(seed), (random.Random(seed + 1) if lossy else None)
         reference_rng, reference_loss = random.Random(seed), (random.Random(seed + 1) if lossy else None)
         scores = link_scores(graph, weights, demand)
-        path = None
         for _ in range(24):
-            path = find_temp_path(demand, table, hyper, rng, path)
+            path = find_temp_path(demand, table, hyper, rng)
             expected = reference.find_temp_path(demand, dense, hyper, graph, reference_rng)
             assert route_of(path) == expected
             result = execute_path(graph, path.links, loss)
