@@ -339,7 +339,7 @@ def _graph(rates: tuple[float, ...], rows: list[tuple]) -> NetworkGraph:
         rates=rates,
     )
 
-    # Summed in link-id order, as rewards.link_scores sums them.
+    # Summed in link-id order from 0.0, as rewards.KeptScores sums them.
     incoming = [0.0] * n
     for dst, used in zip(targets, loads):
         incoming[dst] += used

@@ -25,10 +25,12 @@ default weights and the current forms. Rates are bits/s; only the
 transmission reward reads its argument numerically in Mb/s.
 
 Every term but the hop reward depends on one link and on loads that change
-only between demands, when a routed demand's traffic is placed. LinkScores
-evaluates those terms for all links once per demand, so an episode's
-rewards only index lists by link id. What no load enters is evaluated once
-per LinkIndex, which a graph's copies share, and set of weights (TermSet).
+only between demands, when a routed demand's traffic is placed. A demand's
+LinkScores holds those terms for all links, so an episode's rewards only
+index lists by link id. A run keeps them from demand to demand
+(KeptScores) and rescores only the links a placement changed; what no load
+enters is evaluated once per LinkIndex, which a graph's copies share, and
+set of weights (TermSet).
 
 Every number is checked where it enters: by the TrafficDemand constructor
 and by the rate and link checks build_graph and the topology loader share.
@@ -41,11 +43,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from math import isfinite, nan
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .network import LinkIndex, NetworkGraph, TrafficDemand, check_float
+from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand, check_float
 
 if TYPE_CHECKING:
     from .dataplane import ExecutionResult
@@ -123,10 +124,9 @@ class EpisodeRewards:
 
 
 # The term functions below are the formulas alone; their inputs are checked
-# where they enter, as the module docstring says. All but reward_hop and
-# reward_transmission also take numpy arrays: elementwise + - * / round
-# exactly as on Python floats, so a term evaluated over all links at once
-# equals the same term evaluated per hop.
+# where they enter, as the module docstring says. Scoring calls them once
+# per node or link, so a kept term has the bits of the same term evaluated
+# per hop.
 
 
 def reward_hop(hop_index: int) -> float:
@@ -138,12 +138,13 @@ def reward_hop(hop_index: int) -> float:
 
 def reward_transmission(sender_rate_mbps: float) -> float:
     """Transmission-delay reward, (2/pi)*atan(rate); the argument is the
-    sending node's processing rate expressed numerically in Mb/s. A number
-    only: np.arctan may differ from math.atan in the last bit."""
+    sending node's processing rate expressed numerically in Mb/s."""
     return (2.0 / math.pi) * math.atan(sender_rate_mbps)
 
 
-def reward_intensity(receiver_incoming, receiver_rate, extra: float = 0.0):
+def reward_intensity(
+    receiver_incoming: float, receiver_rate: float, extra: float = 0.0
+) -> float:
     """Traffic-intensity reward at the receiving node, 1 - (incoming+extra)/rate.
 
     extra = 0 gives the current form; extra = the demand's traffic gives the
@@ -152,7 +153,7 @@ def reward_intensity(receiver_incoming, receiver_rate, extra: float = 0.0):
     return 1.0 - (receiver_incoming + extra) / receiver_rate
 
 
-def reward_utilization(used, max_bandwidth, extra: float = 0.0):
+def reward_utilization(used: float, max_bandwidth: float, extra: float = 0.0) -> float:
     """Link-utilization reward, 1 - (used+extra)/max; negative when the link
     is over-subscribed (deliberately unclamped)."""
     return 1.0 - (used + extra) / max_bandwidth
@@ -160,57 +161,50 @@ def reward_utilization(used, max_bandwidth, extra: float = 0.0):
 
 @dataclass(frozen=True)
 class TermSet:
-    """What link_scores reads of a graph under one set of weights that no
-    load enters, built by link_scores on the first scoring with these
-    weights: each link's target, each node's processing rate, each link's
-    capacity and the global reward's (default-weighted) reliability term,
-    as numpy arrays; the weighted hop (by position), transmission and
-    reliability terms, as the lists every LinkScores with these weights
-    shares; and partial, each link's hop + transmission + reliability for
-    the first and the last hop, which link_scores extends to bound the local
-    rewards.
+    """What scoring reads of a graph under one set of weights that no load
+    enters: hop[i], the weighted reward of hop i + 1; per link id, the
+    weighted transmission and reliability terms, lists every LinkScores
+    with these weights shares; partial_range, bounds on any link's hop +
+    transmission + reliability at any hop, or NaNs when a term is not
+    finite; and inbound[v], the ids of the links into node v, ascending.
 
     Capacities, reliabilities and processing rates are fixed at
     construction, and a graph's copies share its LinkIndex, which keeps the
     TermSet of each set of weights (LinkIndex.terms), so a study builds one
-    TermSet per set of weights for all of its copies.
+    TermSet per set of weights for all of its copies and runs.
     """
 
-    targets: np.ndarray
-    rate: np.ndarray
-    max_bandwidth: np.ndarray
-    global_reliability: np.ndarray
     hop: list[float]
     transmission: list[float]
     reliability: list[float]
-    partial: np.ndarray
+    partial_range: tuple[float, float]
+    inbound: list[list[int]]
 
 
 def _term_set(index: LinkIndex, weights: QoSWeights) -> TermSet:
-    reliability = np.array(index.reliability)
-    max_bandwidth = np.array(index.max_bandwidth)
-    rates = index.rates
-    rate = np.array(rates)
-    transmission = np.array([reward_transmission(r / MBPS) for r in rates])
-    # hop[i] is the reward of hop i + 1; a simple path has at most
-    # num_nodes - 1 hops.
-    hop = np.array([reward_hop(i) for i in range(1, len(rates))])
-    # A sum that overflows is reported by link_scores, naming the link.
-    with np.errstate(over="ignore", invalid="ignore"):
-        hop = weights.hop_count * hop
-        transmission = weights.transmission * transmission[np.array(index.sources, dtype=np.intp)]
-        weighted_reliability = weights.reliability * reliability
-        ends = hop[[0, -1], None] if len(hop) else hop[:, None]
-        partial = ends + transmission + weighted_reliability
+    rates, wt, wr = index.rates, weights.transmission, weights.reliability
+    # A simple path has at most num_nodes - 1 hops.
+    hop = [weights.hop_count * reward_hop(i) for i in range(1, len(rates))]
+    sending = [wt * reward_transmission(rate / MBPS) for rate in rates]
+    transmission = list(map(sending.__getitem__, index.sources))
+    reliability = [wr * r for r in index.reliability]
+    # Hop rewards fall with the hop, and rounding is monotone in each
+    # operand. A finite total has only finite terms.
+    partial_range = (nan, nan)
+    if transmission and isfinite(sum(transmission) + sum(reliability)):
+        partial_range = (
+            hop[-1] + min(transmission) + min(reliability),
+            hop[0] + max(transmission) + max(reliability),
+        )
+    inbound: list[list[int]] = [[] for _ in rates]
+    for k, v in enumerate(index.targets):
+        inbound[v].append(k)
     return TermSet(
-        targets=np.array(index.targets, dtype=np.intp),
-        rate=rate,
-        max_bandwidth=max_bandwidth,
-        global_reliability=DEFAULT_WEIGHTS.reliability * reliability,
-        hop=hop.tolist(),
-        transmission=transmission.tolist(),
-        reliability=weighted_reliability.tolist(),
-        partial=partial,
+        hop=hop,
+        transmission=transmission,
+        reliability=reliability,
+        partial_range=partial_range,
+        inbound=inbound,
     )
 
 
@@ -235,61 +229,203 @@ class LinkScores:
     global_constant: float
 
 
-def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
-    """Evaluate every link's reward terms on the graph's current state.
+class _Book:
+    """The estimated intensity and utilization terms of one (weights,
+    traffic), per link id, as of the run's first synced placements: those
+    it has caught up on."""
 
-    Local terms use weights and the demand's traffic; the global reward uses
-    the framework default weights and the current forms. Only the loads are
-    read per call; the rest comes from the TermSet for these weights in the
-    graph's LinkIndex, which its copies share: built through _term_set on
-    the first call with these weights and kept in LinkIndex.terms.
-    Raises ValueError naming the first link whose local or global reward
-    sums to a non-finite value. One test of the total of all sums clears
-    the usual case; only a total that is not finite (a NaN, an inf, or
-    finite sums that overflow) runs the exact per-link test.
-    """
-    index = graph.link_index()
-    terms = index.terms.get(weights)
-    if terms is None:
-        terms = index.terms[weights] = _term_set(index, weights)
-    targets = terms.targets
-    used = np.array(graph.loads)
-    # Each node's inbound loads, summed in link-id order.
-    incoming = np.bincount(targets, weights=used, minlength=graph.num_nodes)
-    w, g = weights, DEFAULT_WEIGHTS
-    # Overflow is checked below, naming the link, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        utilization = w.utilization * reward_utilization(used, terms.max_bandwidth, demand.traffic)
-        intensity = (w.intensity * reward_intensity(incoming, terms.rate, demand.traffic))[targets]
-        global_reward = (
-            terms.global_reliability
-            + (g.intensity * reward_intensity(incoming, terms.rate))[targets]
-            + g.utilization * reward_utilization(used, terms.max_bandwidth)
-            - g.global_constant
+    __slots__ = ("intensity", "utilization", "synced")
+
+    def __init__(self, intensity: list[float], utilization: list[float], synced: int):
+        self.intensity, self.utilization, self.synced = intensity, utilization, synced
+
+
+class KeptScores:
+    """One run's reward terms on one graph, kept from demand to demand.
+
+    Between two demands only the loads of a placed path change. So a run
+    keeps each node's incoming traffic, each link's global reward, and one
+    book per (weights, traffic) of the estimated intensity and utilization
+    terms. placed() only records a placement's link ids. The next
+    link_scores call brings what it reads up to date, rescoring only what
+    the placements since it was last read changed: each placed link's
+    utilization, each placed link's target's incoming traffic, and the
+    intensity terms and global reward of every link into those targets.
+
+    Every value is computed by the operations a full evaluation uses, in
+    the same order, so kept scores have the bits of fresh ones. A node's
+    incoming traffic is its inbound loads summed in link-id order from 0.0
+    with +=, not sum(), which is compensated on Python 3.12+. A node's
+    intensity term is computed once, then copied to its in-links.
+
+    The graph's loads must change only by placements recorded here. A
+    returned LinkScores reads the kept lists, so it holds until the next
+    call."""
+
+    __slots__ = ("graph", "placements", "incoming", "global_reward", "synced", "books")
+
+    def __init__(self, graph: NetworkGraph):
+        self.graph = graph
+        self.placements: list[tuple[int, ...]] = []
+        # Built by the first link_scores call, then synced to placements[:synced].
+        self.incoming: list[float] = []
+        self.global_reward: Optional[list[float]] = None
+        self.synced = 0
+        self.books: dict[tuple, _Book] = {}
+
+    def placed(self, path: RoutePath) -> None:
+        """Record that a demand's traffic was placed along path."""
+        self.placements.append(self.graph.link_ids(path.nodes))
+
+    def link_scores(self, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
+        """Every link's reward terms on the graph's current loads.
+
+        Local terms use weights and the demand's traffic; the global reward
+        uses the framework default weights and the current forms. What no
+        load enters comes from the TermSet for these weights in the graph's
+        LinkIndex, built on the first call with them. Raises ValueError
+        naming the first link, in id order, whose local reward at its first
+        or last hop or whose global reward sums to a non-finite value: the
+        local one, unless the local sums are finite there. A book is kept
+        only once its check passes, so a refusal repeats on every later
+        call.
+        """
+        index = self.graph.link_index()
+        terms = index.terms.get(weights)
+        if terms is None:
+            terms = index.terms[weights] = _term_set(index, weights)
+        now = len(self.placements)
+        if self.global_reward is None:
+            n = len(index.rates)
+            self.incoming, self.global_reward = [0.0] * n, [0.0] * len(index.targets)
+            self._sync_global(terms, range(n))
+        elif self.synced < now:
+            self._sync_global(terms, self._since(self.synced)[1])
+        self.synced = now
+        traffic = demand.traffic
+        # An int and a float traffic can be equal yet round apart when added
+        # to an int load.
+        key = (weights, type(traffic), traffic)
+        # Out of the dict until its check passes.
+        book = self.books.pop(key, None)
+        if book is None:
+            book = self._build_book(terms, weights, traffic)
+        elif book.synced < now:
+            self._sync_book(book, terms, weights, traffic)
+        self.books[key] = book
+        return LinkScores(
+            index=index,
+            destination=demand.dst,
+            hop=terms.hop,
+            transmission=terms.transmission,
+            reliability=terms.reliability,
+            intensity=book.intensity,
+            utilization=book.utilization,
+            local_constant=weights.local_constant,
+            global_reward=self.global_reward,
+            global_constant=DEFAULT_WEIGHTS.global_constant,
         )
-        # A hop's local reward adds hop + t + r + ie + ue - K in this order. Each
-        # partial sum is monotone in the hop term, so summing with the first and
-        # the last hop's terms bounds the sums at every position.
-        local = terms.partial + intensity + utilization - w.local_constant
-        if not math.isfinite(local.sum() + global_reward.sum()):
-            finite = np.isfinite(local).all(axis=0) & np.isfinite(global_reward)
-            if not finite.all():
-                k = int(np.argmin(finite))
-                which = "global" if np.isfinite(local[:, k]).all() else "local"
-                link = f"({index.sources[k]},{index.targets[k]})"
-                raise ValueError(f"link {link}: {which} reward terms sum to a non-finite value")
-    return LinkScores(
-        index=index,
-        destination=demand.dst,
-        hop=terms.hop,
-        transmission=terms.transmission,
-        reliability=terms.reliability,
-        intensity=intensity.tolist(),
-        utilization=utilization.tolist(),
-        local_constant=w.local_constant,
-        global_reward=global_reward.tolist(),
-        global_constant=g.global_constant,
-    )
+
+    def _since(self, synced: int) -> tuple[set[int], set[int]]:
+        """The links placed after placements[:synced], and their targets."""
+        links: set[int] = set()
+        for placement in self.placements[synced:]:
+            links.update(placement)
+        targets = self.graph.link_index().targets
+        return links, {targets[k] for k in links}
+
+    def _sync_global(self, terms: TermSet, targets) -> None:
+        """Rescore the incoming traffic of targets and the global reward of
+        their in-links."""
+        index, loads, g = self.graph.link_index(), self.graph.loads, DEFAULT_WEIGHTS
+        incoming, global_reward = self.incoming, self.global_reward
+        reliability, rates, capacity = index.reliability, index.rates, index.max_bandwidth
+        gr, gi, gu, constant = g.reliability, g.intensity, g.utilization, g.global_constant
+        for v in targets:
+            inbound = terms.inbound[v]
+            total = 0.0
+            for k in inbound:
+                total += loads[k]
+            incoming[v] = total
+            node = gi * reward_intensity(total, rates[v])
+            for k in inbound:
+                global_reward[k] = (
+                    gr * reliability[k] + node + gu * reward_utilization(loads[k], capacity[k])
+                    - constant
+                )
+
+    def _build_book(self, terms: TermSet, weights: QoSWeights, traffic: float) -> _Book:
+        index, loads = self.graph.link_index(), self.graph.loads
+        wi, wu = weights.intensity, weights.utilization
+        node = [wi * reward_intensity(i, rate, traffic) for i, rate in zip(self.incoming, index.rates)]
+        utilization = [
+            wu * reward_utilization(used, capacity, traffic)
+            for used, capacity in zip(loads, index.max_bandwidth)
+        ]
+        book = _Book(list(map(node.__getitem__, index.targets)), utilization, self.synced)
+        # A local sum adds ((partial + intensity) + utilization) - constant,
+        # and rounding is monotone in each operand: when every term is
+        # finite and the sums of the least and of the greatest terms are,
+        # so is every link's. A finite total has only finite terms.
+        constant, (low, high) = weights.local_constant, terms.partial_range
+        if utilization and not (
+            isfinite(sum(node) + sum(utilization) + sum(self.global_reward))
+            and isfinite(low + min(node) + min(utilization) - constant)
+            and isfinite(high + max(node) + max(utilization) - constant)
+        ):
+            self._refuse(terms, book, constant)
+        return book
+
+    def _sync_book(self, book: _Book, terms: TermSet, weights: QoSWeights, traffic: float) -> None:
+        index, loads, incoming = self.graph.link_index(), self.graph.loads, self.incoming
+        links, targets = self._since(book.synced)
+        intensity, utilization = book.intensity, book.utilization
+        wi, wu, constant = weights.intensity, weights.utilization, weights.local_constant
+        capacity, rates = index.max_bandwidth, index.rates
+        for k in links:
+            utilization[k] = wu * reward_utilization(loads[k], capacity[k], traffic)
+        top, bottom = terms.hop[0], terms.hop[-1]
+        t, r, global_reward = terms.transmission, terms.reliability, self.global_reward
+        total = 0.0
+        for v in targets:
+            node = wi * reward_intensity(incoming[v], rates[v], traffic)
+            for k in terms.inbound[v]:
+                intensity[k] = node
+                # Only these links' sums changed; a non-finite one makes the
+                # total non-finite.
+                total += (
+                    (top + t[k] + r[k] + node + utilization[k] - constant)
+                    + (bottom + t[k] + r[k] + node + utilization[k] - constant)
+                    + global_reward[k]
+                )
+        book.synced = self.synced
+        if not isfinite(total):
+            self._refuse(terms, book, constant)
+
+    def _refuse(self, terms: TermSet, book: _Book, constant: float) -> None:
+        """ValueError naming the first link, in id order, whose local sum at
+        its first or last hop, ((hop + t) + r + ie) + ue - constant, or whose
+        global reward is not finite; returns if there is none."""
+        top, bottom = terms.hop[0], terms.hop[-1]
+        columns = terms.transmission, terms.reliability, book.intensity, book.utilization
+        for k, (t, r, ie, ue) in enumerate(zip(*columns)):
+            local = isfinite(top + t + r + ie + ue - constant) and isfinite(
+                bottom + t + r + ie + ue - constant
+            )
+            if not (local and isfinite(self.global_reward[k])):
+                index = self.graph.link_index()
+                which = "global" if local else "local"
+                raise ValueError(
+                    f"link ({index.sources[k]},{index.targets[k]}): "
+                    f"{which} reward terms sum to a non-finite value"
+                )
+
+
+def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
+    """Every link's reward terms on the graph's current loads, evaluated in
+    full by a fresh KeptScores, which refuses a non-finite sum as its
+    link_scores says."""
+    return KeptScores(graph).link_scores(weights, demand)
 
 
 def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> EpisodeRewards:

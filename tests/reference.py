@@ -4,8 +4,9 @@ These are the straightforward per-hop forms of the learner's hot path: a QoS
 snapshot record per attempted hop, composite rewards computed from each
 record, a dense N x N Q-table with NaN marking cells that have no link, and
 selection and updates through guarded per-cell reads. rlroute instead
-evaluates reward terms once per demand over all links (rewards.LinkScores),
-aligns an episode's rewards with its link ids (rewards.EpisodeRewards) and
+holds each link's reward terms for a whole run, rescoring after a placement
+only the links it changed (rewards.KeptScores, read per demand as a
+LinkScores), aligns an episode's rewards with its link ids (rewards.EpisodeRewards) and
 keeps Q-values in a list indexed by link id; tests require its results to
 equal these exactly, not approximately. sarsa_update is the one-step
 update engine.update_table computes inline. RewardRecord is the (src, dst)
@@ -14,7 +15,8 @@ and EpisodeRewards; node_pairs and route_of give a path's node form;
 graph_to_dict writes the topology document graph_from_dict reads, and
 graph_from_dict and demands_from_list are the loaders' field-by-field form.
 find_route_every_episode is engine.find_route's loop without its settle
-rule or its serving: every episode of the budget runs and walks. q_get, q_set and link_of read and
+rule or its serving: every episode of the budget runs and walks, and each
+demand's terms are evaluated in full. q_get, q_set and link_of read and
 write a table cell or a link by its node pair, which the learner never does:
 it works in link ids throughout.
 report_json and csv_text are the report files as json and csv.writer write
@@ -35,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from rlroute import dataplane, engine
+from rlroute import dataplane, engine, rewards
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, EpisodeTrace, QTable, RouteResult
 from rlroute.network import (
     LinkIndex,
@@ -509,10 +511,12 @@ def find_route_every_episode(
     rng=None,
     global_gamma=None,
     loss=None,
+    kept=None,
 ) -> RouteResult:
     """engine.find_route as a loop that runs every episode of the budget:
     walk, execute, score and update, with no episode skipped or served, and
-    a final walk."""
+    a final walk. kept, a run's kept scores, is ignored: every demand's
+    terms are evaluated in full."""
     weights = DEFAULT_WEIGHTS if weights is None else weights
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
     global_hyper = DEFAULT_HYPERPARAMETERS
@@ -520,7 +524,7 @@ def find_route_every_episode(
         global_hyper = replace(DEFAULT_HYPERPARAMETERS, gamma=global_gamma)
     local_table = engine.init_local_table(graph, global_table)
     # The engine's scoring, not this module's per-hop forms of the same names.
-    scores = engine.link_scores(graph, weights, demand)
+    scores = rewards.link_scores(graph, weights, demand)
     traces = []
     for episode in range(1, hyper.episodes + 1):
         temp_path = engine.find_temp_path(demand, local_table, hyper, rng)

@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rlroute
 from rlroute import dataplane, engine, harness, rewards
 from rlroute.cli import main
 from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
@@ -33,7 +38,7 @@ from rlroute.rewards import make_weights
 from rlroute.topologies import builtin_demands, load_builtin, resolve_topology
 import reference
 from reference import graph_to_dict, link_of, node_pairs
-from scenarios import OVERFLOWING_TOPOLOGIES
+from scenarios import OVERFLOWING_TOPOLOGIES, pair_document
 
 UTIL_ONLY = make_weights(0, 0, 0, 0, 1)
 
@@ -227,6 +232,52 @@ class TestRunSequence:
         exploration = random.Random(config.seed)
         assert [loss.random() for _ in range(16)] != [exploration.random() for _ in range(16)]
 
+    @pytest.mark.parametrize(
+        "used, weights, traffic, which",
+        [
+            # Node 1's estimated intensity adds two loads of 1e308.
+            (0.0, make_weights(0, 0, 0, 1, 0), 1e308, "local"),
+            # The global reward subtracts 9e307 twice.
+            (8e307, make_weights(0, 0, 0, 0, 0), 1e307, "global"),
+        ],
+    )
+    def test_a_placement_that_overflows_a_sum_is_refused_at_the_next_demand(
+        self, used, weights, traffic, which, tmp_path, monkeypatch
+    ):
+        # The first demand's sums are finite and it is routed; placing its
+        # traffic takes a sum past the largest float. The run's kept scores
+        # must see that placement: the next demand, with the same traffic,
+        # is refused before its first episode, naming the link.
+        topology = tmp_path / "pair.json"
+        topology.write_text(json.dumps(pair_document(used)))
+        routed, route = [], harness.find_route
+
+        def counting(demand, *args, **kwargs):
+            routed.append(demand)
+            return route(demand, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "find_route", counting)
+        config = ExperimentConfig(
+            topology=str(topology), demands=[TrafficDemand(0, 1, traffic)] * 2, weights=weights
+        )
+        message = rf"^link \(0,1\): {which} reward terms sum to a non-finite value$"
+        with pytest.raises(ValueError, match=message):
+            run_sequence(config)
+        assert len(routed) == 2
+
+    def test_a_run_imports_no_numpy(self):
+        # numpy is a test dependency only: neither importing the package
+        # nor running a sequence imports it.
+        code = (
+            "import sys, rlroute\n"
+            "from rlroute.topologies import builtin_demands\n"
+            "rlroute.run_sequence(rlroute.ExperimentConfig('t8', builtin_demands('t8')))\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = Path(rlroute.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
     def test_global_gamma_defaults_to_framework_gamma(self):
         # Leaving global_gamma unset discounts global updates with the
         # framework default 0.9, not with the local gamma.
@@ -359,7 +410,8 @@ class TestGammaStudy:
         # Under loss every episode executes; one whose result equals the
         # episode before's reuses that episode's rewards. The study's files
         # are those of a loop that scores every episode, from fewer reward
-        # calls. The t8 links drop 0.5% to 2% of packets.
+        # calls, and evaluates every demand's terms in full, not from the
+        # scores its run keeps. The t8 links drop 0.5% to 2% of packets.
         config = ExperimentConfig(
             topology="t8", demands=builtin_demands("t8"), weights=make_weights(0, 0, 0, 1, 1),
             loss_mode="bernoulli",

@@ -26,9 +26,11 @@ from reference import (
 from rlroute.dataplane import execute_path
 from rlroute.engine import Hyperparameters, QTable, find_route, find_temp_path, update_table
 from rlroute.network import RoutePath, TrafficDemand, build_graph, place_traffic
+from rlroute.harness import baseline_min_hop
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
     EpisodeRewards,
+    KeptScores,
     global_rewards_for_path,
     link_scores,
     local_rewards_for_path,
@@ -188,6 +190,60 @@ class TestLinkScores:
                 assert [v.hex() for v in getattr(kept, name)] == [
                     v.hex() for v in getattr(fresh, name)
                 ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        networks(),
+        st.lists(weight_sets, min_size=2, max_size=2),
+        st.lists(st.floats(min_value=1.0, max_value=1e8), min_size=3, max_size=4, unique=True),
+        st.data(),
+    )
+    def test_kept_scores_equal_fresh_ones_after_every_placement(
+        self, network, weight_pair, traffics, data
+    ):
+        # Placements interleave with scorings under two weight sets and
+        # several traffic values, so a book often catches up on several
+        # placements at once. After each placement the scores a run keeps
+        # have the bits of a full evaluation on a copy of the graph, and an
+        # episode's rewards those of the per-hop reference forms.
+        graph, _ = network
+        n, index, kept = graph.num_nodes, graph.link_index(), KeptScores(graph)
+        nodes = st.integers(min_value=0, max_value=n - 1)
+        books = [(w, t) for w in weight_pair for t in traffics]
+        for step in range(data.draw(st.integers(min_value=1, max_value=10), "placements")):
+            src = data.draw(nodes, "src")
+            dst = data.draw(nodes.filter(lambda d: d != src), "dst")
+            placed = TrafficDemand(src, dst, data.draw(st.sampled_from(traffics), "traffic"))
+            route = baseline_min_hop(graph, placed)
+            if route.reached_destination:
+                place_traffic(graph, route, placed)
+                kept.placed(route)
+            last = step == 9 or data.draw(st.booleans(), "last")
+            # The last step scores every book; the others one drawn book.
+            for weights, traffic in books if last else [data.draw(st.sampled_from(books), "book")]:
+                demand = TrafficDemand(src, dst, traffic)
+                scores = kept.link_scores(weights, demand)
+                fresh = link_scores(graph.copy(), weights, demand)
+                for name in ("hop", "transmission", "reliability", "intensity", "utilization",
+                             "global_reward"):
+                    assert [v.hex() for v in getattr(scores, name)] == [
+                        v.hex() for v in getattr(fresh, name)
+                    ], name
+                path = find_temp_path(
+                    demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6),
+                    random.Random(step),
+                )
+                if path.hop_count:
+                    result = execute_path(graph, path.links)
+                    records = reference.execute_path(graph, path)
+                    assert exact(records_of(index, local_rewards_for_path(result, scores))) == (
+                        exact(reference.local_rewards_for_path(records, weights, demand))
+                    )
+                    assert exact(records_of(index, global_rewards_for_path(result, scores))) == (
+                        exact(reference.global_rewards_for_path(records, DEFAULT_WEIGHTS))
+                    )
+            if last:
+                break
 
     def test_scores_read_loads_placed_after_the_graph_was_first_scored(self):
         # The graph keeps its load-free terms from the first scoring; the

@@ -17,6 +17,7 @@ from rlroute.engine import find_route
 from rlroute.network import RoutePath, TrafficDemand, build_graph, graph_from_dict, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
+    KeptScores,
     global_rewards_for_path,
     link_scores,
     local_rewards_for_path,
@@ -53,19 +54,6 @@ class TestTermFormulas:
     def test_intensity_can_go_negative_when_overloaded(self):
         assert reward_intensity(60, 50) < 0
         assert reward_utilization(12, 10) < 0
-
-    def test_array_terms_equal_scalar_terms(self):
-        # The per-demand scores evaluate terms over arrays; elementwise
-        # arithmetic must round exactly as the scalar form does.
-        incoming = np.array([0.0, 5e6, 3.3e7, 1.7e6])
-        rate = np.array([50e6, 1e8, 3e7, 7.77e6])
-        for extra in (0.0, 1e5, 3.1e6):
-            assert reward_intensity(incoming, rate, extra).tolist() == [
-                reward_intensity(i, r, extra) for i, r in zip(incoming.tolist(), rate.tolist())
-            ]
-            assert reward_utilization(incoming, rate, extra).tolist() == [
-                reward_utilization(u, m, extra) for u, m in zip(incoming.tolist(), rate.tolist())
-            ]
 
 
 class TestWeights:
@@ -267,3 +255,18 @@ class TestRewardSums:
         graph = self.saturated_pair()
         with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
             find_route(TrafficDemand(0, 1, 1.0), graph, None)
+
+    def test_a_run_s_kept_scores_refuse_on_every_call(self):
+        # A book is kept only once its check passes, so a run's scores
+        # refuse again on the next call: after a placement took a sum past
+        # the largest float, and for weights whose load-free terms do.
+        graph = graph_from_dict(pair_document(0.0))
+        kept, path = KeptScores(graph), RoutePath((0, 1), True)
+        weights, demand = make_weights(0, 0, 0, 1, 0), TrafficDemand(0, 1, 1e308)
+        kept.link_scores(weights, demand)
+        place_traffic(graph, path, demand)
+        kept.placed(path)
+        huge = make_weights(1e308, 1e308, 1e308, 0, 0)
+        for case in (weights, weights, huge, huge):
+            with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
+                kept.link_scores(case, demand)
