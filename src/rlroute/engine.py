@@ -44,9 +44,9 @@ from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand, check_fl
 from .rewards import (
     DEFAULT_WEIGHTS,
     EpisodeRewards,
-    KeptScores,
     QoSWeights,
     global_rewards_for_path,
+    link_scores,
     local_rewards_for_path,
 )
 
@@ -410,7 +410,6 @@ def find_route(
     rng: Optional[random.Random] = None,
     global_gamma: Optional[float] = None,
     loss: Optional[random.Random] = None,
-    kept: Optional[KeptScores] = None,
 ) -> RouteResult:
     """Learn a path for one demand over graph.
 
@@ -428,9 +427,9 @@ def find_route(
     dataplane.execute_path). Every episode that runs executes, and is scored
     exactly when its ExecutionResult differs from the episode before's; one
     equal to it reuses that episode's rewards and runs only the updates.
-    The demand's reward terms come from kept, the scores its run keeps on
-    graph, before the first episode; without one they are evaluated in
-    full. Returns the greedy final path plus one trace per episode.
+    The demand's reward terms are read before the first episode from the
+    scores graph keeps (rewards.link_scores). Returns the greedy final path
+    plus one trace per episode.
 
     Serving a repeated walk: an update writes only the links an episode
     attempted, so between two episodes only the temp path's links change in
@@ -458,10 +457,6 @@ def find_route(
                 f"global_gamma {global_gamma} needs a global_table: no global table reads it"
             )
         global_hyper = _global_hyperparameters(global_gamma)
-    if kept is None:
-        kept = KeptScores(graph)
-    elif kept.graph is not graph:
-        raise ValueError("kept scores of another graph: a run keeps the scores of its own graph")
     greedy = hyper.epsilon == 0
     # With neither exploration nor loss draws, an episode is a function of
     # the tables alone.
@@ -471,7 +466,7 @@ def find_route(
     q = local_table.q
     # Executing paths never changes the graph, so one demand's reward terms
     # are fixed for all of its episodes.
-    scores = kept.link_scores(weights, demand)
+    scores = link_scores(graph, weights, demand)
     traces: list[EpisodeTrace] = []
     temp_path = floors = result = None
     episodes = hyper.episodes

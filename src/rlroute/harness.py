@@ -38,7 +38,7 @@ from .engine import (
     find_route,
 )
 from .network import NetworkGraph, RoutePath, TrafficDemand, check_int, place_traffic
-from .rewards import DEFAULT_WEIGHTS, KeptScores, QoSWeights
+from .rewards import DEFAULT_WEIGHTS, QoSWeights
 from .topologies import resolve_topology
 
 DEFAULT_SEED = 1
@@ -257,8 +257,6 @@ def _run_sequence(config: ExperimentConfig, graph: NetworkGraph) -> ExperimentRe
     loss = random.Random(f"loss {config.seed}") if config.loss_mode == "bernoulli" else None
     # Only a run that seeds local tables from it needs a global table.
     global_table = QTable.for_graph(graph) if config.use_global else None
-    # The run's reward terms, rescored after each placement where it changed them.
-    kept = KeptScores(graph)
     rng = random.Random(config.seed)
     outcomes: list[DemandOutcome] = []
     for index, demand in enumerate(config.demands, start=1):
@@ -272,7 +270,6 @@ def _run_sequence(config: ExperimentConfig, graph: NetworkGraph) -> ExperimentRe
                 rng=rng,
                 global_gamma=config.global_gamma,
                 loss=loss,
-                kept=kept,
             )
         except UnroutableDemandError:
             final_path, traces = None, []
@@ -288,7 +285,6 @@ def _run_sequence(config: ExperimentConfig, graph: NetworkGraph) -> ExperimentRe
         )
         if outcome.routed:
             place_traffic(graph, final_path, demand)
-            kept.placed(final_path)
         outcomes.append(outcome)
     return ExperimentReport(config=config, outcomes=outcomes, graph=graph)
 

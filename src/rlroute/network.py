@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 from math import isfinite
 from operator import truediv
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import (
+    IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+)
+
+if TYPE_CHECKING:
+    from .rewards import KeptScores
 
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
@@ -192,14 +197,17 @@ class NetworkGraph:
     its own loads. Node ids are dense 0..N-1. At most one link exists per
     ordered (src, dst) pair. loads[k] is link k's used bandwidth, a Python
     int or float as given, and the only state that changes: place_traffic
-    writes it. Construct through build_graph or load_topology.
+    writes it. scores, the rewards.KeptScores its first scoring makes, keeps
+    its links' reward terms for its loads; place_traffic tells it which
+    loads it changed. Construct through build_graph or load_topology.
     """
 
-    __slots__ = ("_index", "loads")
+    __slots__ = ("_index", "loads", "scores")
 
     def __init__(self, index: LinkIndex, loads: list[float]):
         self._index = index
         self.loads = loads
+        self.scores: Optional[KeptScores] = None
 
     @property
     def rates(self) -> tuple[float, ...]:
@@ -254,7 +262,7 @@ class NetworkGraph:
     def copy(self) -> "NetworkGraph":
         """A graph with the same nodes and links. Only loads change, so the
         copy shares this graph's LinkIndex; its loads list, which
-        place_traffic writes, is its own."""
+        place_traffic writes, and its scores are its own."""
         return NetworkGraph(self._index, self.loads.copy())
 
     def max_link_utilization(self) -> float:
@@ -362,7 +370,8 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
     have reached its destination and must connect the demand's endpoints:
     each path link's entry in graph.loads grows by the demand's rate. Every
     new load is computed and checked before any is written, so a load that
-    overflows is refused, naming its link, with the path's loads unchanged."""
+    overflows is refused, naming its link, with the path's loads unchanged.
+    The graph's kept scores learn which loads changed."""
     link_ids = graph.link_ids(path.nodes)
     if not path.reached_destination:
         raise ValueError("refusing to place traffic on a path that did not reach its destination")
@@ -377,6 +386,8 @@ def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -
         _check_load(src, dst, used)
     for k, used in zip(link_ids, placed):
         loads[k] = used
+    if graph.scores is not None:
+        graph.scores.placed(link_ids)
     return graph
 
 

@@ -27,7 +27,7 @@ transmission reward reads its argument numerically in Mb/s.
 Every term but the hop reward depends on one link and on loads that change
 only between demands, when a routed demand's traffic is placed. A demand's
 LinkScores holds those terms for all links, so an episode's rewards only
-index lists by link id. A run keeps them from demand to demand
+index lists by link id. A graph keeps them from demand to demand
 (KeptScores) and rescores only the links a placement changed; what no load
 enters is evaluated once per LinkIndex, which a graph's copies share, and
 set of weights (TermSet).
@@ -44,9 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isfinite, nan
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand, check_float
+from .network import LinkIndex, NetworkGraph, TrafficDemand, check_float
 
 if TYPE_CHECKING:
     from .dataplane import ExecutionResult
@@ -124,9 +124,9 @@ class EpisodeRewards:
 
 
 # The term functions below are the formulas alone; their inputs are checked
-# where they enter, as the module docstring says. Scoring calls them once
-# per node or link, so a kept term has the bits of the same term evaluated
-# per hop.
+# where they enter, as the module docstring says. Scoring evaluates the same
+# operations inline, once per node or link, so a kept term has the bits of
+# the same term evaluated per hop.
 
 
 def reward_hop(hop_index: int) -> float:
@@ -166,7 +166,8 @@ class TermSet:
     weighted transmission and reliability terms, lists every LinkScores
     with these weights shares; partial_range, bounds on any link's hop +
     transmission + reliability at any hop, or NaNs when a term is not
-    finite; and inbound[v], the ids of the links into node v, ascending.
+    finite; least_capacity, the least link max bandwidth; and inbound[v],
+    the ids of the links into node v, ascending.
 
     Capacities, reliabilities and processing rates are fixed at
     construction, and a graph's copies share its LinkIndex, which keeps the
@@ -178,6 +179,7 @@ class TermSet:
     transmission: list[float]
     reliability: list[float]
     partial_range: tuple[float, float]
+    least_capacity: float
     inbound: list[list[int]]
 
 
@@ -204,6 +206,7 @@ def _term_set(index: LinkIndex, weights: QoSWeights) -> TermSet:
         transmission=transmission,
         reliability=reliability,
         partial_range=partial_range,
+        least_capacity=min(index.max_bandwidth, default=math.inf),
         inbound=inbound,
     )
 
@@ -229,53 +232,78 @@ class LinkScores:
     global_constant: float
 
 
+# A graph keeps books for at most this many (weights, traffic) pairs, the
+# least recently scored going first, so its kept scores hold O(links)
+# floats however many traffic values its demands carry.
+KEPT_BOOKS = 8
+
+
 class _Book:
     """The estimated intensity and utilization terms of one (weights,
-    traffic), per link id, as of the run's first synced placements: those
-    it has caught up on."""
+    traffic), per link id, and the placed links they have not caught up
+    on."""
 
-    __slots__ = ("intensity", "utilization", "synced")
+    __slots__ = ("intensity", "utilization", "placed")
 
-    def __init__(self, intensity: list[float], utilization: list[float], synced: int):
-        self.intensity, self.utilization, self.synced = intensity, utilization, synced
+    def __init__(self, intensity: list[float], utilization: list[float]):
+        self.intensity, self.utilization = intensity, utilization
+        self.placed: set[int] = set()
 
 
 class KeptScores:
-    """One run's reward terms on one graph, kept from demand to demand.
+    """One graph's reward terms, kept from demand to demand.
 
-    Between two demands only the loads of a placed path change. So a run
-    keeps each node's incoming traffic, each link's global reward, and one
-    book per (weights, traffic) of the estimated intensity and utilization
-    terms. placed() only records a placement's link ids. The next
-    link_scores call brings what it reads up to date, rescoring only what
-    the placements since it was last read changed: each placed link's
-    utilization, each placed link's target's incoming traffic, and the
-    intensity terms and global reward of every link into those targets.
+    A graph keeps one (NetworkGraph.scores), made by its first scoring, and
+    each run places its demands on a graph of its own, so these are a run's
+    scores. Between two demands only the loads of a placed path change, and
+    place_traffic, which writes them, passes its link ids to placed(). So
+    the graph keeps each node's incoming traffic, each link's global reward,
+    and books of the estimated intensity and utilization terms for the
+    KEPT_BOOKS (weights, traffic) pairs scored last. placed() only records
+    link ids. The next link_scores call brings what it reads up to date,
+    rescoring only what the placements since it was last read changed: each
+    placed link's utilization, each placed link's target's incoming
+    traffic, and the intensity terms and global reward of every link into
+    those targets. A pair scored for the first time, or again after its
+    book was dropped, pays one full evaluation of its book.
 
-    Every value is computed by the operations a full evaluation uses, in
-    the same order, so kept scores have the bits of fresh ones. A node's
-    incoming traffic is its inbound loads summed in link-id order from 0.0
-    with +=, not sum(), which is compensated on Python 3.12+. A node's
-    intensity term is computed once, then copied to its in-links.
+    Every value is computed by the operations of the term functions, in the
+    same order, so kept scores have the bits of terms evaluated per hop. A
+    node's incoming traffic is its inbound loads summed in link-id order
+    from 0.0 with +=, not sum(), which is compensated on Python 3.12+. A
+    node's intensity term is computed once, then copied to its in-links.
+    The current intensity leaves out adding extra = 0.0, which changes no
+    float but -0.0, and a sum from 0.0 of loads >= 0 is never -0.0.
+    """
 
-    The graph's loads must change only by placements recorded here. A
-    returned LinkScores reads the kept lists, so it holds until the next
-    call."""
-
-    __slots__ = ("graph", "placements", "incoming", "global_reward", "synced", "books")
+    __slots__ = ("index", "loads", "incoming", "global_reward", "most_load", "stale", "books")
 
     def __init__(self, graph: NetworkGraph):
-        self.graph = graph
-        self.placements: list[tuple[int, ...]] = []
-        # Built by the first link_scores call, then synced to placements[:synced].
-        self.incoming: list[float] = []
-        self.global_reward: Optional[list[float]] = None
-        self.synced = 0
+        index, loads = graph.link_index(), graph.loads
+        self.index, self.loads = index, loads
+        incoming = [0.0] * len(index.rates)
+        for v, used in zip(index.targets, loads):
+            incoming[v] += used
+        g = DEFAULT_WEIGHTS
+        gr, gi, gu, constant = g.reliability, g.intensity, g.utilization, g.global_constant
+        node = [gi * (1.0 - total / rate) for total, rate in zip(incoming, index.rates)]
+        columns = index.reliability, index.targets, loads, index.max_bandwidth
+        self.incoming = incoming
+        self.global_reward = [
+            gr * r + node[v] + gu * (1.0 - (used + 0.0) / capacity) - constant
+            for r, v, used, capacity in zip(*columns)
+        ]
+        self.most_load = max(loads, default=0.0)
+        # Links placed since the incoming traffic, global rewards and
+        # most_load were brought up to date.
+        self.stale: set[int] = set()
         self.books: dict[tuple, _Book] = {}
 
-    def placed(self, path: RoutePath) -> None:
-        """Record that a demand's traffic was placed along path."""
-        self.placements.append(self.graph.link_ids(path.nodes))
+    def placed(self, links: tuple[int, ...]) -> None:
+        """Record that place_traffic changed the loads of links."""
+        self.stale.update(links)
+        for book in self.books.values():
+            book.placed.update(links)
 
     def link_scores(self, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
         """Every link's reward terms on the graph's current loads.
@@ -288,31 +316,30 @@ class KeptScores:
         or last hop or whose global reward sums to a non-finite value: the
         local one, unless the local sums are finite there. A book is kept
         only once its check passes, so a refusal repeats on every later
-        call.
+        call. The returned lists are the kept ones: they hold until the
+        next call.
         """
-        index = self.graph.link_index()
+        index = self.index
         terms = index.terms.get(weights)
         if terms is None:
             terms = index.terms[weights] = _term_set(index, weights)
-        now = len(self.placements)
-        if self.global_reward is None:
-            n = len(index.rates)
-            self.incoming, self.global_reward = [0.0] * n, [0.0] * len(index.targets)
-            self._sync_global(terms, range(n))
-        elif self.synced < now:
-            self._sync_global(terms, self._since(self.synced)[1])
-        self.synced = now
+        if self.stale:
+            self._rescore_global(terms)
         traffic = demand.traffic
         # An int and a float traffic can be equal yet round apart when added
         # to an int load.
         key = (weights, type(traffic), traffic)
-        # Out of the dict until its check passes.
-        book = self.books.pop(key, None)
+        # Out of the dict until its check passes, then back in as the most
+        # recently scored.
+        books = self.books
+        book = books.pop(key, None)
         if book is None:
             book = self._build_book(terms, weights, traffic)
-        elif book.synced < now:
-            self._sync_book(book, terms, weights, traffic)
-        self.books[key] = book
+        elif book.placed:
+            self._rescore_book(book, terms, weights, traffic)
+        books[key] = book
+        if len(books) > KEPT_BOOKS:
+            del books[next(iter(books))]
         return LinkScores(
             index=index,
             destination=demand.dst,
@@ -326,69 +353,72 @@ class KeptScores:
             global_constant=DEFAULT_WEIGHTS.global_constant,
         )
 
-    def _since(self, synced: int) -> tuple[set[int], set[int]]:
-        """The links placed after placements[:synced], and their targets."""
-        links: set[int] = set()
-        for placement in self.placements[synced:]:
-            links.update(placement)
-        targets = self.graph.link_index().targets
-        return links, {targets[k] for k in links}
-
-    def _sync_global(self, terms: TermSet, targets) -> None:
-        """Rescore the incoming traffic of targets and the global reward of
-        their in-links."""
-        index, loads, g = self.graph.link_index(), self.graph.loads, DEFAULT_WEIGHTS
-        incoming, global_reward = self.incoming, self.global_reward
+    def _rescore_global(self, terms: TermSet) -> None:
+        """Rescore the incoming traffic of the stale links' targets and the
+        global reward of their in-links."""
+        index, loads, g = self.index, self.loads, DEFAULT_WEIGHTS
+        incoming, global_reward, targets = self.incoming, self.global_reward, index.targets
         reliability, rates, capacity = index.reliability, index.rates, index.max_bandwidth
         gr, gi, gu, constant = g.reliability, g.intensity, g.utilization, g.global_constant
-        for v in targets:
+        stale = self.stale
+        self.most_load = max(self.most_load, max(map(loads.__getitem__, stale)))
+        for v in {targets[k] for k in stale}:
             inbound = terms.inbound[v]
             total = 0.0
             for k in inbound:
                 total += loads[k]
             incoming[v] = total
-            node = gi * reward_intensity(total, rates[v])
+            node = gi * (1.0 - total / rates[v])
             for k in inbound:
                 global_reward[k] = (
-                    gr * reliability[k] + node + gu * reward_utilization(loads[k], capacity[k])
+                    gr * reliability[k] + node + gu * (1.0 - (loads[k] + 0.0) / capacity[k])
                     - constant
                 )
+        stale.clear()
 
     def _build_book(self, terms: TermSet, weights: QoSWeights, traffic: float) -> _Book:
-        index, loads = self.graph.link_index(), self.graph.loads
-        wi, wu = weights.intensity, weights.utilization
-        node = [wi * reward_intensity(i, rate, traffic) for i, rate in zip(self.incoming, index.rates)]
-        utilization = [
-            wu * reward_utilization(used, capacity, traffic)
-            for used, capacity in zip(loads, index.max_bandwidth)
+        index, wi, wu = self.index, weights.intensity, weights.utilization
+        node = [
+            wi * (1.0 - (total + traffic) / rate) for total, rate in zip(self.incoming, index.rates)
         ]
-        book = _Book(list(map(node.__getitem__, index.targets)), utilization, self.synced)
+        utilization = [
+            wu * (1.0 - (used + traffic) / capacity)
+            for used, capacity in zip(self.loads, index.max_bandwidth)
+        ]
+        book = _Book([node[v] for v in index.targets], utilization)
         # A local sum adds ((partial + intensity) + utilization) - constant,
-        # and rounding is monotone in each operand: when every term is
-        # finite and the sums of the least and of the greatest terms are,
-        # so is every link's. A finite total has only finite terms.
+        # and rounding is monotone in each operand: when the sums of the
+        # least and of the greatest terms are finite, so is every link's. A
+        # finite total has only finite terms. The utilization terms are
+        # bounded without reading them. None exceeds wu, as (used + traffic)
+        # / capacity >= 0. None is below wu * (1.0 - 2.0 * q), q = (most
+        # load + traffic) / least capacity: rounding each operation moves a
+        # result by a factor of at most 1 + 2**-52, so no link's ratio
+        # exceeds 2q.
         constant, (low, high) = weights.local_constant, terms.partial_range
+        q = (float(self.most_load) + traffic) / terms.least_capacity
         if utilization and not (
-            isfinite(sum(node) + sum(utilization) + sum(self.global_reward))
-            and isfinite(low + min(node) + min(utilization) - constant)
-            and isfinite(high + max(node) + max(utilization) - constant)
+            isfinite(sum(node) + sum(self.global_reward))
+            and isfinite(low + min(node) + wu * (1.0 - 2.0 * q) - constant)
+            and isfinite(high + max(node) + wu - constant)
         ):
             self._refuse(terms, book, constant)
         return book
 
-    def _sync_book(self, book: _Book, terms: TermSet, weights: QoSWeights, traffic: float) -> None:
-        index, loads, incoming = self.graph.link_index(), self.graph.loads, self.incoming
-        links, targets = self._since(book.synced)
-        intensity, utilization = book.intensity, book.utilization
+    def _rescore_book(
+        self, book: _Book, terms: TermSet, weights: QoSWeights, traffic: float
+    ) -> None:
+        index, loads, incoming = self.index, self.loads, self.incoming
+        intensity, utilization, links = book.intensity, book.utilization, book.placed
         wi, wu, constant = weights.intensity, weights.utilization, weights.local_constant
-        capacity, rates = index.max_bandwidth, index.rates
+        capacity, rates, targets = index.max_bandwidth, index.rates, index.targets
         for k in links:
-            utilization[k] = wu * reward_utilization(loads[k], capacity[k], traffic)
+            utilization[k] = wu * (1.0 - (loads[k] + traffic) / capacity[k])
         top, bottom = terms.hop[0], terms.hop[-1]
         t, r, global_reward = terms.transmission, terms.reliability, self.global_reward
         total = 0.0
-        for v in targets:
-            node = wi * reward_intensity(incoming[v], rates[v], traffic)
+        for v in {targets[k] for k in links}:
+            node = wi * (1.0 - (incoming[v] + traffic) / rates[v])
             for k in terms.inbound[v]:
                 intensity[k] = node
                 # Only these links' sums changed; a non-finite one makes the
@@ -398,7 +428,7 @@ class KeptScores:
                     + (bottom + t[k] + r[k] + node + utilization[k] - constant)
                     + global_reward[k]
                 )
-        book.synced = self.synced
+        links.clear()
         if not isfinite(total):
             self._refuse(terms, book, constant)
 
@@ -413,7 +443,7 @@ class KeptScores:
                 bottom + t + r + ie + ue - constant
             )
             if not (local and isfinite(self.global_reward[k])):
-                index = self.graph.link_index()
+                index = self.index
                 which = "global" if local else "local"
                 raise ValueError(
                     f"link ({index.sources[k]},{index.targets[k]}): "
@@ -422,10 +452,14 @@ class KeptScores:
 
 
 def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:
-    """Every link's reward terms on the graph's current loads, evaluated in
-    full by a fresh KeptScores, which refuses a non-finite sum as its
-    link_scores says."""
-    return KeptScores(graph).link_scores(weights, demand)
+    """Every link's reward terms on the graph's current loads, from the
+    scores the graph keeps (NetworkGraph.scores), made on its first call;
+    refuses a non-finite sum as KeptScores.link_scores says. The returned
+    lists hold until the graph's next scoring."""
+    kept = graph.scores
+    if kept is None:
+        kept = graph.scores = KeptScores(graph)
+    return kept.link_scores(weights, demand)
 
 
 def local_rewards_for_path(result: "ExecutionResult", scores: LinkScores) -> EpisodeRewards:

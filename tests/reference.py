@@ -4,7 +4,7 @@ These are the straightforward per-hop forms of the learner's hot path: a QoS
 snapshot record per attempted hop, composite rewards computed from each
 record, a dense N x N Q-table with NaN marking cells that have no link, and
 selection and updates through guarded per-cell reads. rlroute instead
-holds each link's reward terms for a whole run, rescoring after a placement
+keeps each link's reward terms with its graph, rescoring after a placement
 only the links it changed (rewards.KeptScores, read per demand as a
 LinkScores), aligns an episode's rewards with its link ids (rewards.EpisodeRewards) and
 keeps Q-values in a list indexed by link id; tests require its results to
@@ -511,12 +511,11 @@ def find_route_every_episode(
     rng=None,
     global_gamma=None,
     loss=None,
-    kept=None,
 ) -> RouteResult:
     """engine.find_route as a loop that runs every episode of the budget:
     walk, execute, score and update, with no episode skipped or served, and
-    a final walk. kept, a run's kept scores, is ignored: every demand's
-    terms are evaluated in full."""
+    a final walk. Every demand's terms are evaluated in full, not read from
+    the scores the graph keeps."""
     weights = DEFAULT_WEIGHTS if weights is None else weights
     hyper = DEFAULT_HYPERPARAMETERS if hyper is None else hyper
     global_hyper = DEFAULT_HYPERPARAMETERS
@@ -524,7 +523,7 @@ def find_route_every_episode(
         global_hyper = replace(DEFAULT_HYPERPARAMETERS, gamma=global_gamma)
     local_table = engine.init_local_table(graph, global_table)
     # The engine's scoring, not this module's per-hop forms of the same names.
-    scores = rewards.link_scores(graph, weights, demand)
+    scores = rewards.KeptScores(graph).link_scores(weights, demand)
     traces = []
     for episode in range(1, hyper.episodes + 1):
         temp_path = engine.find_temp_path(demand, local_table, hyper, rng)

@@ -25,7 +25,6 @@ from rlroute.engine import (
 from rlroute.network import RoutePath, TrafficDemand, build_graph
 from rlroute.rewards import (
     EpisodeRewards,
-    KeptScores,
     global_rewards_for_path,
     local_rewards_for_path,
     make_weights,
@@ -628,13 +627,6 @@ class TestFindRoute:
             weights=make_weights(0, 0, 0, 0, 1),
         )
         assert result.final_path.nodes == (0, 1, 2)
-
-    def test_kept_scores_of_another_graph_are_refused(self):
-        # A run's kept scores follow the placements on its own graph; a copy
-        # of it is another graph, whose loads may differ.
-        graph = load_builtin("t1")
-        with pytest.raises(ValueError, match="^kept scores of another graph"):
-            find_route(TrafficDemand(0, 4, 1e5), graph.copy(), None, kept=KeptScores(graph))
 
     def test_unroutable_source_raises(self):
         graph = build_graph(2, [(1, 0, 1e6)])

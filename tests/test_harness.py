@@ -245,8 +245,8 @@ class TestRunSequence:
         self, used, weights, traffic, which, tmp_path, monkeypatch
     ):
         # The first demand's sums are finite and it is routed; placing its
-        # traffic takes a sum past the largest float. The run's kept scores
-        # must see that placement: the next demand, with the same traffic,
+        # traffic takes a sum past the largest float. The scores the run's
+        # graph keeps must see that placement: the next demand, with the same traffic,
         # is refused before its first episode, naming the link.
         topology = tmp_path / "pair.json"
         topology.write_text(json.dumps(pair_document(used)))

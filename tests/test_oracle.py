@@ -30,7 +30,7 @@ from rlroute.harness import baseline_min_hop
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
     EpisodeRewards,
-    KeptScores,
+    KEPT_BOOKS,
     global_rewards_for_path,
     link_scores,
     local_rewards_for_path,
@@ -195,7 +195,7 @@ class TestLinkScores:
     @given(
         networks(),
         st.lists(weight_sets, min_size=2, max_size=2),
-        st.lists(st.floats(min_value=1.0, max_value=1e8), min_size=3, max_size=4, unique=True),
+        st.lists(st.floats(min_value=1.0, max_value=1e8), min_size=3, max_size=6, unique=True),
         st.data(),
     )
     def test_kept_scores_equal_fresh_ones_after_every_placement(
@@ -203,11 +203,12 @@ class TestLinkScores:
     ):
         # Placements interleave with scorings under two weight sets and
         # several traffic values, so a book often catches up on several
-        # placements at once. After each placement the scores a run keeps
-        # have the bits of a full evaluation on a copy of the graph, and an
-        # episode's rewards those of the per-hop reference forms.
+        # placements at once, and with more than KEPT_BOOKS pairs a dropped
+        # book is built again. After each placement the scores the graph
+        # keeps have the bits of a full evaluation on a copy of the graph,
+        # and an episode's rewards those of the per-hop reference forms.
         graph, _ = network
-        n, index, kept = graph.num_nodes, graph.link_index(), KeptScores(graph)
+        n, index = graph.num_nodes, graph.link_index()
         nodes = st.integers(min_value=0, max_value=n - 1)
         books = [(w, t) for w in weight_pair for t in traffics]
         for step in range(data.draw(st.integers(min_value=1, max_value=10), "placements")):
@@ -217,18 +218,18 @@ class TestLinkScores:
             route = baseline_min_hop(graph, placed)
             if route.reached_destination:
                 place_traffic(graph, route, placed)
-                kept.placed(route)
             last = step == 9 or data.draw(st.booleans(), "last")
             # The last step scores every book; the others one drawn book.
             for weights, traffic in books if last else [data.draw(st.sampled_from(books), "book")]:
                 demand = TrafficDemand(src, dst, traffic)
-                scores = kept.link_scores(weights, demand)
+                scores = link_scores(graph, weights, demand)
                 fresh = link_scores(graph.copy(), weights, demand)
                 for name in ("hop", "transmission", "reliability", "intensity", "utilization",
                              "global_reward"):
                     assert [v.hex() for v in getattr(scores, name)] == [
                         v.hex() for v in getattr(fresh, name)
                     ], name
+                assert len(graph.scores.books) <= KEPT_BOOKS
                 path = find_temp_path(
                     demand, QTable.for_graph(graph), Hyperparameters(epsilon=1.0, ttl=6),
                     random.Random(step),
@@ -251,10 +252,11 @@ class TestLinkScores:
         graph = load_builtin("t2")
         demand = TrafficDemand(0, 3, 2e6)
         path = RoutePath((0, 1, 3), True)
-        before = link_scores(graph, DEFAULT_WEIGHTS, demand)
+        result = execute_path(graph, graph.link_ids(path.nodes))
+        # Read before the placement: the graph rescores its kept lists in place.
+        before = local_rewards_for_path(result, link_scores(graph, DEFAULT_WEIGHTS, demand))
         place_traffic(graph, path, demand)
         after = link_scores(graph, DEFAULT_WEIGHTS, demand)
-        result = execute_path(graph, graph.link_ids(path.nodes))
         records = reference.execute_path(graph, path)
         index = after.index
         assert exact(records_of(index, local_rewards_for_path(result, after))) == exact(
@@ -263,7 +265,7 @@ class TestLinkScores:
         assert exact(records_of(index, global_rewards_for_path(result, after))) == exact(
             reference.global_rewards_for_path(records, DEFAULT_WEIGHTS)
         )
-        assert local_rewards_for_path(result, before) != local_rewards_for_path(result, after)
+        assert before != local_rewards_for_path(result, after)
 
 
 class TestSelection:

@@ -17,7 +17,7 @@ from rlroute.engine import find_route
 from rlroute.network import RoutePath, TrafficDemand, build_graph, graph_from_dict, place_traffic
 from rlroute.rewards import (
     DEFAULT_WEIGHTS,
-    KeptScores,
+    KEPT_BOOKS,
     global_rewards_for_path,
     link_scores,
     local_rewards_for_path,
@@ -256,17 +256,60 @@ class TestRewardSums:
         with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
             find_route(TrafficDemand(0, 1, 1.0), graph, None)
 
-    def test_a_run_s_kept_scores_refuse_on_every_call(self):
-        # A book is kept only once its check passes, so a run's scores
-        # refuse again on the next call: after a placement took a sum past
-        # the largest float, and for weights whose load-free terms do.
+    def test_a_new_traffic_value_is_checked_against_loads_placed_since_the_first_demand(self):
+        # After the first demand the graph keeps its scores. Placing 1.5e8
+        # on a 1e-300 b/s link leaves its global reward finite, near
+        # -1.5e308, but a demand of 5e7 takes its estimated utilization
+        # past the largest float: that demand's new book must see the load.
+        graph = graph_from_dict({
+            "nodes": [{"id": i, "processing_rate_bps": 1e8} for i in range(2)],
+            "links": [{"src": 0, "dst": 1, "max_bandwidth_bps": 1e-300}],
+        })
+        weights = make_weights(0, 0, 0, 0, 1)
+        link_scores(graph, weights, TrafficDemand(0, 1, 1.0))
+        place_traffic(graph, RoutePath((0, 1), True), TrafficDemand(0, 1, 1.5e8))
+        with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
+            link_scores(graph, weights, TrafficDemand(0, 1, 5e7))
+
+    def test_a_graph_s_kept_scores_refuse_on_every_call(self):
+        # A book is kept only once its check passes, so the scores a graph
+        # keeps refuse again on the next call: after a placement took a sum
+        # past the largest float, and for weights whose load-free terms do.
         graph = graph_from_dict(pair_document(0.0))
-        kept, path = KeptScores(graph), RoutePath((0, 1), True)
         weights, demand = make_weights(0, 0, 0, 1, 0), TrafficDemand(0, 1, 1e308)
-        kept.link_scores(weights, demand)
-        place_traffic(graph, path, demand)
-        kept.placed(path)
+        link_scores(graph, weights, demand)
+        place_traffic(graph, RoutePath((0, 1), True), demand)
         huge = make_weights(1e308, 1e308, 1e308, 0, 0)
         for case in (weights, weights, huge, huge):
             with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
-                kept.link_scores(case, demand)
+                link_scores(graph, case, demand)
+
+
+class TestKeptScores:
+    def test_traffic_values_that_never_repeat_keep_a_bounded_number_of_books(self):
+        # Every demand carries a traffic value of its own: the graph keeps
+        # books for the KEPT_BOOKS values scored last, each marking at most
+        # the graph's links as placed since, and its scores stay those of a
+        # never-scored copy.
+        graph = load_builtin("t2")
+        path, links = RoutePath((0, 1, 3), True), range(len(graph.loads))
+        for i in range(3 * KEPT_BOOKS):
+            demand = TrafficDemand(0, 3, 1e3 + i)
+            kept = link_scores(graph, DEFAULT_WEIGHTS, demand)
+            fresh = link_scores(graph.copy(), DEFAULT_WEIGHTS, demand)
+            assert [kept.intensity, kept.utilization, kept.global_reward] == [
+                fresh.intensity, fresh.utilization, fresh.global_reward
+            ]
+            place_traffic(graph, path, demand)
+            books = graph.scores.books
+            assert len(books) == min(i + 1, KEPT_BOOKS)
+            assert all(book.placed <= set(links) for book in books.values())
+        assert [traffic for _, _, traffic in books] == [
+            1e3 + i for i in range(2 * KEPT_BOOKS, 3 * KEPT_BOOKS)
+        ]
+
+    def test_a_copy_of_a_scored_graph_keeps_no_scores(self):
+        graph = load_builtin("t2")
+        link_scores(graph, DEFAULT_WEIGHTS, TrafficDemand(0, 3, 1e3))
+        assert graph.scores is not None and graph.copy().scores is None
+        assert graph.copy() == graph
