@@ -9,8 +9,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from bisect import bisect_left
+from itertools import repeat
 from math import isfinite
-from operator import truediv
+from operator import add, eq, mul, truediv
 from pathlib import Path
 from typing import (
     IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -62,13 +64,13 @@ def _check_link(src, dst, max_bandwidth, used_bandwidth, reliability) -> None:
     with max_bandwidth > 0, used_bandwidth >= 0 and reliability in [0, 1].
     The one statement of a link's construction checks: build_graph and the
     topology loader call it."""
-    # Tested inline first: a topology checks every link.
+    # Tested inline first: build_graph checks every link.
     if type(src) is not int or type(dst) is not int:
         check_int(src, "link src", TopologyError)
         check_int(dst, "link dst", TopologyError)
     if src == dst:
         raise TopologyError(f"link ({src},{dst}): self loops are not allowed")
-    # Tested inline first, as the ids are; the loaders pass floats.
+    # Tested inline first, as the ids are; the loader passes floats.
     if not type(max_bandwidth) is type(used_bandwidth) is type(reliability) is float:
         link = f"link ({src},{dst})"
         check_float(max_bandwidth, f"{link}: max_bandwidth", TopologyError)
@@ -291,10 +293,12 @@ def build_graph(nodes: int | Sequence[float], links: Iterable[tuple] = ()) -> Ne
     links: tuples (src, dst, max_bw[, used_bw[, reliability]]), such as the
     LinkState records iter_links yields.
 
-    Finite loads can still overflow: TopologyError when a node's incoming
-    traffic (its inbound links' used bandwidth summed) / processing rate or
-    a link's used / max is not finite, or when a link's global reward at
-    these loads is not.
+    Each rate passes _check_rate and each link _check_link, in the order
+    given; the checked specs are then transposed into columns, and _graph
+    checks the link set and the sums of loads. Finite loads can still
+    overflow: TopologyError when a node's incoming traffic (its inbound
+    links' used bandwidth summed) / processing rate or a link's used / max
+    is not finite, or when a link's global reward at these loads is not.
     """
     if isinstance(nodes, Sequence):
         rates = tuple(nodes)
@@ -312,34 +316,62 @@ def build_graph(nodes: int | Sequence[float], links: Iterable[tuple] = ()) -> Ne
         row = LinkState(*spec)
         _check_link(*row)
         rows.append(row)
-    return _graph(rates, rows)
+    return _graph(rates, *_columns(rows))
 
 
-def _graph(rates: tuple[float, ...], rows: list[tuple]) -> NetworkGraph:
-    """build_graph for checked rates and for links given as (src, dst,
-    max_bw, used_bw, reliability) rows that passed _check_link, as the
-    topology loader gives them: the checks on the link set, and on sums of
-    loads."""
-    n = len(rates)
-    by_key: dict[tuple[int, int], tuple] = {}
-    for row in rows:
-        key = row[:2]
-        for end in key:
-            if not 0 <= end < n:
-                raise TopologyError(f"link ({row[0]},{row[1]}): endpoint {end} is not a node id")
-        if key in by_key:
-            raise TopologyError(f"duplicate link ({row[0]},{row[1]})")
-        by_key[key] = row
-    keys = sorted(by_key)
-    out: list[list[int]] = [[] for _ in rates]
-    for k, (src, _) in enumerate(keys):
-        out[src].append(k)
-    columns = zip(*map(by_key.__getitem__, keys))
+def _columns(rows: list[tuple]) -> tuple[list, list, list, list, list]:
+    """The five columns of (src, dst, max_bw, used_bw, reliability) rows."""
+    return tuple(map(list, zip(*rows))) or ([], [], [], [], [])
+
+
+def _graph(
+    rates: tuple[float, ...],
+    sources: list[int],
+    targets: list[int],
+    max_bandwidth: list[float],
+    loads: list[float],
+    reliability: list[float],
+) -> NetworkGraph:
+    """build_graph for checked rates and for links given as columns whose
+    rows passed _check_link, or the topology loader's column tests: the
+    checks on the link set and on sums of loads, and the columns put in
+    (src, dst) order.
+
+    Each check is one test of whole columns inside builtins: endpoints by
+    their least and greatest, duplicate pairs by a set of src * n + dst
+    keys, the order by one sort of those keys, and the overflows by one
+    pass of isfinite over every link's receiver intensity + utilization.
+    Only when a test fails does a loop over the rows, in the order given,
+    name the first fault.
+    """
+    n, m = len(rates), len(sources)
+    # Once every target is a node id, two links share a key only when they
+    # share a pair, and key order is (src, dst) order: the least and the
+    # greatest source come first and last.
+    keys = list(map(add, map(mul, sources, repeat(n)), targets))
+    order = sorted(range(m), key=keys.__getitem__)
+    if m and not (
+        0 <= min(targets) and max(targets) < n
+        and 0 <= sources[order[0]] and sources[order[-1]] < n
+        and len(set(keys)) == m
+    ):
+        seen = set()
+        for key in zip(sources, targets):
+            link = f"link ({key[0]},{key[1]})"
+            for end in key:
+                if not 0 <= end < n:
+                    raise TopologyError(f"{link}: endpoint {end} is not a node id")
+            if key in seen:
+                raise TopologyError(f"duplicate {link}")
+            seen.add(key)
     sources, targets, max_bandwidth, loads, reliability = (
-        [list(column) for column in columns] or [[] for _ in range(5)]
+        list(map(column.__getitem__, order))
+        for column in (sources, targets, max_bandwidth, loads, reliability)
     )
+    # The links leaving node u are the ids from starts[u] to starts[u + 1].
+    starts = [bisect_left(sources, u) for u in range(n + 1)]
     index = LinkIndex(
-        out=[tuple(ks) for ks in out],
+        out=[tuple(range(a, b)) for a, b in zip(starts, starts[1:])],
         targets=targets,
         sources=sources,
         max_bandwidth=max_bandwidth,
@@ -352,16 +384,21 @@ def _graph(rates: tuple[float, ...], rows: list[tuple]) -> NetworkGraph:
     for dst, used in zip(targets, loads):
         incoming[dst] += used
     intensity = list(map(truediv, incoming, rates))
-    for node_id, (total, ratio) in enumerate(zip(incoming, intensity)):
-        if not isfinite(ratio):
-            raise TopologyError(f"node {node_id}: incoming traffic {total} / rate overflows")
-    for src, dst, utilization in zip(sources, targets, map(truediv, loads, max_bandwidth)):
-        if not isfinite(utilization):
-            raise TopologyError(f"link ({src},{dst}): used / max bandwidth overflows")
-        # The link's global reward adds 1 - intensity at its receiver and
-        # 1 - utilization, so it is finite exactly when their sum is.
-        if not isfinite(intensity[dst] + utilization):
-            raise TopologyError(f"link ({src},{dst}): global reward overflows")
+    # The link's global reward adds 1 - intensity at its receiver and
+    # 1 - utilization, so it is finite exactly when their sum is. Each is
+    # >= 0 and not NaN, so every sum is finite only when every intensity
+    # with an in-link and every utilization is too; a node with none
+    # receives 0.0.
+    utilization = list(map(truediv, loads, max_bandwidth))
+    if not all(map(isfinite, map(add, map(intensity.__getitem__, targets), utilization))):
+        for node_id, (total, ratio) in enumerate(zip(incoming, intensity)):
+            if not isfinite(ratio):
+                raise TopologyError(f"node {node_id}: incoming traffic {total} / rate overflows")
+        for src, dst, ratio in zip(sources, targets, utilization):
+            if not isfinite(ratio):
+                raise TopologyError(f"link ({src},{dst}): used / max bandwidth overflows")
+            if not isfinite(intensity[dst] + ratio):
+                raise TopologyError(f"link ({src},{dst}): global reward overflows")
     return NetworkGraph(index, loads)
 
 
@@ -426,77 +463,130 @@ def _want_int(obj: dict, where: str, key: str) -> int:
     return value
 
 
-# What a loader reads from an entry that is not an object: no field at all.
-_NO_FIELDS: Callable = {}.get
-
-
 def graph_from_dict(document: dict) -> NetworkGraph:
-    """Parse and validate one topology document (already JSON-decoded). A
-    well-formed entry, an object with int ids and float numbers all within
-    +-_FLOAT_MAX, takes one inline test. Only an entry that fails it runs the
-    per-field checkers, which name what it got wrong or convert its JSON
-    ints. Node ids must be dense 0..N-1, in any order, each given once;
-    _check_rate, _check_link and build_graph's checks do the rest, naming
-    the entry, and the rates and links go into the graph's columns as
-    checked."""
+    """Parse and validate one topology document (already JSON-decoded).
+
+    The fields are read a column at a time, an optional one taking its
+    default, and tested whole by _well_formed_columns: every entry an
+    object, ids Python ints and numbers floats, every number finite and in
+    range, node ids dense 0..N-1 in any order and each given once, no self
+    loop and every endpoint a node id. _graph then checks the link set and
+    the sums of loads the same way. Only a document that fails a column
+    test is read entry by entry (_entry_columns): the per-field checkers
+    and _check_rate and _check_link name the first entry it got wrong, in
+    document order, or convert its JSON ints, and _graph names the first
+    fault in the link set or its loads.
+    """
     if not isinstance(document, dict):
         raise TopologyError("topology document must be a JSON object")
     for section in ("nodes", "links"):
         if section not in document or not isinstance(document[section], list):
             raise TopologyError(f"{section}: required list missing")
-    hi = _FLOAT_MAX
+    nodes, links = document["nodes"], document["links"]
+    columns = _well_formed_columns(nodes, links) or _entry_columns(nodes, links)
+    return _graph(*columns)
 
-    n = len(document["nodes"])
+
+def _well_formed_columns(nodes: list, links: list) -> Optional[tuple]:
+    """The rates in id order and the five link columns of a document whose
+    entries all pass the column tests; None when one fails. A document that
+    passes them holds nothing _entry_columns would refuse or convert, so
+    both give the same columns."""
+    if not {*map(type, nodes), *map(type, links)} <= {dict}:
+        return None
+    try:
+        ids = [entry["id"] for entry in nodes]
+        rates = [entry["processing_rate_bps"] for entry in nodes]
+        sources = [entry["src"] for entry in links]
+        targets = [entry["dst"] for entry in links]
+        max_bandwidth = [entry["max_bandwidth_bps"] for entry in links]
+    except KeyError:
+        return None
+    loads = [entry.get("used_bandwidth_bps", 0.0) for entry in links]
+    reliability = [entry.get("reliability", 1.0) for entry in links]
+    numbers = (rates, max_bandwidth, loads, reliability)
+    # Types first: the tests below compare, hash and add.
+    if not (
+        {*map(type, ids), *map(type, sources), *map(type, targets)} <= {int}
+        and {*map(type, rates), *map(type, max_bandwidth), *map(type, loads),
+             *map(type, reliability)} <= {float}
+    ):
+        return None
+    # n entries give every id in range(n) a rate only when each is given
+    # once; by_id then holds exactly the node ids.
+    by_id = dict(zip(ids, rates))
+    rates = tuple(map(by_id.get, range(len(nodes))))
+    # A sum is finite only when every term is: it catches the NaN and
+    # Infinity json.loads accepts, which min and max can pass over. One that
+    # overflows on finite terms only sends the document entry by entry.
+    if (
+        None not in rates
+        and all(isfinite(sum(column)) for column in numbers)
+        and 0.0 < min(rates, default=1.0)
+        and 0.0 < min(max_bandwidth, default=1.0)
+        and 0.0 <= min(loads, default=0.0)
+        and 0.0 <= min(reliability, default=0.0)
+        and max(reliability, default=1.0) <= 1.0
+        and {*sources, *targets} <= by_id.keys()
+        and not any(map(eq, sources, targets))
+    ):
+        return rates, sources, targets, max_bandwidth, loads, reliability
+    return None
+
+
+def _entry_columns(nodes: list, links: list) -> tuple:
+    """The rates in id order and the five link columns, read entry by
+    entry: TopologyError naming the first entry, in document order, that is
+    not an object, lacks a field, holds a field of the wrong type or out of
+    range, or repeats or skips a node id. JSON ints in number fields become
+    floats."""
+    n = len(nodes)
     rates: list = [None] * n
-    for i, entry in enumerate(document["nodes"]):
-        get = entry.get if type(entry) is dict else _NO_FIELDS
-        node_id, rate = get("id"), get("processing_rate_bps")
-        if not (type(node_id) is int and type(rate) is float
-                and -hi <= node_id <= hi and -hi <= rate <= hi):
-            where = f"nodes[{i}]"
-            if not isinstance(entry, dict):
-                raise TopologyError(f"{where}: expected an object")
-            node_id = _want_int(entry, where, "id")
-            rate = float(_want_number(entry, where, "processing_rate_bps"))
+    for i, entry in enumerate(nodes):
+        where = f"nodes[{i}]"
+        if not isinstance(entry, dict):
+            raise TopologyError(f"{where}: expected an object")
+        node_id = _want_int(entry, where, "id")
+        rate = float(_want_number(entry, where, "processing_rate_bps"))
         if not 0 <= node_id < n or rates[node_id] is not None:
             raise TopologyError(
-                f"nodes[{i}]: node ids must be dense 0..{n - 1}, each once, got {node_id}"
+                f"{where}: node ids must be dense 0..{n - 1}, each once, got {node_id}"
             )
         try:
             _check_rate(node_id, rate)
         except TopologyError as exc:
-            raise TopologyError(f"nodes[{i}]: {exc}") from None
+            raise TopologyError(f"{where}: {exc}") from None
         rates[node_id] = rate
 
-    links = []
-    for i, entry in enumerate(document["links"]):
-        get = entry.get if type(entry) is dict else _NO_FIELDS
-        src, dst, max_bw = get("src"), get("dst"), get("max_bandwidth_bps")
-        used, rel = get("used_bandwidth_bps", 0.0), get("reliability", 1.0)
-        if not (type(src) is type(dst) is int and type(max_bw) is type(used) is type(rel) is float
-                and -hi <= src <= hi and -hi <= dst <= hi and -hi <= max_bw <= hi
-                and -hi <= used <= hi and -hi <= rel <= hi):
-            where = f"links[{i}]"
-            if not isinstance(entry, dict):
-                raise TopologyError(f"{where}: expected an object")
-            src, dst = _want_int(entry, where, "src"), _want_int(entry, where, "dst")
-            max_bw = float(_want_number(entry, where, "max_bandwidth_bps"))
-            used = float(_want_number(entry, where, "used_bandwidth_bps", default=0.0))
-            rel = float(_want_number(entry, where, "reliability", default=1.0))
+    rows = []
+    for i, entry in enumerate(links):
+        where = f"links[{i}]"
+        if not isinstance(entry, dict):
+            raise TopologyError(f"{where}: expected an object")
+        src, dst = _want_int(entry, where, "src"), _want_int(entry, where, "dst")
+        max_bw = float(_want_number(entry, where, "max_bandwidth_bps"))
+        used = float(_want_number(entry, where, "used_bandwidth_bps", default=0.0))
+        rel = float(_want_number(entry, where, "reliability", default=1.0))
         try:
             _check_link(src, dst, max_bw, used, rel)
         except TopologyError as exc:
-            raise TopologyError(f"links[{i}]: {exc}") from None
-        links.append((src, dst, max_bw, used, rel))
+            raise TopologyError(f"{where}: {exc}") from None
+        rows.append((src, dst, max_bw, used, rel))
+    return (tuple(rates), *_columns(rows))
 
-    return _graph(tuple(rates), links)
+
+# What demands_from_list reads from an entry that is not an object: no field
+# at all.
+_NO_FIELDS: Callable = {}.get
 
 
 def demands_from_list(document, source: str) -> list[TrafficDemand]:
     """Parse and validate one demand list (already JSON-decoded). Errors
     name the source and the offending entry, as in "demands.json[3].src".
-    As in graph_from_dict, a well-formed entry takes one inline test and
-    only an entry that fails it runs the per-field checkers."""
+    A well-formed entry, an object with int ends and a float traffic
+    within +-_FLOAT_MAX, takes one inline test; only an entry that fails it
+    runs the per-field checkers, as graph_from_dict's entry-by-entry
+    reading does."""
     if not isinstance(document, list):
         raise TopologyError(f"demand file {source} must hold a JSON list")
     hi = _FLOAT_MAX

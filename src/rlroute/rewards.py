@@ -33,7 +33,7 @@ enters is evaluated once per LinkIndex, which a graph's copies share, and
 set of weights (TermSet).
 
 Every number is checked where it enters: by the TrafficDemand constructor
-and by the rate and link checks build_graph and the topology loader share.
+and by the rate and link checks of build_graph and the topology loader.
 After construction only a graph's loads change, through place_traffic,
 which checks each new load, so nothing is checked again here. Only sums can
 still overflow; link_scores refuses a non-finite one, naming its link.
@@ -378,14 +378,24 @@ class KeptScores:
 
     def _build_book(self, terms: TermSet, weights: QoSWeights, traffic: float) -> _Book:
         index, wi, wu = self.index, weights.intensity, weights.utilization
+        constant, (low, high) = weights.local_constant, terms.partial_range
         node = [
             wi * (1.0 - (total + traffic) / rate) for total, rate in zip(self.incoming, index.rates)
         ]
-        utilization = [
-            wu * (1.0 - (used + traffic) / capacity)
-            for used, capacity in zip(self.loads, index.max_bandwidth)
-        ]
-        book = _Book([node[v] for v in index.targets], utilization)
+        intensity, columns = [node[v] for v in index.targets], (self.loads, index.max_bandwidth)
+        try:
+            utilization = [
+                wu * (1.0 - (used + traffic) / capacity) for used, capacity in zip(*columns)
+            ]
+        except OverflowError:
+            # An int load plus an int traffic that no float holds, which the
+            # bounds below, taken over floats, can miss.
+            utilization = [
+                wu * (1.0 - _load_ratio(used, traffic, capacity))
+                for used, capacity in zip(*columns)
+            ]
+            self._refuse(terms, _Book(intensity, utilization), constant)
+        book = _Book(intensity, utilization)
         # A local sum adds ((partial + intensity) + utilization) - constant,
         # and rounding is monotone in each operand: when the sums of the
         # least and of the greatest terms are finite, so is every link's. A
@@ -395,7 +405,6 @@ class KeptScores:
         # load + traffic) / least capacity: rounding each operation moves a
         # result by a factor of at most 1 + 2**-52, so no link's ratio
         # exceeds 2q.
-        constant, (low, high) = weights.local_constant, terms.partial_range
         q = (float(self.most_load) + traffic) / terms.least_capacity
         if utilization and not (
             isfinite(sum(node) + sum(self.global_reward))
@@ -413,7 +422,7 @@ class KeptScores:
         wi, wu, constant = weights.intensity, weights.utilization, weights.local_constant
         capacity, rates, targets = index.max_bandwidth, index.rates, index.targets
         for k in links:
-            utilization[k] = wu * (1.0 - (loads[k] + traffic) / capacity[k])
+            utilization[k] = wu * (1.0 - _load_ratio(loads[k], traffic, capacity[k]))
         top, bottom = terms.hop[0], terms.hop[-1]
         t, r, global_reward = terms.transmission, terms.reliability, self.global_reward
         total = 0.0
@@ -449,6 +458,16 @@ class KeptScores:
                     f"link ({index.sources[k]},{index.targets[k]}): "
                     f"{which} reward terms sum to a non-finite value"
                 )
+
+
+def _load_ratio(used: float, traffic: float, capacity: float) -> float:
+    """(used + traffic) / capacity; inf when used and traffic are ints whose
+    sum no float holds, as a float sum past the largest float would give, so
+    the terms it enters are refused as non-finite."""
+    try:
+        return (used + traffic) / capacity
+    except OverflowError:
+        return math.inf
 
 
 def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:

@@ -323,6 +323,20 @@ class TestBuildGraph:
         with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
             graph_from_dict(document)
 
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            ([(0, 1, 1e6), (2, 0, 1e6)], "link (2,0): endpoint 2 is not a node id"),
+            ([(0, 1, 1e6), (-1, 0, 1e6)], "link (-1,0): endpoint -1 is not a node id"),
+            ([(0, 1, 1e6), (1, 2, 1e6)], "link (1,2): endpoint 2 is not a node id"),
+            ([(1, 0, 1e6), (0, 1, 1e6), (1, 0, 1e6), (0, 5, 1e6)], "duplicate link (1,0)"),
+        ],
+        ids=["source", "negative-source", "target", "duplicate-first"],
+    )
+    def test_rejects_the_first_link_off_the_node_ids_or_repeated(self, links, message):
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build_graph(2, links)
+
     def test_loader_takes_node_ids_in_any_order(self):
         document = graph_to_dict(build_graph([1e6, 2e6, 3e6]))
         document["nodes"].reverse()
@@ -914,15 +928,16 @@ def float_document(num_nodes, seed):
 
 class TestWellFormedEntriesSkipTheFieldCheckers:
     # Every bundled file and a generated document hold float numbers, so
-    # they must load without a single per-field check.
+    # they must load through the column tests alone: without a single
+    # per-field check, and without reading any entry on its own.
 
     @pytest.fixture(autouse=True)
     def no_field_checkers(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError(f"per-field checker called with {args[1:]}")
+            raise AssertionError(f"per-entry check called with {args}")
 
-        monkeypatch.setattr(network, "_want_number", refuse)
-        monkeypatch.setattr(network, "_want_int", refuse)
+        for name in ("_want_number", "_want_int", "_check_rate", "_check_link", "_entry_columns"):
+            monkeypatch.setattr(network, name, refuse)
 
     @pytest.mark.parametrize("name", BUILTIN_TOPOLOGIES)
     def test_bundled_topologies(self, name):
@@ -940,3 +955,126 @@ class TestWellFormedEntriesSkipTheFieldCheckers:
         path = tmp_path / "demands.json"
         path.write_text(json.dumps(demands), encoding="utf-8")
         assert len(load_demands(path)) == 100
+
+    def test_generated_400_node_document(self):
+        topology, _ = float_document(400, seed=5)
+        graph = graph_from_dict(topology)
+        assert (graph.num_nodes, len(graph.loads)) == (400, 1600)
+
+
+# One field of a 32-link float document set away from the first entry,
+# where a loader that tested only a column's first or least values would
+# miss it: (name, section, index, key, value, message), message None when
+# the loaders accept the result. Non-finite values come back from JSON text
+# as the NaN and Infinity literals json.loads reads.
+FIELD_EDGES = [
+    *(
+        (f"{key}-{literal}", section, index, key, float(literal),
+         f"{section}[{index}].{key}: expected a finite number, got {float(literal)!r}")
+        for section, index, key in (
+            ("nodes", 7, "processing_rate_bps"),
+            ("links", 31, "max_bandwidth_bps"),
+            ("links", 31, "used_bandwidth_bps"),
+            ("links", 31, "reliability"),
+        )
+        for literal in ("NaN", "Infinity", "-Infinity")
+    ),
+    *(
+        (f"{key}-true", section, 5, key, True, f"{section}[5].{key}: expected a number, got True")
+        for section, key in (("nodes", "id"), ("links", "src"), ("links", "dst"))
+    ),
+    ("zero-rate", "nodes", 6, "processing_rate_bps", 0.0,
+     "nodes[6]: node 6: processing_rate must be > 0, got 0.0"),
+    ("zero-capacity", "links", 20, "max_bandwidth_bps", 0.0,
+     "links[20]: link (5,3): max_bandwidth must be > 0, got 0.0"),
+    ("negative-load", "links", 20, "used_bandwidth_bps", -1.0,
+     "links[20]: link (5,3): used_bandwidth must be >= 0"),
+    ("negative-zero-load", "links", 20, "used_bandwidth_bps", -0.0, None),
+    ("reliability-0", "links", 20, "reliability", 0.0, None),
+    ("reliability-1", "links", 20, "reliability", 1.0, None),
+    ("reliability-above-1", "links", 20, "reliability", 1.5,
+     "links[20]: link (5,3): reliability 1.5 outside [0, 1]"),
+    ("reliability-below-0", "links", 20, "reliability", -0.5,
+     "links[20]: link (5,3): reliability -0.5 outside [0, 1]"),
+    ("repeated-id", "nodes", 6, "id", 2, "nodes[6]: node ids must be dense 0..7, each once, got 2"),
+    ("id-past-the-last", "nodes", 6, "id", 8,
+     "nodes[6]: node ids must be dense 0..7, each once, got 8"),
+    ("self-loop", "links", 20, "dst", 5, "links[20]: link (5,5): self loops are not allowed"),
+    ("endpoint-past-the-last", "links", 20, "dst", 8, "link (5,8): endpoint 8 is not a node id"),
+    ("negative-endpoint", "links", 20, "dst", -1, "link (5,-1): endpoint -1 is not a node id"),
+]
+
+
+def out_of_order(document):
+    document["links"].reverse()
+    document["nodes"].reverse()
+
+
+def distant_duplicate(document):
+    document["links"].append(dict(document["links"][1]))
+
+
+def no_nodes(document):
+    document["nodes"].clear()
+
+
+def no_links(document):
+    document["links"].clear()
+
+
+def no_nodes_or_links(document):
+    no_nodes(document)
+    no_links(document)
+
+
+def one_pair_sum_overflows(document):
+    # Receiver 3's intensity and link (7,3)'s utilization are each 1e308;
+    # only their sum, on this one link, passes the largest float.
+    document["nodes"][3]["processing_rate_bps"] = 1.0
+    document["links"][30].update(max_bandwidth_bps=1.0, used_bandwidth_bps=1e308)
+
+
+def int_capacities(document):
+    for link in document["links"]:
+        link["max_bandwidth_bps"] = int(link["max_bandwidth_bps"])
+
+
+# Edits of the whole document: (edit, message), as in FIELD_EDGES.
+DOCUMENT_EDGES = {
+    "out-of-order": (out_of_order, None),
+    "distant-duplicate": (distant_duplicate, "duplicate link (0,3)"),
+    "no-nodes": (no_nodes, "link (0,1): endpoint 0 is not a node id"),
+    "no-links": (no_links, None),
+    "no-nodes-or-links": (no_nodes_or_links, None),
+    "one-pair-sum-overflows": (one_pair_sum_overflows, "link (7,3): global reward overflows"),
+    "int-capacities": (int_capacities, None),
+}
+
+
+class TestColumnTestsAgreeWithFieldByFieldReference:
+    # Documents at the edges of the column tests, each read back from JSON
+    # text: they load, word for word, as the field-by-field reference
+    # loads them.
+
+    def loads_the_same(self, document, message):
+        document = json.loads(json.dumps(document))
+        outcome, _ = loaders_agree(document)
+        if message is None:
+            assert outcome[0] == "graph"
+        else:
+            assert outcome == (TopologyError, message)
+
+    @pytest.mark.parametrize(
+        "section, index, key, value, message",
+        [pytest.param(*case[1:], id=case[0]) for case in FIELD_EDGES],
+    )
+    def test_a_field_at_an_edge(self, section, index, key, value, message):
+        document, _ = float_document(8, seed=1)
+        document[section][index][key] = value
+        self.loads_the_same(document, message)
+
+    @pytest.mark.parametrize("edit, message", DOCUMENT_EDGES.values(), ids=DOCUMENT_EDGES)
+    def test_a_document_at_an_edge(self, edit, message):
+        document, _ = float_document(8, seed=1)
+        edit(document)
+        self.loads_the_same(document, message)

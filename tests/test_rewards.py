@@ -285,6 +285,20 @@ class TestRewardSums:
                 link_scores(graph, case, demand)
 
 
+    def test_an_int_load_plus_an_int_traffic_past_the_largest_float(self):
+        # Their sum is exact as an int but no float holds it: the book built
+        # for the demand, and a kept book rescored after a placement, refuse
+        # it naming the link.
+        big = TrafficDemand(0, 1, 10**308)
+        with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
+            link_scores(build_graph(2, [(0, 1, 1.0, 10**308)]), DEFAULT_WEIGHTS, big)
+        graph = build_graph(2, [(0, 1, 1.0, 0)])
+        link_scores(graph, DEFAULT_WEIGHTS, big)
+        place_traffic(graph, RoutePath((0, 1), True), big)
+        with pytest.raises(ValueError, match=r"^link \(0,1\): local reward terms"):
+            link_scores(graph, DEFAULT_WEIGHTS, big)
+
+
 class TestKeptScores:
     def test_traffic_values_that_never_repeat_keep_a_bounded_number_of_books(self):
         # Every demand carries a traffic value of its own: the graph keeps
