@@ -40,7 +40,7 @@ from math import copysign, inf, isfinite
 from typing import NamedTuple, Optional, Sequence
 
 from . import dataplane
-from .network import LinkIndex, NetworkGraph, RoutePath, TrafficDemand, check_float
+from .network import FLOAT_MAX, LinkIndex, NetworkGraph, RoutePath, TrafficDemand, check_float
 from .rewards import (
     DEFAULT_WEIGHTS,
     EpisodeRewards,
@@ -60,7 +60,9 @@ class Hyperparameters:
     """Learning controls. Defaults are the framework's standard setting.
 
     terminal_q is the bootstrap value used in place of Q(s',a') when updating
-    the last successfully performed action of an episode.
+    the last successfully performed action of an episode. epsilon, alpha,
+    gamma and terminal_q are accepted as ints or floats (see check_float)
+    and stored as floats.
     """
 
     epsilon: float = 0.0
@@ -83,8 +85,10 @@ class Hyperparameters:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isfinite(self.terminal_q):
+        if not -FLOAT_MAX <= self.terminal_q <= FLOAT_MAX:
             raise ValueError(f"terminal_q must be finite, got {self.terminal_q}")
+        for name in ("epsilon", "alpha", "gamma", "terminal_q"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 DEFAULT_HYPERPARAMETERS = Hyperparameters()
@@ -109,9 +113,10 @@ class QTable:
     state being the link's source node and the action its target.
 
     Only links have cells, so a (state, action) pair without a link has
-    none. Every Q-value is a finite Python int or float: the constructor and
-    store() refuse any other, and selection relies on it. The constructor
-    copies q.
+    none. Every Q-value is a finite float, which selection relies on: the
+    constructor and store() refuse a value that is not a finite Python int
+    or float (see check_float) and store the rest as floats. The
+    constructor copies q.
     """
 
     def __init__(self, index: LinkIndex, q: Sequence[float]):
@@ -137,19 +142,18 @@ class QTable:
         return cls._of(index, [0.0] * len(index.targets))
 
     def store(self, k: int, value: float) -> None:
-        """Write the Q-value of link id k, refusing a value that is not a
-        Python int or float (see check_float) or not finite, naming the link."""
+        """Write the Q-value of link id k as a float, refusing a value that
+        is not a Python int or float (see check_float) or not finite, naming
+        the link."""
         if type(value) is not float or not isfinite(value):
             name = f"Q-value for ({self.index.sources[k]},{self.index.targets[k]})"
             check_float(value, name)
-            try:
-                finite = isfinite(value)
-            except OverflowError:
-                # Not printed: an int of over 4,300 digits cannot be.
-                raise ValueError(f"{name} must be finite, got an int beyond every float") from None
-            if not finite:
+            if not -FLOAT_MAX <= value <= FLOAT_MAX:
+                if isinstance(value, int):
+                    # Not printed: an int of over 4,300 digits cannot be.
+                    raise ValueError(f"{name} must be finite, got an int beyond every float")
                 raise ValueError(f"{name} must be finite, got {value}")
-        self.q[k] = value
+        self.q[k] = float(value)
 
     def copy(self) -> "QTable":
         return QTable._of(self.index, self.q.copy())

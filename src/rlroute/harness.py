@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
@@ -37,12 +36,11 @@ from .engine import (
     detect_convergence,
     find_route,
 )
-from .network import NetworkGraph, RoutePath, TrafficDemand, check_int, place_traffic
+from .network import FLOAT_MAX, NetworkGraph, RoutePath, TrafficDemand, check_int, place_traffic
 from .rewards import DEFAULT_WEIGHTS, QoSWeights
 from .topologies import resolve_topology
 
 DEFAULT_SEED = 1
-_FLOAT_MAX = sys.float_info.max
 # "off" runs without loss draws; "bernoulli" gives the data plane a loss
 # stream, which loses each hop with probability 1 - the link's reliability.
 LOSS_MODES = ("off", "bernoulli")
@@ -58,9 +56,9 @@ class ExperimentConfig:
     construction. topology is a builtin id or a file path; demands are
     handled strictly in the given order and kept as a tuple, so a list the
     caller changes later changes no config. global_gamma discounts
-    global-table updates, so it needs use_global. seed is a Python int and
-    global_gamma a Python int or float (see network.check_int and
-    engine.check_global_gamma), as reports write them."""
+    global-table updates, so it needs use_global. seed is a Python int (see
+    network.check_int), as reports write it; global_gamma is accepted as an
+    int or float (see engine.check_global_gamma) and stored as a float."""
 
     topology: str
     demands: Sequence[TrafficDemand]
@@ -89,6 +87,7 @@ class ExperimentConfig:
             check_global_gamma(gamma)
             if not self.use_global:
                 raise ValueError(f"global_gamma {gamma} needs use_global: no global table reads it")
+            object.__setattr__(self, "global_gamma", float(gamma))
 
 
 # The to_dict methods below are the one statement of the report schema. They
@@ -426,20 +425,15 @@ def compare_baseline(config: ExperimentConfig) -> ComparisonReport:
 
 def _texts(values: Sequence, name: Callable[[int], str]) -> list[str]:
     """Each value's text as a report number, the text both json and csv
-    write for it: a Python int's repr, or a finite float's float.__repr__
-    (a subclass such as numpy.float64 included). Any other value is refused
-    with a ValueError naming name(i), i its position: json would write a
-    bool as true, NaN and the infinities as no JSON, and others not at all."""
-    for value in values:
-        kind = type(value)
-        if kind is not int and not (kind is float and -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            break
-    else:
-        return list(map(repr, values))
+    write for it: the repr of a Python int or of a finite Python float. Any
+    other value is refused with a ValueError naming name(i), i its position:
+    json would write a bool as true, NaN and the infinities as no JSON, a
+    float subclass by its own repr, and others not at all."""
     for i, value in enumerate(values):
-        if type(value) is not int and not (isinstance(value, float) and abs(value) <= _FLOAT_MAX):
+        kind = type(value)
+        if kind is not int and not (kind is float and -FLOAT_MAX <= value <= FLOAT_MAX):
             raise ValueError(f"{name(i)} must be an int or a finite float, got {value!r}")
-    return [repr(value) if type(value) is int else float.__repr__(value) for value in values]
+    return list(map(repr, values))
 
 
 class _Leaf:

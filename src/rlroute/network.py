@@ -24,7 +24,8 @@ if TYPE_CHECKING:
 # Processing rate assigned when a graph is built from a bare node count.
 DEFAULT_PROCESSING_RATE = 50e6
 
-_FLOAT_MAX = sys.float_info.max
+# Every rate, load, weight and Q-value kept is a float within +-FLOAT_MAX.
+FLOAT_MAX = sys.float_info.max
 
 
 class TopologyError(ValueError):
@@ -39,10 +40,10 @@ def check_int(value, name: str, error: type[ValueError] = ValueError) -> None:
 
 
 def check_float(value, name: str, error: type[ValueError] = ValueError) -> None:
-    """Raise error naming name unless value is a Python int or float
-    (a float subclass such as numpy.float64 included): not bool, which
-    reports would write as true or false, and not another numpy scalar,
-    which they cannot write at all. Ranges are the caller's to check."""
+    """Raise error naming name unless value is a Python int or float (a
+    float subclass such as numpy.float64 included): not bool, and not
+    another numpy scalar. Ranges are the caller's to check; once they pass,
+    the caller stores float(value), so every number it keeps is a float."""
     if type(value) is bool or not isinstance(value, (int, float)):
         raise error(f"{name} must be an int or float, got {value!r}")
 
@@ -53,7 +54,7 @@ def _check_rate(node_id: int, rate) -> None:
     the topology loader call it."""
     if type(rate) is not float:
         check_float(rate, f"node {node_id}: processing_rate", TopologyError)
-    if not 0 < rate <= _FLOAT_MAX:
+    if not 0 < rate <= FLOAT_MAX:
         need = "be finite" if rate > 0 else "be > 0"
         raise TopologyError(f"node {node_id}: processing_rate must {need}, got {rate}")
 
@@ -76,7 +77,7 @@ def _check_link(src, dst, max_bandwidth, used_bandwidth, reliability) -> None:
         check_float(max_bandwidth, f"{link}: max_bandwidth", TopologyError)
         check_float(used_bandwidth, f"{link}: used_bandwidth", TopologyError)
         check_float(reliability, f"{link}: reliability", TopologyError)
-    if not 0 < max_bandwidth <= _FLOAT_MAX:
+    if not 0 < max_bandwidth <= FLOAT_MAX:
         need = "be finite" if max_bandwidth > 0 else "be > 0"
         raise TopologyError(
             f"link ({src},{dst}): max_bandwidth must {need}, got {max_bandwidth}"
@@ -90,7 +91,7 @@ def _check_load(src: int, dst: int, used_bandwidth) -> None:
     """TopologyError naming link (src, dst) unless used_bandwidth, a number,
     is finite and >= 0: _check_link's load check, which place_traffic runs on
     each new load."""
-    if not 0 <= used_bandwidth <= _FLOAT_MAX:
+    if not 0 <= used_bandwidth <= FLOAT_MAX:
         need = f"be finite, got {used_bandwidth}" if used_bandwidth > 0 else "be >= 0"
         raise TopologyError(f"link ({src},{dst}): used_bandwidth must {need}")
 
@@ -118,8 +119,9 @@ class LinkState(NamedTuple):
 @dataclass(frozen=True)
 class TrafficDemand:
     """A (source, destination, estimated traffic rate) triple; the unit of
-    work. src and dst are Python ints and traffic a Python int or float
-    (see check_int and check_float), as reports write them."""
+    work. src and dst are Python ints (see check_int), as reports write
+    them; traffic is accepted as an int or float (see check_float) and
+    stored as a float."""
 
     src: int
     dst: int
@@ -131,8 +133,9 @@ class TrafficDemand:
         if self.src == self.dst:
             raise ValueError(f"demand src and dst must differ, got {self.src}")
         check_float(self.traffic, "demand traffic")
-        if not 0 < self.traffic <= _FLOAT_MAX:
+        if not 0 < self.traffic <= FLOAT_MAX:
             raise ValueError(f"demand traffic must be > 0 and finite, got {self.traffic}")
+        object.__setattr__(self, "traffic", float(self.traffic))
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,8 @@ class LinkIndex:
     rates[i] is node i's processing rate. Link k is the k-th link in (src,
     dst) order, the iter_links order, so out[u], the ids of the links
     leaving node u, ascend and so do their targets; a path that holds ids
-    from out holds no ints of its own. max_bandwidth and reliability hold
-    each link's numbers as given, checked on entry (see _check_link).
+    from out holds no ints of its own. rates, max_bandwidth and reliability
+    hold floats, checked on entry (see _check_link).
     terms, the rewards.TermSet of each set of weights scored with, is the
     only thing written after construction. Two indexes are equal when they
     number the same link set.
@@ -197,11 +200,11 @@ class NetworkGraph:
     """Directed graph held as columns: the LinkIndex it shares with its
     copies, which holds its nodes' rates and its links' fixed numbers, and
     its own loads. Node ids are dense 0..N-1. At most one link exists per
-    ordered (src, dst) pair. loads[k] is link k's used bandwidth, a Python
-    int or float as given, and the only state that changes: place_traffic
-    writes it. scores, the rewards.KeptScores its first scoring makes, keeps
-    its links' reward terms for its loads; place_traffic tells it which
-    loads it changed. Construct through build_graph or load_topology.
+    ordered (src, dst) pair. loads[k] is link k's used bandwidth, a float,
+    and the only state that changes: place_traffic writes it. scores, the
+    rewards.KeptScores its first scoring makes, keeps its links' reward
+    terms for its loads; place_traffic tells it which loads it changed.
+    Construct through build_graph or load_topology.
     """
 
     __slots__ = ("_index", "loads", "scores")
@@ -294,16 +297,17 @@ def build_graph(nodes: int | Sequence[float], links: Iterable[tuple] = ()) -> Ne
     LinkState records iter_links yields.
 
     Each rate passes _check_rate and each link _check_link, in the order
-    given; the checked specs are then transposed into columns, and _graph
-    checks the link set and the sums of loads. Finite loads can still
-    overflow: TopologyError when a node's incoming traffic (its inbound
-    links' used bandwidth summed) / processing rate or a link's used / max
-    is not finite, or when a link's global reward at these loads is not.
+    given, its numbers then stored as floats; the checked specs are
+    transposed into columns, and _graph checks the link set and the sums of
+    loads. Finite loads can still overflow: TopologyError when a node's
+    incoming traffic (its inbound links' used bandwidth summed) / processing
+    rate or a link's used / max is not finite, or when a link's global
+    reward at these loads is not.
     """
     if isinstance(nodes, Sequence):
-        rates = tuple(nodes)
-        for node_id, rate in enumerate(rates):
+        for node_id, rate in enumerate(nodes):
             _check_rate(node_id, rate)
+        rates = tuple(map(float, nodes))
     else:
         check_int(nodes, "node count", TopologyError)
         if nodes < 0:
@@ -313,9 +317,9 @@ def build_graph(nodes: int | Sequence[float], links: Iterable[tuple] = ()) -> Ne
     for i, spec in enumerate(links):
         if not (isinstance(spec, tuple) and 3 <= len(spec) <= 5):
             raise TopologyError(f"links[{i}]: expected a tuple of 3 to 5 values, got {spec!r}")
-        row = LinkState(*spec)
-        _check_link(*row)
-        rows.append(row)
+        src, dst, max_bw, used, rel = LinkState(*spec)
+        _check_link(src, dst, max_bw, used, rel)
+        rows.append((src, dst, float(max_bw), float(used), float(rel)))
     return _graph(rates, *_columns(rows))
 
 
@@ -379,10 +383,7 @@ def _graph(
         rates=rates,
     )
 
-    # Summed in link-id order from 0.0, as rewards.KeptScores sums them.
-    incoming = [0.0] * n
-    for dst, used in zip(targets, loads):
-        incoming[dst] += used
+    incoming = incoming_traffic(rates, targets, loads)
     intensity = list(map(truediv, incoming, rates))
     # The link's global reward adds 1 - intensity at its receiver and
     # 1 - utilization, so it is finite exactly when their sum is. Each is
@@ -400,6 +401,16 @@ def _graph(
             if not isfinite(intensity[dst] + ratio):
                 raise TopologyError(f"link ({src},{dst}): global reward overflows")
     return NetworkGraph(index, loads)
+
+
+def incoming_traffic(rates: Sequence[float], targets: list[int], loads: list[float]) -> list[float]:
+    """Each node's incoming traffic, as _graph checks it and rewards.KeptScores
+    keeps it: its inbound links' loads summed in link-id order from 0.0 with
+    +=, not sum(), which is compensated on Python 3.12+."""
+    incoming = [0.0] * len(rates)
+    for v, used in zip(targets, loads):
+        incoming[v] += used
+    return incoming
 
 
 def place_traffic(graph: NetworkGraph, path: RoutePath, demand: TrafficDemand) -> NetworkGraph:
@@ -449,7 +460,7 @@ def _want_number(obj: dict, where: str, key: str, *, default=None):
         raise TopologyError(f"{where}.{key}: expected a number, got {value!r}")
     # One comparison rejects NaN, the infinities and integers too large to
     # convert to a float.
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:
         if isinstance(value, int):
             raise TopologyError(f"{where}.{key}: integer too large for a float")
         raise TopologyError(f"{where}.{key}: expected a finite number, got {value!r}")
@@ -469,13 +480,14 @@ def graph_from_dict(document: dict) -> NetworkGraph:
     The fields are read a column at a time, an optional one taking its
     default, and tested whole by _well_formed_columns: every entry an
     object, ids Python ints and numbers floats, every number finite and in
-    range, node ids dense 0..N-1 in any order and each given once, no self
-    loop and every endpoint a node id. _graph then checks the link set and
-    the sums of loads the same way. Only a document that fails a column
-    test is read entry by entry (_entry_columns): the per-field checkers
-    and _check_rate and _check_link name the first entry it got wrong, in
-    document order, or convert its JSON ints, and _graph names the first
-    fault in the link set or its loads.
+    range, node ids dense 0..N-1 in any order and each given once, and no
+    self loop. _graph then checks that every endpoint is a node id, the link
+    set and the sums of loads the same way. Only a document that fails a
+    column test, or whose endpoints _graph refuses, is read entry by entry
+    (_entry_columns): the per-field checkers and _check_rate and _check_link
+    name the first entry it got wrong, in document order, or convert its
+    JSON ints, and _graph names the first fault in the link set or its
+    loads.
     """
     if not isinstance(document, dict):
         raise TopologyError("topology document must be a JSON object")
@@ -483,15 +495,23 @@ def graph_from_dict(document: dict) -> NetworkGraph:
         if section not in document or not isinstance(document[section], list):
             raise TopologyError(f"{section}: required list missing")
     nodes, links = document["nodes"], document["links"]
-    columns = _well_formed_columns(nodes, links) or _entry_columns(nodes, links)
-    return _graph(*columns)
+    columns = _well_formed_columns(nodes, links)
+    try:
+        return _graph(*(columns or _entry_columns(nodes, links)))
+    except ValueError:
+        # An endpoint _graph refuses (or cannot print) may be an int no float
+        # holds: the entry-by-entry reading names it before any other fault.
+        if columns is not None:
+            _entry_columns(nodes, links)
+        raise
 
 
 def _well_formed_columns(nodes: list, links: list) -> Optional[tuple]:
     """The rates in id order and the five link columns of a document whose
     entries all pass the column tests; None when one fails. A document that
-    passes them holds nothing _entry_columns would refuse or convert, so
-    both give the same columns."""
+    passes them holds nothing _entry_columns would refuse or convert but an
+    endpoint no float holds, which is no node id, so both give the same
+    columns or _graph refuses them."""
     if not {*map(type, nodes), *map(type, links)} <= {dict}:
         return None
     try:
@@ -513,7 +533,7 @@ def _well_formed_columns(nodes: list, links: list) -> Optional[tuple]:
     ):
         return None
     # n entries give every id in range(n) a rate only when each is given
-    # once; by_id then holds exactly the node ids.
+    # once.
     by_id = dict(zip(ids, rates))
     rates = tuple(map(by_id.get, range(len(nodes))))
     # A sum is finite only when every term is: it catches the NaN and
@@ -527,7 +547,6 @@ def _well_formed_columns(nodes: list, links: list) -> Optional[tuple]:
         and 0.0 <= min(loads, default=0.0)
         and 0.0 <= min(reliability, default=0.0)
         and max(reliability, default=1.0) <= 1.0
-        and {*sources, *targets} <= by_id.keys()
         and not any(map(eq, sources, targets))
     ):
         return rates, sources, targets, max_bandwidth, loads, reliability
@@ -584,12 +603,12 @@ def demands_from_list(document, source: str) -> list[TrafficDemand]:
     """Parse and validate one demand list (already JSON-decoded). Errors
     name the source and the offending entry, as in "demands.json[3].src".
     A well-formed entry, an object with int ends and a float traffic
-    within +-_FLOAT_MAX, takes one inline test; only an entry that fails it
+    within +-FLOAT_MAX, takes one inline test; only an entry that fails it
     runs the per-field checkers, as graph_from_dict's entry-by-entry
     reading does."""
     if not isinstance(document, list):
         raise TopologyError(f"demand file {source} must hold a JSON list")
-    hi = _FLOAT_MAX
+    hi = FLOAT_MAX
     demands = []
     for i, item in enumerate(document):
         get = item.get if type(item) is dict else _NO_FIELDS

@@ -32,11 +32,12 @@ index lists by link id. A graph keeps them from demand to demand
 enters is evaluated once per LinkIndex, which a graph's copies share, and
 set of weights (TermSet).
 
-Every number is checked where it enters: by the TrafficDemand constructor
-and by the rate and link checks of build_graph and the topology loader.
-After construction only a graph's loads change, through place_traffic,
-which checks each new load, so nothing is checked again here. Only sums can
-still overflow; link_scores refuses a non-finite one, naming its link.
+Every number is checked where it enters, and kept as a float: by the
+TrafficDemand and QoSWeights constructors and by the rate and link checks of
+build_graph and the topology loader. After construction only a graph's
+loads change, through place_traffic, which checks each new load, so nothing
+is checked again here. Only sums can still overflow; link_scores refuses a
+non-finite one, naming its link.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from dataclasses import dataclass
 from math import isfinite, nan
 from typing import TYPE_CHECKING
 
-from .network import LinkIndex, NetworkGraph, TrafficDemand, check_float
+from .network import (
+    FLOAT_MAX, LinkIndex, NetworkGraph, TrafficDemand, check_float, incoming_traffic
+)
 
 if TYPE_CHECKING:
     from .dataplane import ExecutionResult
@@ -60,7 +63,8 @@ LOCAL_MARGIN = 0.1
 
 @dataclass(frozen=True)
 class QoSWeights:
-    """Finite nonnegative weights for the five QoS factors, plus derived
+    """Finite nonnegative weights for the five QoS factors, each accepted as
+    an int or float (see check_float) and stored as a float, plus derived
     constants."""
 
     hop_count: float
@@ -72,8 +76,9 @@ class QoSWeights:
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
             check_float(value, f"weight {name}")
-            if not 0 <= value < math.inf:
+            if not 0 <= value <= FLOAT_MAX:
                 raise ValueError(f"weight {name} must be a finite number >= 0, got {value}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def local_constant(self) -> float:
@@ -269,8 +274,7 @@ class KeptScores:
 
     Every value is computed by the operations of the term functions, in the
     same order, so kept scores have the bits of terms evaluated per hop. A
-    node's incoming traffic is its inbound loads summed in link-id order
-    from 0.0 with +=, not sum(), which is compensated on Python 3.12+. A
+    node's incoming traffic is summed as network.incoming_traffic sums it. A
     node's intensity term is computed once, then copied to its in-links.
     The current intensity leaves out adding extra = 0.0, which changes no
     float but -0.0, and a sum from 0.0 of loads >= 0 is never -0.0.
@@ -281,9 +285,7 @@ class KeptScores:
     def __init__(self, graph: NetworkGraph):
         index, loads = graph.link_index(), graph.loads
         self.index, self.loads = index, loads
-        incoming = [0.0] * len(index.rates)
-        for v, used in zip(index.targets, loads):
-            incoming[v] += used
+        incoming = incoming_traffic(index.rates, index.targets, loads)
         g = DEFAULT_WEIGHTS
         gr, gi, gu, constant = g.reliability, g.intensity, g.utilization, g.global_constant
         node = [gi * (1.0 - total / rate) for total, rate in zip(incoming, index.rates)]
@@ -326,9 +328,7 @@ class KeptScores:
         if self.stale:
             self._rescore_global(terms)
         traffic = demand.traffic
-        # An int and a float traffic can be equal yet round apart when added
-        # to an int load.
-        key = (weights, type(traffic), traffic)
+        key = (weights, traffic)
         # Out of the dict until its check passes, then back in as the most
         # recently scored.
         books = self.books
@@ -383,18 +383,7 @@ class KeptScores:
             wi * (1.0 - (total + traffic) / rate) for total, rate in zip(self.incoming, index.rates)
         ]
         intensity, columns = [node[v] for v in index.targets], (self.loads, index.max_bandwidth)
-        try:
-            utilization = [
-                wu * (1.0 - (used + traffic) / capacity) for used, capacity in zip(*columns)
-            ]
-        except OverflowError:
-            # An int load plus an int traffic that no float holds, which the
-            # bounds below, taken over floats, can miss.
-            utilization = [
-                wu * (1.0 - _load_ratio(used, traffic, capacity))
-                for used, capacity in zip(*columns)
-            ]
-            self._refuse(terms, _Book(intensity, utilization), constant)
+        utilization = [wu * (1.0 - (used + traffic) / capacity) for used, capacity in zip(*columns)]
         book = _Book(intensity, utilization)
         # A local sum adds ((partial + intensity) + utilization) - constant,
         # and rounding is monotone in each operand: when the sums of the
@@ -405,7 +394,7 @@ class KeptScores:
         # load + traffic) / least capacity: rounding each operation moves a
         # result by a factor of at most 1 + 2**-52, so no link's ratio
         # exceeds 2q.
-        q = (float(self.most_load) + traffic) / terms.least_capacity
+        q = (self.most_load + traffic) / terms.least_capacity
         if utilization and not (
             isfinite(sum(node) + sum(self.global_reward))
             and isfinite(low + min(node) + wu * (1.0 - 2.0 * q) - constant)
@@ -422,7 +411,7 @@ class KeptScores:
         wi, wu, constant = weights.intensity, weights.utilization, weights.local_constant
         capacity, rates, targets = index.max_bandwidth, index.rates, index.targets
         for k in links:
-            utilization[k] = wu * (1.0 - _load_ratio(loads[k], traffic, capacity[k]))
+            utilization[k] = wu * (1.0 - (loads[k] + traffic) / capacity[k])
         top, bottom = terms.hop[0], terms.hop[-1]
         t, r, global_reward = terms.transmission, terms.reliability, self.global_reward
         total = 0.0
@@ -458,16 +447,6 @@ class KeptScores:
                     f"link ({index.sources[k]},{index.targets[k]}): "
                     f"{which} reward terms sum to a non-finite value"
                 )
-
-
-def _load_ratio(used: float, traffic: float, capacity: float) -> float:
-    """(used + traffic) / capacity; inf when used and traffic are ints whose
-    sum no float holds, as a float sum past the largest float would give, so
-    the terms it enters are refused as non-finite."""
-    try:
-        return (used + traffic) / capacity
-    except OverflowError:
-        return math.inf
 
 
 def link_scores(graph: NetworkGraph, weights: QoSWeights, demand: TrafficDemand) -> LinkScores:

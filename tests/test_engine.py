@@ -199,7 +199,7 @@ class TestHyperparameters:
         [("ttl", 2.5), ("episodes", 3.0), ("ttl", True),
          pytest.param("ttl", np.int64(32), id="ttl-int64"),
          pytest.param("episodes", np.int64(75), id="episodes-int64"),
-         ("terminal_q", math.inf), ("terminal_q", math.nan)],
+         ("terminal_q", math.inf), ("terminal_q", math.nan), ("terminal_q", -(10**400))],
     )
     def test_rejects_fractional_counts_and_non_finite_bootstrap(self, name, value):
         # Counts feed range() and the bootstrap feeds every terminal update,
@@ -211,7 +211,8 @@ class TestHyperparameters:
     @pytest.mark.parametrize("name", ["epsilon", "alpha", "gamma", "terminal_q"])
     @pytest.mark.parametrize("value", [True, np.float32(0.5)], ids=["bool", "float32"])
     def test_rejects_floats_reports_cannot_write(self, name, value):
-        # report.json writes the hyperparameters as they are.
+        # Refused at construction, naming the field, rather than stored as
+        # a float.
         with pytest.raises(ValueError, match=f"^{name} must be an int or float, got "):
             Hyperparameters(**{name: value})
 

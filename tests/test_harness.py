@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 import rlroute
 from rlroute import dataplane, engine, harness, rewards
 from rlroute.cli import main
-from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters
+from rlroute.engine import DEFAULT_HYPERPARAMETERS, Hyperparameters, QTable
 from rlroute.harness import (
     ComparisonReport,
     ExperimentConfig,
     ExperimentReport,
+    GammaStudyReport,
     baseline_min_hop,
     compare_baseline,
     emit_comparison_reports,
@@ -265,18 +266,27 @@ class TestRunSequence:
             run_sequence(config)
         assert len(routed) == 2
 
-    def test_a_run_imports_no_numpy(self):
+    def test_a_run_imports_no_numpy(self, tmp_path):
         # numpy is a test dependency only: neither importing the package
-        # nor running a sequence imports it.
+        # nor running any study or writing its reports imports it.
         code = (
-            "import sys, rlroute\n"
+            "import sys\n"
+            "from rlroute import harness\n"
             "from rlroute.topologies import builtin_demands\n"
-            "rlroute.run_sequence(rlroute.ExperimentConfig('t8', builtin_demands('t8')))\n"
+            "config = harness.ExperimentConfig('t8', builtin_demands('t8'))\n"
+            "out = sys.argv[1]\n"
+            "harness.emit_reports(harness.run_sequence(config), out + '/run')\n"
+            "study = harness.run_gamma_study(config, [0.5, 0.9])\n"
+            "harness.emit_gamma_reports(study, out + '/gamma')\n"
+            "comparison = harness.compare_baseline(config)\n"
+            "harness.emit_comparison_reports(comparison, out + '/compare')\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )
         src = Path(rlroute.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True, env=env)
+        for kind in ("run", "gamma", "compare"):
+            assert (tmp_path / kind / "report.json").stat().st_size > 0
 
     def test_global_gamma_defaults_to_framework_gamma(self):
         # Leaving global_gamma unset discounts global updates with the
@@ -618,6 +628,69 @@ class TestEmitReports:
         assert (tmp_path / "links_baseline.csv").exists()
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["max_link_utilization"]["baseline"] == 1.0
+
+
+NUMBER_KINDS = pytest.mark.parametrize("kind", [int, np.float64], ids=["int", "numpy.float64"])
+
+
+class TestNumbersAreStoredAsFloats:
+    # Every constructor that takes a number through check_float stores it
+    # as a float once it passes its checks, so ints and numpy.float64 give
+    # the values, and the reports, of the equal floats.
+
+    def inputs(self, kind):
+        """A three-node graph and a config that reuses a global table, each
+        number given as kind of an integral value."""
+        graph = build_graph(
+            [kind(50_000_000), kind(20_000_000), kind(100_000_000)],
+            [
+                (0, 1, kind(10_000_000), kind(1_000_000), kind(1)),
+                (0, 2, kind(1_000_000), kind(0), kind(1)),
+                (1, 2, kind(10_000_000), kind(2_000_000), kind(0)),
+            ],
+        )
+        config = ExperimentConfig(
+            topology="three-nodes",
+            demands=[TrafficDemand(0, 2, kind(300_000)), TrafficDemand(0, 1, kind(100_000))],
+            weights=make_weights(kind(1), kind(0), kind(2), kind(1), kind(1)),
+            hyper=Hyperparameters(epsilon=kind(0), alpha=kind(1), gamma=kind(1), terminal_q=kind(0)),
+            use_global=True,
+            global_gamma=kind(1),
+        )
+        return graph, config
+
+    @NUMBER_KINDS
+    def test_every_constructor_stores_a_float(self, kind):
+        graph, config = self.inputs(kind)
+        index, hyper = graph.link_index(), config.hyper
+        table = QTable(index, [kind(-2), kind(0), kind(3)])
+        table.store(1, kind(5))
+        numbers = [
+            *index.rates, *index.max_bandwidth, *graph.loads, *index.reliability,
+            *(demand.traffic for demand in config.demands), *vars(config.weights).values(),
+            hyper.epsilon, hyper.alpha, hyper.gamma, hyper.terminal_q, config.global_gamma,
+            *table.q,
+        ]
+        assert {type(number) for number in numbers} == {float}
+        # Nothing else converts: what scoring and placement compute from
+        # them is float too.
+        harness._run_sequence(config, graph)
+        terms = index.terms[config.weights]
+        scored = [*terms.hop, *terms.transmission, *terms.reliability, *graph.loads]
+        assert {type(number) for number in scored} == {float}
+
+    @NUMBER_KINDS
+    def test_reports_are_those_of_the_equal_floats(self, kind, tmp_path):
+        written = {}
+        for number in (kind, float):
+            graph, config = self.inputs(number)
+            control = replace(config, use_global=False, global_gamma=None)
+            report = harness._run_sequence(config, graph)
+            study = GammaStudyReport(harness._run_sequence(control, self.inputs(number)[0]), [report])
+            out = tmp_path / number.__name__
+            paths = emit_reports(report, out / "run") + emit_gamma_reports(study, out / "gamma")
+            written[number] = {path.relative_to(out): path.read_bytes() for path in paths}
+        assert written[kind] == written[float]
 
 
 class TestCli:

@@ -898,6 +898,18 @@ class TestLoaderAgreesWithFieldByFieldReference:
             graph_from_dict(topology)
         assert str(info.value) == "links[1].src: integer too large for a float"
 
+    @pytest.mark.parametrize("key", ["src", "dst"])
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["huge", "-huge"])
+    def test_an_unprintable_id_is_refused_as_too_large(self, key, value):
+        # An endpoint is range-tested only as a node id, whose message
+        # cannot print an int of over 4,300 digits: the entry-by-entry
+        # reading still names it.
+        topology, _ = small_documents()
+        topology["links"][1][key] = value
+        with pytest.raises(TopologyError) as info:
+            graph_from_dict(topology)
+        assert str(info.value) == f"links[1].{key}: integer too large for a float"
+
 
 def float_document(num_nodes, seed):
     """A ring plus random chords over num_nodes nodes, every number a

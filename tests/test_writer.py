@@ -17,6 +17,7 @@ import math
 import re
 import sys
 import tempfile
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -236,18 +237,21 @@ def test_an_object_neither_json_nor_a_leaf_is_refused(tmp_path):
 
 
 def test_an_int_load_stays_an_int_through_iter_links_and_the_writer(tmp_path):
-    # A graph keeps each load as given: int loads grown by an int rate stay
-    # ints, and reports write them as ints.
+    # A graph stores each number as a float once it passes its check: int
+    # loads grown by an int rate are floats, and reports write them as
+    # floats.
     demand = TrafficDemand(0, 2, 3)
     graph = build_graph(3, [(0, 1, 10, 2), (1, 2, 10, 0)])
     place_traffic(graph, RoutePath((0, 1, 2), True), demand)
     assert graph.loads == [5, 3]
-    assert [type(link.used_bandwidth) for link in graph.iter_links()] == [int, int]
+    assert [type(link.used_bandwidth) for link in graph.iter_links()] == [float, float]
     config = ExperimentConfig(topology="t3", demands=[demand])
     outcome = DemandOutcome(1, demand, RoutePath((0, 1, 2), True), None, (), 0)
     emit_reports(ExperimentReport(config, [outcome], graph), tmp_path)
-    assert '"used_bandwidth_bps": 5,\n' in (tmp_path / "report.json").read_text()
-    assert (tmp_path / "links.csv").read_text().splitlines()[1:] == ["0,1,10,5,0.5", "1,2,10,3,0.3"]
+    assert '"used_bandwidth_bps": 5.0,\n' in (tmp_path / "report.json").read_text()
+    assert (tmp_path / "links.csv").read_text().splitlines()[1:] == [
+        "0,1,10.0,5.0,0.5", "1,2,10.0,3.0,0.3"
+    ]
 
 
 def _refuse_constant(text):
@@ -392,12 +396,19 @@ def test_an_overflowing_utilization_is_refused(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_overflowing_numpy_utilization_warns_and_is_refused(kind, tmp_path):
+    # The writer takes only Python ints and floats: numpy.float64 numbers
+    # written into a graph's columns past its checks are refused, naming the
+    # capacity column, which is formatted first. A sequence report's one
+    # graph computes its overflowing utilization before that; a gamma study
+    # or comparison writes first a graph that shares the capacity but not
+    # the load, and is refused there.
     def spoil(graph, report):
         graph.link_index().max_bandwidth[0] = np.float64(1e-10)
         graph.loads[0] = np.float64(1e308)
 
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert_refused(kind, spoil, "link (0,1): utilization must be", tmp_path)
+    overflow = pytest.warns(RuntimeWarning, match="overflow")
+    with overflow if kind == "sequence" else nullcontext():
+        assert_refused(kind, spoil, "link (0,1): max_bandwidth_bps must be", tmp_path)
 
 
 @pytest.mark.parametrize(
